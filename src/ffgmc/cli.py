@@ -112,6 +112,7 @@ def _report_to_json(report: SearchReport, bounds: Bounds, mutation: Mutation) ->
             "states_checked": report.states_checked,
             "graphs_checked": report.graphs_checked,
             "states_pruned": report.states_pruned,
+            "states_bounded": report.states_bounded,
         },
         "budget": report.budget,
         "wall_time_s": round(report.wall_time, 6),

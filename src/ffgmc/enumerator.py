@@ -11,7 +11,11 @@ permutations of each other.
 
 Work is organized in graph units (one forest plus slot assignment); a unit
 whose forest has no conflicting block pair is skipped whole in safety
-searches, where the property holds vacuously.
+searches, where the property holds vacuously.  Within a unit, the monotone
+combination bound (`kernels.bound_combinations`) drops every distinct-vote
+combination whose unanimity state cannot hit; only the rest are projected and
+scanned, in the same canonical order.  Dropped rows count as pruned, so
+checked + pruned always covers the whole space.
 """
 
 from __future__ import annotations
@@ -23,12 +27,15 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .kernels import (
     MODE_CONFLICTING_FINALIZED,
     MODE_COUNTEREXAMPLE,
     MODE_FINALIZED_NONGENESIS,
     MODE_JUSTIFIED_NONGENESIS,
     MODE_LFP_NE_GFP,
+    bound_combinations,
     scan_states,
 )
 from .model import (
@@ -97,9 +104,12 @@ class Bounds:
             object.__setattr__(self, "max_slot", self.n_blocks)
         if self.max_chkp_slot is None and self.graph_filter is None:
             object.__setattr__(self, "max_chkp_slot", self.n_blocks + 1)
-        for name in ("n_blocks", "n_validators", "max_votes", "max_ffg_votes", "max_slot"):
-            if getattr(self, name) < 0:
+        for name in ("n_blocks", "n_validators", "max_votes", "max_ffg_votes", "max_slot",
+                     "max_chkp_slot"):
+            if getattr(self, name) is not None and getattr(self, name) < 0:
                 raise InputError(f"{name} must be non-negative")
+        if self.n_checkpoints is not None and self.n_checkpoints < 1:
+            raise InputError("n_checkpoints must be positive")
         if self.n_validators < 1:
             raise InputError("n_validators must be positive")
         if self.slot_rule not in ("strict", "nonstrict"):
@@ -124,6 +134,7 @@ class SearchReport:
     states_checked: int
     graphs_checked: int
     states_pruned: int
+    states_bounded: int   # part of states_pruned dropped by the monotone bound
     wall_time: float
     budget: Optional[int] = None
 
@@ -233,10 +244,40 @@ def _unit_total_states(bounds: Bounds, tables: GraphTables, min_signers: int) ->
 @dataclass(frozen=True)
 class _UnitResult:
     checked: int
-    pruned: int
-    graph_pruned: bool
+    pruned: int        # rows not scanned, bounded ones included
+    bounded: int       # rows of combinations the monotone bound dropped
     hit: Optional[tuple] = None  # (u, combo, row masks)
     exhausted_budget: bool = False
+
+
+_BOUND_CHUNK = 4096
+
+
+def _kept_combinations(
+    tables: GraphTables, u: int, mode: int, mutation: Mutation
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(position, combination) of each size-u vote combination the monotone
+    bound keeps, in canonical order; positions count every combination.
+
+    The bound runs over fixed-size chunks so memory stays flat however many
+    combinations the unit has.  The lfp/gfp comparison has no bound and
+    visits every combination.
+    """
+    combos = itertools.combinations(range(len(tables.votes)), u)
+    if mode == MODE_LFP_NE_GFP:
+        yield from enumerate(combos)
+        return
+    flat = itertools.chain.from_iterable(combos)
+    drop_ancestry = Mutation.DROP_ANCESTRY in mutation
+    n_combos = comb(len(tables.votes), u)
+    for lo in range(0, n_combos, _BOUND_CHUNK):
+        size = min(_BOUND_CHUNK, n_combos - lo)
+        chunk = np.fromiter(
+            itertools.islice(flat, size * u), dtype=np.int64, count=size * u
+        ).reshape(size, u)
+        keep = bound_combinations(tables, chunk, mode, drop_ancestry)
+        for i in np.flatnonzero(keep):
+            yield lo + int(i), tuple(int(x) for x in chunk[i])
 
 
 def _scan_unit(
@@ -246,38 +287,43 @@ def _scan_unit(
     mode: int,
     min_signers: int,
     budget_left: Optional[int] = None,
-    backend: Optional[str] = None,
-) ->tuple[_UnitResult, GraphTables]:
+) -> tuple[_UnitResult, GraphTables]:
     tables = build_graph_tables(forest, bounds.slot_rule, _chkp_bound(bounds, forest))
     vacuity_modes = (MODE_COUNTEREXAMPLE, MODE_CONFLICTING_FINALIZED)
     if mode in vacuity_modes and not tables.has_conflict:
         total = _unit_total_states(bounds, tables, min_signers)
-        return _UnitResult(checked=0, pruned=total, graph_pruned=True), tables
+        return _UnitResult(checked=0, pruned=total, bounded=0), tables
     quorum_half = Mutation.QUORUM_HALF in mutation
-    checked = 0
-    pruned = 0
+    checked = pruned = bounded = 0
     for u in _distinct_vote_range(bounds, len(tables.votes)):
-        states, rows_pruned, _ = state_table(
+        states, rows_pruned, total_rows = state_table(
             u, bounds.n_validators, bounds.max_votes, min_signers
         )
-        for combo in itertools.combinations(range(len(tables.votes)), u):
-            pruned += rows_pruned
+        n_rows = states.shape[0]
+        visited = 0
+        for position, combo in _kept_combinations(tables, u, mode, mutation):
+            skipped = position - visited  # combinations the bound dropped
+            bounded += skipped * n_rows
+            pruned += skipped * total_rows + rows_pruned
+            visited = position + 1
             block = states
-            if budget_left is not None and checked + block.shape[0] > budget_left:
-                block = block[: budget_left - checked]
-            if block.shape[0] == 0 and states.shape[0] != 0:
-                return _UnitResult(checked, pruned, False, exhausted_budget=True), tables
-            projected = project_tables(tables, combo, mutation)
-            hit, scanned = scan_states(
-                block, projected, bounds.n_validators, mode, quorum_half, backend
-            )
-            checked += scanned
-            if hit >= 0:
-                masks = tuple(int(x) for x in states[hit])
-                return _UnitResult(checked, pruned, False, hit=(u, combo, masks)), tables
-            if budget_left is not None and checked >= budget_left and block.shape[0] < states.shape[0]:
-                return _UnitResult(checked, pruned, False, exhausted_budget=True), tables
-    return _UnitResult(checked, pruned, False), tables
+            if budget_left is not None and checked + n_rows > budget_left:
+                block = states[: budget_left - checked]
+            if block.shape[0]:
+                projected = project_tables(tables, combo, mutation)
+                hit, scanned = scan_states(
+                    block, projected, bounds.n_validators, mode, quorum_half
+                )
+                checked += scanned
+                if hit >= 0:
+                    masks = tuple(int(x) for x in states[hit])
+                    return _UnitResult(checked, pruned, bounded, hit=(u, combo, masks)), tables
+            if block.shape[0] < n_rows:
+                return _UnitResult(checked, pruned, bounded, exhausted_budget=True), tables
+        skipped = comb(len(tables.votes), u) - visited
+        bounded += skipped * n_rows
+        pruned += skipped * total_rows
+    return _UnitResult(checked, pruned, bounded), tables
 
 
 def materialize_state(
@@ -313,6 +359,30 @@ def _unit_task(args):
     return result, tables if result.hit else None
 
 
+@dataclass
+class _RunResult:
+    """Unit results folded in canonical order, up to the first hit or budget cut."""
+
+    checked: int = 0
+    pruned: int = 0
+    bounded: int = 0
+    graphs: int = 0
+    hit: Optional[tuple] = None            # (u, combo, row masks)
+    tables: Optional[GraphTables] = None   # tables of the hit's unit
+    exhausted: bool = False
+
+    def add(self, result: _UnitResult, tables: Optional[GraphTables]) -> bool:
+        """Fold in the next unit; True when the run stops there."""
+        self.graphs += 1
+        self.checked += result.checked
+        self.pruned += result.pruned
+        self.bounded += result.bounded
+        self.hit = result.hit
+        self.tables = tables if result.hit is not None else None
+        self.exhausted = result.exhausted_budget
+        return self.hit is not None or self.exhausted
+
+
 def _run_units(
     bounds: Bounds,
     mutation: Mutation,
@@ -320,38 +390,37 @@ def _run_units(
     min_signers: int,
     budget: Optional[int],
     jobs: int,
-):
-    """Iterate units; fold counters in canonical order, stopping at the first hit.
+) -> _RunResult:
+    """Scan units in canonical order, stopping at the first hit.
 
-    Returns (hit tables or None, hit info or None, checked, pruned, graphs,
-    exhausted flag).  With jobs > 1 a budget forces sequential execution so
-    mid-unit budget cuts stay reproducible.
+    With jobs > 1 a budget forces sequential execution so mid-unit budget
+    cuts stay reproducible.  Units still queued when a pool run stops are
+    cancelled; those already running finish and are discarded.
     """
+    if budget is not None and budget < 0:
+        raise InputError("budget must be non-negative")
+    if jobs < 1:
+        raise InputError("jobs must be at least 1")
     units = list(iter_units(bounds))
-    checked = pruned = graphs = 0
+    run = _RunResult()
     if jobs > 1 and budget is None:
-        tasks = [(bounds, mutation.value, f, mode, min_signers) for f in units]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result, tables in pool.map(_unit_task, tasks):
-                graphs += 1
-                checked += result.checked
-                pruned += result.pruned
-                if result.hit is not None:
-                    return tables, result.hit, checked, pruned, graphs, False
-        return None, None, checked, pruned, graphs, False
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        try:
+            futures = [
+                pool.submit(_unit_task, (bounds, mutation.value, f, mode, min_signers))
+                for f in units
+            ]
+            for future in futures:
+                if run.add(*future.result()):
+                    break
+        finally:
+            pool.shutdown(cancel_futures=True)
+        return run
     for forest in units:
-        budget_left = None if budget is None else budget - checked
-        result, tables = _scan_unit(
-            bounds, mutation, forest, mode, min_signers, budget_left
-        )
-        graphs += 1
-        checked += result.checked
-        pruned += result.pruned
-        if result.hit is not None:
-            return tables, result.hit, checked, pruned, graphs, False
-        if result.exhausted_budget:
-            return None, None, checked, pruned, graphs, True
-    return None, None, checked, pruned, graphs, False
+        budget_left = None if budget is None else budget - run.checked
+        if run.add(*_scan_unit(bounds, mutation, forest, mode, min_signers, budget_left)):
+            break
+    return run
 
 
 def search(
@@ -363,34 +432,28 @@ def search(
     """Exhaust the bounded space or stop at the first (canonical) counterexample."""
     start = time.perf_counter()
     min_signers = min_signers_for_quorum(bounds.n_validators) if mutation == Mutation.NONE else 0
-    tables, hit, checked, pruned, graphs, exhausted = _run_units(
-        bounds, mutation, MODE_COUNTEREXAMPLE, min_signers, budget, jobs
-    )
+    run = _run_units(bounds, mutation, MODE_COUNTEREXAMPLE, min_signers, budget, jobs)
     wall = time.perf_counter() - start
-    if hit is not None:
-        u, combo, masks = hit
-        state = materialize_state(bounds, tables, combo, masks)
+    counterexample = None
+    if run.hit is not None:
+        u, combo, masks = run.hit
+        state = materialize_state(bounds, run.tables, combo, masks)
         safety = accountable_safety(state, mutation)
         if safety.holds:
             raise RuntimeError(
                 "kernel counterexample does not replay: kernel and reference disagree"
             )
-        return SearchReport(
-            verdict=VERDICT_COUNTEREXAMPLE,
-            counterexample=Counterexample(state, safety, graphs - 1),
-            states_checked=checked,
-            graphs_checked=graphs,
-            states_pruned=pruned,
-            wall_time=wall,
-            budget=budget,
-        )
-    verdict = VERDICT_INCONCLUSIVE if exhausted else VERDICT_HOLDS
+        counterexample = Counterexample(state, safety, run.graphs - 1)
+        verdict = VERDICT_COUNTEREXAMPLE
+    else:
+        verdict = VERDICT_INCONCLUSIVE if run.exhausted else VERDICT_HOLDS
     return SearchReport(
         verdict=verdict,
-        counterexample=None,
-        states_checked=checked,
-        graphs_checked=graphs,
-        states_pruned=pruned,
+        counterexample=counterexample,
+        states_checked=run.checked,
+        graphs_checked=run.graphs,
+        states_pruned=run.pruned,
+        states_bounded=run.bounded,
         wall_time=wall,
         budget=budget,
     )
@@ -412,15 +475,13 @@ def find_example(
             f"unknown property {property_name!r}; choose from {', '.join(PROPERTY_MODES)}"
         ) from None
     min_signers = min_signers_for_quorum(bounds.n_validators)
-    tables, hit, checked, _, _, exhausted = _run_units(
-        bounds, Mutation.NONE, mode, min_signers, budget, jobs=1
-    )
-    if exhausted:
-        raise SearchBudgetExceeded(checked)
-    if hit is None:
+    run = _run_units(bounds, Mutation.NONE, mode, min_signers, budget, jobs=1)
+    if run.exhausted:
+        raise SearchBudgetExceeded(run.checked)
+    if run.hit is None:
         return None
-    u, combo, masks = hit
-    return materialize_state(bounds, tables, combo, masks)
+    u, combo, masks = run.hit
+    return materialize_state(bounds, run.tables, combo, masks)
 
 
 @dataclass(frozen=True)
@@ -431,13 +492,11 @@ class FixpointReport:
 
 def check_lfp_gfp(bounds: Bounds, mutation: Mutation = Mutation.NONE) -> FixpointReport:
     """Compare least and greatest justification fixpoints over every state."""
-    tables, hit, checked, _, _, _ = _run_units(
-        bounds, mutation, MODE_LFP_NE_GFP, min_signers=0, budget=None, jobs=1
-    )
-    if hit is None:
-        return FixpointReport(states_checked=checked, mismatch=None)
-    u, combo, masks = hit
+    run = _run_units(bounds, mutation, MODE_LFP_NE_GFP, min_signers=0, budget=None, jobs=1)
+    if run.hit is None:
+        return FixpointReport(states_checked=run.checked, mismatch=None)
+    u, combo, masks = run.hit
     return FixpointReport(
-        states_checked=checked,
-        mismatch=materialize_state(bounds, tables, combo, masks),
+        states_checked=run.checked,
+        mismatch=materialize_state(bounds, run.tables, combo, masks),
     )

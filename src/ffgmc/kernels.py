@@ -14,6 +14,9 @@ Two interchangeable backends implement the same contract:
 
 Both report counters as if rows were scanned sequentially and the scan stopped
 at the first hit, so reports are byte-identical across backends.
+
+Before any row is scanned, `bound_combinations` drops whole combinations that
+cannot hold a hit (the monotone combination bound).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import os
 
 import numpy as np
 
-from .tables import ProjectedTables
+from .tables import GraphTables, ProjectedTables
 
 MODE_COUNTEREXAMPLE = 0        # disagreement with under-threshold slashing
 MODE_FINALIZED_NONGENESIS = 1
@@ -82,6 +85,72 @@ def scan_states(
     else:
         hit, scanned = _scan_numpy(*args)
     return int(hit), int(scanned)
+
+
+def bound_combinations(
+    tables: GraphTables, combos: np.ndarray, mode: int, drop_ancestry: bool
+) -> np.ndarray:
+    """Which vote combinations may still hold a hit of `mode`.
+
+    `combos` is a (C, u) array of vote indices into `tables.votes`, one
+    combination per row; the result is a (C,) bool array that is False where
+    no canonical row of the combination can hit, so that combination needs
+    no projection and no scan.
+
+    Soundness.  Every row of a combination U is a vote set contained in the
+    unanimity state, in which all N validators cast every vote of U.
+    Justification is the least fixpoint of a monotone operator, and a
+    justifying or finalizing quorum only grows with added votes, so the
+    justified set, the finalized set and a conflicting finalized pair are
+    all monotone in the vote set; no mutation flag changes that (quorum-half
+    lowers the threshold, drop-ancestry widens the sandwich clause, e1/e2
+    touch only slashing).  Hence a row can hit only if the unanimity state
+    does.  In the unanimity state every vote of U has N senders and the
+    quorum test always passes (3N >= 2N, and 2N >= N under quorum-half), so
+    the fixpoint reduces to reachability over the votes of U, independent
+    of N:
+
+      J = genesis + {k : a vote of U with its source in J sandwiches k}
+      F = genesis + (J & {k : U holds a finalizing vote from k})
+
+    A combination is kept iff F holds a conflicting pair (counterexample and
+    conflicting-finalized modes; a counterexample also needs few slashable
+    validators, so dropping that conjunct only keeps more), F is more than
+    genesis (finalized-nongenesis) or J is more than genesis
+    (justified-nongenesis).  `MODE_LFP_NE_GFP` compares two fixpoints of the
+    same state, which is not monotone, and has no bound.
+
+    J and F are evaluated for all C combinations at once with matrix
+    products over the (K, M) tables; checkpoint 0 is genesis.
+    """
+    if mode == MODE_LFP_NE_GFP:
+        raise ValueError("the lfp/gfp comparison is not monotone and has no bound")
+    c = combos.shape[0]
+    k, m = tables.sandwich.shape
+    in_u = np.zeros((c, m), dtype=np.float32)
+    in_u[np.arange(c)[:, None], combos] = 1.0
+    sandwich = (tables.sandwich_noanc if drop_ancestry else tables.sandwich)
+    sandwich_t = sandwich.T.astype(np.float32)                          # (M, K)
+    by_src = tables.by_src.astype(np.float32)                          # (K, M)
+    justified = np.zeros((c, k), dtype=bool)
+    justified[:, 0] = True
+    while True:
+        eligible = (justified.astype(np.float32) @ by_src) * in_u       # (C, M)
+        grown = (eligible @ sandwich_t) > 0                             # (C, K)
+        grown[:, 0] = True
+        if np.array_equal(grown, justified):
+            break
+        justified = grown
+    if mode == MODE_JUSTIFIED_NONGENESIS:
+        return justified[:, 1:].any(axis=1)
+    finalizing = (in_u @ tables.fin.T.astype(np.float32)) > 0           # (C, K)
+    finalized = justified & finalizing
+    finalized[:, 0] = True
+    if mode == MODE_FINALIZED_NONGENESIS:
+        return finalized[:, 1:].any(axis=1)
+    conflict = (tables.cp_conflict[:, None] >> np.arange(k)) & 1       # (K, K)
+    clash = (finalized.astype(np.float32) @ conflict.astype(np.float32)) > 0
+    return (clash & finalized).any(axis=1)
 
 
 def _full_mask(k: int) -> int:

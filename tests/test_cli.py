@@ -143,7 +143,7 @@ def test_cmd_search_budget_and_flag_errors(tmp_path):
     out = str(tmp_path / "r.json")
     assert main([
         "search", "--blocks", "2", "--validators", "4", "--max-votes", "6",
-        "--max-ffg", "2", "--budget", "50", "--out", out,
+        "--max-ffg", "4", "--budget", "50", "--out", out,
     ]) == 3
     assert json.loads(open(out).read())["verdict"] == "inconclusive"
     assert main(["search", "--blocks", "-2", "--validators", "4", "--max-votes", "3"]) == 2
@@ -152,6 +152,44 @@ def test_cmd_search_budget_and_flag_errors(tmp_path):
         "search", "--blocks", "1", "--validators", "4", "--max-votes", "3",
         "--mutation", "grue",
     ]) == 2
+
+
+def test_cmd_search_rejects_negative_checkpoint_slot(capsys):
+    assert main(["search", "--blocks", "1", "--max-chkp-slot", "-1"]) == 2
+    assert "max_chkp_slot" in capsys.readouterr().err
+
+
+def test_cmd_search_rejects_zero_jobs(capsys):
+    assert main(["search", "--blocks", "1", "--jobs", "0"]) == 2
+    assert "jobs" in capsys.readouterr().err
+
+
+def test_cmd_search_rejects_negative_budget(capsys):
+    assert main(["search", "--blocks", "1", "--budget", "-5"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_cmd_example_rejects_negative_budget(capsys):
+    assert main([
+        "example", "--blocks", "1", "--property", "justified-nongenesis", "--budget", "-5",
+    ]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_cmd_emit_smt_rejects_zero_checkpoints(capsys):
+    assert main(["emit-smt", "--blocks", "1", "--smt-checkpoints", "0"]) == 2
+    assert "n_checkpoints" in capsys.readouterr().err
+
+
+def test_cmd_search_reports_bounded_rows(tmp_path):
+    out = str(tmp_path / "r.json")
+    assert main([
+        "search", "--blocks", "2", "--validators", "4", "--max-votes", "6",
+        "--max-ffg", "4", "--jobs", "2", "--out", out,
+    ]) == 0
+    counters = json.loads(open(out).read())["counters"]
+    assert 0 < counters["states_bounded"] <= counters["states_pruned"]
+    assert counters["states_checked"] > 0
 
 
 def test_cmd_search_graph_vacuity(tmp_path):

@@ -3,9 +3,12 @@
 import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from ffgmc import enumerator
 from ffgmc.enumerator import (
+    PROPERTY_MODES,
     Bounds,
     SearchBudgetExceeded,
     VERDICT_COUNTEREXAMPLE,
@@ -225,21 +228,28 @@ def test_search_determinism():
 
 
 def test_search_jobs_parity():
-    # the smallest quorum-half violation needs four distinct votes: one
-    # justifying and one finalizing link per branch
-    bounds = Bounds(n_blocks=2, n_validators=4, max_votes=8, max_ffg_votes=4)
-    mutation = parse_mutation("quorum-half")
-    seq = search(bounds, mutation, jobs=1)
-    par = search(bounds, mutation, jobs=2)
-    assert seq.verdict == par.verdict == VERDICT_COUNTEREXAMPLE
-    assert seq.states_checked == par.states_checked
-    assert seq.states_pruned == par.states_pruned
-    assert seq.graphs_checked == par.graphs_checked
-    assert seq.counterexample.state == par.counterexample.state
+    # every report field but the wall time agrees.  The smallest quorum-half
+    # violation needs four distinct votes: one justifying and one finalizing
+    # link per branch; it lies in the first unit, so the queued units are
+    # cancelled.  The unmutated three-block search holds over 16 units.
+    cases = [
+        (Bounds(n_blocks=2, n_validators=4, max_votes=8, max_ffg_votes=4),
+         Mutation.QUORUM_HALF, VERDICT_COUNTEREXAMPLE),
+        (Bounds(n_blocks=3, n_validators=4, max_votes=8, max_ffg_votes=4, max_chkp_slot=3),
+         Mutation.NONE, VERDICT_HOLDS),
+    ]
+    for bounds, mutation, verdict in cases:
+        seq = replace(search(bounds, mutation, jobs=1), wall_time=0.0)
+        par = replace(search(bounds, mutation, jobs=2), wall_time=0.0)
+        assert seq.verdict == verdict
+        assert seq == par
+        assert seq.states_bounded > 0
 
 
 def test_search_budget_inconclusive():
-    bounds = Bounds(n_blocks=2, n_validators=4, max_votes=6, max_ffg_votes=2)
+    # four FFG votes: the monotone bound leaves the fork unit's two-branch
+    # combinations, whose rows are still scanned
+    bounds = Bounds(n_blocks=2, n_validators=4, max_votes=6, max_ffg_votes=4)
     report = search(bounds, budget=100)
     assert report.verdict == VERDICT_INCONCLUSIVE
     assert report.states_checked == 100
@@ -344,7 +354,94 @@ def test_find_example_properties():
 
 
 def test_find_example_budget():
+    # at N=5 the first combination the monotone bound keeps has its first
+    # hit past row 10
     with pytest.raises(SearchBudgetExceeded):
         find_example(
-            Bounds(n_blocks=1, n_validators=4, max_votes=6), "finalized-nongenesis", budget=10
+            Bounds(n_blocks=1, n_validators=5, max_votes=8), "finalized-nongenesis", budget=10
         )
+
+
+def test_run_arguments_validated():
+    bounds = Bounds(n_blocks=1, n_validators=4, max_votes=3)
+    with pytest.raises(InputError):
+        search(bounds, jobs=0)
+    with pytest.raises(InputError):
+        search(bounds, budget=-5)
+    with pytest.raises(InputError):
+        find_example(bounds, "justified-nongenesis", budget=-1)
+    with pytest.raises(InputError):
+        Bounds(n_blocks=1, n_validators=4, max_votes=3, max_chkp_slot=-1)
+    with pytest.raises(InputError):
+        Bounds(n_blocks=1, n_validators=4, max_votes=3, n_checkpoints=0)
+
+
+# --- the monotone combination bound against the unreduced space -----------
+
+def _keep_every_combination(tables, combos, mode, drop_ancestry):
+    return np.ones(combos.shape[0], dtype=bool)
+
+
+def _unbounded(monkeypatch, fn, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerator, "bound_combinations", _keep_every_combination)
+        return fn(*args)
+
+
+def _small(**kw):
+    base = dict(n_blocks=2, max_ffg_votes=4, max_chkp_slot=3)
+    base.update(kw)
+    return Bounds(**base)
+
+
+REDUCTION_SEARCHES = [
+    ("none", _small(n_validators=3, max_votes=6, max_ffg_votes=3)),
+    ("none", _small(n_validators=1, max_votes=4, max_chkp_slot=2, slot_rule="nonstrict")),
+    ("quorum-half", _small(n_validators=2, max_votes=4)),
+    ("disable-e1", _small(n_validators=1, max_votes=4)),
+    ("disable-e2", _small(n_validators=1, max_votes=4)),
+    ("disable-e1,disable-e2", _small(n_validators=2, max_votes=8)),
+    ("drop-ancestry", _small(n_validators=2, max_votes=6, slot_rule="nonstrict")),
+    ("disable-e1,disable-e2",
+     _small(n_validators=1, max_votes=4, slot_mode="free", max_slot=2)),
+    ("quorum-half", _small(n_blocks=0, n_validators=2, max_votes=4, graph_filter="m3")),
+    ("disable-e1,disable-e2",
+     _small(n_blocks=0, n_validators=1, max_votes=4, max_chkp_slot=2, slot_rule="nonstrict",
+            graph_filter="forest")),
+]
+
+
+@pytest.mark.parametrize(
+    "mutation_name,bounds", REDUCTION_SEARCHES,
+    ids=[f"{m}-{b.slot_rule}-{b.slot_mode}-{b.graph_filter}" for m, b in REDUCTION_SEARCHES],
+)
+def test_monotone_bound_matches_unreduced_search(monkeypatch, mutation_name, bounds):
+    mutation = parse_mutation(mutation_name)
+    reduced = search(bounds, mutation)
+    full = _unbounded(monkeypatch, search, bounds, mutation)
+    assert reduced.verdict == full.verdict
+    assert reduced.counterexample == full.counterexample  # state, verdict, graph_index
+    assert reduced.graphs_checked == full.graphs_checked
+    assert (reduced.states_checked + reduced.states_pruned
+            == full.states_checked + full.states_pruned)
+    # the bound only moves rows from checked to pruned
+    assert full.states_bounded == 0
+    assert reduced.states_checked + reduced.states_bounded == full.states_checked
+    assert reduced.states_bounded > 0
+
+
+REDUCTION_EXAMPLES = [
+    Bounds(n_blocks=1, n_validators=3, max_votes=4),
+    _small(n_validators=2, max_votes=8),
+    _small(n_validators=1, max_votes=4, slot_mode="free", max_slot=2),
+    _small(n_blocks=0, n_validators=2, max_votes=4, max_ffg_votes=3, max_chkp_slot=2,
+           slot_rule="nonstrict", graph_filter="forest"),
+]
+
+
+@pytest.mark.parametrize("bounds", REDUCTION_EXAMPLES,
+                         ids=["one-block", "fork", "free-slots", "catalog-forest"])
+@pytest.mark.parametrize("property_name", sorted(PROPERTY_MODES))
+def test_monotone_bound_matches_unreduced_examples(monkeypatch, bounds, property_name):
+    reduced = find_example(bounds, property_name)
+    assert reduced == _unbounded(monkeypatch, find_example, bounds, property_name)

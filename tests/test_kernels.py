@@ -7,6 +7,7 @@ reference's for every scan mode, on both backends.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from ffgmc.kernels import (
     MODE_JUSTIFIED_NONGENESIS,
     MODE_LFP_NE_GFP,
     backend_name,
+    bound_combinations,
     scan_states,
 )
+from ffgmc.catalog import catalog_forest
 from ffgmc.model import GENESIS, GENESIS_CHECKPOINT, Block, BlockForest
 from ffgmc.mutation import Mutation
 from ffgmc.slashing import accountable_safety, disagreement
@@ -132,3 +135,79 @@ def test_empty_scan():
     projected = project_tables(tables, (), Mutation.NONE)
     rows = np.zeros((0, 3), dtype=np.int64)
     assert scan_states(rows, projected, 3, MODE_COUNTEREXAMPLE, False) == (-1, 0)
+
+
+BOUNDED_MODES = (
+    MODE_COUNTEREXAMPLE,
+    MODE_FINALIZED_NONGENESIS,
+    MODE_JUSTIFIED_NONGENESIS,
+    MODE_CONFLICTING_FINALIZED,
+)
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [Mutation.NONE, Mutation.QUORUM_HALF, Mutation.DROP_ANCESTRY],
+    ids=lambda m: m.label(),
+)
+@pytest.mark.parametrize(
+    "graph,slot_rule,max_chkp_slot,n_validators,max_u",
+    [
+        ("fork", "nonstrict", 2, 2, 4),
+        ("chain", "strict", 3, 3, 3),
+        ("catalog-forest", "nonstrict", 2, 1, 2),
+    ],
+)
+def test_bound_matches_unanimity_state(
+    mutation, graph, slot_rule, max_chkp_slot, n_validators, max_u
+):
+    # for every combination, the batched bound equals the reference semantics
+    # and a one-row scan on the state where every validator casts every vote
+    forests = {
+        "fork": BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)]),
+        "chain": BlockForest([Block("b1", 1, GENESIS), Block("b2", 2, "b1")]),
+        "catalog-forest": catalog_forest("forest"),
+    }
+    bounds = Bounds(
+        n_blocks=2, n_validators=n_validators, max_votes=16, max_chkp_slot=max_chkp_slot,
+        slot_rule=slot_rule,
+    )
+    tables = build_graph_tables(forests[graph], bounds.slot_rule, bounds.max_chkp_slot)
+    drop = Mutation.DROP_ANCESTRY in mutation
+    kept = {mode: 0 for mode in BOUNDED_MODES}
+    for u in range(max_u + 1):
+        m = len(tables.votes)
+        combos = np.array(
+            list(itertools.combinations(range(m), u)), dtype=np.int64
+        ).reshape(comb(m, u), u)
+        keep = {mode: bound_combinations(tables, combos, mode, drop) for mode in BOUNDED_MODES}
+        row = np.full((1, n_validators), (1 << u) - 1, dtype=np.int64)
+        for i, combo in enumerate(combos):
+            combo = tuple(int(x) for x in combo)
+            state = materialize_state(bounds, tables, combo, tuple(int(x) for x in row[0]))
+            view = finality_view(state, mutation=mutation)
+            conflicting = disagreement(state, view)
+            reference = {
+                MODE_COUNTEREXAMPLE: conflicting,
+                MODE_FINALIZED_NONGENESIS: bool(view.finalized - {GENESIS_CHECKPOINT}),
+                MODE_JUSTIFIED_NONGENESIS: bool(view.justified - {GENESIS_CHECKPOINT}),
+                MODE_CONFLICTING_FINALIZED: conflicting,
+            }
+            projected = project_tables(tables, combo, mutation)
+            quorum_half = Mutation.QUORUM_HALF in mutation
+            for mode in BOUNDED_MODES:
+                assert keep[mode][i] == reference[mode], (mode, combo)
+                scan_mode = MODE_CONFLICTING_FINALIZED if mode == MODE_COUNTEREXAMPLE else mode
+                hit, _ = scan_states(row, projected, n_validators, scan_mode, quorum_half)
+                assert keep[mode][i] == (hit == 0), (mode, combo)
+                kept[mode] += bool(keep[mode][i])
+    assert kept[MODE_FINALIZED_NONGENESIS] > 0
+    if graph == "fork":
+        assert kept[MODE_CONFLICTING_FINALIZED] > 0
+
+
+def test_bound_refuses_the_fixpoint_comparison():
+    forest = BlockForest([Block("b1", 1, GENESIS)])
+    tables = build_graph_tables(forest, "strict", 2)
+    with pytest.raises(ValueError):
+        bound_combinations(tables, np.zeros((1, 0), dtype=np.int64), MODE_LFP_NE_GFP, False)
