@@ -3,7 +3,9 @@
 Exit codes: `check` 0 holds / 1 violated / 2 input error; `search` 0 holds /
 1 counterexample / 2 flag error / 3 inconclusive; `example` 0 found / 1 not
 found / 3 budget exhausted; `solve` 0 unsat / 1 sat / 3 unknown or solver
-absent.
+absent.  Every command exits 4 on an internal failure (a crash, or a kernel
+counterexample that does not replay through the reference semantics), so a
+failure never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from .catalog import catalog_ids
@@ -43,6 +46,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _add_bounds_flags(parser: argparse.ArgumentParser, require_blocks: bool = True) -> None:
@@ -293,9 +297,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception:
+        traceback.print_exc()
+        print("error: internal failure; no verdict was reached", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -53,6 +53,7 @@ from .tables import (
     build_graph_tables,
     min_signers_for_quorum,
     project_tables,
+    quorum_families,
     state_table,
 )
 
@@ -251,33 +252,46 @@ class _UnitResult:
 
 
 _BOUND_CHUNK = 4096
+_COMBO_BATCH = 256   # most combinations projected and scanned in one call
 
 
 def _kept_combinations(
     tables: GraphTables, u: int, mode: int, mutation: Mutation
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(position, combination) of each size-u vote combination the monotone
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(positions, combinations) of the size-u vote combinations the monotone
     bound keeps, in canonical order; positions count every combination.
 
     The bound runs over fixed-size chunks so memory stays flat however many
-    combinations the unit has.  The lfp/gfp comparison has no bound and
-    visits every combination.
+    combinations the unit has; the lfp/gfp comparison has no bound and keeps
+    every combination.  Kept combinations come in batches of 1, 2, 4, ... up
+    to `_COMBO_BATCH`, so a hit early in the unit costs at most about twice
+    the scan up to its own combination.
     """
-    combos = itertools.combinations(range(len(tables.votes)), u)
-    if mode == MODE_LFP_NE_GFP:
-        yield from enumerate(combos)
-        return
-    flat = itertools.chain.from_iterable(combos)
-    drop_ancestry = Mutation.DROP_ANCESTRY in mutation
     n_combos = comb(len(tables.votes), u)
-    for lo in range(0, n_combos, _BOUND_CHUNK):
-        size = min(_BOUND_CHUNK, n_combos - lo)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(len(tables.votes)), u))
+    drop_ancestry = Mutation.DROP_ANCESTRY in mutation
+    positions = np.zeros(0, dtype=np.int64)
+    combos = np.zeros((0, u), dtype=np.int64)
+    size = 1
+    lo = 0
+    while lo < n_combos:
+        n = min(size if mode == MODE_LFP_NE_GFP else _BOUND_CHUNK, n_combos - lo)
         chunk = np.fromiter(
-            itertools.islice(flat, size * u), dtype=np.int64, count=size * u
-        ).reshape(size, u)
-        keep = bound_combinations(tables, chunk, mode, drop_ancestry)
-        for i in np.flatnonzero(keep):
-            yield lo + int(i), tuple(int(x) for x in chunk[i])
+            itertools.islice(flat, n * u), dtype=np.int64, count=n * u
+        ).reshape(n, u)
+        if mode == MODE_LFP_NE_GFP:
+            keep = np.arange(n)
+        else:
+            keep = np.flatnonzero(bound_combinations(tables, chunk, mode, drop_ancestry))
+        positions = np.concatenate([positions, lo + keep])
+        combos = np.concatenate([combos, chunk[keep]])
+        lo += n
+        while positions.size >= size:
+            yield positions[:size], combos[:size]
+            positions, combos = positions[size:], combos[size:]
+            size = min(2 * size, _COMBO_BATCH)
+    if positions.size:
+        yield positions, combos
 
 
 def _scan_unit(
@@ -300,25 +314,33 @@ def _scan_unit(
             u, bounds.n_validators, bounds.max_votes, min_signers
         )
         n_rows = states.shape[0]
+        families = None
         visited = 0
-        for position, combo in _kept_combinations(tables, u, mode, mutation):
-            skipped = position - visited  # combinations the bound dropped
-            bounded += skipped * n_rows
-            pruned += skipped * total_rows + rows_pruned
-            visited = position + 1
-            block = states
-            if budget_left is not None and checked + n_rows > budget_left:
-                block = states[: budget_left - checked]
-            if block.shape[0]:
-                projected = project_tables(tables, combo, mutation)
+        for positions, combos in _kept_combinations(tables, u, mode, mutation):
+            limit = None if budget_left is None else budget_left - checked
+            hit, scanned = -1, 0
+            if n_rows and limit != 0:
+                if families is None:
+                    families = quorum_families(
+                        u, bounds.n_validators, bounds.max_votes, min_signers, quorum_half
+                    )
+                projected = project_tables(tables, combos, mutation)
                 hit, scanned = scan_states(
-                    block, projected, bounds.n_validators, mode, quorum_half
+                    states, families, projected, bounds.n_validators, mode, limit
                 )
-                checked += scanned
-                if hit >= 0:
-                    masks = tuple(int(x) for x in states[hit])
-                    return _UnitResult(checked, pruned, bounded, hit=(u, combo, masks)), tables
-            if block.shape[0] < n_rows:
+            checked += scanned
+            # the rows of the batch's combinations up to the hit or budget cut
+            cut = scanned < positions.size * n_rows
+            last = (hit if hit >= 0 else scanned) // n_rows if cut else positions.size - 1
+            skipped = int(positions[last]) - visited - last  # combinations the bound dropped
+            bounded += skipped * n_rows
+            pruned += skipped * total_rows + (last + 1) * rows_pruned
+            visited = int(positions[last]) + 1
+            if hit >= 0:
+                combo = tuple(int(x) for x in combos[last])
+                masks = tuple(int(x) for x in states[hit % n_rows])
+                return _UnitResult(checked, pruned, bounded, hit=(u, combo, masks)), tables
+            if cut:
                 return _UnitResult(checked, pruned, bounded, exhausted_budget=True), tables
         skipped = comb(len(tables.votes), u) - visited
         bounded += skipped * n_rows

@@ -35,7 +35,6 @@ class FinalityView:
 
 def justifying_validators(
     state: ProtocolState,
-    universe: Iterable[Checkpoint],
     justified_so_far: frozenset[Checkpoint] | set[Checkpoint],
     c: Checkpoint,
     mutation: Mutation = Mutation.NONE,
@@ -44,10 +43,9 @@ def justifying_validators(
 
     A vote by validator v supports c when its source is already justified,
     its blocks sandwich c's block (source ->* c ->* target), and its target
-    sits exactly at c's checkpoint slot.  `universe` is the candidate set the
-    fixpoint ranges over; membership of `c` is the caller's concern.
+    sits exactly at c's checkpoint slot.  Whether `c` belongs to the
+    candidate set the fixpoint ranges over is the caller's concern.
     """
-    del universe
     forest = state.forest
     check_ancestry = Mutation.DROP_ANCESTRY not in mutation
     out: set[int] = set()
@@ -81,7 +79,7 @@ def _fixpoint(
     while True:
         nxt = {GENESIS_CHECKPOINT}
         for c in ordered:
-            count = len(justifying_validators(state, ordered, current, c, mutation))
+            count = len(justifying_validators(state, current, c, mutation))
             if quorum_met(count, state.n_validators, mutation):
                 nxt.add(c)
         if nxt == current:
@@ -109,13 +107,11 @@ def justified_checkpoints_gfp(
 
 def is_finalized(
     state: ProtocolState,
-    universe: Iterable[Checkpoint],
     justified: frozenset[Checkpoint] | set[Checkpoint],
     c: Checkpoint,
     mutation: Mutation = Mutation.NONE,
 ) -> bool:
     """Genesis, or a justified checkpoint that sources a supermajority link to slot c+1."""
-    del universe
     if c == GENESIS_CHECKPOINT:
         return True
     if c not in justified:
@@ -145,10 +141,10 @@ def finality_view(
     justified = justified_checkpoints(state, ordered, mutation)
     finalized = frozenset(
         c for c in set(ordered) | {GENESIS_CHECKPOINT}
-        if is_finalized(state, ordered, justified, c, mutation)
+        if is_finalized(state, justified, c, mutation)
     )
     support = {
-        c: justifying_validators(state, ordered, justified, c, mutation)
+        c: justifying_validators(state, justified, c, mutation)
         for c in sorted(justified, key=_cp_sort_key)
     }
     return FinalityView(

@@ -1,27 +1,23 @@
-"""State-scan kernels: the hot inner loop of the bounded search.
+"""State-scan kernel: the hot inner loop of the bounded search.
 
-One call scans a block of canonical vote-assignment rows (`states`, one row of
-per-validator vote masks) against the bit-packed tables of a single
-(graph, distinct-vote combination) pair, and returns the first row satisfying
-the scan mode plus the number of rows scanned.
+One call scans the canonical vote-assignment rows (`states`, one row of
+per-validator vote masks) of C distinct-vote combinations of one graph,
+against the bit-packed tables of those combinations, in combination-major,
+row-minor order.  It returns the first (combination, row) satisfying the scan
+mode, as a flat index, plus the number of rows scanned, exactly as a
+row-at-a-time scan that stops at the first hit would report them.
 
-Two interchangeable backends implement the same contract:
-
-* a numba ``@njit`` kernel (row-at-a-time integer loops), used when numba
-  imports and ``FFGMC_KERNEL`` is ``auto`` or ``numba``;
-* a vectorized pure-numpy path (batched over rows), selected by
-  ``FFGMC_KERNEL=numpy`` or when numba is unavailable.
-
-Both report counters as if rows were scanned sequentially and the scan stopped
-at the first hit, so reports are byte-identical across backends.
+A row is read only through quorum tests (do enough validators' vote masks
+meet a vote set X?) and, for counterexamples, through its per-validator
+slashability.  Rows inducing the same quorum family
+(`tables.quorum_families`) therefore have the same justified and finalized
+sets, so the fixpoints run once per (combination, family) pair.
 
 Before any row is scanned, `bound_combinations` drops whole combinations that
 cannot hold a hit (the monotone combination bound).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -33,58 +29,68 @@ MODE_JUSTIFIED_NONGENESIS = 2
 MODE_CONFLICTING_FINALIZED = 3
 MODE_LFP_NE_GFP = 4
 
-_NUMPY_BATCH = 1 << 15
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via FFGMC_KERNEL=numpy
-    numba = None
-    HAVE_NUMBA = False
+_PAIR_BATCH = 1 << 10   # (combination, family) pairs per fixpoint batch
 
 
-def backend_name(override: str | None = None) -> str:
-    choice = override or os.environ.get("FFGMC_KERNEL", "auto")
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {choice!r}")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("FFGMC_KERNEL=numba but numba is not importable")
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return choice
+def backend_name() -> str:
+    """Name of the scan implementation, recorded with benchmark results."""
+    return "numpy"
 
 
 def scan_states(
     states: np.ndarray,
-    tables: ProjectedTables,
+    families: tuple[np.ndarray, np.ndarray],
+    projected: ProjectedTables,
     n_validators: int,
     mode: int,
-    quorum_half: bool,
-    backend: str | None = None,
+    limit: int | None = None,
 ) -> tuple[int, int]:
-    """Scan rows in order; return (first hit row or -1, rows scanned)."""
-    if states.shape[0] == 0:
+    """Scan every (combination, row) in order; return (first hit or -1, rows scanned).
+
+    `states` is the (S, N) row table of one distinct-vote count u,
+    `families` its `quorum_families` (table, index) pair, and `projected`
+    holds the tables of C combinations of u votes.  The hit is the flat index
+    c * S + r of row r of combination c.  `limit` caps the rows scanned: a
+    hit at or past it is not reported, and a scan it cuts reports `limit`
+    rows.
+
+    Soundness.  Justification, finalization and the conflict test read a row
+    only through q(X) for vote sets X, so they are evaluated once per
+    (combination, family) pair, in fixed-size pair batches; a family hit
+    stands for every row of that family.  The slashable-validator count of a
+    counterexample is per row: subset_slash[c, m_v] summed over validators,
+    applied only to the rows whose family already disagrees.
+    """
+    table, index = families
+    n_rows = states.shape[0]
+    total = projected.sandwich.shape[0] * n_rows
+    if limit is not None:
+        total = min(total, limit)
+    if total == 0:
         return -1, 0
-    just_a, just_b = (2, n_validators) if quorum_half else (3, 2 * n_validators)
-    args = (
-        np.ascontiguousarray(states, dtype=np.int64),
-        int(tables.gc_idx),
-        tables.sandwich,
-        tables.by_src,
-        tables.fin,
-        tables.cp_conflict,
-        tables.subset_slash,
-        just_a,
-        just_b,
-        n_validators,
-        mode,
-    )
-    if backend_name(backend) == "numba":
-        hit, scanned = _scan_numba(*args)
-    else:
-        hit, scanned = _scan_numpy(*args)
-    return int(hit), int(scanned)
+    n_families = table.shape[0]
+    n_combos = -(-total // n_rows)   # combinations the scan reaches
+    group = max(1, _PAIR_BATCH // n_families)
+    for c_lo in range(0, n_combos, group):
+        first_pair = c_lo * n_families
+        n_pairs = (min(c_lo + group, n_combos) - c_lo) * n_families
+        hits = np.empty(n_pairs, dtype=bool)
+        for lo in range(0, n_pairs, _PAIR_BATCH):
+            pairs = np.arange(first_pair + lo, first_pair + min(lo + _PAIR_BATCH, n_pairs))
+            hits[lo : lo + pairs.size] = _family_hits(
+                pairs // n_families, pairs % n_families, table, projected, mode
+            )
+        hits = hits.reshape(-1, n_families)
+        for c in np.flatnonzero(hits.any(axis=1)):
+            combo = c_lo + int(c)
+            rows = np.flatnonzero(hits[c][index])
+            if mode == MODE_COUNTEREXAMPLE:
+                slashable = projected.subset_slash[combo][states[rows]].sum(axis=1)
+                rows = rows[3 * slashable < n_validators]
+            if rows.size:
+                hit = combo * n_rows + int(rows[0])
+                return (hit, hit + 1) if hit < total else (-1, total)
+    return -1, total
 
 
 def bound_combinations(
@@ -153,162 +159,47 @@ def bound_combinations(
     return (clash & finalized).any(axis=1)
 
 
-def _full_mask(k: int) -> int:
-    return (1 << k) - 1
+def _family_hits(
+    combo: np.ndarray,
+    family: np.ndarray,
+    table: np.ndarray,
+    projected: ProjectedTables,
+    mode: int,
+) -> np.ndarray:
+    """Whether each (combination, family) pair hits `mode`; checkpoint 0 is genesis."""
+    base = (family * table.shape[1])[:, None]
+    quorum = table.ravel()
+    sandwich = projected.sandwich[combo]                               # (P, K)
+    by_src = projected.by_src[combo]
+    start = np.zeros(sandwich.shape, dtype=bool)
+    start[:, 0] = True
+    justified = _justified(start, base, quorum, sandwich, by_src)
+    if mode == MODE_LFP_NE_GFP:
+        gfp = _justified(np.ones(sandwich.shape, dtype=bool), base, quorum, sandwich, by_src)
+        return (justified != gfp).any(axis=1)
+    if mode == MODE_JUSTIFIED_NONGENESIS:
+        return justified[:, 1:].any(axis=1)
+    finalized = justified & quorum[base + projected.fin[combo]]
+    finalized[:, 0] = True
+    if mode == MODE_FINALIZED_NONGENESIS:
+        return finalized[:, 1:].any(axis=1)
+    k = sandwich.shape[1]
+    conflict = ((projected.cp_conflict[:, None] >> np.arange(k)) & 1).astype(bool)
+    return ((finalized @ conflict) & finalized).any(axis=1)
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
+def _justified(justified, base, quorum, sandwich, by_src):
+    """Iterate the justification operator from `justified` (P, K) to its fixpoint.
 
-def _justified_numpy(states, gc_idx, sandwich, by_src, just_a, just_b, start):
-    s, n = states.shape
-    k = sandwich.shape[0]
-    kr = np.arange(k, dtype=np.int64)
-    genesis_bit = np.int64(1 << gc_idx)
-    j = np.full(s, start, dtype=np.int64)
-    pending = np.arange(s)
-    while pending.size:
-        jp = j[pending]
-        member = ((jp[:, None] >> kr[None, :]) & 1).astype(bool)        # (s, K)
-        eligible = np.bitwise_or.reduce(
-            np.where(member, by_src[None, :], np.int64(0)), axis=1
-        )                                                               # (s,)
-        support = sandwich[None, :] & eligible[:, None]                 # (s, K)
-        counts = ((states[pending, :, None] & support[:, None, :]) != 0).sum(axis=1)
-        quorum = just_a * counts >= just_b                              # (s, K)
-        jn = genesis_bit | np.bitwise_or.reduce(
-            np.where(quorum, np.int64(1) << kr[None, :], np.int64(0)), axis=1
-        )
-        j[pending] = jn
-        pending = pending[jn != jp]
-    return j
-
-
-def _scan_numpy(
-    states, gc_idx, sandwich, by_src, fin, cp_conflict, subset_slash,
-    just_a, just_b, n_validators, mode,
-):
-    total = states.shape[0]
-    k = sandwich.shape[0]
-    kr = np.arange(k, dtype=np.int64)
-    genesis_bit = np.int64(1 << gc_idx)
-    for lo in range(0, total, _NUMPY_BATCH):
-        batch = states[lo : lo + _NUMPY_BATCH]
-        j = _justified_numpy(batch, gc_idx, sandwich, by_src, just_a, just_b, genesis_bit)
-        if mode == MODE_LFP_NE_GFP:
-            gfp = _justified_numpy(
-                batch, gc_idx, sandwich, by_src, just_a, just_b, np.int64(_full_mask(k))
-            )
-            hits = j != gfp
-        elif mode == MODE_JUSTIFIED_NONGENESIS:
-            hits = j != genesis_bit
-        else:
-            justified = ((j[:, None] >> kr[None, :]) & 1).astype(bool)
-            fcounts = ((batch[:, :, None] & fin[None, None, :]) != 0).sum(axis=1)
-            final = justified & (just_a * fcounts >= just_b)
-            fmask = genesis_bit | np.bitwise_or.reduce(
-                np.where(final, np.int64(1) << kr[None, :], np.int64(0)), axis=1
-            )
-            fbits = ((fmask[:, None] >> kr[None, :]) & 1).astype(bool)
-            clash = np.bitwise_or.reduce(
-                np.where(fbits, cp_conflict[None, :], np.int64(0)), axis=1
-            )
-            disagree = (clash & fmask) != 0
-            if mode == MODE_FINALIZED_NONGENESIS:
-                hits = fmask != genesis_bit
-            elif mode == MODE_CONFLICTING_FINALIZED:
-                hits = disagree
-            else:
-                slashable = subset_slash[batch].sum(axis=1)
-                hits = disagree & (3 * slashable < n_validators)
-        where = np.nonzero(hits)[0]
-        if where.size:
-            return lo + int(where[0]), lo + int(where[0]) + 1
-    return -1, total
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _justified_one(masks, gc_idx, sandwich, by_src, just_a, just_b, start):
-        k = sandwich.shape[0]
-        n = masks.shape[0]
-        j = start
-        while True:
-            eligible = np.int64(0)
-            for idx in range(k):
-                if (j >> idx) & 1:
-                    eligible |= by_src[idx]
-            jn = np.int64(1) << gc_idx
-            for idx in range(k):
-                support = sandwich[idx] & eligible
-                if support != 0:
-                    count = 0
-                    for v in range(n):
-                        if masks[v] & support:
-                            count += 1
-                    if just_a * count >= just_b:
-                        jn |= np.int64(1) << idx
-            if jn == j:
-                return j
-            j = jn
-
-    @numba.njit(cache=True, nogil=True)
-    def _scan_numba(
-        states, gc_idx, sandwich, by_src, fin, cp_conflict, subset_slash,
-        just_a, just_b, n_validators, mode,
-    ):
-        total = states.shape[0]
-        n = states.shape[1]
-        k = sandwich.shape[0]
-        genesis_bit = np.int64(1) << gc_idx
-        full = (np.int64(1) << k) - 1
-        for row in range(total):
-            masks = states[row]
-            j = _justified_one(masks, gc_idx, sandwich, by_src, just_a, just_b, genesis_bit)
-            if mode == MODE_LFP_NE_GFP:
-                gfp = _justified_one(masks, gc_idx, sandwich, by_src, just_a, just_b, full)
-                if j != gfp:
-                    return row, row + 1
-                continue
-            if mode == MODE_JUSTIFIED_NONGENESIS:
-                if j != genesis_bit:
-                    return row, row + 1
-                continue
-            fmask = genesis_bit
-            for idx in range(k):
-                if (j >> idx) & 1 and fin[idx] != 0:
-                    count = 0
-                    for v in range(n):
-                        if masks[v] & fin[idx]:
-                            count += 1
-                    if just_a * count >= just_b:
-                        fmask |= np.int64(1) << idx
-            if mode == MODE_FINALIZED_NONGENESIS:
-                if fmask != genesis_bit:
-                    return row, row + 1
-                continue
-            disagree = False
-            for idx in range(k):
-                if (fmask >> idx) & 1 and (cp_conflict[idx] & fmask) != 0:
-                    disagree = True
-                    break
-            if mode == MODE_CONFLICTING_FINALIZED:
-                if disagree:
-                    return row, row + 1
-                continue
-            if not disagree:
-                continue
-            slashable = 0
-            for v in range(n):
-                if subset_slash[masks[v]]:
-                    slashable += 1
-            if 3 * slashable < n_validators:
-                return row, row + 1
-        return -1, total
-
-else:  # pragma: no cover
-    _scan_numba = None
+    A pair's justifying support for checkpoint k is the set of its votes
+    that sandwich k and have a justified source; k is justified when the
+    pair's family passes the quorum test on that set.  Each vote has one
+    source, so the by_src masks are disjoint and their union is their sum.
+    """
+    while True:
+        eligible = (by_src * justified).sum(axis=1)
+        grown = quorum[base + (sandwich & eligible[:, None])]
+        grown[:, 0] = True
+        if np.array_equal(grown, justified):
+            return justified
+        justified = grown

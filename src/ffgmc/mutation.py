@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from enum import Flag, auto
 
+from .model import InputError
+
 
 class Mutation(Flag):
     NONE = 0
@@ -41,7 +43,7 @@ def parse_mutation(text: str) -> Mutation:
         try:
             out |= _BY_NAME[name]
         except KeyError:
-            raise ValueError(
+            raise InputError(
                 f"unknown mutation {name!r}; choose from {', '.join(_BY_NAME)}"
             ) from None
     return out

@@ -3,8 +3,8 @@
 Bit conventions: checkpoints of one graph are indexed 0..K-1 in (c, p, block)
 order with the genesis checkpoint at index 0, and a checkpoint set is an int64
 bitmask (K <= 63).  The valid-vote universe of the graph is indexed 0..M-1;
-within one scan the distinct-vote combination U picks u <= 16 of those votes,
-and a validator's vote subset is an int over those u positions.
+each distinct-vote combination U picks u <= 16 of those votes, and a
+validator's vote subset is an int over those u positions.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +31,8 @@ from .mutation import Mutation
 
 MAX_CHECKPOINT_BITS = 63
 MAX_VOTE_BITS = 16
+MAX_FAMILY_KEY_BYTES = 1 << 28
+_FAMILY_CHUNK = 1 << 15   # row x subset entries per family batch
 
 
 @dataclass(frozen=True)
@@ -139,40 +140,48 @@ def build_graph_tables(
 
 @dataclass(frozen=True)
 class ProjectedTables:
-    """GraphTables restricted to one combination U of distinct votes, bit-packed."""
+    """GraphTables restricted to C combinations of u distinct votes, bit-packed.
 
-    gc_idx: int
-    sandwich: np.ndarray       # (K,) int64 vote masks
-    by_src: np.ndarray         # (K,) int64
-    fin: np.ndarray            # (K,) int64
+    Row c of each (C, K) table holds, per checkpoint, the u-bit mask of the
+    votes of combination c in that column of the GraphTables matrix.
+    """
+
+    sandwich: np.ndarray       # (C, K) int64 vote masks
+    by_src: np.ndarray         # (C, K) int64
+    fin: np.ndarray            # (C, K) int64
     cp_conflict: np.ndarray    # (K,) int64 checkpoint masks
-    subset_slash: np.ndarray   # (2**u,) bool
+    subset_slash: np.ndarray   # (C, 2**u) bool: does a vote subset hold a slashable pair
 
 
 def project_tables(
-    tables: GraphTables, combo: Sequence[int], mutation: Mutation = Mutation.NONE
+    tables: GraphTables, combos: np.ndarray, mutation: Mutation = Mutation.NONE
 ) -> ProjectedTables:
-    u = len(combo)
+    """Project the tables onto each row of `combos`, a (C, u) array of vote indices."""
+    c, u = combos.shape
     if u > MAX_VOTE_BITS:
         raise InputError(
             f"{u} distinct votes exceed the kernel limit {MAX_VOTE_BITS}; "
             "lower max_ffg_votes"
         )
-    weights = (1 << np.arange(u, dtype=np.int64)) if u else np.zeros(0, dtype=np.int64)
-    cols = list(combo)
+    weights = np.int64(1) << np.arange(u, dtype=np.int64)
     sandwich_src = (
         tables.sandwich_noanc if Mutation.DROP_ANCESTRY in mutation else tables.sandwich
     )
-    pack = lambda mat: mat[:, cols].astype(np.int64) @ weights
-    pair = np.zeros((u, u), dtype=bool)
+    pack = lambda mat: (mat[:, combos].astype(np.int64) @ weights).T    # (C, K)
+    pair = np.zeros((c, u, u), dtype=bool)
     if Mutation.DISABLE_E1 not in mutation:
-        pair |= tables.pair_e1[np.ix_(cols, cols)]
+        pair |= tables.pair_e1[combos[:, :, None], combos[:, None, :]]
     if Mutation.DISABLE_E2 not in mutation:
-        pair |= tables.pair_e2[np.ix_(cols, cols)]
-    bits = (np.arange(2**u)[:, None] >> np.arange(u)[None, :]) & 1
-    subset_slash = np.einsum("ti,tj,ij->t", bits, bits, pair.astype(np.int64)) > 0
+        pair |= tables.pair_e2[combos[:, :, None], combos[:, None, :]]
+    # A subset t holds a slashable pair iff some vote i of t pairs with t.
+    partners = pair.astype(np.int64) @ weights                           # (C, u)
+    subsets = np.arange(2**u, dtype=np.int64)
+    subset_slash = np.zeros((c, 2**u), dtype=bool)
+    for i in range(u):
+        subset_slash |= ((subsets >> i) & 1).astype(bool) & (
+            (partners[:, i, None] & subsets) != 0
+        )
     return ProjectedTables(
-        gc_idx=0,
         sandwich=pack(sandwich_src),
         by_src=pack(tables.by_src),
         fin=pack(tables.fin),
@@ -217,6 +226,53 @@ def state_table(
     active = rows[signers >= min_signers]
     total = int(rows.shape[0])
     return active, total - int(active.shape[0]), total
+
+
+@lru_cache(maxsize=None)
+def quorum_families(
+    u: int, n_validators: int, max_votes: int, min_signers: int, quorum_half: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of `state_table` by the quorum family they induce.
+
+    The quorum family of a row (m_1, ..., m_N) is the test
+    q(X) = [a * |{v : m_v & X != 0}| >= b] for every vote subset X in
+    [0, 2**u), with (a, b) = (3, 2N), or (2, N) under quorum-half.  Returns
+    (families, index): the (D, 2**u) bool table of distinct families and the
+    (S,) family index of each row.  Rows are keyed by their bit-packed
+    family, so deduplication compares machine words rather than bool rows;
+    a key table above MAX_FAMILY_KEY_BYTES is refused rather than built.
+    """
+    rows = state_table(u, n_validators, max_votes, min_signers)[0]
+    just_a, just_b = (2, n_validators) if quorum_half else (3, 2 * n_validators)
+    n_subsets = 2**u
+    subsets = np.arange(n_subsets, dtype=np.int64)
+    n_words = -(-n_subsets // 64)
+    if rows.shape[0] * 8 * n_words > MAX_FAMILY_KEY_BYTES:
+        raise InputError(
+            f"quorum families for u={u}, N={n_validators} would take "
+            f"{rows.shape[0] * 8 * n_words >> 20} MiB; lower max_ffg_votes or n_validators"
+        )
+    keys = np.zeros((rows.shape[0], 8 * n_words), dtype=np.uint8)
+    step = max(1, _FAMILY_CHUNK // n_subsets)
+    for lo in range(0, rows.shape[0], step):
+        block = rows[lo : lo + step]
+        counts = np.zeros((block.shape[0], n_subsets), dtype=np.int64)
+        for v in range(n_validators):
+            counts += (block[:, v, None] & subsets) != 0
+        packed = np.packbits(just_a * counts >= just_b, axis=1, bitorder="little")
+        keys[lo : lo + step, : packed.shape[1]] = packed
+    words = keys.view(np.uint64)
+    if n_words == 1:
+        _, first, index = np.unique(words[:, 0], return_index=True, return_inverse=True)
+    else:
+        _, first, index = np.unique(words, axis=0, return_index=True, return_inverse=True)
+    families = np.unpackbits(
+        keys[first], axis=1, count=n_subsets, bitorder="little"
+    ).astype(bool)
+    index = index.reshape(-1).astype(np.intp)
+    families.flags.writeable = False
+    index.flags.writeable = False
+    return families, index
 
 
 def min_signers_for_quorum(n_validators: int) -> int:

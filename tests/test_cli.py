@@ -1,6 +1,7 @@
 """Scenario files, reports and the command-line surface."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -266,3 +267,26 @@ def test_cmd_forests(capsys):
     assert main(["forests", "--n", "4", "--list"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["count"] == 125 and len(report["forests"]) == 125
+
+
+def test_replay_mismatch_exits_internal(monkeypatch, capsys):
+    # a kernel hit that the reference semantics does not confirm is an
+    # internal failure, never the counterexample verdict (exit 1)
+    from ffgmc import enumerator
+
+    monkeypatch.setattr(
+        enumerator, "accountable_safety", lambda state, mutation: SimpleNamespace(holds=True)
+    )
+    assert main([
+        "search", "--blocks", "2", "--validators", "2", "--max-votes", "8",
+        "--max-ffg", "4", "--max-chkp-slot", "3", "--mutation", "quorum-half",
+    ]) == 4
+    assert "does not replay" in capsys.readouterr().err
+
+
+def test_unknown_mutation_exits_input_error(tmp_path, capsys):
+    path = _write(tmp_path, FINALIZING_SCENARIO)
+    assert main(["check", path, "--mutation", "grue"]) == 2
+    assert main(["emit-smt", "--blocks", "1", "--mutation", "quorum-half,grue"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("unknown mutation") == 2 and "Traceback" not in err

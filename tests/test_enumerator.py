@@ -445,3 +445,29 @@ REDUCTION_EXAMPLES = [
 def test_monotone_bound_matches_unreduced_examples(monkeypatch, bounds, property_name):
     reduced = find_example(bounds, property_name)
     assert reduced == _unbounded(monkeypatch, find_example, bounds, property_name)
+
+
+# --- combination batches against one combination per scan call -------------
+
+BATCHING_CASES = [
+    # a budget cut inside a batch of several kept combinations, signer floor on
+    (Bounds(n_blocks=2, n_validators=3, max_votes=9, max_ffg_votes=5, max_chkp_slot=3),
+     "none", 20000),
+    (Bounds(n_blocks=2, n_validators=3, max_votes=9, max_ffg_votes=5, max_chkp_slot=3),
+     "none", None),
+    (Bounds(n_blocks=2, n_validators=2, max_votes=8, max_ffg_votes=4, max_chkp_slot=3),
+     "quorum-half", None),
+    (Bounds(n_blocks=2, n_validators=2, max_votes=8, max_ffg_votes=4, max_chkp_slot=3),
+     "disable-e1,disable-e2", 700),
+]
+
+
+@pytest.mark.parametrize("bounds,mutation_name,budget", BATCHING_CASES)
+def test_combination_batches_leave_reports_unchanged(monkeypatch, bounds, mutation_name, budget):
+    # with a batch cap of 1 every scan call covers one combination, as the
+    # per-combination scan did; batching may change no verdict or counter
+    mutation = parse_mutation(mutation_name)
+    batched = replace(search(bounds, mutation, budget=budget), wall_time=0.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerator, "_COMBO_BATCH", 1)
+        assert batched == replace(search(bounds, mutation, budget=budget), wall_time=0.0)

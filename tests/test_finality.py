@@ -69,14 +69,13 @@ def test_justifying_validators_examples():
     universe = checkpoints_of(state, 2)
     for c in universe:
         if c != GC:
-            assert justifying_validators(state, universe, {GC}, c) == frozenset()
+            assert justifying_validators(state, {GC}, c) == frozenset()
 
     state = three_vote_state()
-    universe = checkpoints_of(state, 2)
-    assert justifying_validators(state, universe, {GC}, C1) == frozenset({0, 1, 2})
+    assert justifying_validators(state, {GC}, C1) == frozenset({0, 1, 2})
     # conflicting block: the sandwich clause fails
     c_conflict = Checkpoint("b2", 1, 1)
-    assert justifying_validators(state, universe, {GC}, c_conflict) == frozenset()
+    assert justifying_validators(state, {GC}, c_conflict) == frozenset()
 
 
 def test_justifying_validators_matches_oracle_on_random_states():
@@ -92,7 +91,7 @@ def test_justifying_validators_matches_oracle_on_random_states():
         justified = set(rng.sample(universe, rng.randrange(len(universe))))
         justified.add(GC)
         for c in universe:
-            assert justifying_validators(state, universe, justified, c) == support_oracle(
+            assert justifying_validators(state, justified, c) == support_oracle(
                 state, justified, c
             )
 
@@ -162,7 +161,7 @@ def test_quorum_soundness():
     n = state.n_validators
     need = -(-2 * n // 3)  # ceil(2N/3)
     for c in justified - {GC}:
-        support = justifying_validators(state, universe, justified, c)
+        support = justifying_validators(state, justified, c)
         assert 3 * len(support) >= 2 * n
         assert len(support) >= need
 
@@ -171,10 +170,10 @@ def test_is_finalized_examples():
     state = three_vote_state()
     universe = checkpoints_of(state, 2)
     justified = justified_checkpoints(state, universe)
-    assert is_finalized(state, universe, justified, GC)  # by definition
+    assert is_finalized(state, justified, GC)  # by definition
     # GC -> C1 votes: source GC, target slot 1 = 0+1, quorum 9 >= 8
-    assert is_finalized(state, universe, justified, GC)
-    assert not is_finalized(state, universe, justified, C1)  # no votes from C1
+    assert is_finalized(state, justified, GC)
+    assert not is_finalized(state, justified, C1)  # no votes from C1
 
 
 def test_finality_view():
@@ -225,7 +224,7 @@ def test_finalization_target_ancestry_reading_equivalent():
         state = ProtocolState(FORK, 4, votes, "nonstrict")
         justified = justified_checkpoints(state, universe)
         for c in universe:
-            plain = is_finalized(state, universe, justified, c)
+            plain = is_finalized(state, justified, c)
             senders = {
                 sv.validator
                 for sv in state.votes

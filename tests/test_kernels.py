@@ -1,42 +1,48 @@
-"""Kernel backends against the pure reference semantics.
+"""The scan kernel against the pure reference semantics.
 
-The strongest check here walks every (combination, row) of a small bounded
-space in kernel scan order, evaluates the pure reference path on the
-materialized state, and requires the kernel's first-hit index to equal the
-reference's for every scan mode, on both backends.
+The strongest checks here walk (combination, row) pairs of small bounded
+spaces in kernel scan order, evaluate the pure reference path on each
+materialized state, and require the kernel's first hit and scanned count to
+equal the reference's, for every scan mode.
 """
 
 import itertools
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ffgmc.enumerator import Bounds, materialize_state
+from ffgmc.enumerator import Bounds, iter_units, materialize_state
 from ffgmc.finality import (
     default_universe,
     finality_view,
     justified_checkpoints,
     justified_checkpoints_gfp,
 )
+from ffgmc import kernels
 from ffgmc.kernels import (
-    HAVE_NUMBA,
     MODE_CONFLICTING_FINALIZED,
     MODE_COUNTEREXAMPLE,
     MODE_FINALIZED_NONGENESIS,
     MODE_JUSTIFIED_NONGENESIS,
     MODE_LFP_NE_GFP,
-    backend_name,
     bound_combinations,
     scan_states,
 )
 from ffgmc.catalog import catalog_forest
-from ffgmc.model import GENESIS, GENESIS_CHECKPOINT, Block, BlockForest
-from ffgmc.mutation import Mutation
+from ffgmc.model import GENESIS, GENESIS_CHECKPOINT, Block, BlockForest, InputError
+from ffgmc.mutation import Mutation, quorum_met
 from ffgmc.slashing import accountable_safety, disagreement
-from ffgmc.tables import build_graph_tables, project_tables, state_table
-
-BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
+from ffgmc.tables import (
+    ProjectedTables,
+    build_graph_tables,
+    min_signers_for_quorum,
+    project_tables,
+    quorum_families,
+    state_table,
+)
 
 ALL_MODES = (
     MODE_COUNTEREXAMPLE,
@@ -45,6 +51,11 @@ ALL_MODES = (
     MODE_CONFLICTING_FINALIZED,
     MODE_LFP_NE_GFP,
 )
+
+MUTATIONS = [
+    Mutation.NONE, Mutation.QUORUM_HALF, Mutation.DROP_ANCESTRY,
+    Mutation.DISABLE_E1 | Mutation.DISABLE_E2,
+]
 
 
 def reference_flags(state, mutation=Mutation.NONE):
@@ -62,14 +73,14 @@ def reference_flags(state, mutation=Mutation.NONE):
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize(
-    "mutation",
-    [Mutation.NONE, Mutation.QUORUM_HALF, Mutation.DROP_ANCESTRY,
-     Mutation.DISABLE_E1 | Mutation.DISABLE_E2],
-    ids=lambda m: m.label(),
-)
-def test_kernel_first_hits_match_reference(backend, mutation):
+def all_combinations(m, u):
+    return np.array(list(itertools.combinations(range(m), u)), dtype=np.int64).reshape(
+        comb(m, u), u
+    )
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.label())
+def test_kernel_first_hits_match_reference(mutation):
     bounds = Bounds(
         n_blocks=2, n_validators=3, max_votes=4, max_ffg_votes=2, max_chkp_slot=2,
         slot_rule="nonstrict",
@@ -80,12 +91,17 @@ def test_kernel_first_hits_match_reference(backend, mutation):
     checked_states = 0
     for u in range(0, 3):
         rows, _, _ = state_table(u, bounds.n_validators, bounds.max_votes, 0)
-        for combo in itertools.combinations(range(len(tables.votes)), u):
-            projected = project_tables(tables, combo, mutation)
+        families = quorum_families(u, bounds.n_validators, bounds.max_votes, 0, quorum_half)
+        combos = all_combinations(len(tables.votes), u)
+        n_rows = rows.shape[0]
+        first = {mode: -1 for mode in ALL_MODES}   # flat index over all combinations
+        for c, combo in enumerate(combos):
+            projected = project_tables(tables, combos[c : c + 1], mutation)
             expected = {mode: -1 for mode in ALL_MODES}
-            for row_idx in range(rows.shape[0]):
+            for row_idx in range(n_rows):
                 state = materialize_state(
-                    bounds, tables, combo, tuple(int(x) for x in rows[row_idx])
+                    bounds, tables, tuple(int(x) for x in combo),
+                    tuple(int(x) for x in rows[row_idx]),
                 )
                 flags = reference_flags(state, mutation)
                 for mode in ALL_MODES:
@@ -93,48 +109,173 @@ def test_kernel_first_hits_match_reference(backend, mutation):
                         expected[mode] = row_idx
                 checked_states += 1
             for mode in ALL_MODES:
-                hit, scanned = scan_states(
-                    rows, projected, bounds.n_validators, mode, quorum_half, backend
-                )
+                if first[mode] == -1 and expected[mode] != -1:
+                    first[mode] = c * n_rows + expected[mode]
+                hit, scanned = scan_states(rows, families, projected, bounds.n_validators, mode)
                 assert hit == expected[mode], (mode, combo)
-                want = rows.shape[0] if expected[mode] == -1 else expected[mode] + 1
+                want = n_rows if expected[mode] == -1 else expected[mode] + 1
                 assert scanned == want
+        projected = project_tables(tables, combos, mutation)
+        for mode in ALL_MODES:
+            hit, scanned = scan_states(rows, families, projected, bounds.n_validators, mode)
+            assert hit == first[mode], (mode, u)
+            assert scanned == (len(combos) * n_rows if first[mode] == -1 else first[mode] + 1)
     assert checked_states > 400
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_backends_agree_on_larger_space():
-    bounds = Bounds(n_blocks=2, n_validators=4, max_votes=8, max_ffg_votes=3)
+@pytest.mark.parametrize(
+    "mutation", MUTATIONS + [Mutation.DISABLE_E1, Mutation.DISABLE_E2], ids=lambda m: m.label()
+)
+def test_counterexample_hits_match_reference(mutation):
+    # four distinct votes finalize both branches of the fork; at N=3 some of
+    # those rows leave exactly one validator slashable, which is no
+    # counterexample (3 * 1 < 3 fails), so the slashing threshold is exercised
+    bounds = Bounds(n_blocks=2, n_validators=3, max_votes=8, max_chkp_slot=2,
+                    slot_rule="nonstrict")
     forest = BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)])
     tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
-    for u in range(0, 4):
-        rows, _, _ = state_table(u, 4, 8, 0)
-        for combo in itertools.islice(
-            itertools.combinations(range(len(tables.votes)), u), 25
-        ):
-            projected = project_tables(tables, combo, Mutation.NONE)
-            for mode in ALL_MODES:
-                got_nb = scan_states(rows, projected, 4, mode, False, "numba")
-                got_np = scan_states(rows, projected, 4, mode, False, "numpy")
-                assert got_nb == got_np
+    every = all_combinations(len(tables.votes), 4)
+    keep = bound_combinations(tables, every, MODE_COUNTEREXAMPLE, False)
+    combos = every[np.flatnonzero(keep | (np.arange(len(every)) < 2))]
+    rows, _, _ = state_table(4, 3, bounds.max_votes, 0)
+    families = quorum_families(4, 3, bounds.max_votes, 0, Mutation.QUORUM_HALF in mutation)
+    expected = {MODE_COUNTEREXAMPLE: -1, MODE_CONFLICTING_FINALIZED: -1}
+    for flat in range(len(combos) * rows.shape[0]):
+        combo, row = combos[flat // rows.shape[0]], rows[flat % rows.shape[0]]
+        state = materialize_state(
+            bounds, tables, tuple(int(x) for x in combo), tuple(int(x) for x in row)
+        )
+        safety = accountable_safety(state, mutation)
+        for mode, flag in ((MODE_COUNTEREXAMPLE, not safety.holds),
+                           (MODE_CONFLICTING_FINALIZED, safety.disagreement)):
+            if flag and expected[mode] == -1:
+                expected[mode] = flat
+        if -1 not in expected.values():
+            break
+    assert expected[MODE_CONFLICTING_FINALIZED] >= 0
+    projected = project_tables(tables, combos, mutation)
+    for mode, first in expected.items():
+        want = (first, first + 1) if first >= 0 else (-1, len(combos) * rows.shape[0])
+        assert scan_states(rows, families, projected, 3, mode) == want, mode
 
 
-def test_backend_selection(monkeypatch):
-    monkeypatch.setenv("FFGMC_KERNEL", "numpy")
-    assert backend_name() == "numpy"
-    monkeypatch.setenv("FFGMC_KERNEL", "auto")
-    assert backend_name() == ("numba" if HAVE_NUMBA else "numpy")
-    monkeypatch.setenv("FFGMC_KERNEL", "bogus")
-    with pytest.raises(ValueError):
-        backend_name()
+def test_fixpoint_comparison_sees_a_support_cycle():
+    # valid votes never form one (source slot < target slot), so a hand-made
+    # table is the only way to make the two fixpoints differ: vote 0 has
+    # source checkpoint 1 and sandwiches 2, vote 1 the reverse.  The least
+    # fixpoint justifies genesis alone, the greatest keeps 1 and 2.
+    projected = ProjectedTables(
+        sandwich=np.array([[0, 0b10, 0b01]]),
+        by_src=np.array([[0, 0b01, 0b10]]),
+        fin=np.zeros((1, 3), dtype=np.int64),
+        cp_conflict=np.zeros(3, dtype=np.int64),
+        subset_slash=np.zeros((1, 4), dtype=bool),
+    )
+    rows, _, _ = state_table(2, 1, 2, 0)
+    families = quorum_families(2, 1, 2, 0, False)
+    assert scan_states(rows, families, projected, 1, MODE_LFP_NE_GFP) == (0, 1)
+    assert scan_states(rows, families, projected, 1, MODE_JUSTIFIED_NONGENESIS) == (-1, 1)
 
 
 def test_empty_scan():
     forest = BlockForest([Block("b1", 1, GENESIS)])
     tables = build_graph_tables(forest, "strict", 2)
-    projected = project_tables(tables, (), Mutation.NONE)
+    projected = project_tables(tables, np.zeros((1, 0), dtype=np.int64), Mutation.NONE)
     rows = np.zeros((0, 3), dtype=np.int64)
-    assert scan_states(rows, projected, 3, MODE_COUNTEREXAMPLE, False) == (-1, 0)
+    no_families = (np.zeros((0, 1), dtype=bool), np.zeros(0, dtype=np.intp))
+    assert scan_states(rows, no_families, projected, 3, MODE_COUNTEREXAMPLE) == (-1, 0)
+    rows, _, _ = state_table(0, 3, 4, 0)
+    families = quorum_families(0, 3, 4, 0, False)
+    assert scan_states(rows, families, projected, 3, MODE_LFP_NE_GFP, limit=0) == (-1, 0)
+    none = project_tables(tables, np.zeros((0, 0), dtype=np.int64), Mutation.NONE)
+    assert scan_states(rows, families, none, 3, MODE_LFP_NE_GFP) == (-1, 0)
+
+
+@pytest.mark.parametrize(
+    "u,n_validators,max_votes,min_signers,quorum_half",
+    [(0, 2, 4, 0, False), (2, 1, 4, 0, False), (3, 3, 9, 0, False), (3, 4, 12, 3, True),
+     (4, 3, 12, 2, False), (4, 4, 12, 0, True), (7, 2, 14, 0, False)],
+)
+def test_quorum_families_match_direct_count(
+    u, n_validators, max_votes, min_signers, quorum_half
+):
+    rows, _, _ = state_table(u, n_validators, max_votes, min_signers)
+    table, index = quorum_families(u, n_validators, max_votes, min_signers, quorum_half)
+    assert index.shape == (rows.shape[0],)
+    assert table.shape[1] == 2**u
+    mutation = Mutation.QUORUM_HALF if quorum_half else Mutation.NONE
+    for r, row in enumerate(rows):
+        for x in range(2**u):
+            count = sum(1 for mask in row if int(mask) & x)
+            assert table[index[r], x] == quorum_met(count, n_validators, mutation), (r, x)
+    # one entry per distinct family, and every family is some row's
+    assert len({tuple(f) for f in table}) == table.shape[0]
+    assert set(index.tolist()) == set(range(table.shape[0]))
+
+
+def test_quorum_families_refuse_an_oversized_table(monkeypatch):
+    # 71 rows at u=3, N=3 need one 8-byte key each
+    monkeypatch.setattr("ffgmc.tables.MAX_FAMILY_KEY_BYTES", 70 * 8)
+    quorum_families.cache_clear()
+    with pytest.raises(InputError, match="quorum families"):
+        quorum_families(3, 3, 9, 0, False)
+    monkeypatch.setattr("ffgmc.tables.MAX_FAMILY_KEY_BYTES", 71 * 8)
+    assert quorum_families(3, 3, 9, 0, False)[1].shape == (71,)
+
+
+# Graph units for the differential test: depth and free slot modes on up to
+# two blocks, and the catalog forest with its detached roots.
+DIFFERENTIAL_UNITS = [
+    *iter_units(Bounds(n_blocks=1, n_validators=1, max_votes=0)),
+    *iter_units(Bounds(n_blocks=2, n_validators=1, max_votes=0)),
+    *iter_units(Bounds(n_blocks=2, n_validators=1, max_votes=0, slot_mode="free", max_slot=3)),
+    catalog_forest("forest"),
+]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_scan_matches_row_by_row_reference(data):
+    forest = data.draw(st.sampled_from(DIFFERENTIAL_UNITS), label="unit")
+    n_validators = data.draw(st.integers(1, 5), label="N")
+    slot_rule = data.draw(st.sampled_from(["strict", "nonstrict"]), label="slot_rule")
+    max_chkp_slot = data.draw(st.integers(1, 3), label="max_chkp_slot")
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    mode = data.draw(st.sampled_from(ALL_MODES), label="mode")
+    tables = build_graph_tables(forest, slot_rule, max_chkp_slot)
+    u = data.draw(st.integers(0, min(3, len(tables.votes))), label="u")
+    max_votes = data.draw(st.integers(u, min(u * n_validators, 6)), label="max_votes")
+    min_signers = data.draw(
+        st.sampled_from([0, min_signers_for_quorum(n_validators)]), label="min_signers"
+    )
+    rows, _, _ = state_table(u, n_validators, max_votes, min_signers)
+    families = quorum_families(
+        u, n_validators, max_votes, min_signers, Mutation.QUORUM_HALF in mutation
+    )
+    every = all_combinations(len(tables.votes), u)
+    picked = sorted(data.draw(
+        st.sets(st.integers(0, len(every) - 1), min_size=1, max_size=4), label="combinations"
+    ))
+    combos = every[picked]
+    total = len(combos) * rows.shape[0]
+    limit = data.draw(st.none() | st.integers(0, total + 2), label="limit")
+    pair_batch = data.draw(st.sampled_from([1, 5, kernels._PAIR_BATCH]), label="pair batch")
+
+    bounds = Bounds(n_blocks=0, n_validators=n_validators, max_votes=max_votes,
+                    slot_rule=slot_rule, graph_filter="forest")
+    expected, scanned = -1, (total if limit is None else min(total, limit))
+    for flat in range(scanned):
+        combo, row = combos[flat // rows.shape[0]], rows[flat % rows.shape[0]]
+        state = materialize_state(
+            bounds, tables, tuple(int(x) for x in combo), tuple(int(x) for x in row)
+        )
+        if reference_flags(state, mutation)[mode]:
+            expected, scanned = flat, flat + 1
+            break
+    projected = project_tables(tables, combos, mutation)
+    with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch):
+        got = scan_states(rows, families, projected, n_validators, mode, limit)
+    assert got == (expected, scanned)
 
 
 BOUNDED_MODES = (
@@ -177,11 +318,15 @@ def test_bound_matches_unanimity_state(
     kept = {mode: 0 for mode in BOUNDED_MODES}
     for u in range(max_u + 1):
         m = len(tables.votes)
-        combos = np.array(
-            list(itertools.combinations(range(m), u)), dtype=np.int64
-        ).reshape(comb(m, u), u)
+        combos = all_combinations(m, u)
         keep = {mode: bound_combinations(tables, combos, mode, drop) for mode in BOUNDED_MODES}
-        row = np.full((1, n_validators), (1 << u) - 1, dtype=np.int64)
+        rows, _, _ = state_table(u, n_validators, bounds.max_votes, 0)
+        table, index = quorum_families(
+            u, n_validators, bounds.max_votes, 0, Mutation.QUORUM_HALF in mutation
+        )
+        unanimity = int(np.flatnonzero((rows == (1 << u) - 1).all(axis=1))[0])
+        row = rows[unanimity : unanimity + 1]
+        families = (table, index[unanimity : unanimity + 1])
         for i, combo in enumerate(combos):
             combo = tuple(int(x) for x in combo)
             state = materialize_state(bounds, tables, combo, tuple(int(x) for x in row[0]))
@@ -193,12 +338,11 @@ def test_bound_matches_unanimity_state(
                 MODE_JUSTIFIED_NONGENESIS: bool(view.justified - {GENESIS_CHECKPOINT}),
                 MODE_CONFLICTING_FINALIZED: conflicting,
             }
-            projected = project_tables(tables, combo, mutation)
-            quorum_half = Mutation.QUORUM_HALF in mutation
+            projected = project_tables(tables, combos[i : i + 1], mutation)
             for mode in BOUNDED_MODES:
                 assert keep[mode][i] == reference[mode], (mode, combo)
                 scan_mode = MODE_CONFLICTING_FINALIZED if mode == MODE_COUNTEREXAMPLE else mode
-                hit, _ = scan_states(row, projected, n_validators, scan_mode, quorum_half)
+                hit, _ = scan_states(row, families, projected, n_validators, scan_mode)
                 assert keep[mode][i] == (hit == 0), (mode, combo)
                 kept[mode] += bool(keep[mode][i])
     assert kept[MODE_FINALIZED_NONGENESIS] > 0
