@@ -1,22 +1,17 @@
-"""Built-in block graphs and the restricted two-chain search mode.
+"""Built-in block graphs.
 
 The fixed graphs are the small fork/chain/forest instances used as per-graph
 search units, with slots equal to the drawn level.  Two of the entries (i1,
 i2) are intentionally broken inputs and must be rejected by forest
 validation: i1 gives one block two parents, i2 closes a parent cycle.
-
-The two-chain mode encodes a pair of chains that share a prefix and then
-fork; block ids carry signed body integers (the second branch negates them
-past the fork point), so the ancestor test reduces to integer comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from .enumerator import Bounds, enumerate_states
-from .model import GENESIS, Block, BlockForest, InputError, ProtocolState
+from .model import GENESIS, Block, BlockForest, InputError
 
 
 @dataclass(frozen=True)
@@ -126,60 +121,3 @@ def _reject_cycles(parents_of: dict[str, list[str]]) -> None:
     for node in list(color):
         if color[node] == WHITE:
             visit(node, [node])
-
-
-@dataclass(frozen=True)
-class TwoChainConfig:
-    """A forked pair of chains: shared prefix up to `fork_point`, then two branches.
-
-    Block bodies are the integers 1..fork_point on the shared prefix,
-    fork_point+1.. on the first branch, and the same values negated on the
-    second branch; genesis is body 0.
-    """
-
-    fork_point: int
-    length_a: int
-    length_b: int
-
-    def __post_init__(self):
-        if self.fork_point < 0 or self.length_a < 0 or self.length_b < 0:
-            raise InputError("two-chain lengths must be non-negative")
-
-    def bodies(self) -> list[int]:
-        shared = list(range(1, self.fork_point + 1))
-        branch_a = list(range(self.fork_point + 1, self.fork_point + self.length_a + 1))
-        branch_b = [-v for v in range(self.fork_point + 1, self.fork_point + self.length_b + 1)]
-        return shared + branch_a + branch_b
-
-
-def two_chain_forest(config: TwoChainConfig) -> BlockForest:
-    def block_id(body: int) -> str:
-        return GENESIS if body == 0 else str(body)
-
-    def parent_body(body: int) -> int:
-        mag = abs(body)
-        if mag == config.fork_point + 1:
-            return config.fork_point  # both branches hang off the shared prefix
-        return (mag - 1) if body > 0 else -(mag - 1)
-
-    return BlockForest(
-        Block(block_id(b), abs(b), block_id(parent_body(b))) for b in config.bodies()
-    )
-
-
-def two_chain_is_ancestor(config: TwoChainConfig, a_body: int, b_body: int) -> bool:
-    """Ancestor test by signed body comparison, no graph walk.
-
-    a is an ancestor of b iff |a| <= |b| and either a sits on the shared
-    prefix or both blocks sit on the same branch (same sign past the fork).
-    """
-    if abs(a_body) > abs(b_body):
-        return False
-    if abs(a_body) <= config.fork_point:
-        return True
-    return (a_body > 0) == (b_body > 0)
-
-
-def two_chain_states(config: TwoChainConfig, bounds: Bounds) -> Iterator[ProtocolState]:
-    """The bounded state enumeration restricted to the two-chain forest."""
-    yield from enumerate_states(bounds, two_chain_forest(config))

@@ -5,13 +5,15 @@ Exit codes: `check` 0 holds / 1 violated / 2 input error; `search` 0 holds /
 found / 3 budget exhausted; `solve` 0 unsat / 1 sat / 3 unknown or solver
 absent.  Every command exits 4 on an internal failure (a crash, or a kernel
 counterexample that does not replay through the reference semantics), so a
-failure never reads as a verdict.
+failure never reads as a verdict.  An `--out` path that cannot be written
+exits 2 before any work starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from typing import Optional
@@ -84,6 +86,19 @@ def _bounds_from_args(args) -> Bounds:
     )
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Refuse an --out path that cannot be written, before any work starts."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        raise InputError(f"--out {out!r} is a directory")
+    directory = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(directory):
+        raise InputError(f"--out {out!r}: directory {directory!r} does not exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise InputError(f"--out {out!r}: directory {directory!r} is not writable")
+
+
 def _emit(doc: dict, out: Optional[str]) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out:
@@ -117,6 +132,7 @@ def _report_to_json(report: SearchReport, bounds: Bounds, mutation: Mutation) ->
             "graphs_checked": report.graphs_checked,
             "states_pruned": report.states_pruned,
             "states_bounded": report.states_bounded,
+            "states_symmetric": report.states_symmetric,
         },
         "budget": report.budget,
         "wall_time_s": round(report.wall_time, 6),
@@ -293,6 +309,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,13 @@ combination bound (`kernels.bound_combinations`) drops every distinct-vote
 combination whose unanimity state cannot hit; only the rest are projected and
 scanned, in the same canonical order.  Dropped rows count as pruned, so
 checked + pruned always covers the whole space.
+
+Block relabelling is exploited at two levels (`ffgmc.symmetry`, which also
+gives the soundness argument): only the first unit of each isomorphism
+class is scanned, later ones reuse its counts, and within a unit only the
+kept combinations that are lexicographically minimal in their orbit under
+the unit's automorphisms are scanned.  Rows settled that way count as
+checked (and separately as symmetric), exactly as a scan would count them.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Iterator, Optional
 
@@ -42,12 +49,15 @@ from .model import (
     GENESIS,
     Block,
     BlockForest,
+    Checkpoint,
+    FfgVote,
     InputError,
     ProtocolState,
     SignedVote,
 )
 from .mutation import Mutation
 from .slashing import SafetyVerdict, accountable_safety
+from .symmetry import automorphisms, orbit_minimal, unit_key
 from .tables import (
     GraphTables,
     build_graph_tables,
@@ -136,6 +146,7 @@ class SearchReport:
     graphs_checked: int
     states_pruned: int
     states_bounded: int   # part of states_pruned dropped by the monotone bound
+    states_symmetric: int  # part of states_checked settled by symmetry, not scanned
     wall_time: float
     budget: Optional[int] = None
 
@@ -247,6 +258,7 @@ class _UnitResult:
     checked: int
     pruned: int        # rows not scanned, bounded ones included
     bounded: int       # rows of combinations the monotone bound dropped
+    symmetric: int     # checked rows settled by symmetry rather than scanned
     hit: Optional[tuple] = None  # (u, combo, row masks)
     exhausted_budget: bool = False
 
@@ -255,23 +267,38 @@ _BOUND_CHUNK = 4096
 _COMBO_BATCH = 256   # most combinations projected and scanned in one call
 
 
+def _vote_permutations(tables: GraphTables) -> np.ndarray:
+    """The unit's nontrivial automorphisms as (A, M) vote-index permutations."""
+    index = {vote: i for i, vote in enumerate(tables.votes)}
+    perms = []
+    for image in automorphisms(tables.forest):
+        move = lambda cp: Checkpoint(image[cp.block], cp.c, cp.p)
+        perms.append([index[FfgVote(move(v.source), move(v.target))] for v in tables.votes])
+    return np.array(perms, dtype=np.int64).reshape(len(perms), len(tables.votes))
+
+
 def _kept_combinations(
-    tables: GraphTables, u: int, mode: int, mutation: Mutation
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(positions, combinations) of the size-u vote combinations the monotone
-    bound keeps, in canonical order; positions count every combination.
+    tables: GraphTables, u: int, mode: int, mutation: Mutation, perms: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(positions, combinations, minimal) of the size-u vote combinations the
+    monotone bound keeps, in canonical order; positions count every
+    combination, and `minimal` marks the kept combinations that are
+    lexicographically minimal in their orbit under `perms`, the only ones
+    scanned.
 
     The bound runs over fixed-size chunks so memory stays flat however many
     combinations the unit has; the lfp/gfp comparison has no bound and keeps
-    every combination.  Kept combinations come in batches of 1, 2, 4, ... up
-    to `_COMBO_BATCH`, so a hit early in the unit costs at most about twice
-    the scan up to its own combination.
+    every combination.  The orbit filter runs after the bound, which is
+    relabelling-invariant.  Batches hold 1, 2, 4, ... up to `_COMBO_BATCH`
+    minimal combinations, so a hit early in the unit costs at most about
+    twice the scan up to its own combination.
     """
     n_combos = comb(len(tables.votes), u)
     flat = itertools.chain.from_iterable(itertools.combinations(range(len(tables.votes)), u))
     drop_ancestry = Mutation.DROP_ANCESTRY in mutation
     positions = np.zeros(0, dtype=np.int64)
     combos = np.zeros((0, u), dtype=np.int64)
+    minimal = np.zeros(0, dtype=bool)
     size = 1
     lo = 0
     while lo < n_combos:
@@ -285,13 +312,18 @@ def _kept_combinations(
             keep = np.flatnonzero(bound_combinations(tables, chunk, mode, drop_ancestry))
         positions = np.concatenate([positions, lo + keep])
         combos = np.concatenate([combos, chunk[keep]])
+        minimal = np.concatenate([minimal, orbit_minimal(chunk[keep], perms)])
         lo += n
-        while positions.size >= size:
-            yield positions[:size], combos[:size]
-            positions, combos = positions[size:], combos[size:]
+        while True:
+            ends = np.flatnonzero(minimal)
+            if ends.size < size:
+                break
+            end = int(ends[size - 1]) + 1
+            yield positions[:end], combos[:end], minimal[:end]
+            positions, combos, minimal = positions[end:], combos[end:], minimal[end:]
             size = min(2 * size, _COMBO_BATCH)
     if positions.size:
-        yield positions, combos
+        yield positions, combos, minimal
 
 
 def _scan_unit(
@@ -306,9 +338,10 @@ def _scan_unit(
     vacuity_modes = (MODE_COUNTEREXAMPLE, MODE_CONFLICTING_FINALIZED)
     if mode in vacuity_modes and not tables.has_conflict:
         total = _unit_total_states(bounds, tables, min_signers)
-        return _UnitResult(checked=0, pruned=total, bounded=0), tables
+        return _UnitResult(checked=0, pruned=total, bounded=0, symmetric=0), tables
+    perms = _vote_permutations(tables)
     quorum_half = Mutation.QUORUM_HALF in mutation
-    checked = pruned = bounded = 0
+    checked = pruned = bounded = symmetric = 0
     for u in _distinct_vote_range(bounds, len(tables.votes)):
         states, rows_pruned, total_rows = state_table(
             u, bounds.n_validators, bounds.max_votes, min_signers
@@ -316,21 +349,37 @@ def _scan_unit(
         n_rows = states.shape[0]
         families = None
         visited = 0
-        for positions, combos in _kept_combinations(tables, u, mode, mutation):
+        for positions, combos, minimal in _kept_combinations(tables, u, mode, mutation, perms):
+            # hit and scanned count the rows of the whole batch in scan order;
+            # only the minimal combinations (`scan`) reach the kernel
+            rows = positions.size * n_rows
             limit = None if budget_left is None else budget_left - checked
-            hit, scanned = -1, 0
-            if n_rows and limit != 0:
+            hit, scanned = -1, rows if limit is None else min(rows, limit)
+            scan = np.flatnonzero(minimal)
+            scan_limit = None
+            if scanned < rows:
+                # the budget runs out in combination `cut_at`, after `part` rows
+                cut_at, part = divmod(scanned, n_rows)
+                before = int(np.searchsorted(scan, cut_at))
+                in_scan = before < scan.size and scan[before] == cut_at
+                scan_limit = before * n_rows + (part if in_scan else 0)
+            scanned_rows = 0
+            if n_rows and scan.size and scan_limit != 0:
                 if families is None:
                     families = quorum_families(
                         u, bounds.n_validators, bounds.max_votes, min_signers, quorum_half
                     )
-                projected = project_tables(tables, combos, mutation)
-                hit, scanned = scan_states(
-                    states, families, projected, bounds.n_validators, mode, limit
+                projected = project_tables(tables, combos[scan], mutation)
+                scan_hit, scanned_rows = scan_states(
+                    states, families, projected, bounds.n_validators, mode, scan_limit
                 )
+                if scan_hit >= 0:
+                    hit = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
+                    scanned = hit + 1
             checked += scanned
+            symmetric += scanned - scanned_rows
             # the rows of the batch's combinations up to the hit or budget cut
-            cut = scanned < positions.size * n_rows
+            cut = scanned < rows
             last = (hit if hit >= 0 else scanned) // n_rows if cut else positions.size - 1
             skipped = int(positions[last]) - visited - last  # combinations the bound dropped
             bounded += skipped * n_rows
@@ -339,13 +388,17 @@ def _scan_unit(
             if hit >= 0:
                 combo = tuple(int(x) for x in combos[last])
                 masks = tuple(int(x) for x in states[hit % n_rows])
-                return _UnitResult(checked, pruned, bounded, hit=(u, combo, masks)), tables
+                return _UnitResult(
+                    checked, pruned, bounded, symmetric, hit=(u, combo, masks)
+                ), tables
             if cut:
-                return _UnitResult(checked, pruned, bounded, exhausted_budget=True), tables
+                return _UnitResult(
+                    checked, pruned, bounded, symmetric, exhausted_budget=True
+                ), tables
         skipped = comb(len(tables.votes), u) - visited
         bounded += skipped * n_rows
         pruned += skipped * total_rows
-    return _UnitResult(checked, pruned, bounded), tables
+    return _UnitResult(checked, pruned, bounded, symmetric), tables
 
 
 def materialize_state(
@@ -388,6 +441,7 @@ class _RunResult:
     checked: int = 0
     pruned: int = 0
     bounded: int = 0
+    symmetric: int = 0
     graphs: int = 0
     hit: Optional[tuple] = None            # (u, combo, row masks)
     tables: Optional[GraphTables] = None   # tables of the hit's unit
@@ -399,6 +453,7 @@ class _RunResult:
         self.checked += result.checked
         self.pruned += result.pruned
         self.bounded += result.bounded
+        self.symmetric += result.symmetric
         self.hit = result.hit
         self.tables = tables if result.hit is not None else None
         self.exhausted = result.exhausted_budget
@@ -415,32 +470,52 @@ def _run_units(
 ) -> _RunResult:
     """Scan units in canonical order, stopping at the first hit.
 
+    Only the first unit of each isomorphism class (`unit_key`) is scanned
+    for sure.  Its counts, once it finishes with no hit and no budget cut,
+    settle every later unit of the class that the budget left would not cut
+    (no tables are built for those); a unit the budget may cut is scanned.
+
     With jobs > 1 a budget forces sequential execution so mid-unit budget
-    cuts stay reproducible.  Units still queued when a pool run stops are
-    cancelled; those already running finish and are discarded.
+    cuts stay reproducible; otherwise the pool scans one unit per class.
+    Units still queued when a pool run stops are cancelled; those already
+    running finish and are discarded.
     """
     if budget is not None and budget < 0:
         raise InputError("budget must be non-negative")
     if jobs < 1:
         raise InputError("jobs must be at least 1")
     units = list(iter_units(bounds))
+    keys = [unit_key(forest) for forest in units]
+    memo: dict[tuple, _UnitResult] = {}   # class key -> counts of its scanned unit
     run = _RunResult()
+
+    def fold(key, scan) -> bool:
+        budget_left = None if budget is None else budget - run.checked
+        known = memo.get(key)
+        if known is not None and (budget_left is None or budget_left >= known.checked):
+            return run.add(replace(known, symmetric=known.checked), None)
+        result, tables = scan(budget_left)
+        if result.hit is None and not result.exhausted_budget:
+            memo[key] = result
+        return run.add(result, tables)
+
     if jobs > 1 and budget is None:
         pool = ProcessPoolExecutor(max_workers=jobs)
         try:
-            futures = [
-                pool.submit(_unit_task, (bounds, mutation.value, f, mode, min_signers))
-                for f in units
-            ]
-            for future in futures:
-                if run.add(*future.result()):
+            futures = {}   # class key -> the scan of the class's first unit
+            for key, forest in zip(keys, units):
+                if key not in futures:
+                    futures[key] = pool.submit(
+                        _unit_task, (bounds, mutation.value, forest, mode, min_signers)
+                    )
+            for key in keys:
+                if fold(key, lambda _: futures[key].result()):
                     break
         finally:
             pool.shutdown(cancel_futures=True)
         return run
-    for forest in units:
-        budget_left = None if budget is None else budget - run.checked
-        if run.add(*_scan_unit(bounds, mutation, forest, mode, min_signers, budget_left)):
+    for forest, key in zip(units, keys):
+        if fold(key, lambda left: _scan_unit(bounds, mutation, forest, mode, min_signers, left)):
             break
     return run
 
@@ -476,6 +551,7 @@ def search(
         graphs_checked=run.graphs,
         states_pruned=run.pruned,
         states_bounded=run.bounded,
+        states_symmetric=run.symmetric,
         wall_time=wall,
         budget=budget,
     )
@@ -509,16 +585,17 @@ def find_example(
 @dataclass(frozen=True)
 class FixpointReport:
     states_checked: int
+    states_symmetric: int   # part of states_checked settled by symmetry, not scanned
     mismatch: Optional[ProtocolState]
 
 
 def check_lfp_gfp(bounds: Bounds, mutation: Mutation = Mutation.NONE) -> FixpointReport:
     """Compare least and greatest justification fixpoints over every state."""
     run = _run_units(bounds, mutation, MODE_LFP_NE_GFP, min_signers=0, budget=None, jobs=1)
-    if run.hit is None:
-        return FixpointReport(states_checked=run.checked, mismatch=None)
-    u, combo, masks = run.hit
+    mismatch = None
+    if run.hit is not None:
+        u, combo, masks = run.hit
+        mismatch = materialize_state(bounds, run.tables, combo, masks)
     return FixpointReport(
-        states_checked=run.checked,
-        mismatch=materialize_state(bounds, run.tables, combo, masks),
+        states_checked=run.checked, states_symmetric=run.symmetric, mismatch=mismatch
     )

@@ -1,23 +1,11 @@
-"""Catalog graphs and the two-chain restricted mode."""
+"""Catalog graphs."""
 
 import itertools
 
 import pytest
 
-from ffgmc.catalog import (
-    TwoChainConfig,
-    catalog_forest,
-    catalog_ids,
-    two_chain_forest,
-    two_chain_is_ancestor,
-    two_chain_states,
-)
-from ffgmc.enumerator import (
-    Bounds,
-    VERDICT_HOLDS,
-    enumerate_forests,
-    search,
-)
+from ffgmc.catalog import catalog_forest, catalog_ids
+from ffgmc.enumerator import Bounds, VERDICT_HOLDS, search
 from ffgmc.model import GENESIS, InputError, are_conflicting, is_ancestor
 
 
@@ -25,10 +13,6 @@ def test_catalog_ids_complete():
     assert set(catalog_ids()) == {
         "m3", "m4a", "m4b", "m5a", "m5b", "m7", "single-chain", "forest", "i1", "i2",
     }
-
-
-def _shape(forest):
-    return sorted((b.id, b.slot, b.parent) for b in forest if b.id != GENESIS)
 
 
 def test_m3_is_genesis_with_two_conflicting_children():
@@ -81,55 +65,6 @@ def test_i2_rejected_cycle():
 def test_unknown_catalog_id():
     with pytest.raises(InputError, match="unknown catalog graph"):
         catalog_forest("m99")
-
-
-def test_two_chain_shapes():
-    m3_like = two_chain_forest(TwoChainConfig(0, 1, 1))
-    assert _shape(m3_like) == [("-1", 1, GENESIS), ("1", 1, GENESIS)]
-    assert are_conflicting(m3_like, "1", "-1")
-
-    single = two_chain_forest(TwoChainConfig(0, 3, 0))
-    ids = [b.id for b in single if b.id != GENESIS]
-    for a, b in itertools.combinations(ids, 2):
-        assert not are_conflicting(single, a, b)
-
-    forked = two_chain_forest(TwoChainConfig(2, 2, 2))
-    assert is_ancestor(forked, "2", "4")
-    assert is_ancestor(forked, "2", "-4")
-    assert are_conflicting(forked, "3", "-3")
-
-
-@pytest.mark.parametrize(
-    "config",
-    [
-        TwoChainConfig(0, 1, 1),
-        TwoChainConfig(0, 2, 1),
-        TwoChainConfig(1, 1, 1),
-        TwoChainConfig(2, 2, 2),
-        TwoChainConfig(3, 1, 2),
-        TwoChainConfig(1, 3, 0),
-    ],
-)
-def test_signed_body_shortcut_equals_closure(config):
-    forest = two_chain_forest(config)
-    bodies = [0] + config.bodies()
-    for a in bodies:
-        for b in bodies:
-            a_id = GENESIS if a == 0 else str(a)
-            b_id = GENESIS if b == 0 else str(b)
-            assert two_chain_is_ancestor(config, a, b) == is_ancestor(forest, a_id, b_id), (a, b)
-
-
-def test_two_chain_states_match_enumerator_on_m3():
-    bounds = Bounds(n_blocks=2, n_validators=3, max_votes=2, max_ffg_votes=2)
-    states = list(two_chain_states(TwoChainConfig(0, 1, 1), bounds))
-    assert states
-    forks = [
-        f for f in enumerate_forests(2)
-        if all(b.parent == GENESIS for b in f if b.id != GENESIS)
-    ]
-    generic = list(__import__("ffgmc.enumerator", fromlist=["enumerate_states"]).enumerate_states(bounds, forks[0]))
-    assert len(states) == len(generic)
 
 
 def test_decomposition_matches_unrestricted_two_chain_search():

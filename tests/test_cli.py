@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from ffgmc import cli
 from ffgmc.cli import main
 from ffgmc.model import (
     GENESIS,
@@ -191,6 +192,7 @@ def test_cmd_search_reports_bounded_rows(tmp_path):
     counters = json.loads(open(out).read())["counters"]
     assert 0 < counters["states_bounded"] <= counters["states_pruned"]
     assert counters["states_checked"] > 0
+    assert 0 <= counters["states_symmetric"] <= counters["states_checked"]
 
 
 def test_cmd_search_graph_vacuity(tmp_path):
@@ -267,6 +269,21 @@ def test_cmd_forests(capsys):
     assert main(["forests", "--n", "4", "--list"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["count"] == 125 and len(report["forests"]) == 125
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["forests", "--n", "1"], "forest_count"),
+    (["search", "--blocks", "1", "--validators", "2", "--max-votes", "2"], "search"),
+])
+def test_unwritable_out_exits_before_any_work(monkeypatch, tmp_path, capsys, argv, work):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, work, refuse)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
 
 
 def test_replay_mismatch_exits_internal(monkeypatch, capsys):
