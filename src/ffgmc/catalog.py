@@ -2,8 +2,9 @@
 
 The fixed graphs are the small fork/chain/forest instances used as per-graph
 search units, with slots equal to the drawn level.  Two of the entries (i1,
-i2) are intentionally broken inputs and must be rejected by forest
-validation: i1 gives one block two parents, i2 closes a parent cycle.
+i2) are intentionally broken inputs that `BlockForest` rejects: i1 gives one
+block two parents, i2 closes a parent cycle (and also lists n1 twice; the
+cycle is reported).
 """
 
 from __future__ import annotations
@@ -81,43 +82,4 @@ def catalog_forest(entry_id: str) -> BlockForest:
         raise InputError(
             f"unknown catalog graph {entry_id!r}; choose from {', '.join(CATALOG)}"
         ) from None
-    return forest_from_rows(entry.rows)
-
-
-def forest_from_rows(rows) -> BlockForest:
-    """Validate raw (id, slot, parent) rows: cycles first, then multi-parent."""
-    edges = [(child, parent) for child, _, parent in rows if parent is not None]
-    parents_of: dict[str, list[str]] = {}
-    for child, parent in edges:
-        parents_of.setdefault(child, []).append(parent)
-    _reject_cycles(parents_of)
-    for child, parents in parents_of.items():
-        if len(parents) > 1:
-            raise InputError(
-                f"block {child!r} has {len(parents)} parents; a forest allows one"
-            )
-    return BlockForest(Block(child, slot, parent) for child, slot, parent in rows)
-
-
-def _reject_cycles(parents_of: dict[str, list[str]]) -> None:
-    # DFS over the child -> parent edge relation
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in parents_of}
-
-    def visit(node: str, path: list[str]) -> None:
-        color[node] = GREY
-        for parent in parents_of.get(node, ()):
-            if parent not in color:
-                continue
-            if color[parent] == GREY:
-                cycle = path[path.index(parent):] if parent in path else [parent]
-                raise InputError(
-                    "cycle detected among blocks: " + " -> ".join(cycle + [parent])
-                )
-            if color[parent] == WHITE:
-                visit(parent, path + [parent])
-        color[node] = BLACK
-
-    for node in list(color):
-        if color[node] == WHITE:
-            visit(node, [node])
+    return BlockForest(Block(child, slot, parent) for child, slot, parent in entry.rows)

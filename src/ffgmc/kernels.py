@@ -11,7 +11,9 @@ A row is read only through quorum tests (do enough validators' vote masks
 meet a vote set X?) and, for counterexamples, through its per-validator
 slashability.  Rows inducing the same quorum family
 (`tables.quorum_families`) therefore have the same justified and finalized
-sets, so the fixpoints run once per (combination, family) pair.
+sets, so the fixpoints run once per (combination, family) pair.  They run on
+u-bit masks of the votes whose source is justified, not on checkpoint sets
+(`_eligible`).
 
 Before any row is scanned, `bound_combinations` drops whole combinations that
 cannot hold a hit (the monotone combination bound).
@@ -29,7 +31,7 @@ MODE_JUSTIFIED_NONGENESIS = 2
 MODE_CONFLICTING_FINALIZED = 3
 MODE_LFP_NE_GFP = 4
 
-_PAIR_BATCH = 1 << 10   # (combination, family) pairs per fixpoint batch
+_PAIR_BATCH = 1 << 12   # (combination, family) pairs per fixpoint batch
 
 
 def backend_name() -> str:
@@ -69,6 +71,8 @@ def scan_states(
     if total == 0:
         return -1, 0
     n_families = table.shape[0]
+    positions = np.arange(projected.src_sandwich.shape[1], dtype=np.int64)[:, None]
+    shifted = table.ravel().astype(np.int64) << positions                 # (u, D * 2**u)
     n_combos = -(-total // n_rows)   # combinations the scan reaches
     group = max(1, _PAIR_BATCH // n_families)
     for c_lo in range(0, n_combos, group):
@@ -78,7 +82,7 @@ def scan_states(
         for lo in range(0, n_pairs, _PAIR_BATCH):
             pairs = np.arange(first_pair + lo, first_pair + min(lo + _PAIR_BATCH, n_pairs))
             hits[lo : lo + pairs.size] = _family_hits(
-                pairs // n_families, pairs % n_families, table, projected, mode
+                pairs // n_families, pairs % n_families, table, shifted, projected, mode
             )
         hits = hits.reshape(-1, n_families)
         for c in np.flatnonzero(hits.any(axis=1)):
@@ -163,43 +167,58 @@ def _family_hits(
     combo: np.ndarray,
     family: np.ndarray,
     table: np.ndarray,
+    shifted: np.ndarray,
     projected: ProjectedTables,
     mode: int,
 ) -> np.ndarray:
-    """Whether each (combination, family) pair hits `mode`; checkpoint 0 is genesis."""
-    base = (family * table.shape[1])[:, None]
+    """Whether each (combination, family) pair hits `mode`; checkpoint 0 is genesis.
+
+    `shifted` is the family table as int64 shifted left by each vote position
+    j (u rows), so a gather from row j is q(X) << j.  The justified set is
+    built once, from the eligible votes of the least fixpoint.
+    """
     quorum = table.ravel()
-    sandwich = projected.sandwich[combo]                               # (P, K)
-    by_src = projected.by_src[combo]
-    start = np.zeros(sandwich.shape, dtype=bool)
-    start[:, 0] = True
-    justified = _justified(start, base, quorum, sandwich, by_src)
+    base = family * table.shape[1]
+    src_sandwich = np.ascontiguousarray(projected.src_sandwich[combo].T)   # (u, P)
+    from_genesis = projected.from_genesis[combo]
+    eligible = _eligible(from_genesis, from_genesis, base, shifted, src_sandwich)
     if mode == MODE_LFP_NE_GFP:
-        gfp = _justified(np.ones(sandwich.shape, dtype=bool), base, quorum, sandwich, by_src)
-        return (justified != gfp).any(axis=1)
+        every = np.full_like(from_genesis, (1 << src_sandwich.shape[0]) - 1)
+        return eligible != _eligible(every, from_genesis, base, shifted, src_sandwich)
+    justified = quorum[base[:, None] + (projected.sandwich[combo] & eligible[:, None])]
+    justified[:, 0] = True
     if mode == MODE_JUSTIFIED_NONGENESIS:
         return justified[:, 1:].any(axis=1)
-    finalized = justified & quorum[base + projected.fin[combo]]
+    finalized = justified & quorum[base[:, None] + projected.fin[combo]]
     finalized[:, 0] = True
     if mode == MODE_FINALIZED_NONGENESIS:
         return finalized[:, 1:].any(axis=1)
-    k = sandwich.shape[1]
+    k = finalized.shape[1]
     conflict = ((projected.cp_conflict[:, None] >> np.arange(k)) & 1).astype(bool)
     return ((finalized @ conflict) & finalized).any(axis=1)
 
 
-def _justified(justified, base, quorum, sandwich, by_src):
-    """Iterate the justification operator from `justified` (P, K) to its fixpoint.
+def _eligible(eligible, from_genesis, base, shifted, src_sandwich):
+    """Iterate justification on eligible-vote masks (P,) from `eligible` to its fixpoint.
 
-    A pair's justifying support for checkpoint k is the set of its votes
-    that sandwich k and have a justified source; k is justified when the
-    pair's family passes the quorum test on that set.  Each vote has one
-    source, so the by_src masks are disjoint and their union is their sum.
+    A vote is eligible when its source checkpoint is justified.  The
+    justification operator reads a checkpoint set J only through
+    E = elig(J): the next set is J' = genesis + {k : q(sandwich[k] & E)}.
+    So the step factors exactly through the masks,
+
+        E' = elig(J') = from_genesis | sum_j q(src_sandwich[j] & E) << j,
+
+    one gather per vote position.  Starting from E_0 = elig(J_0), every step
+    keeps E_n = elig(J_n): the least fixpoint starts from from_genesis
+    (J_0 = {genesis}), the greatest from every vote (J_0 = every checkpoint).
+    If E_n = E_{n+1} then J_{n+2} = J_{n+1}, so both iterations stop at the same
+    fixpoint, J* = genesis + {k : q(sandwich[k] & E*)}; and J_lfp = J_gfp iff
+    E_lfp = E_gfp, since J* is a function of E* and E* = elig(J*).
     """
     while True:
-        eligible = (by_src * justified).sum(axis=1)
-        grown = quorum[base + (sandwich & eligible[:, None])]
-        grown[:, 0] = True
-        if np.array_equal(grown, justified):
-            return justified
-        justified = grown
+        grown = from_genesis.copy()
+        for quorum_j, sandwich_j in zip(shifted, src_sandwich):
+            grown |= quorum_j[base + (sandwich_j & eligible)]
+        if np.array_equal(grown, eligible):
+            return eligible
+        eligible = grown

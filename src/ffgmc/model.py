@@ -32,9 +32,10 @@ class Block:
 class BlockForest:
     """A rooted labelled forest of blocks.
 
-    Invariants enforced at construction: ids are unique, parent references
-    resolve, the parent relation is acyclic, slots strictly increase from
-    parent to child, and genesis is present with slot 0 and no parent.
+    Invariants enforced at construction, in the order they are reported: the
+    parent relation of the listed rows is acyclic, each block has at most one
+    parent and one row, parent references resolve, slots strictly increase
+    from parent to child, and genesis is present with slot 0 and no parent.
     Parentless non-genesis roots are legal; they model chains whose prefix
     was never received, and they never prefix genesis-rooted chains.
     """
@@ -42,12 +43,31 @@ class BlockForest:
     __slots__ = ("_blocks",)
 
     def __init__(self, blocks: Iterable[Block] = ()):
+        blocks = list(blocks)
+        parents: dict[str, list[str]] = {}
+        for b in blocks:
+            parents.setdefault(b.id, [])
+            if b.parent is not None:
+                parents[b.id].append(b.parent)
+        # A cycle is reported first, in terms of the parent relation itself,
+        # even when a block on it is listed twice or its slots also clash.
+        for start in parents:
+            seen, todo = set(), list(parents[start])
+            while todo:
+                node = todo.pop()
+                if node == start:
+                    raise InputError(f"cycle detected through block {start!r}")
+                if node not in seen:
+                    seen.add(node)
+                    todo += parents.get(node, ())
         table: dict[str, Block] = {}
         for b in blocks:
-            if b.id in table:
+            if len(parents[b.id]) > 1:
                 raise InputError(
-                    f"duplicate block id {b.id!r}: a block has at most one parent"
+                    f"block {b.id!r} has {len(parents[b.id])} parents; a forest allows one"
                 )
+            if b.id in table:
+                raise InputError(f"duplicate block id {b.id!r}")
             table[b.id] = b
         if GENESIS not in table:
             table[GENESIS] = Block(GENESIS, 0)
@@ -66,17 +86,6 @@ class BlockForest:
                     f"block {b.id!r}: slot {b.slot} not above parent slot "
                     f"{table[b.parent].slot}"
                 )
-        # Slots strictly decrease along parent links, so any cycle would
-        # already have tripped the slot check; walk anyway to report cycles
-        # in terms of the parent relation itself.
-        for b in table.values():
-            seen = {b.id}
-            cur = b
-            while cur.parent is not None:
-                if cur.parent in seen:
-                    raise InputError(f"cycle detected through block {cur.parent!r}")
-                seen.add(cur.parent)
-                cur = table[cur.parent]
         self._blocks = table
 
     @property

@@ -4,7 +4,11 @@ Bit conventions: checkpoints of one graph are indexed 0..K-1 in (c, p, block)
 order with the genesis checkpoint at index 0, and a checkpoint set is an int64
 bitmask (K <= 63).  The valid-vote universe of the graph is indexed 0..M-1;
 each distinct-vote combination U picks u <= 16 of those votes, and a
-validator's vote subset is an int over those u positions.
+validator's vote subset is an int over those u positions.  `ProjectedTables`
+packs, per combination, u-bit vote masks per checkpoint (`sandwich`, `fin`)
+and per vote (`src_sandwich`: the votes that sandwich its source;
+`from_genesis`: the genesis-sourced votes), which the kernel's eligible-vote
+fixpoint reads.
 """
 
 from __future__ import annotations
@@ -144,10 +148,15 @@ class ProjectedTables:
 
     Row c of each (C, K) table holds, per checkpoint, the u-bit mask of the
     votes of combination c in that column of the GraphTables matrix.
+    `src_sandwich[c, j]` is the `sandwich` mask of vote j's source
+    checkpoint, and `from_genesis[c]` the mask of the genesis-sourced votes:
+    the kernel iterates justification on masks of votes with a justified
+    source, which read the checkpoints only through these two.
     """
 
     sandwich: np.ndarray       # (C, K) int64 vote masks
-    by_src: np.ndarray         # (C, K) int64
+    src_sandwich: np.ndarray   # (C, u) int64 vote masks
+    from_genesis: np.ndarray   # (C,) int64 vote mask
     fin: np.ndarray            # (C, K) int64
     cp_conflict: np.ndarray    # (K,) int64 checkpoint masks
     subset_slash: np.ndarray   # (C, 2**u) bool: does a vote subset hold a slashable pair
@@ -168,6 +177,8 @@ def project_tables(
         tables.sandwich_noanc if Mutation.DROP_ANCESTRY in mutation else tables.sandwich
     )
     pack = lambda mat: (mat[:, combos].astype(np.int64) @ weights).T    # (C, K)
+    sandwich = pack(sandwich_src)
+    src = tables.vote_src[combos]                                        # (C, u)
     pair = np.zeros((c, u, u), dtype=bool)
     if Mutation.DISABLE_E1 not in mutation:
         pair |= tables.pair_e1[combos[:, :, None], combos[:, None, :]]
@@ -182,8 +193,9 @@ def project_tables(
             (partners[:, i, None] & subsets) != 0
         )
     return ProjectedTables(
-        sandwich=pack(sandwich_src),
-        by_src=pack(tables.by_src),
+        sandwich=sandwich,
+        src_sandwich=np.take_along_axis(sandwich, src, axis=1),
+        from_genesis=(src == 0).astype(np.int64) @ weights,
         fin=pack(tables.fin),
         cp_conflict=tables.cp_conflict,
         subset_slash=subset_slash,

@@ -159,6 +159,34 @@ def test_counterexample_hits_match_reference(mutation):
         assert scan_states(rows, families, projected, 3, mode) == want, mode
 
 
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.label())
+def test_projection_matches_graph_tables(mutation):
+    # every packed mask, bit by bit, against the GraphTables matrices: bit i
+    # of src_sandwich[c, j] says vote i sandwiches vote j's source checkpoint
+    forests = [
+        BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)]),
+        BlockForest([Block("b1", 1, GENESIS), Block("b2", 2, "b1")]),
+        catalog_forest("forest"),
+    ]
+    for forest in forests:
+        tables = build_graph_tables(forest, "nonstrict", 2)
+        sandwich = (
+            tables.sandwich_noanc if Mutation.DROP_ANCESTRY in mutation else tables.sandwich
+        )
+        for u in range(4):
+            combos = all_combinations(len(tables.votes), u)
+            projected = project_tables(tables, combos, mutation)
+            for c, combo in enumerate(combos):
+                for j, vote in enumerate(combo):
+                    src = tables.vote_src[vote]
+                    assert (projected.from_genesis[c] >> j & 1) == (src == 0)
+                    for i, other in enumerate(combo):
+                        assert (projected.src_sandwich[c, j] >> i & 1) == sandwich[src, other]
+                        for cp in range(len(tables.checkpoints)):
+                            assert (projected.sandwich[c, cp] >> i & 1) == sandwich[cp, other]
+                            assert (projected.fin[c, cp] >> i & 1) == tables.fin[cp, other]
+
+
 def test_fixpoint_comparison_sees_a_support_cycle():
     # valid votes never form one (source slot < target slot), so a hand-made
     # table is the only way to make the two fixpoints differ: vote 0 has
@@ -166,7 +194,8 @@ def test_fixpoint_comparison_sees_a_support_cycle():
     # fixpoint justifies genesis alone, the greatest keeps 1 and 2.
     projected = ProjectedTables(
         sandwich=np.array([[0, 0b10, 0b01]]),
-        by_src=np.array([[0, 0b01, 0b10]]),
+        src_sandwich=np.array([[0b10, 0b01]]),
+        from_genesis=np.array([0]),
         fin=np.zeros((1, 3), dtype=np.int64),
         cp_conflict=np.zeros(3, dtype=np.int64),
         subset_slash=np.zeros((1, 4), dtype=bool),
@@ -175,6 +204,149 @@ def test_fixpoint_comparison_sees_a_support_cycle():
     families = quorum_families(2, 1, 2, 0, False)
     assert scan_states(rows, families, projected, 1, MODE_LFP_NE_GFP) == (0, 1)
     assert scan_states(rows, families, projected, 1, MODE_JUSTIFIED_NONGENESIS) == (-1, 1)
+
+
+# Hand-made combinations: a valid vote's source slot is below its target
+# slot, so real graphs never hold a support cycle and the two fixpoints of
+# every real row agree.  These tables draw each vote's source checkpoint and
+# sandwich column freely.  A combination is (sources, sandwich columns, fin
+# masks, subset_slash row): vote j has source checkpoint sources[j] and
+# sandwiches the checkpoints of the K-bit mask columns[j].
+
+
+def hand_made_tables(k, combos, cp_conflict):
+    """ProjectedTables of hand-made combinations over K checkpoints."""
+    sandwich = np.array(
+        [[sum(((col >> cp) & 1) << j for j, col in enumerate(cols)) for cp in range(k)]
+         for _, cols, _, _ in combos],
+        dtype=np.int64,
+    )
+    return ProjectedTables(
+        sandwich=sandwich,
+        src_sandwich=np.array(
+            [[sandwich[c, s] for s in src] for c, (src, _, _, _) in enumerate(combos)],
+            dtype=np.int64,
+        ).reshape(len(combos), -1),
+        from_genesis=np.array(
+            [sum(1 << j for j, s in enumerate(src) if s == 0) for src, _, _, _ in combos],
+            dtype=np.int64,
+        ),
+        fin=np.array([fin for _, _, fin, _ in combos], dtype=np.int64),
+        cp_conflict=np.array(cp_conflict, dtype=np.int64),
+        subset_slash=np.array([slash for _, _, _, slash in combos], dtype=bool),
+    )
+
+
+def hand_made_flags(k, combo, cp_conflict, row, n_validators, mutation):
+    """Every mode's verdict on one row, iterating checkpoint sets directly."""
+    src, cols, fin, slash = combo
+    sandwich = [sum(((col >> cp) & 1) << j for j, col in enumerate(cols)) for cp in range(k)]
+
+    def quorum(votes):
+        return quorum_met(sum(1 for m in row if int(m) & votes), n_validators, mutation)
+
+    def fixpoint(justified):
+        while True:
+            eligible = sum(1 << j for j, s in enumerate(src) if justified >> s & 1)
+            grown = 1 | sum(1 << cp for cp in range(k) if quorum(sandwich[cp] & eligible))
+            if grown == justified:
+                return justified
+            justified = grown
+
+    lfp = fixpoint(1)
+    finalized = 1 | sum(1 << cp for cp in range(k) if lfp >> cp & 1 and quorum(fin[cp]))
+    disagreement = any(
+        finalized >> a & 1 and finalized >> b & 1 and cp_conflict[a] >> b & 1
+        for a in range(k) for b in range(k)
+    )
+    slashable = sum(1 for m in row if slash[int(m)])
+    return {
+        MODE_COUNTEREXAMPLE: disagreement and 3 * slashable < n_validators,
+        MODE_FINALIZED_NONGENESIS: finalized > 1,
+        MODE_JUSTIFIED_NONGENESIS: lfp > 1,
+        MODE_CONFLICTING_FINALIZED: disagreement,
+        MODE_LFP_NE_GFP: lfp != fixpoint((1 << k) - 1),
+    }
+
+
+def check_hand_made_scan(k, combos, cp_conflict, n_validators, max_votes, quorum_half,
+                         mode, limit=None, pair_batch=None):
+    """Compare scan_states on hand-made tables with a row-by-row reference loop."""
+    u = len(combos[0][0])
+    rows, _, _ = state_table(u, n_validators, max_votes, 0)
+    families = quorum_families(u, n_validators, max_votes, 0, quorum_half)
+    mutation = Mutation.QUORUM_HALF if quorum_half else Mutation.NONE
+    total = len(combos) * rows.shape[0]
+    expected, scanned = -1, (total if limit is None else min(total, limit))
+    for flat in range(scanned):
+        combo, row = combos[flat // rows.shape[0]], rows[flat % rows.shape[0]]
+        if hand_made_flags(k, combo, cp_conflict, row, n_validators, mutation)[mode]:
+            expected, scanned = flat, flat + 1
+            break
+    projected = hand_made_tables(k, combos, cp_conflict)
+    with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch or kernels._PAIR_BATCH):
+        got = scan_states(rows, families, projected, n_validators, mode, limit)
+    assert got == (expected, scanned), (mode, limit, pair_batch)
+    return expected
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_scan_matches_checkpoint_set_reference_on_hand_made_tables(data):
+    k = data.draw(st.integers(2, 6), label="K")
+    u = data.draw(st.integers(0, 4), label="u")
+    n_validators = data.draw(st.integers(1, 3), label="N")
+    max_votes = data.draw(st.integers(u, min(u * n_validators, 6)), label="max_votes")
+    combos = data.draw(st.lists(st.tuples(
+        st.lists(st.integers(0, k - 1), min_size=u, max_size=u),
+        st.lists(st.integers(0, 2**k - 1), min_size=u, max_size=u),
+        st.lists(st.integers(0, 2**u - 1), min_size=k, max_size=k),
+        st.lists(st.booleans(), min_size=2**u, max_size=2**u),
+    ), min_size=1, max_size=3), label="combinations")
+    cp_conflict = data.draw(
+        st.lists(st.integers(0, 2**k - 1), min_size=k, max_size=k), label="cp_conflict"
+    )
+    quorum_half = data.draw(st.booleans(), label="quorum_half")
+    rows = state_table(u, n_validators, max_votes, 0)[0].shape[0]
+    limit = data.draw(st.none() | st.integers(0, len(combos) * rows + 2), label="limit")
+    pair_batch = data.draw(st.sampled_from([1, 5, 1024, None]), label="pair batch")
+    for mode in ALL_MODES:
+        check_hand_made_scan(k, combos, cp_conflict, n_validators, max_votes, quorum_half,
+                             mode, limit, pair_batch)
+
+
+NO_SLASH = [False] * 16
+
+
+@pytest.mark.parametrize(
+    "k,combos,n_validators",
+    [
+        # two votes each sandwiching the other's source
+        (3, [([1, 2], [0b100, 0b010], [0, 0, 0], NO_SLASH[:4])], 1),
+        # one vote sandwiching its own source, behind a combination without a cycle
+        (3, [([0], [0b010], [0, 0, 0], NO_SLASH[:2]), ([1], [0b010], [0, 0, 0], NO_SLASH[:2])],
+         1),
+        # a justified genesis chain beside a cycle, which also finalizes a fork
+        (4, [([0, 2, 3], [0b0010, 0b1000, 0b0100], [0, 0b100, 0b010, 0], NO_SLASH[:8])], 2),
+        # a three-vote cycle that a quorum of two of three validators must close
+        (4, [([1, 2, 3], [0b0100, 0b1000, 0b0010], [0, 0, 0, 0], NO_SLASH[:8])], 3),
+    ],
+    ids=["two-cycle", "self-support", "cycle-beside-chain", "three-cycle-N3"],
+)
+def test_support_cycles_separate_the_fixpoints(k, combos, n_validators):
+    cp_conflict = [0] * k
+    cp_conflict[1], cp_conflict[2] = 0b100, 0b010
+    u = len(combos[0][0])
+    for mode in ALL_MODES:
+        for quorum_half in (False, True):
+            first = check_hand_made_scan(
+                k, combos, cp_conflict, n_validators, u * n_validators, quorum_half, mode
+            )
+            if mode == MODE_LFP_NE_GFP:
+                assert first >= 0
+            for pair_batch in (1, 5):
+                check_hand_made_scan(k, combos, cp_conflict, n_validators, u * n_validators,
+                                     quorum_half, mode, pair_batch=pair_batch)
 
 
 def test_empty_scan():

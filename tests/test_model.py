@@ -112,6 +112,18 @@ def test_conflict_symmetry_and_irreflexivity():
                 assert are_conflicting(forest, a, b) == are_conflicting(forest, b, a)
 
 
+def test_forest_reports_parents_and_cycles():
+    with pytest.raises(InputError, match="block 'b2' has 2 parents"):
+        BlockForest([Block("b1", 1, GENESIS), Block("b2", 2, "b1"), Block("b2", 2, GENESIS)])
+    with pytest.raises(InputError, match="duplicate block id 'r1'"):
+        BlockForest([Block("r1", 1), Block("r1", 2)])
+    # a cycle is reported before the slot clash and the duplicate row it needs
+    with pytest.raises(InputError, match="cycle detected through block"):
+        BlockForest([Block("b1", 1, GENESIS), Block("b2", 2, "b1"), Block("b1", 1, "b2")])
+    with pytest.raises(InputError, match="cycle detected through block 'b1'"):
+        BlockForest([Block("b1", 1, "b1")])
+
+
 def test_forest_invariants():
     with pytest.raises(InputError):
         BlockForest([Block("b1", 0, GENESIS)])  # slot not above parent
