@@ -5,7 +5,6 @@ from .enumerator import (
     SearchReport,
     check_lfp_gfp,
     enumerate_forests,
-    enumerate_states,
     find_example,
     forest_count,
     search,

@@ -82,7 +82,6 @@ def _bounds_from_args(args) -> Bounds:
         slot_rule=args.slot_rule,
         slot_mode=args.slot_mode,
         graph_filter=args.graph,
-        n_checkpoints=args.smt_checkpoints,
     )
 
 
@@ -208,7 +207,7 @@ def cmd_example(args) -> int:
 
 def cmd_emit_smt(args) -> int:
     bounds = _bounds_from_args(args)
-    instance = emit_smt(bounds, args.query, parse_mutation(args.mutation))
+    instance = emit_smt(bounds, args.query, parse_mutation(args.mutation), args.smt_checkpoints)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(instance.text)
@@ -219,7 +218,7 @@ def cmd_emit_smt(args) -> int:
 
 def cmd_solve(args) -> int:
     bounds = _bounds_from_args(args)
-    instance = emit_smt(bounds, args.query, parse_mutation(args.mutation))
+    instance = emit_smt(bounds, args.query, parse_mutation(args.mutation), args.smt_checkpoints)
     result = run_solver(instance, args.solver_cmd, args.timeout)
     doc = {"status": result.status, "query": instance.query}
     if result.detail:
@@ -266,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bounds_flags(p)
     p.add_argument("--mutation", default="none")
     p.add_argument("--budget", type=int, default=None, help="max states to check")
-    p.add_argument("--jobs", type=int, default=1, help="parallel graph units")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="processes scanning the plan's tasks (capped at the usable CPUs)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 

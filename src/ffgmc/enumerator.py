@@ -23,16 +23,32 @@ class is scanned, later ones reuse its counts, and within a unit only the
 kept combinations that are lexicographically minimal in their orbit under
 the unit's automorphisms are scanned.  Rows settled that way count as
 checked (and separately as symmetric), exactly as a scan would count them.
+
+`search`, `find_example` and `check_lfp_gfp` all run one scan plan
+(`_plan`): every unit in canonical order, where the first unit of each
+class is either settled whole or split into scan tasks of at most
+`_BOUND_CHUNK` combinations of one distinct-vote count.  The calling process
+claims and scans tasks itself, and with jobs > 1 forked helpers claim them
+too; results fold in plan order (`_fold`), so every report equals the
+single-process one.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import itertools
+import mmap
+import multiprocessing
+import multiprocessing.synchronize
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+import traceback
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import comb
-from typing import Iterator, Optional
+from multiprocessing import connection
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -61,6 +77,7 @@ from .symmetry import automorphisms, orbit_minimal, unit_key
 from .tables import (
     GraphTables,
     build_graph_tables,
+    check_level,
     min_signers_for_quorum,
     project_tables,
     quorum_families,
@@ -94,7 +111,7 @@ class Bounds:
     checkpoint slots of the candidate universe, `max_ffg_votes` caps distinct
     FFG votes and `max_votes` total signed votes.  Omitted caps default to
     max_slot = n_blocks, max_chkp_slot = n_blocks + 1, max_ffg_votes =
-    max_votes.  `n_checkpoints` only shapes emitted SMT instances.
+    max_votes.
     """
 
     n_blocks: int
@@ -106,7 +123,6 @@ class Bounds:
     slot_rule: str = "strict"
     slot_mode: str = "depth"
     graph_filter: Optional[str] = None
-    n_checkpoints: Optional[int] = None
 
     def __post_init__(self):
         if self.max_ffg_votes is None:
@@ -119,8 +135,6 @@ class Bounds:
                      "max_chkp_slot"):
             if getattr(self, name) is not None and getattr(self, name) < 0:
                 raise InputError(f"{name} must be non-negative")
-        if self.n_checkpoints is not None and self.n_checkpoints < 1:
-            raise InputError("n_checkpoints must be positive")
         if self.n_validators < 1:
             raise InputError("n_validators must be positive")
         if self.slot_rule not in ("strict", "nonstrict"):
@@ -254,17 +268,72 @@ def _unit_total_states(bounds: Bounds, tables: GraphTables, min_signers: int) ->
 
 
 @dataclass(frozen=True)
-class _UnitResult:
-    checked: int
-    pruned: int        # rows not scanned, bounded ones included
-    bounded: int       # rows of combinations the monotone bound dropped
-    symmetric: int     # checked rows settled by symmetry rather than scanned
+class _Counts:
+    """Rows of one scan task, or of a settled unit, up to its hit or budget cut."""
+
+    checked: int = 0
+    pruned: int = 0      # rows not scanned, bounded ones included
+    bounded: int = 0     # rows of combinations the monotone bound dropped
+    symmetric: int = 0   # checked rows settled by symmetry rather than scanned
     hit: Optional[tuple] = None  # (u, combo, row masks)
-    exhausted_budget: bool = False
+    cut: bool = False            # the budget ran out inside
+
+    def __add__(self, other: _Counts) -> _Counts:
+        return _Counts(
+            self.checked + other.checked,
+            self.pruned + other.pruned,
+            self.bounded + other.bounded,
+            self.symmetric + other.symmetric,
+            other.hit,
+            other.cut,
+        )
 
 
-_BOUND_CHUNK = 4096
+_BOUND_CHUNK = 4096  # most combinations in one scan task
 _COMBO_BATCH = 256   # most combinations projected and scanned in one call
+_INT64_COMBOS = 1 << 62  # levels with more combinations are split on their first vote
+
+
+@lru_cache(maxsize=None)
+def _binomials(m: int, u: int) -> np.ndarray:
+    """(u + 1, m) table of C(y, k), capped at the int64 maximum."""
+    cap = (1 << 63) - 1
+    return np.array(
+        [[min(comb(y, k), cap) for y in range(m)] for k in range(u + 1)], dtype=np.int64
+    ).reshape(u + 1, m)
+
+
+def _combinations(m: int, u: int, start: int, count: int) -> np.ndarray:
+    """The size-u combinations of range(m) of lexicographic ranks start ..
+    start + count - 1, as a (count, u) array, by the combinatorial number
+    system: rank r of c_0 < ... < c_{u-1} has
+    C(m, u) - 1 - r = sum_k C(m - 1 - c_{u-k}, k) over k = u .. 1, so each
+    element is one search in a column of binomials.  A level too large for
+    int64 ranks is split on its first element, whose value a fixes a block
+    of C(m - 1 - a, u - 1) consecutive ranks.
+    """
+    if u and comb(m, u) > _INT64_COMBOS:
+        parts = [np.zeros((0, u), dtype=np.int64)]
+        first = 0
+        while count:
+            block = comb(m - 1 - first, u - 1)
+            if start < block:
+                n = min(count, block - start)
+                rest = _combinations(m - 1 - first, u - 1, start, n) + first + 1
+                parts.append(np.column_stack([np.full(n, first, dtype=np.int64), rest]))
+                start, count = 0, count - n
+            else:
+                start -= block
+            first += 1
+        return np.concatenate(parts)
+    table = _binomials(m, u)
+    rest = comb(m, u) - 1 - np.arange(start, start + count, dtype=np.int64)
+    out = np.empty((count, u), dtype=np.int64)
+    for k in range(u, 0, -1):
+        y = np.searchsorted(table[k], rest, side="right") - 1
+        out[:, u - k] = m - 1 - y
+        rest -= table[k][y]
+    return out
 
 
 def _vote_permutations(tables: GraphTables) -> np.ndarray:
@@ -277,128 +346,115 @@ def _vote_permutations(tables: GraphTables) -> np.ndarray:
     return np.array(perms, dtype=np.int64).reshape(len(perms), len(tables.votes))
 
 
-def _kept_combinations(
-    tables: GraphTables, u: int, mode: int, mutation: Mutation, perms: np.ndarray
+@dataclass(frozen=True)
+class _Unit:
+    """A scanned unit's tables and its automorphisms as vote permutations
+    (None for a unit settled without a scan)."""
+
+    tables: GraphTables
+    perms: Optional[np.ndarray]
+
+
+def _kept_batches(
+    unit: _Unit, u: int, lo: int, hi: int, mode: int, drop_ancestry: bool
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(positions, combinations, minimal) of the size-u vote combinations the
-    monotone bound keeps, in canonical order; positions count every
-    combination, and `minimal` marks the kept combinations that are
-    lexicographically minimal in their orbit under `perms`, the only ones
-    scanned.
+    """(positions, combinations, minimal) batches of the size-u vote
+    combinations of ranks lo .. hi - 1 that the monotone bound keeps, in
+    canonical order; positions are ranks, and `minimal` marks the kept
+    combinations that are lexicographically minimal in their orbit under
+    the unit's automorphisms, the only ones scanned.
 
-    The bound runs over fixed-size chunks so memory stays flat however many
-    combinations the unit has; the lfp/gfp comparison has no bound and keeps
-    every combination.  The orbit filter runs after the bound, which is
-    relabelling-invariant.  Batches hold 1, 2, 4, ... up to `_COMBO_BATCH`
-    minimal combinations, so a hit early in the unit costs at most about
-    twice the scan up to its own combination.
+    The lfp/gfp comparison has no bound and keeps every combination.  The
+    orbit filter runs after the bound, which is relabelling-invariant.
+    From the start of a level, batches hold 1, 2, 4, ... up to
+    `_COMBO_BATCH` minimal combinations, so a hit early in a unit costs at
+    most about twice the scan up to its own combination.
     """
-    n_combos = comb(len(tables.votes), u)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(len(tables.votes)), u))
-    drop_ancestry = Mutation.DROP_ANCESTRY in mutation
-    positions = np.zeros(0, dtype=np.int64)
-    combos = np.zeros((0, u), dtype=np.int64)
-    minimal = np.zeros(0, dtype=bool)
-    size = 1
-    lo = 0
-    while lo < n_combos:
-        n = min(size if mode == MODE_LFP_NE_GFP else _BOUND_CHUNK, n_combos - lo)
-        chunk = np.fromiter(
-            itertools.islice(flat, n * u), dtype=np.int64, count=n * u
-        ).reshape(n, u)
-        if mode == MODE_LFP_NE_GFP:
-            keep = np.arange(n)
-        else:
-            keep = np.flatnonzero(bound_combinations(tables, chunk, mode, drop_ancestry))
-        positions = np.concatenate([positions, lo + keep])
-        combos = np.concatenate([combos, chunk[keep]])
-        minimal = np.concatenate([minimal, orbit_minimal(chunk[keep], perms)])
-        lo += n
-        while True:
-            ends = np.flatnonzero(minimal)
-            if ends.size < size:
-                break
-            end = int(ends[size - 1]) + 1
-            yield positions[:end], combos[:end], minimal[:end]
-            positions, combos, minimal = positions[end:], combos[end:], minimal[end:]
-            size = min(2 * size, _COMBO_BATCH)
-    if positions.size:
-        yield positions, combos, minimal
+    chunk = _combinations(len(unit.tables.votes), u, lo, hi - lo)
+    if mode == MODE_LFP_NE_GFP:
+        keep = np.arange(hi - lo)
+    else:
+        keep = np.flatnonzero(bound_combinations(unit.tables, chunk, mode, drop_ancestry))
+    positions, combos = lo + keep, chunk[keep]
+    minimal = orbit_minimal(combos, unit.perms)
+    ends = np.flatnonzero(minimal) + 1
+    begin, taken, size = 0, 0, 1 if lo == 0 else _COMBO_BATCH
+    while begin < positions.size:
+        end = int(ends[taken + size - 1]) if taken + size <= ends.size else positions.size
+        yield positions[begin:end], combos[begin:end], minimal[begin:end]
+        begin, taken, size = end, taken + size, min(2 * size, _COMBO_BATCH)
 
 
-def _scan_unit(
-    bounds: Bounds,
-    mutation: Mutation,
-    forest: BlockForest,
-    mode: int,
-    min_signers: int,
-    budget_left: Optional[int] = None,
-) -> tuple[_UnitResult, GraphTables]:
-    tables = build_graph_tables(forest, bounds.slot_rule, _chkp_bound(bounds, forest))
-    vacuity_modes = (MODE_COUNTEREXAMPLE, MODE_CONFLICTING_FINALIZED)
-    if mode in vacuity_modes and not tables.has_conflict:
-        total = _unit_total_states(bounds, tables, min_signers)
-        return _UnitResult(checked=0, pruned=total, bounded=0, symmetric=0), tables
-    perms = _vote_permutations(tables)
-    quorum_half = Mutation.QUORUM_HALF in mutation
+def _scan_range(
+    plan: _Plan,
+    unit: _Unit,
+    u: int,
+    lo: int,
+    hi: int,
+    limit: Optional[int] = None,
+    stopped: Optional[Callable[[], bool]] = None,
+) -> Optional[_Counts]:
+    """Scan the size-u combinations of ranks lo .. hi - 1 of a unit in order.
+
+    `limit` caps the checked rows (the budget left).  `stopped` is polled
+    between batches; a scan it stops returns None.
+    """
+    bounds = plan.bounds
+    states, rows_pruned, total_rows = state_table(
+        u, bounds.n_validators, bounds.max_votes, plan.min_signers
+    )
+    n_rows = states.shape[0]
+    drop_ancestry = Mutation.DROP_ANCESTRY in plan.mutation
     checked = pruned = bounded = symmetric = 0
-    for u in _distinct_vote_range(bounds, len(tables.votes)):
-        states, rows_pruned, total_rows = state_table(
-            u, bounds.n_validators, bounds.max_votes, min_signers
-        )
-        n_rows = states.shape[0]
-        families = None
-        visited = 0
-        for positions, combos, minimal in _kept_combinations(tables, u, mode, mutation, perms):
-            # hit and scanned count the rows of the whole batch in scan order;
-            # only the minimal combinations (`scan`) reach the kernel
-            rows = positions.size * n_rows
-            limit = None if budget_left is None else budget_left - checked
-            hit, scanned = -1, rows if limit is None else min(rows, limit)
-            scan = np.flatnonzero(minimal)
-            scan_limit = None
-            if scanned < rows:
-                # the budget runs out in combination `cut_at`, after `part` rows
-                cut_at, part = divmod(scanned, n_rows)
-                before = int(np.searchsorted(scan, cut_at))
-                in_scan = before < scan.size and scan[before] == cut_at
-                scan_limit = before * n_rows + (part if in_scan else 0)
-            scanned_rows = 0
-            if n_rows and scan.size and scan_limit != 0:
-                if families is None:
-                    families = quorum_families(
-                        u, bounds.n_validators, bounds.max_votes, min_signers, quorum_half
-                    )
-                projected = project_tables(tables, combos[scan], mutation)
-                scan_hit, scanned_rows = scan_states(
-                    states, families, projected, bounds.n_validators, mode, scan_limit
-                )
-                if scan_hit >= 0:
-                    hit = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
-                    scanned = hit + 1
-            checked += scanned
-            symmetric += scanned - scanned_rows
-            # the rows of the batch's combinations up to the hit or budget cut
-            cut = scanned < rows
-            last = (hit if hit >= 0 else scanned) // n_rows if cut else positions.size - 1
-            skipped = int(positions[last]) - visited - last  # combinations the bound dropped
-            bounded += skipped * n_rows
-            pruned += skipped * total_rows + (last + 1) * rows_pruned
-            visited = int(positions[last]) + 1
-            if hit >= 0:
-                combo = tuple(int(x) for x in combos[last])
-                masks = tuple(int(x) for x in states[hit % n_rows])
-                return _UnitResult(
-                    checked, pruned, bounded, symmetric, hit=(u, combo, masks)
-                ), tables
-            if cut:
-                return _UnitResult(
-                    checked, pruned, bounded, symmetric, exhausted_budget=True
-                ), tables
-        skipped = comb(len(tables.votes), u) - visited
+    visited = lo
+    for positions, combos, minimal in _kept_batches(unit, u, lo, hi, plan.mode, drop_ancestry):
+        if stopped is not None and stopped():
+            return None
+        # hit and scanned count the rows of the whole batch in scan order;
+        # only the minimal combinations (`scan`) reach the kernel
+        rows = positions.size * n_rows
+        left = None if limit is None else limit - checked
+        hit, scanned = -1, rows if left is None else min(rows, left)
+        scan = np.flatnonzero(minimal)
+        scan_limit = None
+        if scanned < rows:
+            # the budget runs out in combination `cut_at`, after `part` rows
+            cut_at, part = divmod(scanned, n_rows)
+            before = int(np.searchsorted(scan, cut_at))
+            in_scan = before < scan.size and scan[before] == cut_at
+            scan_limit = before * n_rows + (part if in_scan else 0)
+        scanned_rows = 0
+        if n_rows and scan.size and scan_limit != 0:
+            families = quorum_families(
+                u, bounds.n_validators, bounds.max_votes, plan.min_signers,
+                Mutation.QUORUM_HALF in plan.mutation,
+            )
+            projected = project_tables(unit.tables, combos[scan], plan.mutation)
+            scan_hit, scanned_rows = scan_states(
+                states, families, projected, bounds.n_validators, plan.mode, scan_limit
+            )
+            if scan_hit >= 0:
+                hit = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
+                scanned = hit + 1
+        checked += scanned
+        symmetric += scanned - scanned_rows
+        # the rows of the batch's combinations up to the hit or budget cut
+        cut = scanned < rows
+        last = (hit if hit >= 0 else scanned) // n_rows if cut else positions.size - 1
+        skipped = int(positions[last]) - visited - last  # combinations the bound dropped
         bounded += skipped * n_rows
-        pruned += skipped * total_rows
-    return _UnitResult(checked, pruned, bounded, symmetric), tables
+        pruned += skipped * total_rows + (last + 1) * rows_pruned
+        visited = int(positions[last]) + 1
+        if hit >= 0:
+            combo = tuple(int(x) for x in combos[last])
+            masks = tuple(int(x) for x in states[hit % n_rows])
+            return _Counts(checked, pruned, bounded, symmetric, hit=(u, combo, masks))
+        if cut:
+            return _Counts(checked, pruned, bounded, symmetric, cut=True)
+    skipped = hi - visited
+    return _Counts(
+        checked, pruned + skipped * total_rows, bounded + skipped * n_rows, symmetric
+    )
 
 
 def materialize_state(
@@ -415,52 +471,281 @@ def materialize_state(
     )
 
 
-def enumerate_states(bounds: Bounds, forest: BlockForest) -> Iterator[ProtocolState]:
-    """All states over `forest` within bounds, in canonical scan order."""
-    for slotted in _slot_variants(forest, bounds):
-        tables = build_graph_tables(slotted, bounds.slot_rule, _chkp_bound(bounds, slotted))
-        for u in _distinct_vote_range(bounds, len(tables.votes)):
-            states, _, _ = state_table(u, bounds.n_validators, bounds.max_votes, 0)
-            for combo in itertools.combinations(range(len(tables.votes)), u):
-                for row in states:
-                    yield materialize_state(
-                        bounds, tables, combo, tuple(int(x) for x in row)
-                    )
+_VACUITY_MODES = (MODE_COUNTEREXAMPLE, MODE_CONFLICTING_FINALIZED)
 
 
-def _unit_task(args):
-    bounds, mutation_value, forest, mode, min_signers = args
-    result, tables = _scan_unit(bounds, Mutation(mutation_value), forest, mode, min_signers)
-    return result, tables if result.hit else None
+@dataclass
+class _Plan:
+    """Every unit of a run in canonical order, and the scan tasks of the
+    first unit of each isomorphism class.
+
+    A class's first unit is settled whole when it is vacuous (a safety mode
+    and no conflicting block pair: its rows are counted, not scanned), and
+    is otherwise split into tasks of at most `_BOUND_CHUNK` combinations of
+    one distinct-vote count u, numbered in canonical order.  Later units of
+    a class reuse its counts.
+
+    The plan ends at the first level whose tables are over a size limit
+    (`refusal`: that unit and its error).  No task lies past it, so a run
+    whose hit or budget cut comes first ends as before, and one that reaches
+    it is refused there.
+    """
+
+    bounds: Bounds
+    mutation: Mutation
+    mode: int
+    min_signers: int
+    units: list[BlockForest]
+    keys: list[tuple]
+    reps: dict[int, _Unit] = field(default_factory=dict)    # first unit of each class
+    tasks: dict[int, range] = field(default_factory=dict)   # task numbers of a scanned one
+    levels: list[tuple[int, int]] = field(default_factory=list)  # (unit, u) per level
+    starts: list[int] = field(default_factory=list)         # first task of each level
+    n_tasks: int = 0
+    refusal: Optional[tuple[int, InputError]] = None
+
+    def task(self, i: int) -> tuple[_Unit, int, int, int]:
+        """(unit, u, lo, hi): task i scans the size-u combinations of ranks lo .. hi - 1."""
+        level = bisect.bisect_right(self.starts, i) - 1
+        index, u = self.levels[level]
+        unit = self.reps[index]
+        lo = (i - self.starts[level]) * _BOUND_CHUNK
+        return unit, u, lo, min(lo + _BOUND_CHUNK, comb(len(unit.tables.votes), u))
+
+
+def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _Plan:
+    """Build the scan plan, up to the first level over a size limit."""
+    units = list(iter_units(bounds))
+    plan = _Plan(bounds, mutation, mode, min_signers, units, [unit_key(f) for f in units])
+    seen, checked_levels = set(), set()
+    for index, (forest, key) in enumerate(zip(units, plan.keys)):
+        if key in seen:
+            continue
+        seen.add(key)
+        first = plan.n_tasks
+        try:
+            tables = build_graph_tables(forest, bounds.slot_rule, _chkp_bound(bounds, forest))
+            scanned = mode not in _VACUITY_MODES or tables.has_conflict
+            plan.reps[index] = _Unit(tables, _vote_permutations(tables) if scanned else None)
+            for u in _distinct_vote_range(bounds, len(tables.votes)):
+                if (u, scanned) not in checked_levels:
+                    check_level(u, bounds.n_validators, bounds.max_votes, min_signers, scanned)
+                    checked_levels.add((u, scanned))
+                if scanned:
+                    plan.levels.append((index, u))
+                    plan.starts.append(plan.n_tasks)
+                    plan.n_tasks += -(-comb(len(tables.votes), u) // _BOUND_CHUNK)
+        except InputError as error:
+            # the refused unit keeps the tasks of its levels that fit
+            plan.tasks[index] = range(first, plan.n_tasks)
+            plan.refusal = (index, error)
+            return plan
+        if scanned:
+            plan.tasks[index] = range(first, plan.n_tasks)
+    return plan
+
+
+_NO_STOP = (1 << 63) - 1
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _start_helper(ctx, tasks: _Tasks, writer) -> multiprocessing.process.BaseProcess:
+    helper = ctx.Process(target=_help, args=(tasks, writer), daemon=True)
+    helper.start()
+    return helper
+
+
+def _help(tasks: _Tasks, writer) -> None:
+    """A helper process: claim tasks in plan order, send back their counts."""
+    while True:
+        i = tasks.claim()
+        if i is None:
+            return
+        try:
+            counts = tasks.scan(i)
+        except Exception:
+            writer.send((i, traceback.format_exc()))
+            return
+        if counts is not None:
+            writer.send((i, counts))
+
+
+class _Tasks:
+    """The plan's scan tasks, claimed in plan order by the calling process and
+    by forked helpers.  They share the next task to claim and the stop index:
+    the lowest task known to end the run (a hit or a budget cut).  No task
+    past it is claimed, and a running one is abandoned between batches.
+    """
+
+    def __init__(self, plan: _Plan):
+        self.plan = plan
+        self.shared, self.lock = [0, _NO_STOP], contextlib.nullcontext()
+        self.done: dict[int, object] = {}   # task -> counts, or a helper's traceback
+        self.helpers: list = []
+        self.readers: list = []             # result pipes of helpers still running
+
+    def fork(self, jobs: int) -> None:
+        """Start min(jobs, usable CPUs) - 1 helpers, none if one task or less."""
+        n_helpers = min(jobs, _usable_cpus(), self.plan.n_tasks) - 1
+        if n_helpers < 1:
+            return
+        ctx = multiprocessing.get_context("fork")
+        shared = memoryview(mmap.mmap(-1, 16)).cast("q")   # anonymous, so inherited
+        shared[0], shared[1] = self.shared
+        self.shared, self.lock = shared, ctx.Lock()
+        for _ in range(n_helpers):
+            reader, writer = ctx.Pipe(duplex=False)
+            self.readers.append(reader)
+            self.helpers.append(_start_helper(ctx, self, writer))
+            writer.close()
+
+    def claim(self) -> Optional[int]:
+        with self.lock:
+            i = self.shared[0]
+            if i >= self.plan.n_tasks or i > self.shared[1]:
+                return None
+            self.shared[0] = i + 1
+        return i
+
+    def stop(self, i: int) -> None:
+        with self.lock:
+            self.shared[1] = min(self.shared[1], i)
+
+    def scan(self, i: int, limit: Optional[int] = None) -> Optional[_Counts]:
+        counts = _scan_range(
+            self.plan, *self.plan.task(i), limit, stopped=lambda: self.shared[1] < i
+        )
+        if counts is not None and counts.hit is not None:
+            self.stop(i)
+        return counts
+
+    def result(self, i: int, limit: Optional[int]) -> _Counts:
+        """Task i's counts; tasks are claimed and scanned here until it is
+        done.  Task i itself is scanned here with `limit`, the others without."""
+        while i not in self.done:
+            self._receive(0)
+            if i in self.done:
+                break
+            j = self.claim()
+            if j is not None:
+                counts = self.scan(j, limit if j == i else None)
+                if counts is not None:
+                    self.done[j] = counts
+            elif self.readers:
+                self._receive(None)
+            else:
+                raise RuntimeError(f"scan task {i} was lost: its helper exited without a result")
+        counts = self.done.pop(i)
+        if isinstance(counts, str):
+            raise RuntimeError(f"scan task {i} failed in a helper process:\n{counts}")
+        return counts
+
+    def _receive(self, timeout: Optional[float]) -> None:
+        if not self.readers:
+            return
+        for reader in connection.wait(self.readers, timeout):
+            try:
+                i, counts = reader.recv()
+            except EOFError:
+                self.readers.remove(reader)
+                reader.close()
+            else:
+                self.done[i] = counts
+
+    def close(self) -> None:
+        """Stop and reap the helpers; the task each was running is abandoned."""
+        for helper in self.helpers:
+            helper.kill()
+        for helper in self.helpers:
+            helper.join()
+        for reader in self.readers:
+            reader.close()
+        self.helpers, self.readers = [], []
 
 
 @dataclass
 class _RunResult:
-    """Unit results folded in canonical order, up to the first hit or budget cut."""
+    """Counts folded in canonical order, up to the first hit or budget cut."""
 
     checked: int = 0
     pruned: int = 0
     bounded: int = 0
     symmetric: int = 0
     graphs: int = 0
-    hit: Optional[tuple] = None            # (u, combo, row masks)
-    tables: Optional[GraphTables] = None   # tables of the hit's unit
+    hit: Optional[tuple] = None     # (u, combo, row masks)
+    unit: Optional[_Unit] = None    # the hit's unit
     exhausted: bool = False
 
-    def add(self, result: _UnitResult, tables: Optional[GraphTables]) -> bool:
-        """Fold in the next unit; True when the run stops there."""
-        self.graphs += 1
-        self.checked += result.checked
-        self.pruned += result.pruned
-        self.bounded += result.bounded
-        self.symmetric += result.symmetric
-        self.hit = result.hit
-        self.tables = tables if result.hit is not None else None
-        self.exhausted = result.exhausted_budget
-        return self.hit is not None or self.exhausted
+    def add(self, counts: _Counts) -> bool:
+        """Fold in the next counts; True when the run stops there."""
+        self.checked += counts.checked
+        self.pruned += counts.pruned
+        self.bounded += counts.bounded
+        self.symmetric += counts.symmetric
+        self.hit, self.exhausted = counts.hit, counts.cut
+        return counts.hit is not None or counts.cut
 
 
-def _run_units(
+def _fold(plan: _Plan, tasks: _Tasks, budget: Optional[int]) -> _RunResult:
+    """Fold the plan in canonical order, stopping at the first hit or budget cut.
+
+    The task being folded is scanned with the budget left as the kernel's
+    limit, tasks scanned ahead without one; a task whose checked rows exceed
+    the budget left is scanned again with the limit, so the cut lands on the
+    row a sequential scan would stop at.  A later unit of a class reuses the
+    class's counts when the budget left covers them (no tables are built for
+    it); otherwise its class's tasks are scanned for real, on its own tables.
+    The plan's refusal is raised when the fold reaches it.
+    """
+    run = _RunResult()
+    memo: dict[tuple, tuple[int, _Counts]] = {}   # class key -> (first unit, its counts)
+    for index, key in enumerate(plan.keys):
+        run.graphs += 1
+        if index in plan.tasks:
+            total = _Counts()
+            for i in plan.tasks[index]:
+                left = None if budget is None else budget - run.checked
+                counts = tasks.result(i, left)
+                if left is not None and counts.checked > left:
+                    tasks.stop(i)
+                    counts = _scan_range(plan, *plan.task(i), limit=left)
+                total += counts
+                if run.add(counts):
+                    run.unit = plan.reps[index]
+                    return run
+            if plan.refusal is not None and plan.refusal[0] == index:
+                raise plan.refusal[1]
+            memo[key] = (index, total)
+        elif index in plan.reps:
+            tables = plan.reps[index].tables
+            counts = _Counts(pruned=_unit_total_states(plan.bounds, tables, plan.min_signers))
+            memo[key] = (index, counts)
+            run.add(counts)
+        else:
+            first, known = memo[key]
+            if budget is None or budget - run.checked >= known.checked:
+                run.add(replace(known, symmetric=known.checked))
+                continue
+            forest = plan.units[index]
+            tables = build_graph_tables(
+                forest, plan.bounds.slot_rule, _chkp_bound(plan.bounds, forest)
+            )
+            unit = _Unit(tables, _vote_permutations(tables))
+            for i in plan.tasks[first]:
+                _, u, lo, hi = plan.task(i)
+                if run.add(_scan_range(plan, unit, u, lo, hi, limit=budget - run.checked)):
+                    run.unit = unit
+                    return run
+    return run
+
+
+def _run(
     bounds: Bounds,
     mutation: Mutation,
     mode: int,
@@ -468,56 +753,18 @@ def _run_units(
     budget: Optional[int],
     jobs: int,
 ) -> _RunResult:
-    """Scan units in canonical order, stopping at the first hit.
-
-    Only the first unit of each isomorphism class (`unit_key`) is scanned
-    for sure.  Its counts, once it finishes with no hit and no budget cut,
-    settle every later unit of the class that the budget left would not cut
-    (no tables are built for those); a unit the budget may cut is scanned.
-
-    With jobs > 1 a budget forces sequential execution so mid-unit budget
-    cuts stay reproducible; otherwise the pool scans one unit per class.
-    Units still queued when a pool run stops are cancelled; those already
-    running finish and are discarded.
-    """
+    """Plan the run, then fold it with the calling process and jobs - 1 helpers."""
     if budget is not None and budget < 0:
         raise InputError("budget must be non-negative")
     if jobs < 1:
         raise InputError("jobs must be at least 1")
-    units = list(iter_units(bounds))
-    keys = [unit_key(forest) for forest in units]
-    memo: dict[tuple, _UnitResult] = {}   # class key -> counts of its scanned unit
-    run = _RunResult()
-
-    def fold(key, scan) -> bool:
-        budget_left = None if budget is None else budget - run.checked
-        known = memo.get(key)
-        if known is not None and (budget_left is None or budget_left >= known.checked):
-            return run.add(replace(known, symmetric=known.checked), None)
-        result, tables = scan(budget_left)
-        if result.hit is None and not result.exhausted_budget:
-            memo[key] = result
-        return run.add(result, tables)
-
-    if jobs > 1 and budget is None:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        try:
-            futures = {}   # class key -> the scan of the class's first unit
-            for key, forest in zip(keys, units):
-                if key not in futures:
-                    futures[key] = pool.submit(
-                        _unit_task, (bounds, mutation.value, forest, mode, min_signers)
-                    )
-            for key in keys:
-                if fold(key, lambda _: futures[key].result()):
-                    break
-        finally:
-            pool.shutdown(cancel_futures=True)
-        return run
-    for forest, key in zip(units, keys):
-        if fold(key, lambda left: _scan_unit(bounds, mutation, forest, mode, min_signers, left)):
-            break
-    return run
+    plan = _plan(bounds, mutation, mode, min_signers)
+    tasks = _Tasks(plan)
+    try:
+        tasks.fork(jobs)
+        return _fold(plan, tasks, budget)
+    finally:
+        tasks.close()
 
 
 def search(
@@ -529,12 +776,12 @@ def search(
     """Exhaust the bounded space or stop at the first (canonical) counterexample."""
     start = time.perf_counter()
     min_signers = min_signers_for_quorum(bounds.n_validators) if mutation == Mutation.NONE else 0
-    run = _run_units(bounds, mutation, MODE_COUNTEREXAMPLE, min_signers, budget, jobs)
+    run = _run(bounds, mutation, MODE_COUNTEREXAMPLE, min_signers, budget, jobs)
     wall = time.perf_counter() - start
     counterexample = None
     if run.hit is not None:
         u, combo, masks = run.hit
-        state = materialize_state(bounds, run.tables, combo, masks)
+        state = materialize_state(bounds, run.unit.tables, combo, masks)
         safety = accountable_safety(state, mutation)
         if safety.holds:
             raise RuntimeError(
@@ -573,13 +820,13 @@ def find_example(
             f"unknown property {property_name!r}; choose from {', '.join(PROPERTY_MODES)}"
         ) from None
     min_signers = min_signers_for_quorum(bounds.n_validators)
-    run = _run_units(bounds, Mutation.NONE, mode, min_signers, budget, jobs=1)
+    run = _run(bounds, Mutation.NONE, mode, min_signers, budget, jobs=1)
     if run.exhausted:
         raise SearchBudgetExceeded(run.checked)
     if run.hit is None:
         return None
     u, combo, masks = run.hit
-    return materialize_state(bounds, run.tables, combo, masks)
+    return materialize_state(bounds, run.unit.tables, combo, masks)
 
 
 @dataclass(frozen=True)
@@ -591,11 +838,11 @@ class FixpointReport:
 
 def check_lfp_gfp(bounds: Bounds, mutation: Mutation = Mutation.NONE) -> FixpointReport:
     """Compare least and greatest justification fixpoints over every state."""
-    run = _run_units(bounds, mutation, MODE_LFP_NE_GFP, min_signers=0, budget=None, jobs=1)
+    run = _run(bounds, mutation, MODE_LFP_NE_GFP, min_signers=0, budget=None, jobs=1)
     mismatch = None
     if run.hit is not None:
         u, combo, masks = run.hit
-        mismatch = materialize_state(bounds, run.tables, combo, masks)
+        mismatch = materialize_state(bounds, run.unit.tables, combo, masks)
     return FixpointReport(
         states_checked=run.checked, states_symmetric=run.symmetric, mismatch=mismatch
     )

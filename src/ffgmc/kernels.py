@@ -130,37 +130,37 @@ def bound_combinations(
     (justified-nongenesis).  `MODE_LFP_NE_GFP` compares two fixpoints of the
     same state, which is not monotone, and has no bound.
 
-    J and F are evaluated for all C combinations at once with matrix
-    products over the (K, M) tables; checkpoint 0 is genesis.
+    J and F are evaluated for all C combinations at once on int64 checkpoint
+    masks (checkpoint 0 is genesis).  Each vote carries the mask of the
+    checkpoints it sandwiches and, if it is finalizing, the bit of its
+    source; a step of J is u gathers on (C,) arrays.  A conflicting pair in
+    F has a non-genesis member, which is the source of a finalizing vote of
+    U, so the conflict test runs over the u sources.
     """
     if mode == MODE_LFP_NE_GFP:
         raise ValueError("the lfp/gfp comparison is not monotone and has no bound")
-    c = combos.shape[0]
-    k, m = tables.sandwich.shape
-    in_u = np.zeros((c, m), dtype=np.float32)
-    in_u[np.arange(c)[:, None], combos] = 1.0
-    sandwich = (tables.sandwich_noanc if drop_ancestry else tables.sandwich)
-    sandwich_t = sandwich.T.astype(np.float32)                          # (M, K)
-    by_src = tables.by_src.astype(np.float32)                          # (K, M)
-    justified = np.zeros((c, k), dtype=bool)
-    justified[:, 0] = True
+    bits = np.int64(1) << np.arange(tables.sandwich.shape[0], dtype=np.int64)[:, None]
+    sandwich = tables.sandwich_noanc if drop_ancestry else tables.sandwich
+    sandwiched = (sandwich * bits).sum(axis=0)[combos].T                  # (u, C)
+    source = tables.vote_src[combos].T                                  # (u, C)
+    justified = np.ones(combos.shape[0], dtype=np.int64)
     while True:
-        eligible = (justified.astype(np.float32) @ by_src) * in_u       # (C, M)
-        grown = (eligible @ sandwich_t) > 0                             # (C, K)
-        grown[:, 0] = True
+        grown = np.ones_like(justified)
+        for src_j, sandwiched_j in zip(source, sandwiched):
+            grown |= -((justified >> src_j) & 1) & sandwiched_j
         if np.array_equal(grown, justified):
             break
         justified = grown
     if mode == MODE_JUSTIFIED_NONGENESIS:
-        return justified[:, 1:].any(axis=1)
-    finalizing = (in_u @ tables.fin.T.astype(np.float32)) > 0           # (C, K)
-    finalized = justified & finalizing
-    finalized[:, 0] = True
+        return justified != 1
+    finalizing = np.bitwise_or.reduce((tables.fin * bits).sum(axis=0)[combos], axis=1)
+    finalized = (justified & finalizing) | 1
     if mode == MODE_FINALIZED_NONGENESIS:
-        return finalized[:, 1:].any(axis=1)
-    conflict = (tables.cp_conflict[:, None] >> np.arange(k)) & 1       # (K, K)
-    clash = (finalized.astype(np.float32) @ conflict.astype(np.float32)) > 0
-    return (clash & finalized).any(axis=1)
+        return finalized != 1
+    clash = np.zeros(combos.shape[0], dtype=bool)
+    for src_j in source:
+        clash |= (((finalized >> src_j) & 1) != 0) & ((tables.cp_conflict[src_j] & finalized) != 0)
+    return clash
 
 
 def _family_hits(

@@ -55,8 +55,6 @@ class SolverResult:
 
 
 def default_checkpoint_atoms(bounds: Bounds) -> int:
-    if bounds.n_checkpoints is not None:
-        return bounds.n_checkpoints
     return bounds.n_blocks + 3  # hashes + 2
 
 
@@ -77,12 +75,16 @@ def emit_smt(
     bounds: Bounds,
     query: str = QUERY_NO_ACCOUNTABLE_SAFETY,
     mutation: Mutation = Mutation.NONE,
+    n_checkpoints: Optional[int] = None,
 ) -> SmtInstance:
-    """Emit a self-contained instance for the given bounds and query."""
+    """Emit a self-contained instance for the given bounds and query, with
+    `n_checkpoints` checkpoint atoms (default `default_checkpoint_atoms`)."""
     if query not in QUERIES:
         raise InputError(f"unknown query {query!r}; choose from {QUERIES}")
+    if n_checkpoints is not None and n_checkpoints < 1:
+        raise InputError("n_checkpoints must be positive")
     hashes = bounds.n_blocks + 1
-    checkpoints = default_checkpoint_atoms(bounds)
+    checkpoints = default_checkpoint_atoms(bounds) if n_checkpoints is None else n_checkpoints
     nodes = bounds.n_validators
     for name, count in (("hashes", hashes), ("checkpoints", checkpoints), ("nodes", nodes)):
         if count < 1:

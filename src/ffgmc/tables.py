@@ -35,6 +35,7 @@ from .mutation import Mutation
 
 MAX_CHECKPOINT_BITS = 63
 MAX_VOTE_BITS = 16
+MAX_STATE_ROWS = 20_000_000
 MAX_FAMILY_KEY_BYTES = 1 << 28
 _FAMILY_CHUNK = 1 << 15   # row x subset entries per family batch
 
@@ -50,7 +51,6 @@ class GraphTables:
     cp_conflict: np.ndarray                      # (K,) int64 conflict bitmasks
     sandwich: np.ndarray                         # (K, M) bool, full justification clause
     sandwich_noanc: np.ndarray                   # (K, M) bool, ancestry clause dropped
-    by_src: np.ndarray                           # (K, M) bool, votes grouped by source
     fin: np.ndarray                              # (K, M) bool, finalizing votes per source
     pair_e1: np.ndarray                          # (M, M) bool
     pair_e2: np.ndarray                          # (M, M) bool, both orientations
@@ -98,11 +98,9 @@ def build_graph_tables(
 
     sandwich = np.zeros((k, m), dtype=bool)
     sandwich_noanc = np.zeros((k, m), dtype=bool)
-    by_src = np.zeros((k, m), dtype=bool)
     fin = np.zeros((k, m), dtype=bool)
     for j, v in enumerate(votes):
         src_idx = int(vote_src[j])
-        by_src[src_idx, j] = True
         for i, cp in enumerate(cps):
             if v.target.c == cp.c:
                 sandwich_noanc[i, j] = True
@@ -134,7 +132,6 @@ def build_graph_tables(
         cp_conflict=cp_conflict,
         sandwich=sandwich,
         sandwich_noanc=sandwich_noanc,
-        by_src=by_src,
         fin=fin,
         pair_e1=pair_e1,
         pair_e2=pair_e2,
@@ -167,11 +164,7 @@ def project_tables(
 ) -> ProjectedTables:
     """Project the tables onto each row of `combos`, a (C, u) array of vote indices."""
     c, u = combos.shape
-    if u > MAX_VOTE_BITS:
-        raise InputError(
-            f"{u} distinct votes exceed the kernel limit {MAX_VOTE_BITS}; "
-            "lower max_ffg_votes"
-        )
+    _check_vote_bits(u)
     weights = np.int64(1) << np.arange(u, dtype=np.int64)
     sandwich_src = (
         tables.sandwich_noanc if Mutation.DROP_ANCESTRY in mutation else tables.sandwich
@@ -214,14 +207,7 @@ def state_table(
     min_signers floor, count of rows pruned by that floor, total row count).
     """
     n_subsets = 2**u
-    est = 1
-    for i in range(n_validators):
-        est = est * (n_subsets + i) // (i + 1)
-    if est > 20_000_000:
-        raise InputError(
-            f"state table for u={u}, N={n_validators} would have ~{est} rows; "
-            "lower max_ffg_votes or n_validators"
-        )
+    _check_state_rows(u, n_validators)
     rows = np.fromiter(
         itertools.chain.from_iterable(
             itertools.combinations_with_replacement(range(n_subsets), n_validators)
@@ -258,12 +244,7 @@ def quorum_families(
     just_a, just_b = (2, n_validators) if quorum_half else (3, 2 * n_validators)
     n_subsets = 2**u
     subsets = np.arange(n_subsets, dtype=np.int64)
-    n_words = -(-n_subsets // 64)
-    if rows.shape[0] * 8 * n_words > MAX_FAMILY_KEY_BYTES:
-        raise InputError(
-            f"quorum families for u={u}, N={n_validators} would take "
-            f"{rows.shape[0] * 8 * n_words >> 20} MiB; lower max_ffg_votes or n_validators"
-        )
+    n_words = _check_family_keys(u, n_validators, rows.shape[0])
     keys = np.zeros((rows.shape[0], 8 * n_words), dtype=np.uint8)
     step = max(1, _FAMILY_CHUNK // n_subsets)
     for lo in range(0, rows.shape[0], step):
@@ -285,6 +266,58 @@ def quorum_families(
     families.flags.writeable = False
     index.flags.writeable = False
     return families, index
+
+
+def check_level(
+    u: int, n_validators: int, max_votes: int, min_signers: int, scanned: bool
+) -> None:
+    """Refuse a distinct-vote count u whose tables cannot be built, before they are.
+
+    Every level needs its row table (`state_table`); a level whose rows are
+    scanned also needs u-bit vote masks (`project_tables`) and quorum-family
+    keys (`quorum_families`).  The key size is checked on the row-count
+    estimate, and only when that is too large on the exact count, so no
+    level that fits is refused.
+    """
+    estimate = _check_state_rows(u, n_validators)
+    if not scanned:
+        return
+    _check_vote_bits(u)
+    if estimate * 8 * -(-2**u // 64) > MAX_FAMILY_KEY_BYTES:
+        rows = state_table(u, n_validators, max_votes, min_signers)[0]
+        _check_family_keys(u, n_validators, rows.shape[0])
+
+
+def _check_state_rows(u: int, n_validators: int) -> int:
+    """The row count before filtering: multisets of N subsets of u votes."""
+    estimate = 1
+    for i in range(n_validators):
+        estimate = estimate * (2**u + i) // (i + 1)
+    if estimate > MAX_STATE_ROWS:
+        raise InputError(
+            f"state table for u={u}, N={n_validators} would have ~{estimate} rows; "
+            "lower max_ffg_votes or n_validators"
+        )
+    return estimate
+
+
+def _check_vote_bits(u: int) -> None:
+    if u > MAX_VOTE_BITS:
+        raise InputError(
+            f"{u} distinct votes exceed the kernel limit {MAX_VOTE_BITS}; "
+            "lower max_ffg_votes"
+        )
+
+
+def _check_family_keys(u: int, n_validators: int, n_rows: int) -> int:
+    """The 64-bit words of one family key, if a key per row fits the limit."""
+    n_words = -(-2**u // 64)
+    if n_rows * 8 * n_words > MAX_FAMILY_KEY_BYTES:
+        raise InputError(
+            f"quorum families for u={u}, N={n_validators} would take "
+            f"{n_rows * 8 * n_words >> 20} MiB; lower max_ffg_votes or n_validators"
+        )
+    return n_words
 
 
 def min_signers_for_quorum(n_validators: int) -> int:

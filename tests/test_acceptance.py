@@ -21,7 +21,6 @@ from ffgmc.enumerator import (
     VERDICT_HOLDS,
     check_lfp_gfp,
     enumerate_forests,
-    enumerate_states,
     search,
 )
 from ffgmc.model import GENESIS, Block, BlockForest, ProtocolState, SignedVote
@@ -30,6 +29,7 @@ from ffgmc.scenario import scenario_to_json
 from ffgmc.slashing import accountable_safety
 from ffgmc.smt import SAT, SOLVER_ABSENT, UNSAT, emit_smt, run_solver
 from ffgmc.tables import build_graph_tables
+from reference import enumerate_states
 
 CRITERION_3_BOUNDS = Bounds(
     n_blocks=2, n_validators=4, max_votes=12, max_ffg_votes=4, max_chkp_slot=3,

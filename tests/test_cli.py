@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ffgmc import cli
+from ffgmc import cli, enumerator, tables
 from ffgmc.cli import main
 from ffgmc.model import (
     GENESIS,
@@ -169,6 +169,72 @@ def test_cmd_search_rejects_zero_jobs(capsys):
 def test_cmd_search_rejects_negative_budget(capsys):
     assert main(["search", "--blocks", "1", "--budget", "-5"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+# --- size limits: the plan ends at the first level over one -----------------
+
+SIZE_LIMITS = [
+    # (extra flags, patched limit, message).  u=8 at N=4 needs ~183 M rows;
+    # the other limits are lowered to fail at u=4 of the first unit, the
+    # fork, whose levels below 4 the monotone bound drops whole
+    (["--blocks", "1", "--max-ffg", "8", "--max-votes", "24"], None, "state table"),
+    ([], ("MAX_STATE_ROWS", 1000), "state table"),
+    ([], ("MAX_FAMILY_KEY_BYTES", 1 << 12), "quorum families"),
+    ([], ("MAX_VOTE_BITS", 3), "distinct votes exceed"),
+    (["--max-chkp-slot", "40"], None, "checkpoint universe"),
+]
+
+
+@pytest.mark.parametrize("flags,limit,message", SIZE_LIMITS,
+                         ids=["rows", "rows-scanned", "family-keys", "vote-bits",
+                              "checkpoint-bits"])
+def test_size_limits_refuse_before_any_scan(monkeypatch, capsys, flags, limit, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows were scanned before the refusal")
+
+    monkeypatch.setattr(enumerator, "scan_states", refuse)
+    if limit:
+        monkeypatch.setattr(tables, *limit)
+    assert main([
+        "search", "--blocks", "2", "--validators", "4", "--max-votes", "12",
+        "--max-ffg", "4", "--max-chkp-slot", "3", *flags,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["search", "--mutation", "quorum-half"], 1),        # hit at u=4
+    (["search", "--budget", "1000", "--jobs", "2"], 3),  # budget cut at u=4
+    (["example", "--property", "justified-nongenesis"], 0),  # example at u=1
+])
+def test_a_run_that_ends_before_an_oversized_level_is_not_refused(capsys, argv, code):
+    # u=8 at N=4 is over the row limit, but these runs end in the fork unit
+    # at a smaller u: their reports equal those of bounds that stop at u=7
+    base = ["--blocks", "2", "--validators", "4", "--max-votes", "24",
+            "--max-chkp-slot", "3"]
+    reports = []
+    for max_ffg in ("8", "7"):
+        assert main(argv + base + ["--max-ffg", max_ffg]) == code
+        report = json.loads(capsys.readouterr().out)
+        report.pop("wall_time_s", None)
+        report.get("bounds", {}).pop("max_ffg_votes", None)
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_size_limits_count_rows_before_refusing(monkeypatch, capsys):
+    # the row estimate for u=4 at N=4 overshoots the family-key limit, but
+    # the rows left after the signer floor fit it exactly: the run goes on
+    argv = ["search", "--blocks", "2", "--validators", "4", "--max-votes", "12",
+            "--max-ffg", "4", "--max-chkp-slot", "3"]
+    assert main(argv) == 0
+    expected = json.loads(capsys.readouterr().out)["counters"]
+    rows = tables.state_table(4, 4, 12, 3)[0].shape[0]
+    assert rows < 3876   # the estimate: multisets of 4 subsets of 4 votes
+    monkeypatch.setattr(tables, "MAX_FAMILY_KEY_BYTES", rows * 8)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["counters"] == expected
 
 
 def test_cmd_example_rejects_negative_budget(capsys):

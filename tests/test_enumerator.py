@@ -16,7 +16,6 @@ from ffgmc.enumerator import (
     VERDICT_INCONCLUSIVE,
     check_lfp_gfp,
     enumerate_forests,
-    enumerate_states,
     find_example,
     forest_count,
     search,
@@ -34,6 +33,7 @@ from ffgmc.model import (
 from ffgmc.mutation import Mutation, parse_mutation
 from ffgmc.slashing import accountable_safety
 from ffgmc.tables import build_graph_tables
+from reference import enumerate_states
 
 
 def brute_force_forests(n):
@@ -227,17 +227,34 @@ def test_search_determinism():
     )
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_search_jobs_parity():
     # every report field but the wall time agrees.  The smallest quorum-half
     # violation needs four distinct votes: one justifying and one finalizing
-    # link per branch; it lies in the first unit, so the queued units are
-    # cancelled.  The unmutated three-block search holds over 16 units.
+    # link per branch; it lies in the first unit, so the later tasks are
+    # skipped.  The unmutated three-block search holds over 16 units.  Every
+    # mutation runs at two small bounds as well.
     cases = [
         (Bounds(n_blocks=2, n_validators=4, max_votes=8, max_ffg_votes=4),
          Mutation.QUORUM_HALF, VERDICT_COUNTEREXAMPLE),
         (Bounds(n_blocks=3, n_validators=4, max_votes=8, max_ffg_votes=4, max_chkp_slot=3),
          Mutation.NONE, VERDICT_HOLDS),
     ]
+    fork = Bounds(n_blocks=2, n_validators=2, max_votes=8, max_ffg_votes=4, max_chkp_slot=3)
+    nonstrict = Bounds(n_blocks=3, n_validators=2, max_votes=6, max_ffg_votes=3,
+                       max_chkp_slot=3, slot_rule="nonstrict")
+    hit, holds = VERDICT_COUNTEREXAMPLE, VERDICT_HOLDS
+    for name, fork_verdict, nonstrict_verdict in [
+        ("none", holds, holds),
+        ("quorum-half", hit, holds),
+        ("disable-e1", hit, holds),
+        ("disable-e2", holds, holds),
+        ("disable-e1,disable-e2", hit, holds),
+        ("drop-ancestry", holds, hit),
+        ("quorum-half,drop-ancestry", hit, hit),
+    ]:
+        mutation = parse_mutation(name)
+        cases += [(fork, mutation, fork_verdict), (nonstrict, mutation, nonstrict_verdict)]
     for bounds, mutation, verdict in cases:
         seq = replace(search(bounds, mutation, jobs=1), wall_time=0.0)
         par = replace(search(bounds, mutation, jobs=2), wall_time=0.0)
@@ -372,8 +389,6 @@ def test_run_arguments_validated():
         find_example(bounds, "justified-nongenesis", budget=-1)
     with pytest.raises(InputError):
         Bounds(n_blocks=1, n_validators=4, max_votes=3, max_chkp_slot=-1)
-    with pytest.raises(InputError):
-        Bounds(n_blocks=1, n_validators=4, max_votes=3, n_checkpoints=0)
 
 
 # --- the monotone combination bound against the unreduced space -----------

@@ -522,6 +522,48 @@ def test_bound_matches_unanimity_state(
         assert kept[MODE_CONFLICTING_FINALIZED] > 0
 
 
+@pytest.mark.parametrize("mutation", [Mutation.NONE, Mutation.DROP_ANCESTRY],
+                         ids=lambda m: m.label())
+def test_mask_bound_matches_finality_on_every_unit(mutation):
+    # every unit of three blocks and of two blocks in free slot mode, up to
+    # four votes: on combinations the bound keeps and drops for a
+    # conflicting finalized pair, and random ones, the bound equals the
+    # reference finality of the unanimity state (one validator casting
+    # every vote)
+    rng = np.random.default_rng(7)
+    drop = Mutation.DROP_ANCESTRY in mutation
+    kept = 0
+    for bounds in (
+        Bounds(n_blocks=3, n_validators=1, max_votes=4, max_chkp_slot=3, slot_rule="nonstrict"),
+        Bounds(n_blocks=2, n_validators=1, max_votes=4, max_chkp_slot=3, slot_mode="free",
+               max_slot=2),
+    ):
+        for forest in iter_units(bounds):
+            tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
+            m = len(tables.votes)
+            for u in range(1, 5):
+                every = all_combinations(m, u)
+                conflict = bound_combinations(tables, every, MODE_CONFLICTING_FINALIZED, drop)
+                picks = [rng.permutation(np.flatnonzero(side))[:10]
+                         for side in (conflict, ~conflict)]
+                combos = every[np.sort(np.concatenate(picks + [rng.choice(len(every), 10)]))]
+                keep = {mode: bound_combinations(tables, combos, mode, drop)
+                        for mode in BOUNDED_MODES}
+                for i, combo in enumerate(combos):
+                    combo = tuple(int(x) for x in combo)
+                    state = materialize_state(bounds, tables, combo, ((1 << u) - 1,))
+                    view = finality_view(state, mutation=mutation)
+                    conflicting = disagreement(state, view)
+                    assert keep[MODE_COUNTEREXAMPLE][i] == conflicting, combo
+                    assert keep[MODE_CONFLICTING_FINALIZED][i] == conflicting, combo
+                    assert keep[MODE_FINALIZED_NONGENESIS][i] == bool(
+                        view.finalized - {GENESIS_CHECKPOINT}), combo
+                    assert keep[MODE_JUSTIFIED_NONGENESIS][i] == bool(
+                        view.justified - {GENESIS_CHECKPOINT}), combo
+                    kept += conflicting
+    assert kept > 0
+
+
 def test_bound_refuses_the_fixpoint_comparison():
     forest = BlockForest([Block("b1", 1, GENESIS)])
     tables = build_graph_tables(forest, "strict", 2)

@@ -1,0 +1,265 @@
+"""The scan plan: task ranges, helper processes and the in-order fold."""
+
+import itertools
+import multiprocessing
+import os
+from dataclasses import replace
+from math import comb
+
+import numpy as np
+import pytest
+
+from ffgmc import enumerator, tables
+from ffgmc.cli import main
+from ffgmc.enumerator import (
+    PROPERTY_MODES,
+    Bounds,
+    SearchBudgetExceeded,
+    VERDICT_COUNTEREXAMPLE,
+    VERDICT_HOLDS,
+    VERDICT_INCONCLUSIVE,
+    check_lfp_gfp,
+    find_example,
+    iter_units,
+    search,
+)
+from ffgmc.finality import finality_view
+from ffgmc.model import GENESIS_CHECKPOINT
+from ffgmc.mutation import Mutation, parse_mutation
+from ffgmc.slashing import disagreement
+from ffgmc.symmetry import unit_key
+from reference import enumerate_states
+
+def _small(**kw):
+    base = dict(n_blocks=3, n_validators=1, max_votes=4, max_ffg_votes=4, max_chkp_slot=3)
+    base.update(kw)
+    return Bounds(**base)
+
+
+def _report(bounds, mutation, budget=None, jobs=1):
+    return replace(search(bounds, mutation, budget=budget, jobs=jobs), wall_time=0.0)
+
+
+# --- combinations from a starting rank ---------------------------------------
+
+@pytest.mark.parametrize("int64_combos", [1 << 62, 10, 0], ids=["ranks", "mixed", "split"])
+def test_combinations_from_rank_match_itertools(monkeypatch, int64_combos):
+    # every m <= 12, every u and every start rank, to the end of the level;
+    # small thresholds force the split on leading elements that levels too
+    # large for int64 ranks take
+    monkeypatch.setattr(enumerator, "_INT64_COMBOS", int64_combos)
+    for m in range(13 if int64_combos > 1 << 40 else 9):
+        for u in range(m + 1):
+            expected = np.array(list(itertools.combinations(range(m), u)), dtype=np.int64)
+            expected = expected.reshape(comb(m, u), u)
+            for start in range(comb(m, u) + 1):
+                got = enumerator._combinations(m, u, start, comb(m, u) - start)
+                assert got.shape == (comb(m, u) - start, u)
+                assert np.array_equal(got, expected[start:]), (m, u, start)
+            assert enumerator._combinations(m, u, 0, 1 if u <= m else 0).shape[1] == u
+
+
+def test_combinations_of_a_level_beyond_int64():
+    # C(200, 16) is about 1.9e24: ranks at both ends of the level
+    m, u, total = 200, 16, comb(200, 16)
+    assert total > 1 << 63
+    first = enumerator._combinations(m, u, 0, 2)
+    assert first.tolist() == [list(range(16)), list(range(15)) + [16]]
+    last = enumerator._combinations(m, u, total - 2, 2)
+    assert last.tolist() == [[183] + list(range(185, 200)), list(range(184, 200))]
+
+
+# --- reports do not depend on how the plan is cut or run -----------------------
+
+TASK_CASES = [
+    ("none", _small(n_validators=2, max_votes=6)),
+    ("quorum-half", _small(n_blocks=2, n_validators=2, max_votes=6)),
+    ("disable-e1,disable-e2", _small(n_validators=2, max_votes=8)),
+    ("drop-ancestry", _small(n_validators=2, max_votes=6, max_ffg_votes=3, slot_rule="nonstrict")),
+    ("quorum-half",
+     _small(n_blocks=2, n_validators=3, max_votes=6, slot_mode="free", max_slot=2)),
+    ("none", _small(n_blocks=0, n_validators=3, max_votes=6, graph_filter="m3")),
+]
+
+
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("mutation_name,bounds", TASK_CASES)
+def test_task_size_leaves_reports_unchanged(monkeypatch, mutation_name, bounds):
+    # tasks of 50 combinations split every level into many tasks; neither the
+    # split nor the helpers may change a verdict, counter or counterexample
+    mutation = parse_mutation(mutation_name)
+    whole = _report(bounds, mutation)
+    checked = whole.states_checked
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerator, "_BOUND_CHUNK", 50)
+        for budget in (None, 0, checked // 3, max(checked - 1, 0)):
+            single = _report(bounds, mutation, budget)
+            assert single == _report(bounds, mutation, budget, jobs=2)
+            if budget is None:
+                assert single == whole
+
+
+def _cut_kinds(bounds, mutation):
+    """The first budget that cuts in a scanned combination, in a combination
+    the orbit filter skipped, and in a later unit of a class."""
+    keys = [unit_key(f) for f in iter_units(bounds)]
+    total = search(bounds, mutation).states_checked
+    kinds = {}
+    previous = search(bounds, mutation, budget=0)
+    for budget in range(1, total):
+        report = search(bounds, mutation, budget=budget)
+        unit = report.graphs_checked - 1
+        if keys.index(keys[unit]) < unit:
+            kind = "later unit of a class"
+        elif report.states_symmetric > previous.states_symmetric:
+            kind = "skipped combination"
+        else:
+            kind = "scanned combination"
+        kinds.setdefault(kind, budget)
+        previous = report
+    return kinds
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_budget_cuts_match_across_jobs_and_rescans(monkeypatch):
+    # a task scanned ahead has no limit; when its rows exceed the budget left
+    # the fold scans it again with the limit.  Forcing every task through
+    # that path, and running with a helper, must give the single-process
+    # report at budgets that cut in each kind of place
+    bounds = _small(max_votes=3, max_ffg_votes=3)
+    mutation = parse_mutation("drop-ancestry")
+    kinds = _cut_kinds(bounds, mutation)
+    assert set(kinds) == {"later unit of a class", "skipped combination", "scanned combination"}
+    result = enumerator._Tasks.result
+    for budget in sorted(kinds.values()) + [0]:
+        expected = _report(bounds, mutation, budget)
+        assert expected.verdict == VERDICT_INCONCLUSIVE
+        assert _report(bounds, mutation, budget, jobs=2) == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(enumerator._Tasks, "result", lambda self, i, _: result(self, i, None))
+            assert _report(bounds, mutation, budget) == expected
+
+
+# --- find_example and check_lfp_gfp through the plan -------------------------
+
+def _holds(state, name):
+    view = finality_view(state)
+    if name == "conflicting-finalized":
+        return disagreement(state, view)
+    found = view.finalized if name == "finalized-nongenesis" else view.justified
+    return bool(found - {GENESIS_CHECKPOINT})
+
+
+def test_find_example_and_fixpoints_match_the_reference(monkeypatch):
+    # the first state of each property and the fixpoint comparison's count,
+    # with levels cut into tasks of 5 combinations, against the reference
+    # enumeration of every state in canonical order
+    bounds = _small(n_blocks=2)
+    states = [s for unit in iter_units(bounds) for s in enumerate_states(bounds, unit)]
+    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 5)
+    for name in sorted(PROPERTY_MODES):
+        expected = next(s for s in states if _holds(s, name))
+        assert find_example(bounds, name) == expected, name
+        with pytest.raises(SearchBudgetExceeded):
+            find_example(bounds, name, budget=0)
+    report = check_lfp_gfp(bounds)
+    assert report.states_checked == len(states)
+    assert report.mismatch is None
+
+
+# --- helper processes ----------------------------------------------------------
+
+def test_helpers_are_capped_by_usable_cpus(monkeypatch):
+    # --jobs far beyond the host starts min(CPUs, tasks) - 1 helpers and gives
+    # the single-process report; the patched start refuses to go past the
+    # cap, so a broken clamp cannot fork more processes than there are CPUs
+    bounds = _small(n_blocks=2, n_validators=2, max_votes=8)
+    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 16)
+    n_tasks = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2).n_tasks
+    cap = min(len(os.sched_getaffinity(0)), n_tasks) - 1
+    starts = []
+    start = enumerator._start_helper
+
+    def counted(*args):
+        assert len(starts) < cap, "more helpers than usable CPUs"
+        starts.append(1)
+        return start(*args)
+
+    monkeypatch.setattr(enumerator, "_start_helper", counted)
+    expected = _report(bounds, Mutation.NONE)
+    assert not starts
+    assert _report(bounds, Mutation.NONE, jobs=10**6) == expected
+    assert len(starts) == cap
+    assert not multiprocessing.active_children()
+
+
+def test_claims_hold_with_more_processes_than_cores(monkeypatch):
+    # three helpers and the calling process on one-combination tasks race
+    # for the shared claim counter; a lost or repeated claim would change a
+    # count or leave the fold waiting for a task nobody scans
+    bounds = _small(n_blocks=2, n_validators=2, max_votes=8)
+    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 1)
+    expected = _report(bounds, Mutation.NONE)
+    monkeypatch.setattr(enumerator, "_usable_cpus", lambda: 4)
+    for _ in range(2):
+        assert _report(bounds, Mutation.NONE, jobs=4) == expected
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("argv,code", [
+    (["--mutation", "quorum-half"], 1),              # ends in a hit
+    (["--budget", "20"], 3),                         # ends in a budget cut
+    ([], 0),                                         # exhausts the space
+])
+def test_no_helper_outlives_a_run(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 4)
+    base = ["search", "--blocks", "2", "--validators", "2", "--max-votes", "8",
+            "--max-ffg", "4", "--max-chkp-slot", "3", "--jobs", "2"]
+    assert main(base + argv) == code
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_a_refusal_past_scanned_levels_ends_the_run(monkeypatch, capsys):
+    # with 4-bit vote masks the plan ends at u=5 of the first unit, after
+    # tasks that are scanned; the fold refuses the run there (exit 2), and
+    # the helper, which never claims past the end, is reaped
+    monkeypatch.setattr(tables, "MAX_VOTE_BITS", 4)
+    bounds = _small(n_blocks=2, n_validators=2, max_votes=8, max_ffg_votes=6)
+    plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2)
+    assert plan.refusal[0] == 0 and plan.levels[-1] == (0, 4)
+    assert main([
+        "search", "--blocks", "2", "--validators", "2", "--max-votes", "8",
+        "--max-ffg", "6", "--max-chkp-slot", "3", "--jobs", "2",
+    ]) == 2
+    assert "distinct votes exceed" in capsys.readouterr().err
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("where", ["everywhere", "helpers"])
+def test_a_task_that_raises_exits_internal(monkeypatch, capsys, where):
+    # a failure inside a task, in the calling process or in a helper, is an
+    # internal failure (exit 4), and no helper is left running.  With the
+    # bound keeping everything, every one-combination task reaches the scan.
+    caller = os.getpid()
+    scan_states = enumerator.scan_states
+
+    def failing(*args):
+        if where == "everywhere" or os.getpid() != caller:
+            raise ZeroDivisionError("planted failure")
+        return scan_states(*args)
+
+    monkeypatch.setattr(enumerator, "scan_states", failing)
+    monkeypatch.setattr(
+        enumerator, "bound_combinations", lambda tables, combos, *_: np.ones(len(combos), bool)
+    )
+    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 1)
+    assert main([
+        "search", "--blocks", "2", "--validators", "2", "--max-votes", "8",
+        "--max-ffg", "4", "--max-chkp-slot", "3", "--jobs", "2",
+    ]) == 4
+    err = capsys.readouterr().err
+    assert "planted failure" in err
+    assert not multiprocessing.active_children()

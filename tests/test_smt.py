@@ -61,11 +61,11 @@ def test_query_forms():
 
 
 def test_checkpoint_atom_override():
-    bounds = Bounds(
-        n_blocks=2, n_validators=4, max_votes=12, max_ffg_votes=4, n_checkpoints=7
-    )
-    text = emit_smt(bounds).text
+    bounds = Bounds(n_blocks=2, n_validators=4, max_votes=12, max_ffg_votes=4)
+    text = emit_smt(bounds, n_checkpoints=7).text
     assert "(C1) (C2) (C3) (C4) (C5) (C6) (C7)" in text
+    with pytest.raises(InputError, match="n_checkpoints"):
+        emit_smt(bounds, n_checkpoints=0)
 
 
 def test_node_naming_scales():

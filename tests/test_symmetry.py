@@ -140,7 +140,7 @@ def _same_search(monkeypatch, bounds, mutation, budget=None, jobs=1):
     full = _unreduced(monkeypatch, search, bounds, mutation, budget=budget)
     assert full.states_symmetric == 0
     assert replace(reduced, wall_time=0.0, states_symmetric=0) == replace(full, wall_time=0.0)
-    if jobs == 1:   # pool workers scan out of sight
+    if jobs == 1:   # helper processes scan out of sight
         assert reduced.states_symmetric == reduced.states_checked - sum(scanned)
     return reduced
 
@@ -250,9 +250,10 @@ def test_symmetry_matches_unreduced_fixpoints(monkeypatch, bounds):
     ("drop-ancestry", _small(max_votes=3, max_ffg_votes=3)),
     ("none", _small(n_validators=2, max_votes=4, max_ffg_votes=3)),
 ], ids=["hit", "three-blocks-holds", "vacuous"])
+@pytest.mark.usefixtures("two_cpus")
 def test_symmetry_jobs_parity(monkeypatch, mutation_name, bounds):
-    # the pool scans one unit per class; its report equals both the
-    # sequential reduced one and the unreduced one
+    # a helper process scans tasks too; the report equals both the
+    # single-process reduced one and the unreduced one
     mutation = parse_mutation(mutation_name)
     seq = replace(search(bounds, mutation), wall_time=0.0)
     par = replace(_same_search(monkeypatch, bounds, mutation, jobs=2), wall_time=0.0)
