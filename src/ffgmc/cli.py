@@ -12,6 +12,7 @@ exits 2 before any work starts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -51,7 +52,7 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
 
-def _add_bounds_flags(parser: argparse.ArgumentParser, require_blocks: bool = True) -> None:
+def _add_bounds_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--blocks", type=int, default=None, help="non-genesis block count")
     parser.add_argument("--validators", type=int, default=4, help="validator count N")
     parser.add_argument("--max-votes", type=int, default=6, help="signed vote cap")
@@ -62,8 +63,6 @@ def _add_bounds_flags(parser: argparse.ArgumentParser, require_blocks: bool = Tr
     parser.add_argument("--slot-mode", choices=("depth", "free"), default="depth")
     parser.add_argument("--graph", choices=catalog_ids(), default=None,
                         help="restrict the search to one catalog graph")
-    parser.add_argument("--smt-checkpoints", type=int, default=None,
-                        help="checkpoint atom count for emitted SMT instances")
 
 
 def _bounds_from_args(args) -> Bounds:
@@ -107,24 +106,10 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         print(text)
 
 
-def _bounds_to_json(bounds: Bounds) -> dict:
-    return {
-        "n_blocks": bounds.n_blocks,
-        "n_validators": bounds.n_validators,
-        "max_votes": bounds.max_votes,
-        "max_ffg_votes": bounds.max_ffg_votes,
-        "max_slot": bounds.max_slot,
-        "max_chkp_slot": bounds.max_chkp_slot,
-        "slot_rule": bounds.slot_rule,
-        "slot_mode": bounds.slot_mode,
-        "graph_filter": bounds.graph_filter,
-    }
-
-
 def _report_to_json(report: SearchReport, bounds: Bounds, mutation: Mutation) -> dict:
     doc = {
         "verdict": report.verdict,
-        "bounds": _bounds_to_json(bounds),
+        "bounds": dataclasses.asdict(bounds),
         "mutation": mutation.label(),
         "counters": {
             "states_checked": report.states_checked,
@@ -279,6 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit-smt", help="emit an SMT-LIB 2 instance for the bounds")
     _add_bounds_flags(p)
+    p.add_argument("--smt-checkpoints", type=int, default=None,
+                   help="checkpoint atom count for emitted SMT instances")
     p.add_argument("--query", choices=QUERIES, default=QUERY_NO_ACCOUNTABLE_SAFETY)
     p.add_argument("--mutation", default="none")
     p.add_argument("--out", default=None)
@@ -286,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="emit an instance and run an external solver on it")
     _add_bounds_flags(p)
+    p.add_argument("--smt-checkpoints", type=int, default=None,
+                   help="checkpoint atom count for emitted SMT instances")
     p.add_argument("--query", choices=QUERIES, default=QUERY_NO_ACCOUNTABLE_SAFETY)
     p.add_argument("--mutation", default="none")
     p.add_argument("--solver-cmd", default=None,

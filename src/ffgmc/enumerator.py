@@ -52,6 +52,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from .finality import finality_view, justified_checkpoints, justified_checkpoints_gfp
 from .kernels import (
     MODE_CONFLICTING_FINALIZED,
     MODE_COUNTEREXAMPLE,
@@ -63,6 +64,7 @@ from .kernels import (
 )
 from .model import (
     GENESIS,
+    GENESIS_CHECKPOINT,
     Block,
     BlockForest,
     Checkpoint,
@@ -72,7 +74,7 @@ from .model import (
     SignedVote,
 )
 from .mutation import Mutation
-from .slashing import SafetyVerdict, accountable_safety
+from .slashing import SafetyVerdict, accountable_safety, disagreement
 from .symmetry import automorphisms, orbit_minimal, unit_key
 from .tables import (
     GraphTables,
@@ -269,7 +271,8 @@ def _unit_total_states(bounds: Bounds, tables: GraphTables, min_signers: int) ->
 
 @dataclass(frozen=True)
 class _Counts:
-    """Rows of one scan task, or of a settled unit, up to its hit or budget cut."""
+    """Rows of one scan task, a settled unit or a whole run, up to its hit or
+    budget cut; a sum takes its hit and cut from the right operand."""
 
     checked: int = 0
     pruned: int = 0      # rows not scanned, bounded ones included
@@ -291,15 +294,14 @@ class _Counts:
 
 _BOUND_CHUNK = 4096  # most combinations in one scan task
 _COMBO_BATCH = 256   # most combinations projected and scanned in one call
-_INT64_COMBOS = 1 << 62  # levels with more combinations are split on their first vote
+_MAX_LEVEL_COMBOS = 1 << 62  # most combinations of one scanned level: ranks are int64
 
 
 @lru_cache(maxsize=None)
 def _binomials(m: int, u: int) -> np.ndarray:
-    """(u + 1, m) table of C(y, k), capped at the int64 maximum."""
-    cap = (1 << 63) - 1
+    """(u + 1, m) table of C(y, k); within a level of `_plan`, each fits int64."""
     return np.array(
-        [[min(comb(y, k), cap) for y in range(m)] for k in range(u + 1)], dtype=np.int64
+        [[comb(y, k) for y in range(m)] for k in range(u + 1)], dtype=np.int64
     ).reshape(u + 1, m)
 
 
@@ -308,24 +310,9 @@ def _combinations(m: int, u: int, start: int, count: int) -> np.ndarray:
     start + count - 1, as a (count, u) array, by the combinatorial number
     system: rank r of c_0 < ... < c_{u-1} has
     C(m, u) - 1 - r = sum_k C(m - 1 - c_{u-k}, k) over k = u .. 1, so each
-    element is one search in a column of binomials.  A level too large for
-    int64 ranks is split on its first element, whose value a fixes a block
-    of C(m - 1 - a, u - 1) consecutive ranks.
+    element is one search in a column of binomials.  C(m, u) is at most
+    `_MAX_LEVEL_COMBOS` (`_plan` refuses larger levels).
     """
-    if u and comb(m, u) > _INT64_COMBOS:
-        parts = [np.zeros((0, u), dtype=np.int64)]
-        first = 0
-        while count:
-            block = comb(m - 1 - first, u - 1)
-            if start < block:
-                n = min(count, block - start)
-                rest = _combinations(m - 1 - first, u - 1, start, n) + first + 1
-                parts.append(np.column_stack([np.full(n, first, dtype=np.int64), rest]))
-                start, count = 0, count - n
-            else:
-                start -= block
-            first += 1
-        return np.concatenate(parts)
     table = _binomials(m, u)
     rest = comb(m, u) - 1 - np.arange(start, start + count, dtype=np.int64)
     out = np.empty((count, u), dtype=np.int64)
@@ -356,7 +343,7 @@ class _Unit:
 
 
 def _kept_batches(
-    unit: _Unit, u: int, lo: int, hi: int, mode: int, drop_ancestry: bool
+    unit: _Unit, u: int, lo: int, hi: int, mode: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(positions, combinations, minimal) batches of the size-u vote
     combinations of ranks lo .. hi - 1 that the monotone bound keeps, in
@@ -374,7 +361,7 @@ def _kept_batches(
     if mode == MODE_LFP_NE_GFP:
         keep = np.arange(hi - lo)
     else:
-        keep = np.flatnonzero(bound_combinations(unit.tables, chunk, mode, drop_ancestry))
+        keep = np.flatnonzero(bound_combinations(unit.tables, chunk, mode))
     positions, combos = lo + keep, chunk[keep]
     minimal = orbit_minimal(combos, unit.perms)
     ends = np.flatnonzero(minimal) + 1
@@ -404,10 +391,9 @@ def _scan_range(
         u, bounds.n_validators, bounds.max_votes, plan.min_signers
     )
     n_rows = states.shape[0]
-    drop_ancestry = Mutation.DROP_ANCESTRY in plan.mutation
     checked = pruned = bounded = symmetric = 0
     visited = lo
-    for positions, combos, minimal in _kept_batches(unit, u, lo, hi, plan.mode, drop_ancestry):
+    for positions, combos, minimal in _kept_batches(unit, u, lo, hi, plan.mode):
         if stopped is not None and stopped():
             return None
         # hit and scanned count the rows of the whole batch in scan order;
@@ -426,10 +412,9 @@ def _scan_range(
         scanned_rows = 0
         if n_rows and scan.size and scan_limit != 0:
             families = quorum_families(
-                u, bounds.n_validators, bounds.max_votes, plan.min_signers,
-                Mutation.QUORUM_HALF in plan.mutation,
+                u, bounds.n_validators, bounds.max_votes, plan.min_signers, plan.mutation
             )
-            projected = project_tables(unit.tables, combos[scan], plan.mutation)
+            projected = project_tables(unit.tables, combos[scan])
             scan_hit, scanned_rows = scan_states(
                 states, families, projected, bounds.n_validators, plan.mode, scan_limit
             )
@@ -524,7 +509,9 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
         seen.add(key)
         first = plan.n_tasks
         try:
-            tables = build_graph_tables(forest, bounds.slot_rule, _chkp_bound(bounds, forest))
+            tables = build_graph_tables(
+                forest, bounds.slot_rule, _chkp_bound(bounds, forest), mutation
+            )
             scanned = mode not in _VACUITY_MODES or tables.has_conflict
             plan.reps[index] = _Unit(tables, _vote_permutations(tables) if scanned else None)
             for u in _distinct_vote_range(bounds, len(tables.votes)):
@@ -532,9 +519,15 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
                     check_level(u, bounds.n_validators, bounds.max_votes, min_signers, scanned)
                     checked_levels.add((u, scanned))
                 if scanned:
+                    n_combos = comb(len(tables.votes), u)
+                    if n_combos > _MAX_LEVEL_COMBOS:
+                        raise InputError(
+                            f"{n_combos} combinations of {u} of {len(tables.votes)} votes "
+                            "exceed the rank limit 2**62; lower max_ffg_votes or max_chkp_slot"
+                        )
                     plan.levels.append((index, u))
                     plan.starts.append(plan.n_tasks)
-                    plan.n_tasks += -(-comb(len(tables.votes), u) // _BOUND_CHUNK)
+                    plan.n_tasks += -(-n_combos // _BOUND_CHUNK)
         except InputError as error:
             # the refused unit keeps the tasks of its levels that fit
             plan.tasks[index] = range(first, plan.n_tasks)
@@ -669,44 +662,24 @@ class _Tasks:
         self.helpers, self.readers = [], []
 
 
-@dataclass
-class _RunResult:
-    """Counts folded in canonical order, up to the first hit or budget cut."""
-
-    checked: int = 0
-    pruned: int = 0
-    bounded: int = 0
-    symmetric: int = 0
-    graphs: int = 0
-    hit: Optional[tuple] = None     # (u, combo, row masks)
-    unit: Optional[_Unit] = None    # the hit's unit
-    exhausted: bool = False
-
-    def add(self, counts: _Counts) -> bool:
-        """Fold in the next counts; True when the run stops there."""
-        self.checked += counts.checked
-        self.pruned += counts.pruned
-        self.bounded += counts.bounded
-        self.symmetric += counts.symmetric
-        self.hit, self.exhausted = counts.hit, counts.cut
-        return counts.hit is not None or counts.cut
-
-
-def _fold(plan: _Plan, tasks: _Tasks, budget: Optional[int]) -> _RunResult:
+def _fold(
+    plan: _Plan, tasks: _Tasks, budget: Optional[int]
+) -> tuple[_Counts, int, Optional[_Unit]]:
     """Fold the plan in canonical order, stopping at the first hit or budget cut.
 
-    The task being folded is scanned with the budget left as the kernel's
-    limit, tasks scanned ahead without one; a task whose checked rows exceed
-    the budget left is scanned again with the limit, so the cut lands on the
-    row a sequential scan would stop at.  A later unit of a class reuses the
-    class's counts when the budget left covers them (no tables are built for
-    it); otherwise its class's tasks are scanned for real, on its own tables.
-    The plan's refusal is raised when the fold reaches it.
+    Returns the counts up to there, the number of units visited and the
+    hit's unit.  The task being folded is scanned with the budget left as
+    the kernel's limit, tasks scanned ahead without one; a task whose
+    checked rows exceed the budget left is scanned again with the limit, so
+    the cut lands on the row a sequential scan would stop at.  A later unit
+    of a class reuses the class's counts when the budget left covers them
+    (no tables are built for it); otherwise its class's tasks are scanned
+    for real, on its own tables.  The plan's refusal is raised when the
+    fold reaches it.
     """
-    run = _RunResult()
+    run = _Counts()
     memo: dict[tuple, tuple[int, _Counts]] = {}   # class key -> (first unit, its counts)
     for index, key in enumerate(plan.keys):
-        run.graphs += 1
         if index in plan.tasks:
             total = _Counts()
             for i in plan.tasks[index]:
@@ -716,9 +689,9 @@ def _fold(plan: _Plan, tasks: _Tasks, budget: Optional[int]) -> _RunResult:
                     tasks.stop(i)
                     counts = _scan_range(plan, *plan.task(i), limit=left)
                 total += counts
-                if run.add(counts):
-                    run.unit = plan.reps[index]
-                    return run
+                run += counts
+                if run.hit is not None or run.cut:
+                    return run, index + 1, plan.reps[index]
             if plan.refusal is not None and plan.refusal[0] == index:
                 raise plan.refusal[1]
             memo[key] = (index, total)
@@ -726,23 +699,23 @@ def _fold(plan: _Plan, tasks: _Tasks, budget: Optional[int]) -> _RunResult:
             tables = plan.reps[index].tables
             counts = _Counts(pruned=_unit_total_states(plan.bounds, tables, plan.min_signers))
             memo[key] = (index, counts)
-            run.add(counts)
+            run += counts
         else:
             first, known = memo[key]
             if budget is None or budget - run.checked >= known.checked:
-                run.add(replace(known, symmetric=known.checked))
+                run += replace(known, symmetric=known.checked)
                 continue
             forest = plan.units[index]
             tables = build_graph_tables(
-                forest, plan.bounds.slot_rule, _chkp_bound(plan.bounds, forest)
+                forest, plan.bounds.slot_rule, _chkp_bound(plan.bounds, forest), plan.mutation
             )
             unit = _Unit(tables, _vote_permutations(tables))
             for i in plan.tasks[first]:
                 _, u, lo, hi = plan.task(i)
-                if run.add(_scan_range(plan, unit, u, lo, hi, limit=budget - run.checked)):
-                    run.unit = unit
-                    return run
-    return run
+                run += _scan_range(plan, unit, u, lo, hi, limit=budget - run.checked)
+                if run.hit is not None or run.cut:
+                    return run, index + 1, unit
+    return run, len(plan.keys), None
 
 
 def _run(
@@ -752,7 +725,7 @@ def _run(
     min_signers: int,
     budget: Optional[int],
     jobs: int,
-) -> _RunResult:
+) -> tuple[_Counts, int, Optional[_Unit]]:
     """Plan the run, then fold it with the calling process and jobs - 1 helpers."""
     if budget is not None and budget < 0:
         raise InputError("budget must be non-negative")
@@ -767,6 +740,10 @@ def _run(
         tasks.close()
 
 
+def _disagrees(what: str) -> RuntimeError:
+    return RuntimeError(f"kernel {what} does not replay: kernel and reference disagree")
+
+
 def search(
     bounds: Bounds,
     mutation: Mutation = Mutation.NONE,
@@ -776,26 +753,23 @@ def search(
     """Exhaust the bounded space or stop at the first (canonical) counterexample."""
     start = time.perf_counter()
     min_signers = min_signers_for_quorum(bounds.n_validators) if mutation == Mutation.NONE else 0
-    run = _run(bounds, mutation, MODE_COUNTEREXAMPLE, min_signers, budget, jobs)
+    run, graphs, unit = _run(bounds, mutation, MODE_COUNTEREXAMPLE, min_signers, budget, jobs)
     wall = time.perf_counter() - start
     counterexample = None
     if run.hit is not None:
-        u, combo, masks = run.hit
-        state = materialize_state(bounds, run.unit.tables, combo, masks)
+        state = materialize_state(bounds, unit.tables, *run.hit[1:])
         safety = accountable_safety(state, mutation)
         if safety.holds:
-            raise RuntimeError(
-                "kernel counterexample does not replay: kernel and reference disagree"
-            )
-        counterexample = Counterexample(state, safety, run.graphs - 1)
+            raise _disagrees("counterexample")
+        counterexample = Counterexample(state, safety, graphs - 1)
         verdict = VERDICT_COUNTEREXAMPLE
     else:
-        verdict = VERDICT_INCONCLUSIVE if run.exhausted else VERDICT_HOLDS
+        verdict = VERDICT_INCONCLUSIVE if run.cut else VERDICT_HOLDS
     return SearchReport(
         verdict=verdict,
         counterexample=counterexample,
         states_checked=run.checked,
-        graphs_checked=run.graphs,
+        graphs_checked=graphs,
         states_pruned=run.pruned,
         states_bounded=run.bounded,
         states_symmetric=run.symmetric,
@@ -811,7 +785,7 @@ def find_example(
 
     All three findable properties need a justification quorum of distinct
     senders, so the quorum-of-signers floor applies here as in unmutated
-    search runs.
+    search runs.  The state found is checked against `finality_view`.
     """
     try:
         mode = PROPERTY_MODES[property_name]
@@ -820,13 +794,21 @@ def find_example(
             f"unknown property {property_name!r}; choose from {', '.join(PROPERTY_MODES)}"
         ) from None
     min_signers = min_signers_for_quorum(bounds.n_validators)
-    run = _run(bounds, Mutation.NONE, mode, min_signers, budget, jobs=1)
-    if run.exhausted:
+    run, _, unit = _run(bounds, Mutation.NONE, mode, min_signers, budget, jobs=1)
+    if run.cut:
         raise SearchBudgetExceeded(run.checked)
     if run.hit is None:
         return None
-    u, combo, masks = run.hit
-    return materialize_state(bounds, run.unit.tables, combo, masks)
+    state = materialize_state(bounds, unit.tables, *run.hit[1:])
+    view = finality_view(state)
+    if mode == MODE_CONFLICTING_FINALIZED:
+        holds = disagreement(state, view)
+    else:
+        found = view.finalized if mode == MODE_FINALIZED_NONGENESIS else view.justified
+        holds = bool(found - {GENESIS_CHECKPOINT})
+    if not holds:
+        raise _disagrees("example")
+    return state
 
 
 @dataclass(frozen=True)
@@ -837,12 +819,20 @@ class FixpointReport:
 
 
 def check_lfp_gfp(bounds: Bounds, mutation: Mutation = Mutation.NONE) -> FixpointReport:
-    """Compare least and greatest justification fixpoints over every state."""
-    run = _run(bounds, mutation, MODE_LFP_NE_GFP, min_signers=0, budget=None, jobs=1)
+    """Compare least and greatest justification fixpoints over every state.
+
+    A mismatch is confirmed by both reference fixpoints over its unit's
+    checkpoints.
+    """
+    run, _, unit = _run(bounds, mutation, MODE_LFP_NE_GFP, min_signers=0, budget=None, jobs=1)
     mismatch = None
     if run.hit is not None:
-        u, combo, masks = run.hit
-        mismatch = materialize_state(bounds, run.unit.tables, combo, masks)
+        mismatch = materialize_state(bounds, unit.tables, *run.hit[1:])
+        universe = unit.tables.checkpoints
+        if justified_checkpoints(mismatch, universe, mutation) == justified_checkpoints_gfp(
+            mismatch, universe, mutation
+        ):
+            raise _disagrees("fixpoint mismatch")
     return FixpointReport(
         states_checked=run.checked, states_symmetric=run.symmetric, mismatch=mismatch
     )

@@ -14,7 +14,9 @@ from typing import Iterable, Optional
 
 from .model import (
     GENESIS_CHECKPOINT,
+    BlockForest,
     Checkpoint,
+    FfgVote,
     ProtocolState,
     _cp_sort_key,
     checkpoints_of,
@@ -33,38 +35,47 @@ class FinalityView:
     justifying_validators: dict[Checkpoint, frozenset[int]]
 
 
+def supports(
+    forest: BlockForest, vote: FfgVote, c: Checkpoint, mutation: Mutation = Mutation.NONE
+) -> bool:
+    """Whether `vote`, once its source is justified, counts toward justifying `c`.
+
+    Its target sits exactly at c's checkpoint slot, and its blocks sandwich
+    c's block (source ->* c ->* target); drop-ancestry drops the sandwich.
+    """
+    if vote.target.c != c.c:
+        return False
+    return Mutation.DROP_ANCESTRY in mutation or (
+        is_ancestor(forest, vote.source.block, c.block)
+        and is_ancestor(forest, c.block, vote.target.block)
+    )
+
+
+def finalizes(vote: FfgVote, c: Checkpoint) -> bool:
+    """Whether `vote` is a finalizing link of `c`: from c to the next checkpoint slot."""
+    return vote.source == c and vote.target.c == c.c + 1
+
+
 def justifying_validators(
     state: ProtocolState,
     justified_so_far: frozenset[Checkpoint] | set[Checkpoint],
     c: Checkpoint,
     mutation: Mutation = Mutation.NONE,
 ) -> frozenset[int]:
-    """Validators with a valid vote that supports justifying checkpoint `c`.
+    """Validators with a valid vote, from a justified source, that supports `c`.
 
-    A vote by validator v supports c when its source is already justified,
-    its blocks sandwich c's block (source ->* c ->* target), and its target
-    sits exactly at c's checkpoint slot.  Whether `c` belongs to the
-    candidate set the fixpoint ranges over is the caller's concern.
+    Whether `c` belongs to the candidate set the fixpoint ranges over is the
+    caller's concern.
     """
-    forest = state.forest
-    check_ancestry = Mutation.DROP_ANCESTRY not in mutation
     out: set[int] = set()
     for sv in state.votes:
-        if sv.validator in out:
-            continue
-        vote = sv.vote
-        if vote.source not in justified_so_far:
-            continue
-        if vote.target.c != c.c:
-            continue
-        if not is_valid_ffg_vote(state, vote):
-            continue
-        if check_ancestry and not (
-            is_ancestor(forest, vote.source.block, c.block)
-            and is_ancestor(forest, c.block, vote.target.block)
+        if (
+            sv.validator not in out
+            and sv.vote.source in justified_so_far
+            and supports(state.forest, sv.vote, c, mutation)
+            and is_valid_ffg_vote(state, sv.vote)
         ):
-            continue
-        out.add(sv.validator)
+            out.add(sv.validator)
     return frozenset(out)
 
 
@@ -119,9 +130,7 @@ def is_finalized(
     senders = {
         sv.validator
         for sv in state.votes
-        if sv.vote.source == c
-        and sv.vote.target.c == c.c + 1
-        and is_valid_ffg_vote(state, sv.vote)
+        if finalizes(sv.vote, c) and is_valid_ffg_vote(state, sv.vote)
     }
     return quorum_met(len(senders), state.n_validators, mutation)
 

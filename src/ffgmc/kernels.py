@@ -17,6 +17,9 @@ u-bit masks of the votes whose source is justified, not on checkpoint sets
 
 Before any row is scanned, `bound_combinations` drops whole combinations that
 cannot hold a hit (the monotone combination bound).
+
+Neither function takes a mutation: the graph tables were built for one
+(`tables.build_graph_tables`), and the quorum families carry its quorum rule.
 """
 
 from __future__ import annotations
@@ -97,9 +100,7 @@ def scan_states(
     return -1, total
 
 
-def bound_combinations(
-    tables: GraphTables, combos: np.ndarray, mode: int, drop_ancestry: bool
-) -> np.ndarray:
+def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np.ndarray:
     """Which vote combinations may still hold a hit of `mode`.
 
     `combos` is a (C, u) array of vote indices into `tables.votes`, one
@@ -113,12 +114,12 @@ def bound_combinations(
     justifying or finalizing quorum only grows with added votes, so the
     justified set, the finalized set and a conflicting finalized pair are
     all monotone in the vote set; no mutation flag changes that (quorum-half
-    lowers the threshold, drop-ancestry widens the sandwich clause, e1/e2
-    touch only slashing).  Hence a row can hit only if the unanimity state
-    does.  In the unanimity state every vote of U has N senders and the
-    quorum test always passes (3N >= 2N, and 2N >= N under quorum-half), so
-    the fixpoint reduces to reachability over the votes of U, independent
-    of N:
+    lowers the threshold, drop-ancestry widens the sandwich clause that
+    `tables.sandwich` already holds, e1/e2 touch only slashing).  Hence a row
+    can hit only if the unanimity state does.  In the unanimity state every
+    vote of U has N senders and the quorum test always passes (3N >= 2N, and
+    2N >= N under quorum-half), so the fixpoint reduces to reachability over
+    the votes of U, independent of N:
 
       J = genesis + {k : a vote of U with its source in J sandwiches k}
       F = genesis + (J & {k : U holds a finalizing vote from k})
@@ -140,8 +141,7 @@ def bound_combinations(
     if mode == MODE_LFP_NE_GFP:
         raise ValueError("the lfp/gfp comparison is not monotone and has no bound")
     bits = np.int64(1) << np.arange(tables.sandwich.shape[0], dtype=np.int64)[:, None]
-    sandwich = tables.sandwich_noanc if drop_ancestry else tables.sandwich
-    sandwiched = (sandwich * bits).sum(axis=0)[combos].T                  # (u, C)
+    sandwiched = (tables.sandwich * bits).sum(axis=0)[combos].T           # (u, C)
     source = tables.vote_src[combos].T                                  # (u, C)
     justified = np.ones(combos.shape[0], dtype=np.int64)
     while True:

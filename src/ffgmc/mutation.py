@@ -49,8 +49,11 @@ def parse_mutation(text: str) -> Mutation:
     return out
 
 
-def quorum_met(count: int, n_validators: int, mutation: Mutation = Mutation.NONE) -> bool:
-    """Supermajority test in exact integer arithmetic: 3k >= 2N (or 2k >= N mutated)."""
+def quorum_met(count, n_validators: int, mutation: Mutation = Mutation.NONE):
+    """Supermajority test in exact integer arithmetic: 3k >= 2N (or 2k >= N mutated).
+
+    `count` is an int, or an integer array tested elementwise.
+    """
     if Mutation.QUORUM_HALF in mutation:
         return 2 * count >= n_validators
     return 3 * count >= 2 * n_validators

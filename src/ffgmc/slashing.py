@@ -52,10 +52,11 @@ def is_slashable_pair(a: FfgVote, b: FfgVote) -> Optional[str]:
     return None
 
 
-def _kind_enabled(kind: str, mutation: Mutation) -> bool:
-    if kind == E1_DOUBLE:
-        return Mutation.DISABLE_E1 not in mutation
-    return Mutation.DISABLE_E2 not in mutation
+def slash_kind(a: FfgVote, b: FfgVote, mutation: Mutation = Mutation.NONE) -> Optional[str]:
+    """Kind of offence two votes by one validator constitute under `mutation`, if any."""
+    kind = is_slashable_pair(a, b)
+    disabled = Mutation.DISABLE_E1 if kind == E1_DOUBLE else Mutation.DISABLE_E2
+    return None if disabled in mutation else kind
 
 
 def slashable_validators(
@@ -76,8 +77,8 @@ def slashable_validators(
         witnessed: set[str] = set()
         for i, a in enumerate(votes):
             for b in votes[i + 1 :]:
-                kind = is_slashable_pair(a, b)
-                if kind is None or not _kind_enabled(kind, mutation):
+                kind = slash_kind(a, b, mutation)
+                if kind is None:
                     continue
                 slashable.add(validator)
                 if kind not in witnessed:

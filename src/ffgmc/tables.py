@@ -1,5 +1,13 @@
 """Array tables backing the enumeration kernels.
 
+`build_graph_tables` evaluates the reference predicates once per unit and
+mutation: vote validity (`model.is_valid_ffg_vote`), chain conflict
+(`model.are_conflicting`), the sandwich clause (`finality.supports`), the
+finalizing link (`finality.finalizes`) and slashable pairs
+(`slashing.slash_kind`); the quorum rule enters through `mutation.quorum_met`
+in `quorum_families`.  Nothing downstream reads a mutation flag, so the fast
+path has no copy of the rules to drift from the reference.
+
 Bit conventions: checkpoints of one graph are indexed 0..K-1 in (c, p, block)
 order with the genesis checkpoint at index 0, and a checkpoint set is an int64
 bitmask (K <= 63).  The valid-vote universe of the graph is indexed 0..M-1;
@@ -19,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .finality import finalizes, supports
 from .model import (
     GENESIS_CHECKPOINT,
     BlockForest,
@@ -27,11 +36,12 @@ from .model import (
     InputError,
     ProtocolState,
     _cp_sort_key,
-    checkpoint_lt,
-    is_ancestor,
+    are_conflicting,
     is_valid_checkpoint,
+    is_valid_ffg_vote,
 )
-from .mutation import Mutation
+from .mutation import Mutation, quorum_met
+from .slashing import slash_kind
 
 MAX_CHECKPOINT_BITS = 63
 MAX_VOTE_BITS = 16
@@ -42,24 +52,23 @@ _FAMILY_CHUNK = 1 << 15   # row x subset entries per family batch
 
 @dataclass(frozen=True)
 class GraphTables:
-    """Checkpoint/vote structure of one (forest, slot assignment) pair."""
+    """Checkpoint/vote structure of one (forest, slot assignment) pair under one mutation."""
 
     forest: BlockForest
     checkpoints: tuple[Checkpoint, ...]          # K entries, genesis first
     votes: tuple[FfgVote, ...]                   # M valid votes, (src, tgt) index order
     vote_src: np.ndarray                         # (M,) checkpoint index of each source
     cp_conflict: np.ndarray                      # (K,) int64 conflict bitmasks
-    sandwich: np.ndarray                         # (K, M) bool, full justification clause
-    sandwich_noanc: np.ndarray                   # (K, M) bool, ancestry clause dropped
-    fin: np.ndarray                              # (K, M) bool, finalizing votes per source
-    pair_e1: np.ndarray                          # (M, M) bool
-    pair_e2: np.ndarray                          # (M, M) bool, both orientations
+    sandwich: np.ndarray                         # (K, M) bool, `finality.supports`
+    fin: np.ndarray                              # (K, M) bool, `finality.finalizes`
+    slash_pair: np.ndarray                       # (M, M) bool, symmetric `slashing.slash_kind`
     has_conflict: bool                           # any conflicting block pair in the forest
 
 
 def build_graph_tables(
-    forest: BlockForest, slot_rule: str, max_chkp_slot: int
+    forest: BlockForest, slot_rule: str, max_chkp_slot: int, mutation: Mutation = Mutation.NONE
 ) -> GraphTables:
+    """Evaluate the reference predicates on every checkpoint and vote of one unit."""
     probe = ProtocolState(forest, 1, frozenset(), slot_rule)
     cps: list[Checkpoint] = []
     for block in forest:
@@ -76,54 +85,24 @@ def build_graph_tables(
         )
     assert cps[0] == GENESIS_CHECKPOINT
 
-    anc = {
-        (a, d): is_ancestor(forest, a, d)
-        for a in forest.blocks
-        for d in forest.blocks
-    }
-    votes = [
-        FfgVote(s, t)
-        for s in cps
-        for t in cps
-        if s.c < t.c and anc[s.block, t.block]
-    ]
+    pairs = (FfgVote(s, t) for s in cps for t in cps)
+    votes = [v for v in pairs if is_valid_ffg_vote(probe, v)]
     m = len(votes)
-
     vote_src = np.array([cps.index(v.source) for v in votes], dtype=np.int64)
-    cp_conflict = np.zeros(k, dtype=np.int64)
-    for i, a in enumerate(cps):
-        for j, b in enumerate(cps):
-            if not anc[a.block, b.block] and not anc[b.block, a.block]:
-                cp_conflict[i] |= 1 << j
-
-    sandwich = np.zeros((k, m), dtype=bool)
-    sandwich_noanc = np.zeros((k, m), dtype=bool)
-    fin = np.zeros((k, m), dtype=bool)
-    for j, v in enumerate(votes):
-        src_idx = int(vote_src[j])
-        for i, cp in enumerate(cps):
-            if v.target.c == cp.c:
-                sandwich_noanc[i, j] = True
-                if anc[v.source.block, cp.block] and anc[cp.block, v.target.block]:
-                    sandwich[i, j] = True
-        if v.target.c == v.source.c + 1:
-            fin[src_idx, j] = True
-
-    pair_e1 = np.zeros((m, m), dtype=bool)
-    pair_e2 = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            va, vb = votes[a], votes[b]
-            if va.target.c == vb.target.c:
-                pair_e1[a, b] = True
-            elif checkpoint_lt(vb.source, va.source) and va.target.c < vb.target.c:
-                pair_e2[a, b] = True
-            elif checkpoint_lt(va.source, vb.source) and vb.target.c < va.target.c:
-                pair_e2[a, b] = True
-
-    has_conflict = bool((cp_conflict != 0).any())
+    conflicting = {
+        (a, b): are_conflicting(forest, a, b) for a in forest.blocks for b in forest.blocks
+    }
+    cp_conflict = np.array(
+        [sum(1 << j for j, b in enumerate(cps) if conflicting[a.block, b.block]) for a in cps],
+        dtype=np.int64,
+    )
+    sandwich = np.array(
+        [[supports(forest, v, cp, mutation) for v in votes] for cp in cps], dtype=bool
+    )
+    fin = np.array([[finalizes(v, cp) for v in votes] for cp in cps], dtype=bool)
+    slash_pair = np.zeros((m, m), dtype=bool)
+    for a, b in itertools.combinations(range(m), 2):
+        slash_pair[a, b] = slash_pair[b, a] = slash_kind(votes[a], votes[b], mutation) is not None
     return GraphTables(
         forest=forest,
         checkpoints=tuple(cps),
@@ -131,11 +110,9 @@ def build_graph_tables(
         vote_src=vote_src,
         cp_conflict=cp_conflict,
         sandwich=sandwich,
-        sandwich_noanc=sandwich_noanc,
         fin=fin,
-        pair_e1=pair_e1,
-        pair_e2=pair_e2,
-        has_conflict=has_conflict,
+        slash_pair=slash_pair,
+        has_conflict=bool((cp_conflict != 0).any()),
     )
 
 
@@ -159,24 +136,15 @@ class ProjectedTables:
     subset_slash: np.ndarray   # (C, 2**u) bool: does a vote subset hold a slashable pair
 
 
-def project_tables(
-    tables: GraphTables, combos: np.ndarray, mutation: Mutation = Mutation.NONE
-) -> ProjectedTables:
+def project_tables(tables: GraphTables, combos: np.ndarray) -> ProjectedTables:
     """Project the tables onto each row of `combos`, a (C, u) array of vote indices."""
     c, u = combos.shape
     _check_vote_bits(u)
     weights = np.int64(1) << np.arange(u, dtype=np.int64)
-    sandwich_src = (
-        tables.sandwich_noanc if Mutation.DROP_ANCESTRY in mutation else tables.sandwich
-    )
     pack = lambda mat: (mat[:, combos].astype(np.int64) @ weights).T    # (C, K)
-    sandwich = pack(sandwich_src)
+    sandwich = pack(tables.sandwich)
     src = tables.vote_src[combos]                                        # (C, u)
-    pair = np.zeros((c, u, u), dtype=bool)
-    if Mutation.DISABLE_E1 not in mutation:
-        pair |= tables.pair_e1[combos[:, :, None], combos[:, None, :]]
-    if Mutation.DISABLE_E2 not in mutation:
-        pair |= tables.pair_e2[combos[:, :, None], combos[:, None, :]]
+    pair = tables.slash_pair[combos[:, :, None], combos[:, None, :]]     # (C, u, u)
     # A subset t holds a slashable pair iff some vote i of t pairs with t.
     partners = pair.astype(np.int64) @ weights                           # (C, u)
     subsets = np.arange(2**u, dtype=np.int64)
@@ -228,20 +196,19 @@ def state_table(
 
 @lru_cache(maxsize=None)
 def quorum_families(
-    u: int, n_validators: int, max_votes: int, min_signers: int, quorum_half: bool
+    u: int, n_validators: int, max_votes: int, min_signers: int, mutation: Mutation
 ) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows of `state_table` by the quorum family they induce.
 
     The quorum family of a row (m_1, ..., m_N) is the test
-    q(X) = [a * |{v : m_v & X != 0}| >= b] for every vote subset X in
-    [0, 2**u), with (a, b) = (3, 2N), or (2, N) under quorum-half.  Returns
-    (families, index): the (D, 2**u) bool table of distinct families and the
-    (S,) family index of each row.  Rows are keyed by their bit-packed
-    family, so deduplication compares machine words rather than bool rows;
-    a key table above MAX_FAMILY_KEY_BYTES is refused rather than built.
+    q(X) = quorum_met(|{v : m_v & X != 0}|, N, mutation) for every vote
+    subset X in [0, 2**u).  Returns (families, index): the (D, 2**u) bool
+    table of distinct families and the (S,) family index of each row.  Rows
+    are keyed by their bit-packed family, so deduplication compares machine
+    words rather than bool rows; a key table above MAX_FAMILY_KEY_BYTES is
+    refused rather than built.
     """
     rows = state_table(u, n_validators, max_votes, min_signers)[0]
-    just_a, just_b = (2, n_validators) if quorum_half else (3, 2 * n_validators)
     n_subsets = 2**u
     subsets = np.arange(n_subsets, dtype=np.int64)
     n_words = _check_family_keys(u, n_validators, rows.shape[0])
@@ -252,7 +219,8 @@ def quorum_families(
         counts = np.zeros((block.shape[0], n_subsets), dtype=np.int64)
         for v in range(n_validators):
             counts += (block[:, v, None] & subsets) != 0
-        packed = np.packbits(just_a * counts >= just_b, axis=1, bitorder="little")
+        met = quorum_met(counts, n_validators, mutation)
+        packed = np.packbits(met, axis=1, bitorder="little")
         keys[lo : lo + step, : packed.shape[1]] = packed
     words = keys.view(np.uint64)
     if n_words == 1:
@@ -321,5 +289,5 @@ def _check_family_keys(u: int, n_validators: int, n_rows: int) -> int:
 
 
 def min_signers_for_quorum(n_validators: int) -> int:
-    """Fewest distinct senders any supermajority needs: ceil(2N/3)."""
-    return -(-2 * n_validators // 3)
+    """Fewest distinct senders any unmutated quorum needs: the least k with quorum_met."""
+    return next(k for k in range(n_validators + 1) if quorum_met(k, n_validators))

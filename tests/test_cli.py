@@ -367,6 +367,37 @@ def test_replay_mismatch_exits_internal(monkeypatch, capsys):
     assert "does not replay" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prop", sorted(enumerator.PROPERTY_MODES))
+def test_example_replay_mismatch_exits_internal(monkeypatch, capsys, prop):
+    # an example the reference finality view does not confirm is an internal
+    # failure, never a found example (exit 0)
+    nothing = SimpleNamespace(
+        justified=frozenset(), finalized=frozenset(), finalized_blocks=frozenset()
+    )
+    monkeypatch.setattr(enumerator, "finality_view", lambda state: nothing)
+    assert main([
+        "example", "--blocks", "2", "--validators", "2", "--max-votes", "8",
+        "--max-ffg", "4", "--max-chkp-slot", "3", "--property", prop,
+    ]) == 4
+    assert "does not replay" in capsys.readouterr().err
+
+
+def test_fixpoint_mismatch_replay_raises(monkeypatch):
+    # a kernel that reports a fixpoint mismatch on the first row, where both
+    # reference fixpoints are genesis alone, is an internal failure
+    monkeypatch.setattr(enumerator, "scan_states", lambda *args: (0, 1))
+    with pytest.raises(RuntimeError, match="does not replay"):
+        enumerator.check_lfp_gfp(enumerator.Bounds(n_blocks=1, n_validators=2, max_votes=2))
+
+
+@pytest.mark.parametrize("command", [["search"], ["example", "--property", "justified-nongenesis"]])
+def test_smt_checkpoints_is_refused_outside_the_smt_commands(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--blocks", "1", "--smt-checkpoints", "3"])
+    assert exit_info.value.code == 2
+    assert "--smt-checkpoints" in capsys.readouterr().err
+
+
 def test_unknown_mutation_exits_input_error(tmp_path, capsys):
     path = _write(tmp_path, FINALIZING_SCENARIO)
     assert main(["check", path, "--mutation", "grue"]) == 2

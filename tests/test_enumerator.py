@@ -393,7 +393,7 @@ def test_run_arguments_validated():
 
 # --- the monotone combination bound against the unreduced space -----------
 
-def _keep_every_combination(tables, combos, mode, drop_ancestry):
+def _keep_every_combination(tables, combos, mode):
     return np.ones(combos.shape[0], dtype=bool)
 
 

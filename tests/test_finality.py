@@ -9,10 +9,12 @@ import random
 from ffgmc.finality import (
     default_universe,
     finality_view,
+    finalizes,
     is_finalized,
     justified_checkpoints,
     justified_checkpoints_gfp,
     justifying_validators,
+    supports,
 )
 from ffgmc.model import (
     GENESIS,
@@ -27,7 +29,8 @@ from ffgmc.model import (
     is_ancestor,
     is_valid_checkpoint,
 )
-from ffgmc.mutation import Mutation
+from ffgmc.mutation import Mutation, quorum_met
+from ffgmc.tables import min_signers_for_quorum
 
 GC = GENESIS_CHECKPOINT
 CHAIN1 = BlockForest([Block("b1", 1, GENESIS)])
@@ -62,6 +65,24 @@ def three_vote_state():
     return ProtocolState(
         FORK, 4, frozenset(_votes(FfgVote(GC, C1), [0, 1, 2])), "nonstrict"
     )
+
+
+def test_supports_and_finalizes_examples():
+    # a vote genesis -> (b1, 2) supports the slot-2 checkpoints on the blocks
+    # it spans, and under drop-ancestry every slot-2 checkpoint
+    vote = FfgVote(GC, Checkpoint("b1", 2, 1))
+    assert supports(FORK, vote, Checkpoint("b1", 2, 1))
+    assert supports(FORK, vote, Checkpoint(GENESIS, 2, 0))
+    assert not supports(FORK, vote, Checkpoint("b2", 2, 1))  # conflicting block
+    assert supports(FORK, vote, Checkpoint("b2", 2, 1), Mutation.DROP_ANCESTRY)
+    assert not supports(FORK, vote, C1)  # another slot
+    assert not supports(FORK, vote, C1, Mutation.DROP_ANCESTRY)
+    # a finalizing link goes from c to the very next checkpoint slot
+    assert finalizes(FfgVote(GC, C1), GC)
+    assert finalizes(FfgVote(C1, Checkpoint("b1", 2, 1)), C1)
+    assert not finalizes(vote, GC)  # skips slot 1
+    assert not finalizes(FfgVote(GC, C1), C1)  # another source
+    assert not finalizes(FfgVote(Checkpoint("b2", 1, 1), Checkpoint("b2", 2, 1)), C1)
 
 
 def test_justifying_validators_examples():
@@ -164,6 +185,18 @@ def test_quorum_soundness():
         support = justifying_validators(state, justified, c)
         assert 3 * len(support) >= 2 * n
         assert len(support) >= need
+
+
+def test_quorum_met_boundaries():
+    # 3k >= 2N, or 2k >= N under quorum-half, at the counts either side of it
+    assert [k for k in range(4) if quorum_met(k, 3)] == [2, 3]
+    assert [k for k in range(5) if quorum_met(k, 4)] == [3, 4]
+    assert [k for k in range(4) if quorum_met(k, 3, Mutation.QUORUM_HALF)] == [2, 3]
+    assert [k for k in range(5) if quorum_met(k, 4, Mutation.QUORUM_HALF)] == [2, 3, 4]
+    assert [min_signers_for_quorum(n) for n in range(1, 8)] == [1, 2, 2, 3, 4, 4, 5]
+    # two of three validators justify C1
+    two = ProtocolState(FORK, 3, frozenset(_votes(FfgVote(GC, C1), [0, 1])), "nonstrict")
+    assert C1 in justified_checkpoints(two, checkpoints_of(two, 2))
 
 
 def test_is_finalized_examples():

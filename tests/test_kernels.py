@@ -33,8 +33,9 @@ from ffgmc.kernels import (
 )
 from ffgmc.catalog import catalog_forest
 from ffgmc.model import GENESIS, GENESIS_CHECKPOINT, Block, BlockForest, InputError
-from ffgmc.mutation import Mutation, quorum_met
-from ffgmc.slashing import accountable_safety, disagreement
+from ffgmc.finality import finalizes, supports
+from ffgmc.mutation import Mutation, parse_mutation, quorum_met
+from ffgmc.slashing import accountable_safety, disagreement, slash_kind
 from ffgmc.tables import (
     ProjectedTables,
     build_graph_tables,
@@ -55,6 +56,13 @@ ALL_MODES = (
 MUTATIONS = [
     Mutation.NONE, Mutation.QUORUM_HALF, Mutation.DROP_ANCESTRY,
     Mutation.DISABLE_E1 | Mutation.DISABLE_E2,
+]
+# every mutation label the searches are tested under
+ALL_MUTATIONS = [
+    parse_mutation(name) for name in (
+        "none", "quorum-half", "disable-e1", "disable-e2", "disable-e1,disable-e2",
+        "drop-ancestry", "quorum-half,drop-ancestry",
+    )
 ]
 
 
@@ -86,17 +94,16 @@ def test_kernel_first_hits_match_reference(mutation):
         slot_rule="nonstrict",
     )
     forest = BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)])
-    tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
-    quorum_half = Mutation.QUORUM_HALF in mutation
+    tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot, mutation)
     checked_states = 0
     for u in range(0, 3):
         rows, _, _ = state_table(u, bounds.n_validators, bounds.max_votes, 0)
-        families = quorum_families(u, bounds.n_validators, bounds.max_votes, 0, quorum_half)
+        families = quorum_families(u, bounds.n_validators, bounds.max_votes, 0, mutation)
         combos = all_combinations(len(tables.votes), u)
         n_rows = rows.shape[0]
         first = {mode: -1 for mode in ALL_MODES}   # flat index over all combinations
         for c, combo in enumerate(combos):
-            projected = project_tables(tables, combos[c : c + 1], mutation)
+            projected = project_tables(tables, combos[c : c + 1])
             expected = {mode: -1 for mode in ALL_MODES}
             for row_idx in range(n_rows):
                 state = materialize_state(
@@ -115,7 +122,7 @@ def test_kernel_first_hits_match_reference(mutation):
                 assert hit == expected[mode], (mode, combo)
                 want = n_rows if expected[mode] == -1 else expected[mode] + 1
                 assert scanned == want
-        projected = project_tables(tables, combos, mutation)
+        projected = project_tables(tables, combos)
         for mode in ALL_MODES:
             hit, scanned = scan_states(rows, families, projected, bounds.n_validators, mode)
             assert hit == first[mode], (mode, u)
@@ -133,12 +140,14 @@ def test_counterexample_hits_match_reference(mutation):
     bounds = Bounds(n_blocks=2, n_validators=3, max_votes=8, max_chkp_slot=2,
                     slot_rule="nonstrict")
     forest = BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)])
-    tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
+    tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot, mutation)
     every = all_combinations(len(tables.votes), 4)
-    keep = bound_combinations(tables, every, MODE_COUNTEREXAMPLE, False)
+    # the combinations are picked by the unmutated bound, whatever the mutation
+    plain = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
+    keep = bound_combinations(plain, every, MODE_COUNTEREXAMPLE)
     combos = every[np.flatnonzero(keep | (np.arange(len(every)) < 2))]
     rows, _, _ = state_table(4, 3, bounds.max_votes, 0)
-    families = quorum_families(4, 3, bounds.max_votes, 0, Mutation.QUORUM_HALF in mutation)
+    families = quorum_families(4, 3, bounds.max_votes, 0, mutation)
     expected = {MODE_COUNTEREXAMPLE: -1, MODE_CONFLICTING_FINALIZED: -1}
     for flat in range(len(combos) * rows.shape[0]):
         combo, row = combos[flat // rows.shape[0]], rows[flat % rows.shape[0]]
@@ -153,38 +162,46 @@ def test_counterexample_hits_match_reference(mutation):
         if -1 not in expected.values():
             break
     assert expected[MODE_CONFLICTING_FINALIZED] >= 0
-    projected = project_tables(tables, combos, mutation)
+    projected = project_tables(tables, combos)
     for mode, first in expected.items():
         want = (first, first + 1) if first >= 0 else (-1, len(combos) * rows.shape[0])
         assert scan_states(rows, families, projected, 3, mode) == want, mode
 
 
-@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.label())
+@pytest.mark.parametrize("mutation", ALL_MUTATIONS, ids=lambda m: m.label())
 def test_projection_matches_graph_tables(mutation):
-    # every packed mask, bit by bit, against the GraphTables matrices: bit i
-    # of src_sandwich[c, j] says vote i sandwiches vote j's source checkpoint
+    # every packed mask, bit by bit, against the reference predicates: bit i
+    # of src_sandwich[c, j] says vote i supports vote j's source checkpoint,
+    # and subset_slash[c, t] whether subset t holds a slashable pair
     forests = [
         BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)]),
         BlockForest([Block("b1", 1, GENESIS), Block("b2", 2, "b1")]),
         catalog_forest("forest"),
     ]
     for forest in forests:
-        tables = build_graph_tables(forest, "nonstrict", 2)
-        sandwich = (
-            tables.sandwich_noanc if Mutation.DROP_ANCESTRY in mutation else tables.sandwich
-        )
+        tables = build_graph_tables(forest, "nonstrict", 2, mutation)
+        cps, votes = tables.checkpoints, tables.votes
         for u in range(4):
-            combos = all_combinations(len(tables.votes), u)
-            projected = project_tables(tables, combos, mutation)
+            combos = all_combinations(len(votes), u)
+            projected = project_tables(tables, combos)
             for c, combo in enumerate(combos):
                 for j, vote in enumerate(combo):
                     src = tables.vote_src[vote]
+                    assert votes[vote].source == cps[src]
                     assert (projected.from_genesis[c] >> j & 1) == (src == 0)
                     for i, other in enumerate(combo):
-                        assert (projected.src_sandwich[c, j] >> i & 1) == sandwich[src, other]
-                        for cp in range(len(tables.checkpoints)):
-                            assert (projected.sandwich[c, cp] >> i & 1) == sandwich[cp, other]
-                            assert (projected.fin[c, cp] >> i & 1) == tables.fin[cp, other]
+                        supported = supports(forest, votes[other], cps[src], mutation)
+                        assert (projected.src_sandwich[c, j] >> i & 1) == supported
+                        for k, cp in enumerate(cps):
+                            supported = supports(forest, votes[other], cp, mutation)
+                            assert (projected.sandwich[c, k] >> i & 1) == supported
+                            assert (projected.fin[c, k] >> i & 1) == finalizes(votes[other], cp)
+                for t in range(2**u):
+                    held = [votes[v] for i, v in enumerate(combo) if t >> i & 1]
+                    slashable = any(
+                        slash_kind(a, b, mutation) for a, b in itertools.combinations(held, 2)
+                    )
+                    assert projected.subset_slash[c, t] == slashable, (combo, t)
 
 
 def test_fixpoint_comparison_sees_a_support_cycle():
@@ -201,7 +218,7 @@ def test_fixpoint_comparison_sees_a_support_cycle():
         subset_slash=np.zeros((1, 4), dtype=bool),
     )
     rows, _, _ = state_table(2, 1, 2, 0)
-    families = quorum_families(2, 1, 2, 0, False)
+    families = quorum_families(2, 1, 2, 0, Mutation.NONE)
     assert scan_states(rows, families, projected, 1, MODE_LFP_NE_GFP) == (0, 1)
     assert scan_states(rows, families, projected, 1, MODE_JUSTIFIED_NONGENESIS) == (-1, 1)
 
@@ -269,13 +286,12 @@ def hand_made_flags(k, combo, cp_conflict, row, n_validators, mutation):
     }
 
 
-def check_hand_made_scan(k, combos, cp_conflict, n_validators, max_votes, quorum_half,
+def check_hand_made_scan(k, combos, cp_conflict, n_validators, max_votes, mutation,
                          mode, limit=None, pair_batch=None):
     """Compare scan_states on hand-made tables with a row-by-row reference loop."""
     u = len(combos[0][0])
     rows, _, _ = state_table(u, n_validators, max_votes, 0)
-    families = quorum_families(u, n_validators, max_votes, 0, quorum_half)
-    mutation = Mutation.QUORUM_HALF if quorum_half else Mutation.NONE
+    families = quorum_families(u, n_validators, max_votes, 0, mutation)
     total = len(combos) * rows.shape[0]
     expected, scanned = -1, (total if limit is None else min(total, limit))
     for flat in range(scanned):
@@ -306,12 +322,13 @@ def test_scan_matches_checkpoint_set_reference_on_hand_made_tables(data):
     cp_conflict = data.draw(
         st.lists(st.integers(0, 2**k - 1), min_size=k, max_size=k), label="cp_conflict"
     )
-    quorum_half = data.draw(st.booleans(), label="quorum_half")
+    mutation = data.draw(st.sampled_from([Mutation.NONE, Mutation.QUORUM_HALF]),
+                         label="mutation")
     rows = state_table(u, n_validators, max_votes, 0)[0].shape[0]
     limit = data.draw(st.none() | st.integers(0, len(combos) * rows + 2), label="limit")
     pair_batch = data.draw(st.sampled_from([1, 5, 1024, None]), label="pair batch")
     for mode in ALL_MODES:
-        check_hand_made_scan(k, combos, cp_conflict, n_validators, max_votes, quorum_half,
+        check_hand_made_scan(k, combos, cp_conflict, n_validators, max_votes, mutation,
                              mode, limit, pair_batch)
 
 
@@ -338,44 +355,50 @@ def test_support_cycles_separate_the_fixpoints(k, combos, n_validators):
     cp_conflict[1], cp_conflict[2] = 0b100, 0b010
     u = len(combos[0][0])
     for mode in ALL_MODES:
-        for quorum_half in (False, True):
+        for mutation in (Mutation.NONE, Mutation.QUORUM_HALF):
             first = check_hand_made_scan(
-                k, combos, cp_conflict, n_validators, u * n_validators, quorum_half, mode
+                k, combos, cp_conflict, n_validators, u * n_validators, mutation, mode
             )
             if mode == MODE_LFP_NE_GFP:
                 assert first >= 0
             for pair_batch in (1, 5):
                 check_hand_made_scan(k, combos, cp_conflict, n_validators, u * n_validators,
-                                     quorum_half, mode, pair_batch=pair_batch)
+                                     mutation, mode, pair_batch=pair_batch)
 
 
 def test_empty_scan():
     forest = BlockForest([Block("b1", 1, GENESIS)])
     tables = build_graph_tables(forest, "strict", 2)
-    projected = project_tables(tables, np.zeros((1, 0), dtype=np.int64), Mutation.NONE)
+    projected = project_tables(tables, np.zeros((1, 0), dtype=np.int64))
     rows = np.zeros((0, 3), dtype=np.int64)
     no_families = (np.zeros((0, 1), dtype=bool), np.zeros(0, dtype=np.intp))
     assert scan_states(rows, no_families, projected, 3, MODE_COUNTEREXAMPLE) == (-1, 0)
     rows, _, _ = state_table(0, 3, 4, 0)
-    families = quorum_families(0, 3, 4, 0, False)
+    families = quorum_families(0, 3, 4, 0, Mutation.NONE)
     assert scan_states(rows, families, projected, 3, MODE_LFP_NE_GFP, limit=0) == (-1, 0)
-    none = project_tables(tables, np.zeros((0, 0), dtype=np.int64), Mutation.NONE)
+    none = project_tables(tables, np.zeros((0, 0), dtype=np.int64))
     assert scan_states(rows, families, none, 3, MODE_LFP_NE_GFP) == (-1, 0)
 
 
+HALF, DROP = Mutation.QUORUM_HALF, Mutation.DROP_ANCESTRY
+E1_E2 = Mutation.DISABLE_E1 | Mutation.DISABLE_E2
+
+
 @pytest.mark.parametrize(
-    "u,n_validators,max_votes,min_signers,quorum_half",
-    [(0, 2, 4, 0, False), (2, 1, 4, 0, False), (3, 3, 9, 0, False), (3, 4, 12, 3, True),
-     (4, 3, 12, 2, False), (4, 4, 12, 0, True), (7, 2, 14, 0, False)],
+    "u,n_validators,max_votes,min_signers,mutation",
+    [(0, 2, 4, 0, Mutation.NONE), (2, 1, 4, 0, E1_E2), (3, 3, 9, 0, DROP),
+     (3, 4, 12, 3, HALF), (4, 3, 12, 2, Mutation.NONE), (4, 4, 12, 0, HALF | DROP),
+     (7, 2, 14, 0, Mutation.NONE)],
+    # the id's last field says whether the quorum is halved
+    ids=lambda v: str(HALF in v) if isinstance(v, Mutation) else None,
 )
 def test_quorum_families_match_direct_count(
-    u, n_validators, max_votes, min_signers, quorum_half
+    u, n_validators, max_votes, min_signers, mutation
 ):
     rows, _, _ = state_table(u, n_validators, max_votes, min_signers)
-    table, index = quorum_families(u, n_validators, max_votes, min_signers, quorum_half)
+    table, index = quorum_families(u, n_validators, max_votes, min_signers, mutation)
     assert index.shape == (rows.shape[0],)
     assert table.shape[1] == 2**u
-    mutation = Mutation.QUORUM_HALF if quorum_half else Mutation.NONE
     for r, row in enumerate(rows):
         for x in range(2**u):
             count = sum(1 for mask in row if int(mask) & x)
@@ -390,9 +413,9 @@ def test_quorum_families_refuse_an_oversized_table(monkeypatch):
     monkeypatch.setattr("ffgmc.tables.MAX_FAMILY_KEY_BYTES", 70 * 8)
     quorum_families.cache_clear()
     with pytest.raises(InputError, match="quorum families"):
-        quorum_families(3, 3, 9, 0, False)
+        quorum_families(3, 3, 9, 0, Mutation.NONE)
     monkeypatch.setattr("ffgmc.tables.MAX_FAMILY_KEY_BYTES", 71 * 8)
-    assert quorum_families(3, 3, 9, 0, False)[1].shape == (71,)
+    assert quorum_families(3, 3, 9, 0, Mutation.NONE)[1].shape == (71,)
 
 
 # Graph units for the differential test: depth and free slot modes on up to
@@ -414,16 +437,14 @@ def test_scan_matches_row_by_row_reference(data):
     max_chkp_slot = data.draw(st.integers(1, 3), label="max_chkp_slot")
     mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
     mode = data.draw(st.sampled_from(ALL_MODES), label="mode")
-    tables = build_graph_tables(forest, slot_rule, max_chkp_slot)
+    tables = build_graph_tables(forest, slot_rule, max_chkp_slot, mutation)
     u = data.draw(st.integers(0, min(3, len(tables.votes))), label="u")
     max_votes = data.draw(st.integers(u, min(u * n_validators, 6)), label="max_votes")
     min_signers = data.draw(
         st.sampled_from([0, min_signers_for_quorum(n_validators)]), label="min_signers"
     )
     rows, _, _ = state_table(u, n_validators, max_votes, min_signers)
-    families = quorum_families(
-        u, n_validators, max_votes, min_signers, Mutation.QUORUM_HALF in mutation
-    )
+    families = quorum_families(u, n_validators, max_votes, min_signers, mutation)
     every = all_combinations(len(tables.votes), u)
     picked = sorted(data.draw(
         st.sets(st.integers(0, len(every) - 1), min_size=1, max_size=4), label="combinations"
@@ -444,7 +465,7 @@ def test_scan_matches_row_by_row_reference(data):
         if reference_flags(state, mutation)[mode]:
             expected, scanned = flat, flat + 1
             break
-    projected = project_tables(tables, combos, mutation)
+    projected = project_tables(tables, combos)
     with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch):
         got = scan_states(rows, families, projected, n_validators, mode, limit)
     assert got == (expected, scanned)
@@ -485,17 +506,16 @@ def test_bound_matches_unanimity_state(
         n_blocks=2, n_validators=n_validators, max_votes=16, max_chkp_slot=max_chkp_slot,
         slot_rule=slot_rule,
     )
-    tables = build_graph_tables(forests[graph], bounds.slot_rule, bounds.max_chkp_slot)
-    drop = Mutation.DROP_ANCESTRY in mutation
+    tables = build_graph_tables(
+        forests[graph], bounds.slot_rule, bounds.max_chkp_slot, mutation
+    )
     kept = {mode: 0 for mode in BOUNDED_MODES}
     for u in range(max_u + 1):
         m = len(tables.votes)
         combos = all_combinations(m, u)
-        keep = {mode: bound_combinations(tables, combos, mode, drop) for mode in BOUNDED_MODES}
+        keep = {mode: bound_combinations(tables, combos, mode) for mode in BOUNDED_MODES}
         rows, _, _ = state_table(u, n_validators, bounds.max_votes, 0)
-        table, index = quorum_families(
-            u, n_validators, bounds.max_votes, 0, Mutation.QUORUM_HALF in mutation
-        )
+        table, index = quorum_families(u, n_validators, bounds.max_votes, 0, mutation)
         unanimity = int(np.flatnonzero((rows == (1 << u) - 1).all(axis=1))[0])
         row = rows[unanimity : unanimity + 1]
         families = (table, index[unanimity : unanimity + 1])
@@ -510,7 +530,7 @@ def test_bound_matches_unanimity_state(
                 MODE_JUSTIFIED_NONGENESIS: bool(view.justified - {GENESIS_CHECKPOINT}),
                 MODE_CONFLICTING_FINALIZED: conflicting,
             }
-            projected = project_tables(tables, combos[i : i + 1], mutation)
+            projected = project_tables(tables, combos[i : i + 1])
             for mode in BOUNDED_MODES:
                 assert keep[mode][i] == reference[mode], (mode, combo)
                 scan_mode = MODE_CONFLICTING_FINALIZED if mode == MODE_COUNTEREXAMPLE else mode
@@ -522,8 +542,7 @@ def test_bound_matches_unanimity_state(
         assert kept[MODE_CONFLICTING_FINALIZED] > 0
 
 
-@pytest.mark.parametrize("mutation", [Mutation.NONE, Mutation.DROP_ANCESTRY],
-                         ids=lambda m: m.label())
+@pytest.mark.parametrize("mutation", ALL_MUTATIONS, ids=lambda m: m.label())
 def test_mask_bound_matches_finality_on_every_unit(mutation):
     # every unit of three blocks and of two blocks in free slot mode, up to
     # four votes: on combinations the bound keeps and drops for a
@@ -531,7 +550,6 @@ def test_mask_bound_matches_finality_on_every_unit(mutation):
     # reference finality of the unanimity state (one validator casting
     # every vote)
     rng = np.random.default_rng(7)
-    drop = Mutation.DROP_ANCESTRY in mutation
     kept = 0
     for bounds in (
         Bounds(n_blocks=3, n_validators=1, max_votes=4, max_chkp_slot=3, slot_rule="nonstrict"),
@@ -539,15 +557,17 @@ def test_mask_bound_matches_finality_on_every_unit(mutation):
                max_slot=2),
     ):
         for forest in iter_units(bounds):
-            tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
+            tables = build_graph_tables(
+                forest, bounds.slot_rule, bounds.max_chkp_slot, mutation
+            )
             m = len(tables.votes)
             for u in range(1, 5):
                 every = all_combinations(m, u)
-                conflict = bound_combinations(tables, every, MODE_CONFLICTING_FINALIZED, drop)
+                conflict = bound_combinations(tables, every, MODE_CONFLICTING_FINALIZED)
                 picks = [rng.permutation(np.flatnonzero(side))[:10]
                          for side in (conflict, ~conflict)]
                 combos = every[np.sort(np.concatenate(picks + [rng.choice(len(every), 10)]))]
-                keep = {mode: bound_combinations(tables, combos, mode, drop)
+                keep = {mode: bound_combinations(tables, combos, mode)
                         for mode in BOUNDED_MODES}
                 for i, combo in enumerate(combos):
                     combo = tuple(int(x) for x in combo)
@@ -568,4 +588,4 @@ def test_bound_refuses_the_fixpoint_comparison():
     forest = BlockForest([Block("b1", 1, GENESIS)])
     tables = build_graph_tables(forest, "strict", 2)
     with pytest.raises(ValueError):
-        bound_combinations(tables, np.zeros((1, 0), dtype=np.int64), MODE_LFP_NE_GFP, False)
+        bound_combinations(tables, np.zeros((1, 0), dtype=np.int64), MODE_LFP_NE_GFP)

@@ -42,13 +42,9 @@ def _report(bounds, mutation, budget=None, jobs=1):
 
 # --- combinations from a starting rank ---------------------------------------
 
-@pytest.mark.parametrize("int64_combos", [1 << 62, 10, 0], ids=["ranks", "mixed", "split"])
-def test_combinations_from_rank_match_itertools(monkeypatch, int64_combos):
-    # every m <= 12, every u and every start rank, to the end of the level;
-    # small thresholds force the split on leading elements that levels too
-    # large for int64 ranks take
-    monkeypatch.setattr(enumerator, "_INT64_COMBOS", int64_combos)
-    for m in range(13 if int64_combos > 1 << 40 else 9):
+def test_combinations_from_rank_match_itertools():
+    # every m <= 12, every u and every start rank, to the end of the level
+    for m in range(13):
         for u in range(m + 1):
             expected = np.array(list(itertools.combinations(range(m), u)), dtype=np.int64)
             expected = expected.reshape(comb(m, u), u)
@@ -60,13 +56,17 @@ def test_combinations_from_rank_match_itertools(monkeypatch, int64_combos):
 
 
 def test_combinations_of_a_level_beyond_int64():
-    # C(200, 16) is about 1.9e24: ranks at both ends of the level
-    m, u, total = 200, 16, comb(200, 16)
-    assert total > 1 << 63
-    first = enumerator._combinations(m, u, 0, 2)
-    assert first.tolist() == [list(range(16)), list(range(15)) + [16]]
-    last = enumerator._combinations(m, u, total - 2, 2)
-    assert last.tolist() == [[183] + list(range(185, 200)), list(range(184, 200))]
+    # ranks are int64, so the plan refuses a scanned level of more than 2**62
+    # combinations like its other size limits, after the levels before it.
+    # One block with checkpoint slots up to 12 has 210 votes, and C(210, 12)
+    # is about 1e19
+    bounds = Bounds(n_blocks=1, n_validators=1, max_votes=16, max_chkp_slot=12)
+    plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_JUSTIFIED_NONGENESIS, 0)
+    index, error = plan.refusal
+    assert index == 0 and "rank limit" in str(error)
+    assert len(plan.reps[0].tables.votes) == 210
+    assert plan.levels[-1] == (0, 11)
+    assert comb(210, 11) <= 1 << 62 < comb(210, 12)
 
 
 # --- reports do not depend on how the plan is cut or run -----------------------

@@ -21,6 +21,7 @@ from ffgmc.slashing import (
     accountable_safety,
     disagreement,
     is_slashable_pair,
+    slash_kind,
     slashable_validators,
 )
 from ffgmc.finality import finality_view
@@ -75,6 +76,23 @@ def test_disable_mutations():
     assert slashable_validators(state, Mutation.DISABLE_E1)[0] == frozenset()
     assert slashable_validators(state, Mutation.DISABLE_E2)[0] == frozenset({0})
     assert slashable_validators(state, Mutation.DISABLE_E1 | Mutation.DISABLE_E2)[0] == frozenset()
+
+
+def test_slash_kind_under_mutations():
+    double = (FfgVote(GC, Checkpoint("b1", 1, 1)), FfgVote(GC, Checkpoint("b2", 1, 1)))
+    surround = (
+        FfgVote(Checkpoint("b1", 1, 1), Checkpoint("b1", 2, 1)),
+        FfgVote(GC, Checkpoint("b1", 3, 1)),
+    )
+    assert slash_kind(*double) == E1_DOUBLE
+    assert slash_kind(*surround) == E2_SURROUND
+    assert slash_kind(double[0], double[0]) is None
+    assert slash_kind(*double, Mutation.DISABLE_E1) is None
+    assert slash_kind(*surround, Mutation.DISABLE_E1) == E2_SURROUND
+    assert slash_kind(*double, Mutation.DISABLE_E2) == E1_DOUBLE
+    assert slash_kind(*surround, Mutation.DISABLE_E2) is None
+    # the justification mutations leave slashing alone
+    assert slash_kind(*double, Mutation.QUORUM_HALF | Mutation.DROP_ANCESTRY) == E1_DOUBLE
 
 
 def _conflicting_finalized_state():
