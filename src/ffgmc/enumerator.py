@@ -26,8 +26,10 @@ checked (and separately as symmetric), exactly as a scan would count them.
 
 `search`, `find_example` and `check_lfp_gfp` all run one scan plan
 (`_plan`): every unit in canonical order, where the first unit of each
-class is either settled whole or split into scan tasks of at most
-`_BOUND_CHUNK` combinations of one distinct-vote count.  The calling process
+class is either settled whole or cut into scan tasks.  A class's levels
+(distinct-vote counts u = 0, 1, ...) are laid end to end in canonical
+order, and each task takes the next `_BOUND_CHUNK` combinations of that
+sequence: a task may span levels, never classes.  The calling process
 claims and scans tasks itself, and with jobs > 1 forked helpers claim them
 too; results fold in plan order (`_fold`), so every report equals the
 single-process one.
@@ -84,6 +86,7 @@ from .tables import (
     project_tables,
     quorum_families,
     state_table,
+    unit_universe,
 )
 
 VERDICT_HOLDS = "holds-exhaustively"
@@ -260,10 +263,10 @@ def _distinct_vote_range(bounds: Bounds, n_votes: int) -> range:
     return range(0, min(bounds.max_ffg_votes, n_votes, bounds.max_votes) + 1)
 
 
-def _unit_total_states(bounds: Bounds, tables: GraphTables, min_signers: int) -> int:
+def _unit_total_states(bounds: Bounds, n_votes: int, min_signers: int) -> int:
     total = 0
-    for u in _distinct_vote_range(bounds, len(tables.votes)):
-        total += comb(len(tables.votes), u) * state_table(
+    for u in _distinct_vote_range(bounds, n_votes):
+        total += comb(n_votes, u) * state_table(
             u, bounds.n_validators, bounds.max_votes, min_signers
         )[2]
     return total
@@ -292,7 +295,7 @@ class _Counts:
         )
 
 
-_BOUND_CHUNK = 4096  # most combinations in one scan task
+_BOUND_CHUNK = 4096  # most combinations in one scan task, over one class's levels
 _COMBO_BATCH = 256   # most combinations projected and scanned in one call
 _MAX_LEVEL_COMBOS = 1 << 62  # most combinations of one scanned level: ranks are int64
 
@@ -335,11 +338,10 @@ def _vote_permutations(tables: GraphTables) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Unit:
-    """A scanned unit's tables and its automorphisms as vote permutations
-    (None for a unit settled without a scan)."""
+    """A scanned unit's tables and its automorphisms as vote permutations."""
 
     tables: GraphTables
-    perms: Optional[np.ndarray]
+    perms: np.ndarray
 
 
 def _kept_batches(
@@ -442,6 +444,28 @@ def _scan_range(
     )
 
 
+def _scan_task(
+    plan: _Plan,
+    unit: _Unit,
+    segments: list[tuple[int, int, int]],
+    limit: Optional[int] = None,
+    stopped: Optional[Callable[[], bool]] = None,
+) -> Optional[_Counts]:
+    """Scan a task's (u, lo, hi) segments in order, as `_scan_range` does one:
+    the budget left carries from segment to segment, and the scan ends at a
+    hit or a budget cut; a scan `stopped` ends returns None."""
+    total = _Counts()
+    for u, lo, hi in segments:
+        left = None if limit is None else limit - total.checked
+        counts = _scan_range(plan, unit, u, lo, hi, left, stopped)
+        if counts is None:
+            return None
+        total += counts
+        if total.hit is not None or total.cut:
+            break
+    return total
+
+
 def materialize_state(
     bounds: Bounds, tables: GraphTables, combo: tuple[int, ...], masks: tuple[int, ...]
 ) -> ProtocolState:
@@ -465,10 +489,12 @@ class _Plan:
     first unit of each isomorphism class.
 
     A class's first unit is settled whole when it is vacuous (a safety mode
-    and no conflicting block pair: its rows are counted, not scanned), and
-    is otherwise split into tasks of at most `_BOUND_CHUNK` combinations of
-    one distinct-vote count u, numbered in canonical order.  Later units of
-    a class reuse its counts.
+    and no conflicting checkpoint pair: its rows are counted from its vote
+    count, not scanned, and no other table of it is built).  Otherwise its
+    levels u = 0, 1, ... are laid end to end in canonical order and cut
+    into tasks of `_BOUND_CHUNK` combinations of that sequence (the last
+    one shorter), numbered in canonical order; each class starts a new
+    task.  Later units of a class reuse its counts.
 
     The plan ends at the first level whose tables are over a size limit
     (`refusal`: that unit and its error).  No task lies past it, so a run
@@ -482,20 +508,32 @@ class _Plan:
     min_signers: int
     units: list[BlockForest]
     keys: list[tuple]
-    reps: dict[int, _Unit] = field(default_factory=dict)    # first unit of each class
+    reps: dict[int, _Unit] = field(default_factory=dict)    # first unit of a scanned class
+    vacuous: dict[int, int] = field(default_factory=dict)   # vote count of a vacuous one
     tasks: dict[int, range] = field(default_factory=dict)   # task numbers of a scanned one
     levels: list[tuple[int, int]] = field(default_factory=list)  # (unit, u) per level
-    starts: list[int] = field(default_factory=list)         # first task of each level
+    # position of each level's first combination: a class's sequence starts
+    # at its first task times `_BOUND_CHUNK`, and task i holds positions
+    # i * _BOUND_CHUNK .. (i + 1) * _BOUND_CHUNK - 1
+    starts: list[int] = field(default_factory=list)
     n_tasks: int = 0
     refusal: Optional[tuple[int, InputError]] = None
 
-    def task(self, i: int) -> tuple[_Unit, int, int, int]:
-        """(unit, u, lo, hi): task i scans the size-u combinations of ranks lo .. hi - 1."""
-        level = bisect.bisect_right(self.starts, i) - 1
-        index, u = self.levels[level]
+    def task(self, i: int) -> tuple[_Unit, list[tuple[int, int, int]]]:
+        """(unit, segments): task i scans, for each (u, lo, hi) segment in
+        order, the size-u combinations of ranks lo .. hi - 1."""
+        begin, end = i * _BOUND_CHUNK, (i + 1) * _BOUND_CHUNK
+        level = bisect.bisect_right(self.starts, begin) - 1
+        index = self.levels[level][0]
         unit = self.reps[index]
-        lo = (i - self.starts[level]) * _BOUND_CHUNK
-        return unit, u, lo, min(lo + _BOUND_CHUNK, comb(len(unit.tables.votes), u))
+        segments = []
+        for k in range(level, len(self.levels)):
+            (owner, u), start = self.levels[k], self.starts[k]
+            if owner != index or start >= end:
+                break
+            size = comb(len(unit.tables.votes), u)
+            segments.append((u, max(begin - start, 0), min(end - start, size)))
+        return unit, segments
 
 
 def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _Plan:
@@ -508,26 +546,34 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
             continue
         seen.add(key)
         first = plan.n_tasks
+        position = first * _BOUND_CHUNK
         try:
-            tables = build_graph_tables(
-                forest, bounds.slot_rule, _chkp_bound(bounds, forest), mutation
-            )
-            scanned = mode not in _VACUITY_MODES or tables.has_conflict
-            plan.reps[index] = _Unit(tables, _vote_permutations(tables) if scanned else None)
-            for u in _distinct_vote_range(bounds, len(tables.votes)):
+            chkp_bound = _chkp_bound(bounds, forest)
+            universe = unit_universe(forest, bounds.slot_rule, chkp_bound)
+            _, votes, cp_conflict = universe
+            scanned = mode not in _VACUITY_MODES or bool(cp_conflict.any())
+            if scanned:
+                tables = build_graph_tables(
+                    forest, bounds.slot_rule, chkp_bound, mutation, universe
+                )
+                plan.reps[index] = _Unit(tables, _vote_permutations(tables))
+            else:
+                plan.vacuous[index] = len(votes)
+            for u in _distinct_vote_range(bounds, len(votes)):
                 if (u, scanned) not in checked_levels:
                     check_level(u, bounds.n_validators, bounds.max_votes, min_signers, scanned)
                     checked_levels.add((u, scanned))
                 if scanned:
-                    n_combos = comb(len(tables.votes), u)
+                    n_combos = comb(len(votes), u)
                     if n_combos > _MAX_LEVEL_COMBOS:
                         raise InputError(
-                            f"{n_combos} combinations of {u} of {len(tables.votes)} votes "
+                            f"{n_combos} combinations of {u} of {len(votes)} votes "
                             "exceed the rank limit 2**62; lower max_ffg_votes or max_chkp_slot"
                         )
                     plan.levels.append((index, u))
-                    plan.starts.append(plan.n_tasks)
-                    plan.n_tasks += -(-n_combos // _BOUND_CHUNK)
+                    plan.starts.append(position)
+                    position += n_combos
+                    plan.n_tasks = -(-position // _BOUND_CHUNK)
         except InputError as error:
             # the refused unit keeps the tasks of its levels that fit
             plan.tasks[index] = range(first, plan.n_tasks)
@@ -611,7 +657,7 @@ class _Tasks:
             self.shared[1] = min(self.shared[1], i)
 
     def scan(self, i: int, limit: Optional[int] = None) -> Optional[_Counts]:
-        counts = _scan_range(
+        counts = _scan_task(
             self.plan, *self.plan.task(i), limit, stopped=lambda: self.shared[1] < i
         )
         if counts is not None and counts.hit is not None:
@@ -687,7 +733,7 @@ def _fold(
                 counts = tasks.result(i, left)
                 if left is not None and counts.checked > left:
                     tasks.stop(i)
-                    counts = _scan_range(plan, *plan.task(i), limit=left)
+                    counts = _scan_task(plan, *plan.task(i), limit=left)
                 total += counts
                 run += counts
                 if run.hit is not None or run.cut:
@@ -695,9 +741,9 @@ def _fold(
             if plan.refusal is not None and plan.refusal[0] == index:
                 raise plan.refusal[1]
             memo[key] = (index, total)
-        elif index in plan.reps:
-            tables = plan.reps[index].tables
-            counts = _Counts(pruned=_unit_total_states(plan.bounds, tables, plan.min_signers))
+        elif index in plan.vacuous:
+            n_votes = plan.vacuous[index]
+            counts = _Counts(pruned=_unit_total_states(plan.bounds, n_votes, plan.min_signers))
             memo[key] = (index, counts)
             run += counts
         else:
@@ -711,8 +757,7 @@ def _fold(
             )
             unit = _Unit(tables, _vote_permutations(tables))
             for i in plan.tasks[first]:
-                _, u, lo, hi = plan.task(i)
-                run += _scan_range(plan, unit, u, lo, hi, limit=budget - run.checked)
+                run += _scan_task(plan, unit, plan.task(i)[1], limit=budget - run.checked)
                 if run.hit is not None or run.cut:
                     return run, index + 1, unit
     return run, len(plan.keys), None

@@ -6,7 +6,9 @@ mutation: vote validity (`model.is_valid_ffg_vote`), chain conflict
 finalizing link (`finality.finalizes`) and slashable pairs
 (`slashing.slash_kind`); the quorum rule enters through `mutation.quorum_met`
 in `quorum_families`.  Nothing downstream reads a mutation flag, so the fast
-path has no copy of the rules to drift from the reference.
+path has no copy of the rules to drift from the reference.  Its first step,
+`unit_universe` (checkpoints, valid votes, chain conflict), is all the scan
+plan reads of a unit that is vacuous for safety.
 
 Bit conventions: checkpoints of one graph are indexed 0..K-1 in (c, p, block)
 order with the genesis checkpoint at index 0, and a checkpoint set is an int64
@@ -24,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -62,13 +65,19 @@ class GraphTables:
     sandwich: np.ndarray                         # (K, M) bool, `finality.supports`
     fin: np.ndarray                              # (K, M) bool, `finality.finalizes`
     slash_pair: np.ndarray                       # (M, M) bool, symmetric `slashing.slash_kind`
-    has_conflict: bool                           # any conflicting block pair in the forest
 
 
-def build_graph_tables(
-    forest: BlockForest, slot_rule: str, max_chkp_slot: int, mutation: Mutation = Mutation.NONE
-) -> GraphTables:
-    """Evaluate the reference predicates on every checkpoint and vote of one unit."""
+Universe = tuple[tuple[Checkpoint, ...], tuple[FfgVote, ...], np.ndarray]
+
+
+def unit_universe(forest: BlockForest, slot_rule: str, max_chkp_slot: int) -> Universe:
+    """The checkpoints of one unit (genesis first), its valid votes and each
+    checkpoint's (K,) int64 conflict bitmask.
+
+    Conflict is read on checkpoints, not blocks: a block with no checkpoint
+    under `max_chkp_slot` conflicts with nothing, so a unit with no nonzero
+    mask is vacuous for safety even when its forest forks.
+    """
     probe = ProtocolState(forest, 1, frozenset(), slot_rule)
     cps: list[Checkpoint] = []
     for block in forest:
@@ -86,9 +95,7 @@ def build_graph_tables(
     assert cps[0] == GENESIS_CHECKPOINT
 
     pairs = (FfgVote(s, t) for s in cps for t in cps)
-    votes = [v for v in pairs if is_valid_ffg_vote(probe, v)]
-    m = len(votes)
-    vote_src = np.array([cps.index(v.source) for v in votes], dtype=np.int64)
+    votes = tuple(v for v in pairs if is_valid_ffg_vote(probe, v))
     conflicting = {
         (a, b): are_conflicting(forest, a, b) for a in forest.blocks for b in forest.blocks
     }
@@ -96,6 +103,23 @@ def build_graph_tables(
         [sum(1 << j for j, b in enumerate(cps) if conflicting[a.block, b.block]) for a in cps],
         dtype=np.int64,
     )
+    return tuple(cps), votes, cp_conflict
+
+
+def build_graph_tables(
+    forest: BlockForest,
+    slot_rule: str,
+    max_chkp_slot: int,
+    mutation: Mutation = Mutation.NONE,
+    universe: Optional[Universe] = None,
+) -> GraphTables:
+    """Evaluate the reference predicates on every checkpoint and vote of one
+    unit; `universe` is the unit's `unit_universe`, if the caller has it."""
+    if universe is None:
+        universe = unit_universe(forest, slot_rule, max_chkp_slot)
+    cps, votes, cp_conflict = universe
+    m = len(votes)
+    vote_src = np.array([cps.index(v.source) for v in votes], dtype=np.int64)
     sandwich = np.array(
         [[supports(forest, v, cp, mutation) for v in votes] for cp in cps], dtype=bool
     )
@@ -105,14 +129,13 @@ def build_graph_tables(
         slash_pair[a, b] = slash_pair[b, a] = slash_kind(votes[a], votes[b], mutation) is not None
     return GraphTables(
         forest=forest,
-        checkpoints=tuple(cps),
-        votes=tuple(votes),
+        checkpoints=cps,
+        votes=votes,
         vote_src=vote_src,
         cp_conflict=cp_conflict,
         sandwich=sandwich,
         fin=fin,
         slash_pair=slash_pair,
-        has_conflict=bool((cp_conflict != 0).any()),
     )
 
 

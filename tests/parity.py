@@ -8,9 +8,13 @@ every mutation label, ten bounds (2 and 3 blocks, the criterion-3 bounds, one
 block, nonstrict slots, free slot mode, catalog `m3` and `forest`) and
 budgets that cut at several depths, each at `jobs=1` and `jobs=2`;
 `find_example` for every property at a few budgets; `check_lfp_gfp` for
-every bound. Exits 0 when every case is identical, 1 at the first case
-whose verdict, counters, counterexample, `graph_index` or example differs,
-and 2 when a side cannot run. Pytest does not collect this file.
+every bound. The `jobs=2` cases run on scan tasks of 64 combinations, so
+that most of them plan more than one task and start a helper; reports do
+not depend on task size, and each side prints how many of its `jobs=2`
+cases planned more than one task. Exits 0 when every case is identical, 1
+at the first case whose verdict, counters, counterexample, `graph_index` or
+example differs, and 2 when a side cannot run. Pytest does not collect this
+file.
 """
 
 from __future__ import annotations
@@ -51,9 +55,15 @@ def _budgets(checked: int) -> list[int]:
     return sorted(cuts - {-1})
 
 
+JOBS2_CHUNK = 64  # scan-task size of the jobs=2 cases
+
+
 def _cases():
-    """Yield (case, record) pairs of the sweep, in a fixed order."""
+    """Yield (case, record, tasks) triples of the sweep, in a fixed order;
+    `tasks` is the plan's task count of a jobs=2 search, else None."""
+    from ffgmc import enumerator
     from ffgmc.enumerator import (
+        MODE_COUNTEREXAMPLE,
         PROPERTY_MODES,
         Bounds,
         SearchBudgetExceeded,
@@ -61,11 +71,18 @@ def _cases():
         find_example,
         search,
     )
-    from ffgmc.mutation import parse_mutation
+    from ffgmc.mutation import Mutation, parse_mutation
     from ffgmc.scenario import scenario_to_json, verdict_to_json
+    from ffgmc.tables import min_signers_for_quorum
+
+    chunk = enumerator._BOUND_CHUNK
 
     def searched(bounds, mutation, budget, jobs):
-        report = search(bounds, mutation, budget=budget, jobs=jobs)
+        enumerator._BOUND_CHUNK = JOBS2_CHUNK if jobs == 2 else chunk
+        try:
+            report = search(bounds, mutation, budget=budget, jobs=jobs)
+        finally:
+            enumerator._BOUND_CHUNK = chunk
         cex = report.counterexample
         return {
             "verdict": report.verdict,
@@ -85,28 +102,37 @@ def _cases():
             return {"budget_exceeded": exc.states_checked}
         return {"example": state and scenario_to_json(state)}
 
+    def jobs2_tasks(bounds, mutation):
+        floor = min_signers_for_quorum(bounds.n_validators) if mutation == Mutation.NONE else 0
+        enumerator._BOUND_CHUNK = JOBS2_CHUNK
+        try:
+            return enumerator._plan(bounds, mutation, MODE_COUNTEREXAMPLE, floor).n_tasks
+        finally:
+            enumerator._BOUND_CHUNK = chunk
+
     for spec in BOUNDS:
         bounds = Bounds(**spec)
         for name in MUTATIONS:
             mutation = parse_mutation(name)
             full = searched(bounds, mutation, None, 1)
+            tasks = jobs2_tasks(bounds, mutation)
             for budget in [None, *_budgets(full["counters"][0])]:
                 for jobs in (1, 2):
                     case = {"call": "search", "bounds": spec, "mutation": name,
                             "budget": budget, "jobs": jobs}
                     yield case, full if budget is None and jobs == 1 else searched(
                         bounds, mutation, budget, jobs
-                    )
+                    ), tasks if jobs == 2 else None
         for name in sorted(PROPERTY_MODES):
             for budget in (None, 0, 50, 500):
                 case = {"call": "find_example", "bounds": spec, "property": name,
                         "budget": budget}
-                yield case, example(bounds, name, budget)
+                yield case, example(bounds, name, budget), None
         report = check_lfp_gfp(bounds)
         mismatch = report.mismatch and scenario_to_json(report.mismatch)
         yield {"call": "check_lfp_gfp", "bounds": spec}, {
             "counters": [report.states_checked, report.states_symmetric], "mismatch": mismatch,
-        }
+        }, None
 
 
 def _child(root: str) -> int:
@@ -115,8 +141,8 @@ def _child(root: str) -> int:
     if not Path(ffgmc.__file__).resolve().is_relative_to(Path(root, "src").resolve()):
         print(f"ffgmc imported from {ffgmc.__file__}, not {root}/src", file=sys.stderr)
         return 2
-    for case, record in _cases():
-        print(json.dumps([case, record], sort_keys=True), flush=True)
+    for case, record, tasks in _cases():
+        print(json.dumps([case, record, tasks], sort_keys=True), flush=True)
     return 0
 
 
@@ -141,9 +167,14 @@ def main() -> int:
         return 2
     sides = [_start(root) for root in roots]
     counts: dict[str, int] = {}
+    split = [0, 0]   # jobs=2 cases whose plan has more than one task, per side
     try:
         for ours, theirs in zip(sides[0].stdout, sides[1].stdout):
-            (case, mine), (other_case, other) = json.loads(ours), json.loads(theirs)
+            (case, mine, tasks), (other_case, other, other_tasks) = (
+                json.loads(ours), json.loads(theirs)
+            )
+            split[0] += (tasks or 0) > 1
+            split[1] += (other_tasks or 0) > 1
             if case != other_case or mine != other:
                 print(f"DIFFERS: {json.dumps(case)}\n  {roots[0]}: {json.dumps(mine)}\n"
                       f"  {roots[1]}: {json.dumps(other)}")
@@ -166,6 +197,8 @@ def main() -> int:
         return 2
     for kind, n in sorted(counts.items()):
         print(f"{n:6d} {kind}")
+    for root, n in zip(roots, split):
+        print(f"{n:6d} jobs=2 cases of more than one task in {root}")
     print(f"{sum(counts.values())} cases identical")
     return 0
 

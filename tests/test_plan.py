@@ -24,11 +24,16 @@ from ffgmc.enumerator import (
     search,
 )
 from ffgmc.finality import finality_view
-from ffgmc.model import GENESIS_CHECKPOINT
+from ffgmc.model import GENESIS_CHECKPOINT, are_conflicting
 from ffgmc.mutation import Mutation, parse_mutation
 from ffgmc.slashing import disagreement
 from ffgmc.symmetry import unit_key
+from parity import BOUNDS as PARITY_BOUNDS
 from reference import enumerate_states
+
+# the falsify-c3 benchmark workload: criterion-3 bounds under quorum-half
+C3 = Bounds(n_blocks=2, n_validators=4, max_votes=12, max_ffg_votes=4, max_chkp_slot=3)
+
 
 def _small(**kw):
     base = dict(n_blocks=3, n_validators=1, max_votes=4, max_ffg_votes=4, max_chkp_slot=3)
@@ -38,6 +43,20 @@ def _small(**kw):
 
 def _report(bounds, mutation, budget=None, jobs=1):
     return replace(search(bounds, mutation, budget=budget, jobs=jobs), wall_time=0.0)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The helper processes started so far, one entry each."""
+    starts = []
+    start = enumerator._start_helper
+
+    def counted(*args):
+        starts.append(1)
+        return start(*args)
+
+    monkeypatch.setattr(enumerator, "_start_helper", counted)
+    return starts
 
 
 # --- combinations from a starting rank ---------------------------------------
@@ -69,6 +88,153 @@ def test_combinations_of_a_level_beyond_int64():
     assert comb(210, 11) <= 1 << 62 < comb(210, 12)
 
 
+# --- tasks over a class's levels ------------------------------------------------
+
+def _refused_plan(monkeypatch):
+    """A plan that ends at u=5 of its first unit, with 4-bit vote masks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tables, "MAX_VOTE_BITS", 4)
+        bounds = _small(n_blocks=2, n_validators=2, max_votes=8, max_ffg_votes=6)
+        return enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 50, 4096])
+def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch, chunk):
+    # every scanned class's levels u = 0, 1, ... laid end to end, covered by
+    # its own consecutive tasks of exactly `chunk` combinations (the last
+    # one at most), each combination once and in canonical order
+    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", chunk)
+    plans = [
+        enumerator._plan(bounds, parse_mutation(name), enumerator.MODE_COUNTEREXAMPLE, 0)
+        for name, bounds in TASK_CASES
+    ]
+    lfp = enumerator.MODE_LFP_NE_GFP
+    plans.append(enumerator._plan(_small(n_blocks=2), Mutation.NONE, lfp, 0))
+    plans.append(_refused_plan(monkeypatch))
+    assert plans[-1].refusal is not None
+    for plan in plans:
+        assert sorted(plan.tasks) == sorted(plan.reps)
+        next_task = 0
+        for index in sorted(plan.tasks):
+            tasks = plan.tasks[index]
+            assert tasks.start == next_task
+            next_task = tasks.stop
+            n_votes = len(plan.reps[index].tables.votes)
+            levels = [u for owner, u in plan.levels if owner == index]
+            assert levels == list(range(len(levels)))
+            expected = [(u, rank) for u in levels for rank in range(comb(n_votes, u))]
+            got = []
+            for i in tasks:
+                unit, segments = plan.task(i)
+                assert unit is plan.reps[index]
+                sizes = [hi - lo for _, lo, hi in segments]
+                assert min(sizes) > 0
+                assert sum(sizes) == chunk if i < tasks.stop - 1 else 0 < sum(sizes) <= chunk
+                got += [(u, rank) for u, lo, hi in segments for rank in range(lo, hi)]
+            assert got == expected
+        assert next_task == plan.n_tasks
+
+
+def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
+    # with 600-combination tasks, task 1 holds the end of level 3 and the
+    # start of level 4, both with rows to check; a budget that runs out in
+    # level 4 must carry over from level 3 within the task, in the calling
+    # process, with a helper and through the fold's rescan, and cut where
+    # one-combination tasks cut
+    bounds = _small(n_blocks=2, n_validators=2, max_votes=8)
+    mutation = parse_mutation("drop-ancestry")
+    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 600)
+    plan = enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, 0)
+    before = enumerator._scan_task(plan, *plan.task(0)).checked
+    unit, segments = plan.task(1)
+    assert [u for u, _, _ in segments] == [3, 4]
+    first, second = (enumerator._scan_range(plan, unit, *s).checked for s in segments)
+    assert first > 0 and second > 1
+    budget = before + first + 1
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerator, "_BOUND_CHUNK", 1)
+        expected = _report(bounds, mutation, budget)
+    assert expected.verdict == VERDICT_INCONCLUSIVE and expected.states_checked == budget
+    assert _report(bounds, mutation, budget) == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerator, "_usable_cpus", lambda: 2)
+        assert _report(bounds, mutation, budget, jobs=2) == expected
+    assert started
+    result = enumerator._Tasks.result
+    monkeypatch.setattr(enumerator._Tasks, "result", lambda self, i, _: result(self, i, None))
+    assert _report(bounds, mutation, budget) == expected
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_falsify_c3_plans_one_task_and_forks_nothing(monkeypatch):
+    # unit 0's 4,048 combinations (levels of 1, 18, 153, 816 and 3,060) fit
+    # one task, so --jobs 2 starts no helper and reports as --jobs 1
+    mutation = parse_mutation("quorum-half")
+    plan = enumerator._plan(C3, mutation, enumerator.MODE_COUNTEREXAMPLE, 0)
+    assert plan.n_tasks == 1
+    assert plan.task(0)[1] == [(0, 0, 1), (1, 0, 18), (2, 0, 153), (3, 0, 816), (4, 0, 3060)]
+    expected = _report(C3, mutation)
+    assert expected.verdict == VERDICT_COUNTEREXAMPLE
+
+    def refuse(*args):
+        raise AssertionError("a one-task plan started a helper")
+
+    monkeypatch.setattr(enumerator, "_start_helper", refuse)
+    assert _report(C3, mutation, jobs=2) == expected
+
+
+# --- vacuous classes -------------------------------------------------------------
+
+def test_a_vacuous_class_builds_no_graph_tables(monkeypatch):
+    # falsify-c3 has one conflicting class and the vacuous chain class; only
+    # the conflicting one gets its graph tables built
+    calls = []
+    build = enumerator.build_graph_tables
+
+    def counted(*args):
+        calls.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(enumerator, "build_graph_tables", counted)
+    plan = enumerator._plan(C3, parse_mutation("quorum-half"), enumerator.MODE_COUNTEREXAMPLE, 0)
+    assert len(calls) == 1 and list(plan.reps) == [0] and list(plan.vacuous) == [1]
+
+
+VACUITY_BOUNDS = [Bounds(**spec) for spec in PARITY_BOUNDS] + [
+    # blocks at slot 2 have no strict checkpoint below slot 3, so the fork of
+    # b1's two children conflicts in the forest but not on checkpoints
+    _small(n_validators=2, max_votes=6, max_ffg_votes=3, max_chkp_slot=2),
+]
+
+
+@pytest.mark.parametrize("bounds", VACUITY_BOUNDS)
+def test_vote_count_and_vacuity_match_the_full_build(bounds):
+    # `unit_universe` against the full tables and `are_conflicting` on the
+    # checkpoints' blocks for every unit; the plan keeps the full tables of
+    # a conflicting class and only the vote count of a vacuous one
+    units = list(iter_units(bounds))
+    plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 0)
+    assert len(plan.reps) + len(plan.vacuous) == len(set(plan.keys))
+    forked = 0
+    for index, forest in enumerate(units):
+        chkp = enumerator._chkp_bound(bounds, forest)
+        full = tables.build_graph_tables(forest, bounds.slot_rule, chkp)
+        cps, votes, cp_conflict = tables.unit_universe(forest, bounds.slot_rule, chkp)
+        assert cps == full.checkpoints and votes == full.votes
+        assert np.array_equal(cp_conflict, full.cp_conflict)
+        blocks = {cp.block for cp in cps}
+        conflicting = any(are_conflicting(forest, a, b) for a in blocks for b in blocks)
+        assert bool(cp_conflict.any()) == conflicting
+        forks = any(are_conflicting(forest, a, b) for a in forest.blocks for b in forest.blocks)
+        forked += forks and not conflicting
+        if index in plan.vacuous:
+            assert not conflicting and plan.vacuous[index] == len(full.votes)
+        elif index in plan.reps:
+            assert conflicting and plan.reps[index].tables.votes == full.votes
+    if bounds.max_chkp_slot == 2 and bounds.n_blocks == 3:
+        assert forked, "no forked unit without conflicting checkpoints"
+
+
 # --- reports do not depend on how the plan is cut or run -----------------------
 
 TASK_CASES = [
@@ -84,7 +250,7 @@ TASK_CASES = [
 
 @pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize("mutation_name,bounds", TASK_CASES)
-def test_task_size_leaves_reports_unchanged(monkeypatch, mutation_name, bounds):
+def test_task_size_leaves_reports_unchanged(monkeypatch, started, mutation_name, bounds):
     # tasks of 50 combinations split every level into many tasks; neither the
     # split nor the helpers may change a verdict, counter or counterexample
     mutation = parse_mutation(mutation_name)
@@ -97,6 +263,7 @@ def test_task_size_leaves_reports_unchanged(monkeypatch, mutation_name, bounds):
             assert single == _report(bounds, mutation, budget, jobs=2)
             if budget is None:
                 assert single == whole
+    assert started
 
 
 def _cut_kinds(bounds, mutation):
@@ -121,7 +288,7 @@ def _cut_kinds(bounds, mutation):
 
 
 @pytest.mark.usefixtures("two_cpus")
-def test_budget_cuts_match_across_jobs_and_rescans(monkeypatch):
+def test_budget_cuts_match_across_jobs_and_rescans(monkeypatch, started):
     # a task scanned ahead has no limit; when its rows exceed the budget left
     # the fold scans it again with the limit.  Forcing every task through
     # that path, and running with a helper, must give the single-process
@@ -138,6 +305,7 @@ def test_budget_cuts_match_across_jobs_and_rescans(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(enumerator._Tasks, "result", lambda self, i, _: result(self, i, None))
             assert _report(bounds, mutation, budget) == expected
+    assert started
 
 
 # --- find_example and check_lfp_gfp through the plan -------------------------
@@ -212,28 +380,31 @@ def test_claims_hold_with_more_processes_than_cores(monkeypatch):
     (["--budget", "20"], 3),                         # ends in a budget cut
     ([], 0),                                         # exhausts the space
 ])
-def test_no_helper_outlives_a_run(monkeypatch, capsys, argv, code):
+def test_no_helper_outlives_a_run(monkeypatch, capsys, started, argv, code):
     monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 4)
     base = ["search", "--blocks", "2", "--validators", "2", "--max-votes", "8",
             "--max-ffg", "4", "--max-chkp-slot", "3", "--jobs", "2"]
     assert main(base + argv) == code
+    assert started
     assert not multiprocessing.active_children()
 
 
 @pytest.mark.usefixtures("two_cpus")
-def test_a_refusal_past_scanned_levels_ends_the_run(monkeypatch, capsys):
+def test_a_refusal_past_scanned_levels_ends_the_run(monkeypatch, capsys, started):
     # with 4-bit vote masks the plan ends at u=5 of the first unit, after
-    # tasks that are scanned; the fold refuses the run there (exit 2), and
-    # the helper, which never claims past the end, is reaped
+    # tasks that are scanned (64 combinations each, so there are several);
+    # the fold refuses the run there (exit 2), and the helper, which never
+    # claims past the end, is reaped
+    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 64)
+    plan = _refused_plan(monkeypatch)
+    assert plan.refusal[0] == 0 and plan.levels[-1] == (0, 4) and plan.n_tasks > 1
     monkeypatch.setattr(tables, "MAX_VOTE_BITS", 4)
-    bounds = _small(n_blocks=2, n_validators=2, max_votes=8, max_ffg_votes=6)
-    plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2)
-    assert plan.refusal[0] == 0 and plan.levels[-1] == (0, 4)
     assert main([
         "search", "--blocks", "2", "--validators", "2", "--max-votes", "8",
         "--max-ffg", "6", "--max-chkp-slot", "3", "--jobs", "2",
     ]) == 2
     assert "distinct votes exceed" in capsys.readouterr().err
+    assert started
     assert not multiprocessing.active_children()
 
 
