@@ -85,6 +85,7 @@ from .tables import (
     min_signers_for_quorum,
     project_tables,
     quorum_families,
+    state_count,
     state_table,
     unit_universe,
 )
@@ -263,13 +264,12 @@ def _distinct_vote_range(bounds: Bounds, n_votes: int) -> range:
     return range(0, min(bounds.max_ffg_votes, n_votes, bounds.max_votes) + 1)
 
 
-def _unit_total_states(bounds: Bounds, n_votes: int, min_signers: int) -> int:
-    total = 0
-    for u in _distinct_vote_range(bounds, n_votes):
-        total += comb(n_votes, u) * state_table(
-            u, bounds.n_validators, bounds.max_votes, min_signers
-        )[2]
-    return total
+def _unit_total_states(bounds: Bounds, n_votes: int) -> int:
+    """Rows of a unit with `n_votes` valid votes, counted without a row table."""
+    return sum(
+        comb(n_votes, u) * state_count(u, bounds.n_validators, bounds.max_votes)
+        for u in _distinct_vote_range(bounds, n_votes)
+    )
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,6 @@ class _Counts:
 
 
 _BOUND_CHUNK = 4096  # most combinations in one scan task, over one class's levels
-_COMBO_BATCH = 256   # most combinations projected and scanned in one call
 _MAX_LEVEL_COMBOS = 1 << 62  # most combinations of one scanned level: ranks are int64
 
 
@@ -344,34 +343,25 @@ class _Unit:
     perms: np.ndarray
 
 
-def _kept_batches(
+def _kept_combinations(
     unit: _Unit, u: int, lo: int, hi: int, mode: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(positions, combinations, minimal) batches of the size-u vote
-    combinations of ranks lo .. hi - 1 that the monotone bound keeps, in
-    canonical order; positions are ranks, and `minimal` marks the kept
-    combinations that are lexicographically minimal in their orbit under
-    the unit's automorphisms, the only ones scanned.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(positions, combinations, minimal): the size-u vote combinations of
+    ranks lo .. hi - 1 that the monotone bound keeps, in canonical order;
+    positions are ranks, and `minimal` marks the kept combinations that are
+    lexicographically minimal in their orbit under the unit's automorphisms,
+    the only ones scanned.
 
     The lfp/gfp comparison has no bound and keeps every combination.  The
     orbit filter runs after the bound, which is relabelling-invariant.
-    From the start of a level, batches hold 1, 2, 4, ... up to
-    `_COMBO_BATCH` minimal combinations, so a hit early in a unit costs at
-    most about twice the scan up to its own combination.
     """
     chunk = _combinations(len(unit.tables.votes), u, lo, hi - lo)
     if mode == MODE_LFP_NE_GFP:
         keep = np.arange(hi - lo)
     else:
         keep = np.flatnonzero(bound_combinations(unit.tables, chunk, mode))
-    positions, combos = lo + keep, chunk[keep]
-    minimal = orbit_minimal(combos, unit.perms)
-    ends = np.flatnonzero(minimal) + 1
-    begin, taken, size = 0, 0, 1 if lo == 0 else _COMBO_BATCH
-    while begin < positions.size:
-        end = int(ends[taken + size - 1]) if taken + size <= ends.size else positions.size
-        yield positions[begin:end], combos[begin:end], minimal[begin:end]
-        begin, taken, size = end, taken + size, min(2 * size, _COMBO_BATCH)
+    combos = chunk[keep]
+    return lo + keep, combos, orbit_minimal(combos, unit.perms)
 
 
 def _scan_range(
@@ -383,64 +373,59 @@ def _scan_range(
     limit: Optional[int] = None,
     stopped: Optional[Callable[[], bool]] = None,
 ) -> Optional[_Counts]:
-    """Scan the size-u combinations of ranks lo .. hi - 1 of a unit in order.
+    """Scan the size-u combinations of ranks lo .. hi - 1 of a unit in order,
+    all kept and orbit-minimal ones in one kernel call.
 
     `limit` caps the checked rows (the budget left).  `stopped` is polled
-    between batches; a scan it stops returns None.
+    before the range is bounded; a scan it stops returns None.
     """
+    if stopped is not None and stopped():
+        return None
     bounds = plan.bounds
     states, rows_pruned, total_rows = state_table(
         u, bounds.n_validators, bounds.max_votes, plan.min_signers
     )
     n_rows = states.shape[0]
-    checked = pruned = bounded = symmetric = 0
-    visited = lo
-    for positions, combos, minimal in _kept_batches(unit, u, lo, hi, plan.mode):
-        if stopped is not None and stopped():
-            return None
-        # hit and scanned count the rows of the whole batch in scan order;
-        # only the minimal combinations (`scan`) reach the kernel
-        rows = positions.size * n_rows
-        left = None if limit is None else limit - checked
-        hit, scanned = -1, rows if left is None else min(rows, left)
-        scan = np.flatnonzero(minimal)
-        scan_limit = None
-        if scanned < rows:
-            # the budget runs out in combination `cut_at`, after `part` rows
-            cut_at, part = divmod(scanned, n_rows)
-            before = int(np.searchsorted(scan, cut_at))
-            in_scan = before < scan.size and scan[before] == cut_at
-            scan_limit = before * n_rows + (part if in_scan else 0)
-        scanned_rows = 0
-        if n_rows and scan.size and scan_limit != 0:
-            families = quorum_families(
-                u, bounds.n_validators, bounds.max_votes, plan.min_signers, plan.mutation
-            )
-            projected = project_tables(unit.tables, combos[scan])
-            scan_hit, scanned_rows = scan_states(
-                states, families, projected, bounds.n_validators, plan.mode, scan_limit
-            )
-            if scan_hit >= 0:
-                hit = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
-                scanned = hit + 1
-        checked += scanned
-        symmetric += scanned - scanned_rows
-        # the rows of the batch's combinations up to the hit or budget cut
-        cut = scanned < rows
-        last = (hit if hit >= 0 else scanned) // n_rows if cut else positions.size - 1
-        skipped = int(positions[last]) - visited - last  # combinations the bound dropped
-        bounded += skipped * n_rows
-        pruned += skipped * total_rows + (last + 1) * rows_pruned
-        visited = int(positions[last]) + 1
-        if hit >= 0:
-            combo = tuple(int(x) for x in combos[last])
-            masks = tuple(int(x) for x in states[hit % n_rows])
-            return _Counts(checked, pruned, bounded, symmetric, hit=(u, combo, masks))
-        if cut:
-            return _Counts(checked, pruned, bounded, symmetric, cut=True)
-    skipped = hi - visited
+    positions, combos, minimal = _kept_combinations(unit, u, lo, hi, plan.mode)
+    # hit and scanned count the rows of every kept combination in scan order;
+    # only the minimal combinations (`scan`) reach the kernel
+    rows = positions.size * n_rows
+    hit, scanned = -1, rows if limit is None else min(rows, limit)
+    scan = np.flatnonzero(minimal)
+    scan_limit = None
+    if scanned < rows:
+        # the budget runs out in combination `cut_at`, after `part` rows
+        cut_at, part = divmod(scanned, n_rows)
+        before = int(np.searchsorted(scan, cut_at))
+        in_scan = before < scan.size and scan[before] == cut_at
+        scan_limit = before * n_rows + (part if in_scan else 0)
+    scanned_rows = 0
+    if n_rows and scan.size and scan_limit != 0:
+        families = quorum_families(
+            u, bounds.n_validators, bounds.max_votes, plan.min_signers, plan.mutation
+        )
+        projected = project_tables(unit.tables, combos[scan])
+        scan_hit, scanned_rows = scan_states(
+            states, families, projected, bounds.n_validators, plan.mode, scan_limit
+        )
+        if scan_hit >= 0:
+            hit = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
+            scanned = hit + 1
+    # count the combinations up to the hit or budget cut, else the whole range
+    ended = hit >= 0 or scanned < rows
+    kept = (hit if hit >= 0 else scanned) // n_rows + 1 if ended else positions.size
+    skipped = (int(positions[kept - 1]) + 1 if ended else hi) - lo - kept  # dropped by the bound
+    found = None
+    if hit >= 0:
+        found = (u, tuple(int(x) for x in combos[kept - 1]),
+                 tuple(int(x) for x in states[hit % n_rows]))
     return _Counts(
-        checked, pruned + skipped * total_rows, bounded + skipped * n_rows, symmetric
+        scanned,
+        skipped * total_rows + kept * rows_pruned,
+        skipped * n_rows,
+        scanned - scanned_rows,
+        hit=found,
+        cut=hit < 0 and ended,
     )
 
 
@@ -619,7 +604,7 @@ class _Tasks:
     """The plan's scan tasks, claimed in plan order by the calling process and
     by forked helpers.  They share the next task to claim and the stop index:
     the lowest task known to end the run (a hit or a budget cut).  No task
-    past it is claimed, and a running one is abandoned between batches.
+    past it is claimed, and a running one is abandoned between segments.
     """
 
     def __init__(self, plan: _Plan):
@@ -743,7 +728,7 @@ def _fold(
             memo[key] = (index, total)
         elif index in plan.vacuous:
             n_votes = plan.vacuous[index]
-            counts = _Counts(pruned=_unit_total_states(plan.bounds, n_votes, plan.min_signers))
+            counts = _Counts(pruned=_unit_total_states(plan.bounds, n_votes))
             memo[key] = (index, counts)
             run += counts
         else:

@@ -11,9 +11,12 @@ A row is read only through quorum tests (do enough validators' vote masks
 meet a vote set X?) and, for counterexamples, through its per-validator
 slashability.  Rows inducing the same quorum family
 (`tables.quorum_families`) therefore have the same justified and finalized
-sets, so the fixpoints run once per (combination, family) pair.  They run on
-u-bit masks of the votes whose source is justified, not on checkpoint sets
-(`_eligible`).
+sets.  The fixpoints run on u-bit masks of the votes whose source is
+justified, not on checkpoint sets (`_eligible`), and read a combination only
+through its (src_sandwich, from_genesis) pattern: combinations of one
+pattern share their fixpoints, which run once per (pattern, family) pair.
+The finalized set and the conflict test then run per (combination, family)
+pair, on the combination's own checkpoint tables.
 
 Before any row is scanned, `bound_combinations` drops whole combinations that
 cannot hold a hit (the monotone combination bound).
@@ -34,7 +37,8 @@ MODE_JUSTIFIED_NONGENESIS = 2
 MODE_CONFLICTING_FINALIZED = 3
 MODE_LFP_NE_GFP = 4
 
-_PAIR_BATCH = 1 << 12   # (combination, family) pairs per fixpoint batch
+_PAIR_BATCH = 1 << 12   # (combination or pattern, family) pairs per batch
+_MEMO_PAIRS = 1 << 20   # (combination, family) pairs per pattern window: an 8 MiB memo at most
 
 
 def backend_name() -> str:
@@ -62,9 +66,16 @@ def scan_states(
     Soundness.  Justification, finalization and the conflict test read a row
     only through q(X) for vote sets X, so they are evaluated once per
     (combination, family) pair, in fixed-size pair batches; a family hit
-    stands for every row of that family.  The slashable-validator count of a
-    counterexample is per row: subset_slash[c, m_v] summed over validators,
-    applied only to the rows whose family already disagrees.
+    stands for every row of that family.  The eligible-vote fixpoints read a
+    combination only through its (src_sandwich, from_genesis) pattern
+    (`_eligible`), so they run once per (pattern, family) pair.  Patterns are
+    numbered by first appearance within a window of combinations, and each
+    group of combinations evaluates only the patterns it is the first to
+    need, so a hit in an early group stops the scan as before.  The
+    slashable-validator count of a counterexample is per row: a validator
+    with vote mask m is slashable iff some vote i of m has
+    partners[c, i] & m != 0; it is counted only for the rows whose family
+    already disagrees.
     """
     table, index = families
     n_rows = states.shape[0]
@@ -78,25 +89,43 @@ def scan_states(
     shifted = table.ravel().astype(np.int64) << positions                 # (u, D * 2**u)
     n_combos = -(-total // n_rows)   # combinations the scan reaches
     group = max(1, _PAIR_BATCH // n_families)
-    for c_lo in range(0, n_combos, group):
-        first_pair = c_lo * n_families
-        n_pairs = (min(c_lo + group, n_combos) - c_lo) * n_families
-        hits = np.empty(n_pairs, dtype=bool)
-        for lo in range(0, n_pairs, _PAIR_BATCH):
-            pairs = np.arange(first_pair + lo, first_pair + min(lo + _PAIR_BATCH, n_pairs))
-            hits[lo : lo + pairs.size] = _family_hits(
-                pairs // n_families, pairs % n_families, table, shifted, projected, mode
-            )
-        hits = hits.reshape(-1, n_families)
-        for c in np.flatnonzero(hits.any(axis=1)):
-            combo = c_lo + int(c)
-            rows = np.flatnonzero(hits[c][index])
-            if mode == MODE_COUNTEREXAMPLE:
-                slashable = projected.subset_slash[combo][states[rows]].sum(axis=1)
-                rows = rows[3 * slashable < n_validators]
-            if rows.size:
-                hit = combo * n_rows + int(rows[0])
-                return (hit, hit + 1) if hit < total else (-1, total)
+    window = max(group, _MEMO_PAIRS // n_families)
+    for w_lo in range(0, n_combos, window):
+        w_hi = min(w_lo + window, n_combos)
+        pattern, firsts = _patterns(projected, w_lo, w_hi)
+        # per (pattern, family): the lfp/gfp verdict, else the least fixpoint's
+        # eligible mask; `needed` counts the entries up to each combination
+        memo = np.empty(firsts.size * n_families, dtype=np.int64)
+        needed = (np.maximum.accumulate(pattern) + 1) * n_families
+        done = 0
+        for c_lo in range(w_lo, w_hi, group):
+            c_hi = min(c_lo + group, w_hi)
+            need = int(needed[c_hi - 1 - w_lo])
+            for lo in range(done, need, _PAIR_BATCH):
+                pairs = np.arange(lo, min(lo + _PAIR_BATCH, need))
+                memo[pairs] = _fixpoints(
+                    firsts[pairs // n_families], pairs % n_families, shifted, projected, mode
+                )
+            done = need
+            n_pairs = (c_hi - c_lo) * n_families
+            hits = np.empty(n_pairs, dtype=bool)
+            for lo in range(0, n_pairs, _PAIR_BATCH):
+                pairs = np.arange(lo, min(lo + _PAIR_BATCH, n_pairs))
+                combo, family = c_lo + pairs // n_families, pairs % n_families
+                known = memo[pattern[combo - w_lo] * n_families + family]
+                hits[lo : lo + pairs.size] = known != 0 if mode == MODE_LFP_NE_GFP else (
+                    _family_hits(combo, family, known, table, projected, mode)
+                )
+            hits = hits.reshape(-1, n_families)
+            for c in np.flatnonzero(hits.any(axis=1)):
+                combo = c_lo + int(c)
+                rows = np.flatnonzero(hits[c][index])
+                if mode == MODE_COUNTEREXAMPLE:
+                    slashable = _slashable(projected.partners[combo], states[rows])
+                    rows = rows[3 * slashable < n_validators]
+                if rows.size:
+                    hit = combo * n_rows + int(rows[0])
+                    return (hit, hit + 1) if hit < total else (-1, total)
     return -1, total
 
 
@@ -163,28 +192,62 @@ def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np
     return clash
 
 
-def _family_hits(
+def _patterns(projected: ProjectedTables, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number the (src_sandwich, from_genesis) patterns of combinations lo .. hi - 1
+    by first appearance: each combination's pattern, and each pattern's first
+    combination.  The lexsort is stable, so each run of equal rows is in index
+    order and starts at its pattern's first appearance."""
+    keys = np.column_stack([projected.src_sandwich[lo:hi], projected.from_genesis[lo:hi]])
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    firsts = order[starts]
+    by_appearance = np.argsort(firsts)
+    renumber = np.empty_like(by_appearance)
+    renumber[by_appearance] = np.arange(by_appearance.size)
+    pattern = np.empty_like(order)
+    pattern[order] = renumber[np.cumsum(starts) - 1]
+    return pattern, lo + firsts[by_appearance]
+
+
+def _fixpoints(
     combo: np.ndarray,
     family: np.ndarray,
-    table: np.ndarray,
     shifted: np.ndarray,
     projected: ProjectedTables,
     mode: int,
 ) -> np.ndarray:
-    """Whether each (combination, family) pair hits `mode`; checkpoint 0 is genesis.
+    """Per (combination, family) pair: under `MODE_LFP_NE_GFP` whether the two
+    fixpoints differ, else the least fixpoint's eligible-vote mask.
 
     `shifted` is the family table as int64 shifted left by each vote position
-    j (u rows), so a gather from row j is q(X) << j.  The justified set is
-    built once, from the eligible votes of the least fixpoint.
+    j (u rows), so a gather from row j is q(X) << j.
     """
-    quorum = table.ravel()
-    base = family * table.shape[1]
+    u = projected.src_sandwich.shape[1]
+    base = family << u
     src_sandwich = np.ascontiguousarray(projected.src_sandwich[combo].T)   # (u, P)
     from_genesis = projected.from_genesis[combo]
     eligible = _eligible(from_genesis, from_genesis, base, shifted, src_sandwich)
-    if mode == MODE_LFP_NE_GFP:
-        every = np.full_like(from_genesis, (1 << src_sandwich.shape[0]) - 1)
-        return eligible != _eligible(every, from_genesis, base, shifted, src_sandwich)
+    if mode != MODE_LFP_NE_GFP:
+        return eligible
+    every = np.full_like(from_genesis, (1 << u) - 1)
+    return eligible != _eligible(every, from_genesis, base, shifted, src_sandwich)
+
+
+def _family_hits(
+    combo: np.ndarray,
+    family: np.ndarray,
+    eligible: np.ndarray,
+    table: np.ndarray,
+    projected: ProjectedTables,
+    mode: int,
+) -> np.ndarray:
+    """Whether each (combination, family) pair hits `mode`, given the eligible
+    votes of its least fixpoint; checkpoint 0 is genesis.  The justified set
+    is built once from them, with the combination's own checkpoint tables."""
+    quorum = table.ravel()
+    base = family * table.shape[1]
     justified = quorum[base[:, None] + (projected.sandwich[combo] & eligible[:, None])]
     justified[:, 0] = True
     if mode == MODE_JUSTIFIED_NONGENESIS:
@@ -196,6 +259,16 @@ def _family_hits(
     k = finalized.shape[1]
     conflict = ((projected.cp_conflict[:, None] >> np.arange(k)) & 1).astype(bool)
     return ((finalized @ conflict) & finalized).any(axis=1)
+
+
+def _slashable(partners: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Slashable validators per row of (R, N) vote masks, given one
+    combination's (u,) partner masks: a mask is slashable iff it holds a
+    vote i and one of i's slashable partners."""
+    slashable = np.zeros(masks.shape, dtype=bool)
+    for i, partners_i in enumerate(partners):
+        slashable |= ((masks >> i) & 1).astype(bool) & ((masks & partners_i) != 0)
+    return slashable.sum(axis=1)
 
 
 def _eligible(eligible, from_genesis, base, shifted, src_sandwich):

@@ -17,8 +17,9 @@ each distinct-vote combination U picks u <= 16 of those votes, and a
 validator's vote subset is an int over those u positions.  `ProjectedTables`
 packs, per combination, u-bit vote masks per checkpoint (`sandwich`, `fin`)
 and per vote (`src_sandwich`: the votes that sandwich its source;
-`from_genesis`: the genesis-sourced votes), which the kernel's eligible-vote
-fixpoint reads.
+`from_genesis`: the genesis-sourced votes; `partners`: the votes it forms a
+slashable pair with).  The kernel's eligible-vote fixpoint reads only
+`src_sandwich` and `from_genesis`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -148,7 +150,10 @@ class ProjectedTables:
     `src_sandwich[c, j]` is the `sandwich` mask of vote j's source
     checkpoint, and `from_genesis[c]` the mask of the genesis-sourced votes:
     the kernel iterates justification on masks of votes with a justified
-    source, which read the checkpoints only through these two.
+    source, which read the checkpoints only through these two.  Bit j of
+    `partners[c, i]` says whether votes i and j form a slashable pair
+    (`GraphTables.slash_pair`): u masks per combination, from which the
+    kernel counts a row's slashable validators.
     """
 
     sandwich: np.ndarray       # (C, K) int64 vote masks
@@ -156,34 +161,31 @@ class ProjectedTables:
     from_genesis: np.ndarray   # (C,) int64 vote mask
     fin: np.ndarray            # (C, K) int64
     cp_conflict: np.ndarray    # (K,) int64 checkpoint masks
-    subset_slash: np.ndarray   # (C, 2**u) bool: does a vote subset hold a slashable pair
+    partners: np.ndarray       # (C, u) int64 vote masks: the votes each vote is slashable with
 
 
 def project_tables(tables: GraphTables, combos: np.ndarray) -> ProjectedTables:
     """Project the tables onto each row of `combos`, a (C, u) array of vote indices."""
-    c, u = combos.shape
-    _check_vote_bits(u)
-    weights = np.int64(1) << np.arange(u, dtype=np.int64)
-    pack = lambda mat: (mat[:, combos].astype(np.int64) @ weights).T    # (C, K)
-    sandwich = pack(tables.sandwich)
+    _check_vote_bits(combos.shape[1])
+    sandwich = _pack_votes(tables.sandwich[:, combos]).T                # (C, K)
     src = tables.vote_src[combos]                                        # (C, u)
-    pair = tables.slash_pair[combos[:, :, None], combos[:, None, :]]     # (C, u, u)
-    # A subset t holds a slashable pair iff some vote i of t pairs with t.
-    partners = pair.astype(np.int64) @ weights                           # (C, u)
-    subsets = np.arange(2**u, dtype=np.int64)
-    subset_slash = np.zeros((c, 2**u), dtype=bool)
-    for i in range(u):
-        subset_slash |= ((subsets >> i) & 1).astype(bool) & (
-            (partners[:, i, None] & subsets) != 0
-        )
     return ProjectedTables(
         sandwich=sandwich,
         src_sandwich=np.take_along_axis(sandwich, src, axis=1),
-        from_genesis=(src == 0).astype(np.int64) @ weights,
-        fin=pack(tables.fin),
+        from_genesis=_pack_votes(src == 0),
+        fin=_pack_votes(tables.fin[:, combos]).T,
         cp_conflict=tables.cp_conflict,
-        subset_slash=subset_slash,
+        partners=_pack_votes(tables.slash_pair[combos[:, :, None], combos[:, None, :]]),
     )
+
+
+def _pack_votes(bits: np.ndarray) -> np.ndarray:
+    """Pack a (..., u) bool array into int64 vote masks along its last axis,
+    one vote position at a time, so no (..., u) int64 array is built."""
+    masks = np.zeros(bits.shape[:-1], dtype=np.int64)
+    for j in range(bits.shape[-1]):
+        masks |= bits[..., j].astype(np.int64) << j
+    return masks
 
 
 @lru_cache(maxsize=None)
@@ -215,6 +217,35 @@ def state_table(
     active = rows[signers >= min_signers]
     total = int(rows.shape[0])
     return active, total - int(active.shape[0]), total
+
+
+def state_count(u: int, n_validators: int, max_votes: int) -> int:
+    """The total row count of `state_table` (signer floor not applied), by arithmetic.
+
+    Inclusion-exclusion over the union: the rows number
+    sum_s (-1)^(u - s) C(u, s) g(s), where g(s) counts the multisets of N
+    subsets of an s-set with at most `max_votes` signed votes in total.  g(s)
+    is a DP over popcount classes: class k holds C(s, k) subsets of k votes,
+    and a validators drawing from it make C(C(s, k) + a - 1, a) multisets.
+    """
+    total = 0
+    for s in range(u + 1):
+        cap = min(max_votes, n_validators * s)
+        ways = [[0] * (cap + 1) for _ in range(n_validators + 1)]   # [subsets][votes]
+        ways[0][0] = 1
+        for k in range(s + 1):
+            size = comb(s, k)
+            grown = [[0] * (cap + 1) for _ in range(n_validators + 1)]
+            for n, row in enumerate(ways):
+                for w, count in enumerate(row):
+                    if not count:
+                        continue
+                    most = n_validators - n if k == 0 else min(n_validators - n, (cap - w) // k)
+                    for a in range(most + 1):
+                        grown[n + a][w + k * a] += count * comb(size + a - 1, a)
+            ways = grown
+        total += (-1) ** (u - s) * comb(u, s) * sum(ways[n_validators])
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -479,10 +479,11 @@ BATCHING_CASES = [
 
 @pytest.mark.parametrize("bounds,mutation_name,budget", BATCHING_CASES)
 def test_combination_batches_leave_reports_unchanged(monkeypatch, bounds, mutation_name, budget):
-    # with a batch cap of 1 every scan call covers one combination, as the
-    # per-combination scan did; batching may change no verdict or counter
+    # with scan tasks of one combination every scan call covers one
+    # combination, as the per-combination scan did; batching may change no
+    # verdict or counter
     mutation = parse_mutation(mutation_name)
     batched = replace(search(bounds, mutation, budget=budget), wall_time=0.0)
     with monkeypatch.context() as patch:
-        patch.setattr(enumerator, "_COMBO_BATCH", 1)
+        patch.setattr(enumerator, "_BOUND_CHUNK", 1)
         assert batched == replace(search(bounds, mutation, budget=budget), wall_time=0.0)

@@ -172,7 +172,7 @@ def test_counterexample_hits_match_reference(mutation):
 def test_projection_matches_graph_tables(mutation):
     # every packed mask, bit by bit, against the reference predicates: bit i
     # of src_sandwich[c, j] says vote i supports vote j's source checkpoint,
-    # and subset_slash[c, t] whether subset t holds a slashable pair
+    # and bit i of partners[c, j] whether votes i and j form a slashable pair
     forests = [
         BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)]),
         BlockForest([Block("b1", 1, GENESIS), Block("b2", 2, "b1")]),
@@ -196,12 +196,18 @@ def test_projection_matches_graph_tables(mutation):
                             supported = supports(forest, votes[other], cp, mutation)
                             assert (projected.sandwich[c, k] >> i & 1) == supported
                             assert (projected.fin[c, k] >> i & 1) == finalizes(votes[other], cp)
+                    for i, other in enumerate(combo):
+                        paired = i != j and slash_kind(votes[vote], votes[other], mutation)
+                        assert (projected.partners[c, j] >> i & 1) == bool(paired), (combo, i, j)
+                # a vote subset is slashable iff it holds a slashable pair
+                subsets = np.arange(2**u, dtype=np.int64)[:, None]
+                counts = kernels._slashable(projected.partners[c], subsets)
                 for t in range(2**u):
                     held = [votes[v] for i, v in enumerate(combo) if t >> i & 1]
                     slashable = any(
                         slash_kind(a, b, mutation) for a, b in itertools.combinations(held, 2)
                     )
-                    assert projected.subset_slash[c, t] == slashable, (combo, t)
+                    assert counts[t] == slashable, (combo, t)
 
 
 def test_fixpoint_comparison_sees_a_support_cycle():
@@ -215,7 +221,7 @@ def test_fixpoint_comparison_sees_a_support_cycle():
         from_genesis=np.array([0]),
         fin=np.zeros((1, 3), dtype=np.int64),
         cp_conflict=np.zeros(3, dtype=np.int64),
-        subset_slash=np.zeros((1, 4), dtype=bool),
+        partners=np.zeros((1, 2), dtype=np.int64),
     )
     rows, _, _ = state_table(2, 1, 2, 0)
     families = quorum_families(2, 1, 2, 0, Mutation.NONE)
@@ -227,8 +233,16 @@ def test_fixpoint_comparison_sees_a_support_cycle():
 # slot, so real graphs never hold a support cycle and the two fixpoints of
 # every real row agree.  These tables draw each vote's source checkpoint and
 # sandwich column freely.  A combination is (sources, sandwich columns, fin
-# masks, subset_slash row): vote j has source checkpoint sources[j] and
-# sandwiches the checkpoints of the K-bit mask columns[j].
+# masks, partner masks): vote j has source checkpoint sources[j], sandwiches
+# the checkpoints of the K-bit mask columns[j], and forms a slashable pair
+# with the votes of partners[j] (a symmetric relation, see `symmetric`).
+
+
+def symmetric(raw):
+    """Partner masks of the symmetric, irreflexive closure of u drawn masks."""
+    u = len(raw)
+    return [sum(1 << j for j in range(u) if j != i and (raw[i] >> j & 1 or raw[j] >> i & 1))
+            for i in range(u)]
 
 
 def hand_made_tables(k, combos, cp_conflict):
@@ -250,13 +264,15 @@ def hand_made_tables(k, combos, cp_conflict):
         ),
         fin=np.array([fin for _, _, fin, _ in combos], dtype=np.int64),
         cp_conflict=np.array(cp_conflict, dtype=np.int64),
-        subset_slash=np.array([slash for _, _, _, slash in combos], dtype=bool),
+        partners=np.array(
+            [partners for _, _, _, partners in combos], dtype=np.int64
+        ).reshape(len(combos), -1),
     )
 
 
 def hand_made_flags(k, combo, cp_conflict, row, n_validators, mutation):
     """Every mode's verdict on one row, iterating checkpoint sets directly."""
-    src, cols, fin, slash = combo
+    src, cols, fin, partners = combo
     sandwich = [sum(((col >> cp) & 1) << j for j, col in enumerate(cols)) for cp in range(k)]
 
     def quorum(votes):
@@ -276,7 +292,11 @@ def hand_made_flags(k, combo, cp_conflict, row, n_validators, mutation):
         finalized >> a & 1 and finalized >> b & 1 and cp_conflict[a] >> b & 1
         for a in range(k) for b in range(k)
     )
-    slashable = sum(1 for m in row if slash[int(m)])
+    slashable = sum(
+        1 for m in row
+        if any(int(m) >> i & 1 and int(m) >> j & 1 and partners[i] >> j & 1
+               for i, j in itertools.combinations(range(len(src)), 2))
+    )
     return {
         MODE_COUNTEREXAMPLE: disagreement and 3 * slashable < n_validators,
         MODE_FINALIZED_NONGENESIS: finalized > 1,
@@ -317,7 +337,7 @@ def test_scan_matches_checkpoint_set_reference_on_hand_made_tables(data):
         st.lists(st.integers(0, k - 1), min_size=u, max_size=u),
         st.lists(st.integers(0, 2**k - 1), min_size=u, max_size=u),
         st.lists(st.integers(0, 2**u - 1), min_size=k, max_size=k),
-        st.lists(st.booleans(), min_size=2**u, max_size=2**u),
+        st.lists(st.integers(0, 2**u - 1), min_size=u, max_size=u).map(symmetric),
     ), min_size=1, max_size=3), label="combinations")
     cp_conflict = data.draw(
         st.lists(st.integers(0, 2**k - 1), min_size=k, max_size=k), label="cp_conflict"
@@ -332,21 +352,21 @@ def test_scan_matches_checkpoint_set_reference_on_hand_made_tables(data):
                              mode, limit, pair_batch)
 
 
-NO_SLASH = [False] * 16
+NO_PAIRS = [0] * 4
 
 
 @pytest.mark.parametrize(
     "k,combos,n_validators",
     [
         # two votes each sandwiching the other's source
-        (3, [([1, 2], [0b100, 0b010], [0, 0, 0], NO_SLASH[:4])], 1),
+        (3, [([1, 2], [0b100, 0b010], [0, 0, 0], NO_PAIRS[:2])], 1),
         # one vote sandwiching its own source, behind a combination without a cycle
-        (3, [([0], [0b010], [0, 0, 0], NO_SLASH[:2]), ([1], [0b010], [0, 0, 0], NO_SLASH[:2])],
+        (3, [([0], [0b010], [0, 0, 0], NO_PAIRS[:1]), ([1], [0b010], [0, 0, 0], NO_PAIRS[:1])],
          1),
         # a justified genesis chain beside a cycle, which also finalizes a fork
-        (4, [([0, 2, 3], [0b0010, 0b1000, 0b0100], [0, 0b100, 0b010, 0], NO_SLASH[:8])], 2),
+        (4, [([0, 2, 3], [0b0010, 0b1000, 0b0100], [0, 0b100, 0b010, 0], NO_PAIRS[:3])], 2),
         # a three-vote cycle that a quorum of two of three validators must close
-        (4, [([1, 2, 3], [0b0100, 0b1000, 0b0010], [0, 0, 0, 0], NO_SLASH[:8])], 3),
+        (4, [([1, 2, 3], [0b0100, 0b1000, 0b0010], [0, 0, 0, 0], NO_PAIRS[:3])], 3),
     ],
     ids=["two-cycle", "self-support", "cycle-beside-chain", "three-cycle-N3"],
 )
@@ -364,6 +384,134 @@ def test_support_cycles_separate_the_fixpoints(k, combos, n_validators):
             for pair_batch in (1, 5):
                 check_hand_made_scan(k, combos, cp_conflict, n_validators, u * n_validators,
                                      mutation, mode, pair_batch=pair_batch)
+
+
+# The fixpoints run once per (src_sandwich, from_genesis) pattern.  These
+# batches repeat a few patterns: combinations of one pattern share their
+# votes' sources and the sandwich columns at those sources, and differ in the
+# columns at every other checkpoint, in `fin` and in `partners`.
+
+
+def repeated_pattern_combos(rng, k, u, n_patterns, n_combos):
+    """Hand-made combinations, each drawing one of `n_patterns` patterns."""
+    patterns = []
+    for _ in range(n_patterns):
+        sources = [int(s) for s in rng.integers(0, k, u)]
+        at_sources = sum(1 << s for s in set(sources))
+        cols = [int(c) & at_sources for c in rng.integers(0, 2**k, u)]
+        patterns.append((sources, at_sources, cols))
+    combos = []
+    for p in rng.integers(0, n_patterns, n_combos):
+        sources, at_sources, cols = patterns[p]
+        elsewhere = rng.integers(0, 2**k, u) & ~at_sources
+        combos.append((
+            sources,
+            [col | int(e) for col, e in zip(cols, elsewhere)],
+            [int(f) for f in rng.integers(0, 2**u, k)],
+            symmetric([int(r) for r in rng.integers(0, 2**u, u)]),
+        ))
+    return combos
+
+
+def scan_per_combination(k, combos, cp_conflict, rows, families, n_validators, mode, limit):
+    """What one scan over `combos` must report, from one scan call per combination."""
+    n_rows = rows.shape[0]
+    total = len(combos) * n_rows if limit is None else min(len(combos) * n_rows, limit)
+    for c, combo in enumerate(combos):
+        left = min(n_rows, total - c * n_rows)
+        if left <= 0:
+            break
+        projected = hand_made_tables(k, [combo], cp_conflict)
+        hit, _ = scan_states(rows, families, projected, n_validators, mode, left)
+        if hit >= 0:
+            return c * n_rows + hit, c * n_rows + hit + 1
+    return -1, total
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_scan_equals_one_scan_per_combination(seed):
+    rng = np.random.default_rng(seed)
+    k, u, n_validators = 5, int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    combos = repeated_pattern_combos(rng, k, u, n_patterns=3, n_combos=10)
+    projected = hand_made_tables(k, combos, [int(c) for c in rng.integers(0, 2**k, k)])
+    assert len({(tuple(s), g) for s, g in zip(projected.src_sandwich.tolist(),
+                                              projected.from_genesis.tolist())}) <= 3
+    mutation = Mutation.QUORUM_HALF if seed % 2 else Mutation.NONE
+    rows, _, _ = state_table(u, n_validators, u * n_validators, 0)
+    families = quorum_families(u, n_validators, u * n_validators, 0, mutation)
+    total = len(combos) * rows.shape[0]
+    for mode in ALL_MODES:
+        for limit in (None, 0, 1, rows.shape[0] + 1, total // 2, total - 1):
+            want = scan_per_combination(k, combos, projected.cp_conflict.tolist(), rows,
+                                        families, n_validators, mode, limit)
+            # pattern windows of one combination share no fixpoint
+            for pair_batch, window in itertools.product((1, 5, kernels._PAIR_BATCH),
+                                                        (1, kernels._MEMO_PAIRS)):
+                with mock.patch.multiple(kernels, _PAIR_BATCH=pair_batch, _MEMO_PAIRS=window):
+                    got = scan_states(rows, families, projected, n_validators, mode, limit)
+                assert got == want, (mode, limit, pair_batch, window)
+
+
+def test_hit_in_a_later_group_than_its_pattern():
+    # combinations 0 and 1 have the pattern of combination 2 (one genesis
+    # vote that no vote supports) but sandwich nothing, so only combination
+    # 2 justifies checkpoint 2; with one pair per batch each combination is
+    # its own group, and combination 2 reuses the fixpoint of combination 0
+    k, cp_conflict = 3, [0, 0b100, 0b010]
+    idle = ([0], [0b000], [0b0, 0b0, 0b1], [0])
+    justifying = ([0], [0b100], [0b0, 0b0, 0b1], [0])
+    combos = [idle, idle, justifying]
+    projected = hand_made_tables(k, combos, cp_conflict)
+    assert len(set(projected.src_sandwich[:, 0])) == len(set(projected.from_genesis)) == 1
+    for pair_batch in (1, 5, None):
+        for mode in ALL_MODES:
+            for mutation in (Mutation.NONE, Mutation.QUORUM_HALF):
+                first = check_hand_made_scan(k, combos, cp_conflict, 2, 2, mutation, mode,
+                                             pair_batch=pair_batch)
+                if mode in (MODE_JUSTIFIED_NONGENESIS, MODE_FINALIZED_NONGENESIS):
+                    rows = state_table(1, 2, 2, 0)[0].shape[0]
+                    assert first // rows == 2, (mode, mutation)
+
+
+def test_patterns_tell_genesis_sourced_votes_apart():
+    # both votes sandwich checkpoint 2 and no source, so their src_sandwich
+    # rows are equal; only the second one's source is genesis, so only the
+    # second combination justifies anything
+    k, cp_conflict = 3, [0, 0, 0]
+    combos = [([1], [0b100], [0, 0, 0], [0]), ([0], [0b100], [0, 0, 0], [0])]
+    projected = hand_made_tables(k, combos, cp_conflict)
+    assert projected.src_sandwich.tolist() == [[0], [0]]
+    for pair_batch in (1, None):
+        for mode in (MODE_JUSTIFIED_NONGENESIS, MODE_LFP_NE_GFP):
+            first = check_hand_made_scan(k, combos, cp_conflict, 1, 1, Mutation.NONE, mode,
+                                         pair_batch=pair_batch)
+            assert first == (1 if mode == MODE_JUSTIFIED_NONGENESIS else -1)
+
+
+def test_fixpoints_run_once_per_pattern(monkeypatch):
+    # a scan without a hit evaluates each (pattern, family) pair once
+    rng = np.random.default_rng(3)
+    k, u, n_validators = 5, 3, 3
+    combos = repeated_pattern_combos(rng, k, u, n_patterns=2, n_combos=12)
+    projected = hand_made_tables(k, combos, [0] * k)
+    patterns = {(tuple(s), g) for s, g in zip(projected.src_sandwich.tolist(),
+                                              projected.from_genesis.tolist())}
+    rows, _, _ = state_table(u, n_validators, u * n_validators, 0)
+    families = quorum_families(u, n_validators, u * n_validators, 0, Mutation.NONE)
+    evaluated = []
+    fixpoints = kernels._fixpoints
+
+    def counting(combo, family, *args):
+        evaluated.extend(zip(combo.tolist(), family.tolist()))
+        return fixpoints(combo, family, *args)
+
+    monkeypatch.setattr(kernels, "_fixpoints", counting)
+    for pair_batch in (1, 5, kernels._PAIR_BATCH):
+        evaluated.clear()
+        monkeypatch.setattr(kernels, "_PAIR_BATCH", pair_batch)
+        assert scan_states(rows, families, projected, n_validators, MODE_LFP_NE_GFP) == (
+            -1, len(combos) * rows.shape[0])
+        assert len(evaluated) == len(set(evaluated)) == len(patterns) * families[0].shape[0]
 
 
 def test_empty_scan():

@@ -200,6 +200,29 @@ def test_a_vacuous_class_builds_no_graph_tables(monkeypatch):
     assert len(calls) == 1 and list(plan.reps) == [0] and list(plan.vacuous) == [1]
 
 
+@pytest.mark.parametrize("n_validators", [1, 2, 3, 4])
+def test_row_count_matches_the_row_table(n_validators):
+    # the arithmetic count of a vacuous unit's rows against `state_table`'s
+    # total, which the signer floor does not change
+    for u in range(6):
+        for max_votes in range(14):
+            want = tables.state_table(u, n_validators, max_votes, 0)[2]
+            assert tables.state_count(u, n_validators, max_votes) == want, (u, max_votes)
+
+
+def test_a_vacuous_unit_builds_no_row_table(monkeypatch):
+    # one block forks nothing, so every row is counted and none is built
+    bounds = Bounds(n_blocks=1, n_validators=4, max_votes=12, max_ffg_votes=4, max_chkp_slot=3)
+    monkeypatch.setattr(enumerator, "state_table", None)
+    report = search(bounds)
+    assert report.verdict == VERDICT_HOLDS and report.states_checked == 0
+    assert report.states_pruned == sum(
+        comb(len(enumerator.build_graph_tables(forest, "strict", 3).votes), u)
+        * tables.state_table(u, 4, 12, 0)[2]
+        for forest in iter_units(bounds) for u in range(5)
+    )
+
+
 VACUITY_BOUNDS = [Bounds(**spec) for spec in PARITY_BOUNDS] + [
     # blocks at slot 2 have no strict checkpoint below slot 3, so the fork of
     # b1's two children conflicts in the forest but not on checkpoints
