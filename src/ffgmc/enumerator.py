@@ -149,6 +149,8 @@ class Bounds:
             raise InputError(f"unknown slot mode {self.slot_mode!r}")
         if self.slot_mode == "depth" and self.max_slot < self.n_blocks:
             raise InputError("max_slot below the deepest chain in depth slot mode")
+        if self.slot_mode == "free" and self.n_blocks >= 1 and self.max_slot < 1:
+            raise InputError("max_slot below 1 leaves no slot for a block in free slot mode")
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ A row is read only through quorum tests (do enough validators' vote masks
 meet a vote set X?) and, for counterexamples, through its per-validator
 slashability.  Rows inducing the same quorum family
 (`tables.quorum_families`) therefore have the same justified and finalized
-sets.  The fixpoints run on u-bit masks of the votes whose source is
-justified, not on checkpoint sets (`_eligible`), and read a combination only
-through its (src_sandwich, from_genesis) pattern: combinations of one
-pattern share their fixpoints, which run once per (pattern, family) pair.
-The finalized set and the conflict test then run per (combination, family)
-pair, on the combination's own checkpoint tables.
+sets.  Each mode is decided per (combination, family) pair on u-bit vote
+masks (`_decide`): the fixpoints run on masks of the votes whose source is
+justified (`_eligible`), the finalized checkpoints are read at the votes'
+sources, and a conflicting finalized pair is a pair test on those masks.
+A decision reads a combination only through its pattern, a few columns of
+its tables (`_patterns`), so it runs once per (pattern, family) pair, and a
+combination's family hits are one gather from those decisions.
 
 Before any row is scanned, `bound_combinations` drops whole combinations that
 cannot hold a hit (the monotone combination bound).
@@ -38,7 +39,7 @@ MODE_CONFLICTING_FINALIZED = 3
 MODE_LFP_NE_GFP = 4
 
 _PAIR_BATCH = 1 << 12   # (combination or pattern, family) pairs per batch
-_MEMO_PAIRS = 1 << 20   # (combination, family) pairs per pattern window: an 8 MiB memo at most
+_MEMO_PAIRS = 1 << 20   # (combination, family) pairs per pattern window: a 1 MiB memo at most
 
 
 def backend_name() -> str:
@@ -63,19 +64,18 @@ def scan_states(
     hit at or past it is not reported, and a scan it cuts reports `limit`
     rows.
 
-    Soundness.  Justification, finalization and the conflict test read a row
-    only through q(X) for vote sets X, so they are evaluated once per
-    (combination, family) pair, in fixed-size pair batches; a family hit
-    stands for every row of that family.  The eligible-vote fixpoints read a
-    combination only through its (src_sandwich, from_genesis) pattern
-    (`_eligible`), so they run once per (pattern, family) pair.  Patterns are
-    numbered by first appearance within a window of combinations, and each
-    group of combinations evaluates only the patterns it is the first to
-    need, so a hit in an early group stops the scan as before.  The
-    slashable-validator count of a counterexample is per row: a validator
-    with vote mask m is slashable iff some vote i of m has
-    partners[c, i] & m != 0; it is counted only for the rows whose family
-    already disagrees.
+    Soundness.  Every mode reads a row only through q(X) for vote sets X, so
+    a (combination, family) verdict stands for every row of that family.
+    `_decide` reads a combination only through the columns of its pattern
+    (`_patterns`), so combinations of one pattern share their verdicts,
+    which are decided once per (pattern, family) pair, in fixed-size pair
+    batches, and gathered back per combination.  Patterns are numbered by
+    first appearance within a window of combinations, and each group of
+    combinations decides only the patterns it is the first to need, so a hit
+    in an early group stops the scan as before.  The slashable-validator
+    count of a counterexample is per row: a validator with vote mask m is
+    slashable iff some vote i of m has partners[c, i] & m != 0; it is
+    counted only for the rows whose family already disagrees.
     """
     table, index = families
     n_rows = states.shape[0]
@@ -92,10 +92,10 @@ def scan_states(
     window = max(group, _MEMO_PAIRS // n_families)
     for w_lo in range(0, n_combos, window):
         w_hi = min(w_lo + window, n_combos)
-        pattern, firsts = _patterns(projected, w_lo, w_hi)
-        # per (pattern, family): the lfp/gfp verdict, else the least fixpoint's
-        # eligible mask; `needed` counts the entries up to each combination
-        memo = np.empty(firsts.size * n_families, dtype=np.int64)
+        pattern, firsts = _patterns(projected, mode, w_lo, w_hi)
+        # per (pattern, family): whether it hits; `needed` counts the entries
+        # up to each combination
+        memo = np.empty((firsts.size, n_families), dtype=bool)
         needed = (np.maximum.accumulate(pattern) + 1) * n_families
         done = 0
         for c_lo in range(w_lo, w_hi, group):
@@ -103,26 +103,18 @@ def scan_states(
             need = int(needed[c_hi - 1 - w_lo])
             for lo in range(done, need, _PAIR_BATCH):
                 pairs = np.arange(lo, min(lo + _PAIR_BATCH, need))
-                memo[pairs] = _fixpoints(
-                    firsts[pairs // n_families], pairs % n_families, shifted, projected, mode
+                memo.flat[pairs] = _decide(
+                    firsts[pairs // n_families], pairs % n_families, shifted, table,
+                    projected, mode,
                 )
             done = need
-            n_pairs = (c_hi - c_lo) * n_families
-            hits = np.empty(n_pairs, dtype=bool)
-            for lo in range(0, n_pairs, _PAIR_BATCH):
-                pairs = np.arange(lo, min(lo + _PAIR_BATCH, n_pairs))
-                combo, family = c_lo + pairs // n_families, pairs % n_families
-                known = memo[pattern[combo - w_lo] * n_families + family]
-                hits[lo : lo + pairs.size] = known != 0 if mode == MODE_LFP_NE_GFP else (
-                    _family_hits(combo, family, known, table, projected, mode)
-                )
-            hits = hits.reshape(-1, n_families)
+            hits = memo[pattern[c_lo - w_lo : c_hi - w_lo]]
             for c in np.flatnonzero(hits.any(axis=1)):
                 combo = c_lo + int(c)
                 rows = np.flatnonzero(hits[c][index])
                 if mode == MODE_COUNTEREXAMPLE:
-                    slashable = _slashable(projected.partners[combo], states[rows])
-                    rows = rows[3 * slashable < n_validators]
+                    slashable = _holds_pair(states[rows], projected.partners[combo])
+                    rows = rows[3 * slashable.sum(axis=1) < n_validators]
                 if rows.size:
                     hit = combo * n_rows + int(rows[0])
                     return (hit, hit + 1) if hit < total else (-1, total)
@@ -192,12 +184,24 @@ def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np
     return clash
 
 
-def _patterns(projected: ProjectedTables, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Number the (src_sandwich, from_genesis) patterns of combinations lo .. hi - 1
-    by first appearance: each combination's pattern, and each pattern's first
-    combination.  The lexsort is stable, so each run of equal rows is in index
-    order and starts at its pattern's first appearance."""
-    keys = np.column_stack([projected.src_sandwich[lo:hi], projected.from_genesis[lo:hi]])
+def _patterns(
+    projected: ProjectedTables, mode: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Number the patterns of combinations lo .. hi - 1 by first appearance:
+    each combination's pattern, and each pattern's first combination.
+
+    A pattern is the row of the columns `_decide` reads under `mode`:
+    (src_sandwich, from_genesis) for the fixpoints, plus `sandwich` to
+    justify a checkpoint, or `src_fin` and `clashes` to finalize one.  The
+    lexsort is stable, so each run of equal rows is in index order and
+    starts at its pattern's first appearance.
+    """
+    columns = [projected.src_sandwich, projected.from_genesis[:, None]]
+    if mode == MODE_JUSTIFIED_NONGENESIS:
+        columns.append(projected.sandwich)
+    elif mode != MODE_LFP_NE_GFP:
+        columns += [projected.src_fin, projected.clashes]
+    keys = np.column_stack([column[lo:hi] for column in columns])
     order = np.lexsort(keys.T)
     ordered = keys[order]
     starts = np.ones(order.size, dtype=bool)
@@ -211,64 +215,65 @@ def _patterns(projected: ProjectedTables, lo: int, hi: int) -> tuple[np.ndarray,
     return pattern, lo + firsts[by_appearance]
 
 
-def _fixpoints(
+def _decide(
     combo: np.ndarray,
     family: np.ndarray,
     shifted: np.ndarray,
+    table: np.ndarray,
     projected: ProjectedTables,
     mode: int,
 ) -> np.ndarray:
-    """Per (combination, family) pair: under `MODE_LFP_NE_GFP` whether the two
-    fixpoints differ, else the least fixpoint's eligible-vote mask.
+    """Whether each (combination, family) pair hits `mode`.
 
-    `shifted` is the family table as int64 shifted left by each vote position
-    j (u rows), so a gather from row j is q(X) << j.
+    `shifted` is the family table as int64 shifted left by each vote
+    position j (u rows), so a gather from row j is q(X) << j.  Everything
+    runs on u-bit vote masks except the justified test, which reads the
+    combination's own checkpoint columns (checkpoint 0 is genesis): a
+    justified checkpoint need not be any vote's source or target.
+
+    Finalization at the sources.  A finalizing link leaves from the
+    checkpoint it finalizes (`finality.finalizes`) and q(0) is false, so
+    every finalized checkpoint other than genesis is the source of a vote of
+    the combination.  Vote j's source is finalized iff it is genesis, or it
+    is justified (j is eligible in the least fixpoint) and q(src_fin[j]).
+    Genesis is finalized even with no genesis-sourced vote, but then nothing
+    else is justified, so no conflicting pair is lost.  Two finalized
+    sources conflict iff the finalized-source mask holds a vote j and one of
+    clashes[j], the same pair test as a slashable validator.
     """
     u = projected.src_sandwich.shape[1]
     base = family << u
     src_sandwich = np.ascontiguousarray(projected.src_sandwich[combo].T)   # (u, P)
     from_genesis = projected.from_genesis[combo]
     eligible = _eligible(from_genesis, from_genesis, base, shifted, src_sandwich)
-    if mode != MODE_LFP_NE_GFP:
-        return eligible
-    every = np.full_like(from_genesis, (1 << u) - 1)
-    return eligible != _eligible(every, from_genesis, base, shifted, src_sandwich)
-
-
-def _family_hits(
-    combo: np.ndarray,
-    family: np.ndarray,
-    eligible: np.ndarray,
-    table: np.ndarray,
-    projected: ProjectedTables,
-    mode: int,
-) -> np.ndarray:
-    """Whether each (combination, family) pair hits `mode`, given the eligible
-    votes of its least fixpoint; checkpoint 0 is genesis.  The justified set
-    is built once from them, with the combination's own checkpoint tables."""
-    quorum = table.ravel()
-    base = family * table.shape[1]
-    justified = quorum[base[:, None] + (projected.sandwich[combo] & eligible[:, None])]
-    justified[:, 0] = True
+    if mode == MODE_LFP_NE_GFP:
+        every = np.full_like(from_genesis, (1 << u) - 1)
+        return eligible != _eligible(every, from_genesis, base, shifted, src_sandwich)
     if mode == MODE_JUSTIFIED_NONGENESIS:
-        return justified[:, 1:].any(axis=1)
-    finalized = justified & quorum[base[:, None] + projected.fin[combo]]
-    finalized[:, 0] = True
+        sandwich = projected.sandwich[combo, 1:].T                         # (K - 1, P)
+        return table.ravel()[base + (sandwich & eligible)].any(axis=0)
+    finalizing = eligible & _quorum_bits(shifted, base, projected.src_fin[combo].T)
     if mode == MODE_FINALIZED_NONGENESIS:
-        return finalized[:, 1:].any(axis=1)
-    k = finalized.shape[1]
-    conflict = ((projected.cp_conflict[:, None] >> np.arange(k)) & 1).astype(bool)
-    return ((finalized @ conflict) & finalized).any(axis=1)
+        return (finalizing & ~from_genesis) != 0
+    return _holds_pair(finalizing | from_genesis, projected.clashes[combo].T)
 
 
-def _slashable(partners: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Slashable validators per row of (R, N) vote masks, given one
-    combination's (u,) partner masks: a mask is slashable iff it holds a
-    vote i and one of i's slashable partners."""
-    slashable = np.zeros(masks.shape, dtype=bool)
+def _quorum_bits(shifted: np.ndarray, base: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """sum_j q(masks[j]) << j per (combination, family) pair: one gather per
+    vote position, from (u, P) vote masks."""
+    bits = np.zeros_like(base)
+    for quorum_j, mask_j in zip(shifted, masks):
+        bits |= quorum_j[base + mask_j]
+    return bits
+
+
+def _holds_pair(masks: np.ndarray, partners: np.ndarray) -> np.ndarray:
+    """Whether each vote mask holds a vote i and one of partners[i]; a row
+    of partners is one mask or one mask per entry of `masks`."""
+    held = np.zeros(masks.shape, dtype=bool)
     for i, partners_i in enumerate(partners):
-        slashable |= ((masks >> i) & 1).astype(bool) & ((masks & partners_i) != 0)
-    return slashable.sum(axis=1)
+        held |= ((masks >> i) & 1).astype(bool) & ((masks & partners_i) != 0)
+    return held
 
 
 def _eligible(eligible, from_genesis, base, shifted, src_sandwich):
@@ -289,9 +294,7 @@ def _eligible(eligible, from_genesis, base, shifted, src_sandwich):
     E_lfp = E_gfp, since J* is a function of E* and E* = elig(J*).
     """
     while True:
-        grown = from_genesis.copy()
-        for quorum_j, sandwich_j in zip(shifted, src_sandwich):
-            grown |= quorum_j[base + (sandwich_j & eligible)]
+        grown = from_genesis | _quorum_bits(shifted, base, src_sandwich & eligible)
         if np.array_equal(grown, eligible):
             return eligible
         eligible = grown

@@ -15,11 +15,13 @@ order with the genesis checkpoint at index 0, and a checkpoint set is an int64
 bitmask (K <= 63).  The valid-vote universe of the graph is indexed 0..M-1;
 each distinct-vote combination U picks u <= 16 of those votes, and a
 validator's vote subset is an int over those u positions.  `ProjectedTables`
-packs, per combination, u-bit vote masks per checkpoint (`sandwich`, `fin`)
-and per vote (`src_sandwich`: the votes that sandwich its source;
-`from_genesis`: the genesis-sourced votes; `partners`: the votes it forms a
-slashable pair with).  The kernel's eligible-vote fixpoint reads only
-`src_sandwich` and `from_genesis`.
+packs, per combination, u-bit vote masks per checkpoint (`sandwich`) and per
+vote, read at the vote's source checkpoint (`src_sandwich`: the votes that
+sandwich it; `src_fin`: its finalizing links; `clashes`: the votes whose
+source conflicts with it), plus `from_genesis` (the genesis-sourced votes)
+and `partners` (the votes each vote forms a slashable pair with).  The
+kernel decides every scan mode on the per-vote masks; only the justified
+test reads `sandwich`.
 """
 
 from __future__ import annotations
@@ -145,22 +147,23 @@ def build_graph_tables(
 class ProjectedTables:
     """GraphTables restricted to C combinations of u distinct votes, bit-packed.
 
-    Row c of each (C, K) table holds, per checkpoint, the u-bit mask of the
-    votes of combination c in that column of the GraphTables matrix.
-    `src_sandwich[c, j]` is the `sandwich` mask of vote j's source
-    checkpoint, and `from_genesis[c]` the mask of the genesis-sourced votes:
-    the kernel iterates justification on masks of votes with a justified
-    source, which read the checkpoints only through these two.  Bit j of
-    `partners[c, i]` says whether votes i and j form a slashable pair
-    (`GraphTables.slash_pair`): u masks per combination, from which the
-    kernel counts a row's slashable validators.
+    Row c of `sandwich` holds, per checkpoint, the u-bit mask of the votes
+    of combination c that sandwich it.  Every other table is vote-indexed:
+    entry [c, j] is a u-bit mask read at vote j's source checkpoint.
+    `src_sandwich` holds the votes that sandwich that source and `src_fin`
+    its finalizing links; `from_genesis[c]` is the mask of the
+    genesis-sourced votes.  Bit i of `clashes[c, j]` says whether the
+    sources of votes i and j conflict (`GraphTables.cp_conflict`), and bit i
+    of `partners[c, j]` whether votes i and j form a slashable pair
+    (`GraphTables.slash_pair`).  The kernel decides every mode on these vote
+    masks; only the justified test reads `sandwich`.
     """
 
     sandwich: np.ndarray       # (C, K) int64 vote masks
     src_sandwich: np.ndarray   # (C, u) int64 vote masks
     from_genesis: np.ndarray   # (C,) int64 vote mask
-    fin: np.ndarray            # (C, K) int64
-    cp_conflict: np.ndarray    # (K,) int64 checkpoint masks
+    src_fin: np.ndarray        # (C, u) int64 vote masks: the finalizing links of each source
+    clashes: np.ndarray        # (C, u) int64 vote masks: the votes with a conflicting source
     partners: np.ndarray       # (C, u) int64 vote masks: the votes each vote is slashable with
 
 
@@ -169,12 +172,13 @@ def project_tables(tables: GraphTables, combos: np.ndarray) -> ProjectedTables:
     _check_vote_bits(combos.shape[1])
     sandwich = _pack_votes(tables.sandwich[:, combos]).T                # (C, K)
     src = tables.vote_src[combos]                                        # (C, u)
+    clash = (tables.cp_conflict[src][:, :, None] >> src[:, None, :]) & 1
     return ProjectedTables(
         sandwich=sandwich,
         src_sandwich=np.take_along_axis(sandwich, src, axis=1),
         from_genesis=_pack_votes(src == 0),
-        fin=_pack_votes(tables.fin[:, combos]).T,
-        cp_conflict=tables.cp_conflict,
+        src_fin=_pack_votes(tables.fin[src[:, :, None], combos[:, None, :]]),
+        clashes=_pack_votes(clash.astype(bool)),
         partners=_pack_votes(tables.slash_pair[combos[:, :, None], combos[:, None, :]]),
     )
 

@@ -161,6 +161,22 @@ def test_cmd_search_rejects_negative_checkpoint_slot(capsys):
     assert "max_chkp_slot" in capsys.readouterr().err
 
 
+# every non-genesis block needs a slot of at least 1, so free slot mode with
+# --max-slot 0 has no unit: a refusal, never a verdict on an empty space
+FREE_SLOT_ZERO = ["--blocks", "1", "--validators", "2", "--max-votes", "2",
+                  "--slot-mode", "free", "--max-slot", "0"]
+
+
+def test_cmd_search_rejects_free_slots_below_one(capsys):
+    assert main(["search", *FREE_SLOT_ZERO]) == 2
+    assert "max_slot" in capsys.readouterr().err
+
+
+def test_cmd_example_rejects_free_slots_below_one(capsys):
+    assert main(["example", *FREE_SLOT_ZERO, "--property", "justified-nongenesis"]) == 2
+    assert "max_slot" in capsys.readouterr().err
+
+
 def test_cmd_search_rejects_zero_jobs(capsys):
     assert main(["search", "--blocks", "1", "--jobs", "0"]) == 2
     assert "jobs" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from ffgmc.enumerator import (
     forest_count,
     search,
 )
+from ffgmc.catalog import catalog_forest
 from ffgmc.finality import finality_view
 from ffgmc.model import (
     GENESIS,
@@ -192,6 +193,9 @@ def test_bounds_validation():
         Bounds(n_blocks=2, n_validators=4, max_votes=3, max_slot=1)  # below depth
     with pytest.raises(InputError):
         Bounds(n_blocks=2, n_validators=4, max_votes=3, slot_mode="sideways")
+    with pytest.raises(InputError):
+        Bounds(n_blocks=1, n_validators=4, max_votes=3, slot_mode="free", max_slot=0)
+    assert Bounds(n_blocks=0, n_validators=4, max_votes=3, slot_mode="free").max_slot == 0
     bounds = Bounds(n_blocks=2, n_validators=4, max_votes=5)
     assert bounds.max_ffg_votes == 5
     assert bounds.max_slot == 2
@@ -290,6 +294,21 @@ def test_mutation_counterexamples_replay():
         assert replayed.disagreement
         # the same state is safe without the mutation
         assert accountable_safety(cex.state).holds
+
+
+@pytest.mark.parametrize("n_validators", [1, 2, 3])
+def test_counterexample_with_genesis_in_the_conflicting_pair(n_validators):
+    # under drop-ancestry the catalog forest's first counterexample finalizes
+    # genesis and c1, which lies on a detached chain and so conflicts with it
+    bounds = Bounds(n_blocks=0, n_validators=n_validators, max_votes=6, max_ffg_votes=4,
+                    max_chkp_slot=3, graph_filter="forest")
+    mutation = parse_mutation("drop-ancestry")
+    expected = next(state for state in enumerate_states(bounds, catalog_forest("forest"))
+                    if not accountable_safety(state, mutation).holds)
+    assert finality_view(expected, mutation=mutation).finalized_blocks == {GENESIS, "c1"}
+    report = search(bounds, mutation)
+    assert report.verdict == VERDICT_COUNTEREXAMPLE
+    assert report.counterexample.state == expected
 
 
 def test_every_primitive_mutation_is_detected():

@@ -32,7 +32,9 @@ from ffgmc.kernels import (
     scan_states,
 )
 from ffgmc.catalog import catalog_forest
-from ffgmc.model import GENESIS, GENESIS_CHECKPOINT, Block, BlockForest, InputError
+from ffgmc.model import (
+    GENESIS, GENESIS_CHECKPOINT, Block, BlockForest, InputError, are_conflicting,
+)
 from ffgmc.finality import finalizes, supports
 from ffgmc.mutation import Mutation, parse_mutation, quorum_met
 from ffgmc.slashing import accountable_safety, disagreement, slash_kind
@@ -172,7 +174,9 @@ def test_counterexample_hits_match_reference(mutation):
 def test_projection_matches_graph_tables(mutation):
     # every packed mask, bit by bit, against the reference predicates: bit i
     # of src_sandwich[c, j] says vote i supports vote j's source checkpoint,
-    # and bit i of partners[c, j] whether votes i and j form a slashable pair
+    # of src_fin[c, j] that vote i finalizes it, of clashes[c, j] that the
+    # sources of votes i and j conflict, and of partners[c, j] that votes i
+    # and j form a slashable pair
     forests = [
         BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)]),
         BlockForest([Block("b1", 1, GENESIS), Block("b2", 2, "b1")]),
@@ -192,16 +196,19 @@ def test_projection_matches_graph_tables(mutation):
                     for i, other in enumerate(combo):
                         supported = supports(forest, votes[other], cps[src], mutation)
                         assert (projected.src_sandwich[c, j] >> i & 1) == supported
+                        finalizing = finalizes(votes[other], cps[src])
+                        assert (projected.src_fin[c, j] >> i & 1) == finalizing
+                        clash = are_conflicting(forest, cps[src].block, votes[other].source.block)
+                        assert (projected.clashes[c, j] >> i & 1) == clash, (combo, i, j)
                         for k, cp in enumerate(cps):
                             supported = supports(forest, votes[other], cp, mutation)
                             assert (projected.sandwich[c, k] >> i & 1) == supported
-                            assert (projected.fin[c, k] >> i & 1) == finalizes(votes[other], cp)
                     for i, other in enumerate(combo):
                         paired = i != j and slash_kind(votes[vote], votes[other], mutation)
                         assert (projected.partners[c, j] >> i & 1) == bool(paired), (combo, i, j)
                 # a vote subset is slashable iff it holds a slashable pair
                 subsets = np.arange(2**u, dtype=np.int64)[:, None]
-                counts = kernels._slashable(projected.partners[c], subsets)
+                counts = kernels._holds_pair(subsets, projected.partners[c]).sum(axis=1)
                 for t in range(2**u):
                     held = [votes[v] for i, v in enumerate(combo) if t >> i & 1]
                     slashable = any(
@@ -219,8 +226,8 @@ def test_fixpoint_comparison_sees_a_support_cycle():
         sandwich=np.array([[0, 0b10, 0b01]]),
         src_sandwich=np.array([[0b10, 0b01]]),
         from_genesis=np.array([0]),
-        fin=np.zeros((1, 3), dtype=np.int64),
-        cp_conflict=np.zeros(3, dtype=np.int64),
+        src_fin=np.zeros((1, 2), dtype=np.int64),
+        clashes=np.zeros((1, 2), dtype=np.int64),
         partners=np.zeros((1, 2), dtype=np.int64),
     )
     rows, _, _ = state_table(2, 1, 2, 0)
@@ -235,14 +242,28 @@ def test_fixpoint_comparison_sees_a_support_cycle():
 # sandwich column freely.  A combination is (sources, sandwich columns, fin
 # masks, partner masks): vote j has source checkpoint sources[j], sandwiches
 # the checkpoints of the K-bit mask columns[j], and forms a slashable pair
-# with the votes of partners[j] (a symmetric relation, see `symmetric`).
+# with the votes of partners[j] (a symmetric relation, see `symmetric`);
+# fin[cp] holds the votes that finalize checkpoint cp.  Two properties of
+# real tables hold here too: a vote finalizes only its own source (see
+# `sourced`), and checkpoint conflict is symmetric and irreflexive.
 
 
 def symmetric(raw):
-    """Partner masks of the symmetric, irreflexive closure of u drawn masks."""
-    u = len(raw)
-    return [sum(1 << j for j in range(u) if j != i and (raw[i] >> j & 1 or raw[j] >> i & 1))
-            for i in range(u)]
+    """Masks of the symmetric, irreflexive closure of the relation that n
+    drawn n-bit masks give."""
+    n = len(raw)
+    return [sum(1 << j for j in range(n) if j != i and (raw[i] >> j & 1 or raw[j] >> i & 1))
+            for i in range(n)]
+
+
+def sourced(sources, raw):
+    """fin masks kept to the votes sourced at each checkpoint, from K drawn masks."""
+    return [mask & sum(1 << j for j, s in enumerate(sources) if s == cp)
+            for cp, mask in enumerate(raw)]
+
+
+def vote_masks(rows):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), -1)
 
 
 def hand_made_tables(k, combos, cp_conflict):
@@ -254,19 +275,19 @@ def hand_made_tables(k, combos, cp_conflict):
     )
     return ProjectedTables(
         sandwich=sandwich,
-        src_sandwich=np.array(
-            [[sandwich[c, s] for s in src] for c, (src, _, _, _) in enumerate(combos)],
-            dtype=np.int64,
-        ).reshape(len(combos), -1),
+        src_sandwich=vote_masks(
+            [[sandwich[c, s] for s in src] for c, (src, _, _, _) in enumerate(combos)]
+        ),
         from_genesis=np.array(
             [sum(1 << j for j, s in enumerate(src) if s == 0) for src, _, _, _ in combos],
             dtype=np.int64,
         ),
-        fin=np.array([fin for _, _, fin, _ in combos], dtype=np.int64),
-        cp_conflict=np.array(cp_conflict, dtype=np.int64),
-        partners=np.array(
-            [partners for _, _, _, partners in combos], dtype=np.int64
-        ).reshape(len(combos), -1),
+        src_fin=vote_masks([[fin[s] for s in src] for src, _, fin, _ in combos]),
+        clashes=vote_masks(
+            [[sum((cp_conflict[s] >> t & 1) << i for i, t in enumerate(src)) for s in src]
+             for src, _, _, _ in combos]
+        ),
+        partners=vote_masks([partners for _, _, _, partners in combos]),
     )
 
 
@@ -338,9 +359,11 @@ def test_scan_matches_checkpoint_set_reference_on_hand_made_tables(data):
         st.lists(st.integers(0, 2**k - 1), min_size=u, max_size=u),
         st.lists(st.integers(0, 2**u - 1), min_size=k, max_size=k),
         st.lists(st.integers(0, 2**u - 1), min_size=u, max_size=u).map(symmetric),
-    ), min_size=1, max_size=3), label="combinations")
+    ).map(lambda c: (c[0], c[1], sourced(c[0], c[2]), c[3])),
+        min_size=1, max_size=3), label="combinations")
     cp_conflict = data.draw(
-        st.lists(st.integers(0, 2**k - 1), min_size=k, max_size=k), label="cp_conflict"
+        st.lists(st.integers(0, 2**k - 1), min_size=k, max_size=k).map(symmetric),
+        label="cp_conflict",
     )
     mutation = data.draw(st.sampled_from([Mutation.NONE, Mutation.QUORUM_HALF]),
                          label="mutation")
@@ -363,8 +386,9 @@ NO_PAIRS = [0] * 4
         # one vote sandwiching its own source, behind a combination without a cycle
         (3, [([0], [0b010], [0, 0, 0], NO_PAIRS[:1]), ([1], [0b010], [0, 0, 0], NO_PAIRS[:1])],
          1),
-        # a justified genesis chain beside a cycle, which also finalizes a fork
-        (4, [([0, 2, 3], [0b0010, 0b1000, 0b0100], [0, 0b100, 0b010, 0], NO_PAIRS[:3])], 2),
+        # a justified genesis chain beside a cycle, each with a finalizing link
+        (4, [([0, 2, 3], [0b0010, 0b1000, 0b0100], [0b001, 0, 0b010, 0b100], NO_PAIRS[:3])],
+         2),
         # a three-vote cycle that a quorum of two of three validators must close
         (4, [([1, 2, 3], [0b0100, 0b1000, 0b0010], [0, 0, 0, 0], NO_PAIRS[:3])], 3),
     ],
@@ -386,10 +410,11 @@ def test_support_cycles_separate_the_fixpoints(k, combos, n_validators):
                                      mutation, mode, pair_batch=pair_batch)
 
 
-# The fixpoints run once per (src_sandwich, from_genesis) pattern.  These
-# batches repeat a few patterns: combinations of one pattern share their
-# votes' sources and the sandwich columns at those sources, and differ in the
-# columns at every other checkpoint, in `fin` and in `partners`.
+# Each (pattern, family) pair is decided once.  These batches repeat a few
+# patterns: combinations of one pattern share their votes' sources, the
+# sandwich columns at those sources and `fin`, and differ in the sandwich
+# columns at every other checkpoint (which only the justified test reads)
+# and in `partners` (which only the per-row slashable count reads).
 
 
 def repeated_pattern_combos(rng, k, u, n_patterns, n_combos):
@@ -399,18 +424,28 @@ def repeated_pattern_combos(rng, k, u, n_patterns, n_combos):
         sources = [int(s) for s in rng.integers(0, k, u)]
         at_sources = sum(1 << s for s in set(sources))
         cols = [int(c) & at_sources for c in rng.integers(0, 2**k, u)]
-        patterns.append((sources, at_sources, cols))
+        fin = sourced(sources, [int(f) for f in rng.integers(0, 2**u, k)])
+        patterns.append((sources, at_sources, cols, fin))
     combos = []
     for p in rng.integers(0, n_patterns, n_combos):
-        sources, at_sources, cols = patterns[p]
+        sources, at_sources, cols, fin = patterns[p]
         elsewhere = rng.integers(0, 2**k, u) & ~at_sources
         combos.append((
             sources,
             [col | int(e) for col, e in zip(cols, elsewhere)],
-            [int(f) for f in rng.integers(0, 2**u, k)],
+            fin,
             symmetric([int(r) for r in rng.integers(0, 2**u, u)]),
         ))
     return combos
+
+
+def pattern_keys(projected, *names):
+    """The distinct rows of the named ProjectedTables columns."""
+    columns = [getattr(projected, name).reshape(len(projected.sandwich), -1) for name in names]
+    return {tuple(row) for row in np.hstack(columns).tolist()}
+
+
+COUNTEREXAMPLE_KEY = ("src_sandwich", "from_genesis", "src_fin", "clashes")
 
 
 def scan_per_combination(k, combos, cp_conflict, rows, families, n_validators, mode, limit):
@@ -433,17 +468,17 @@ def test_one_scan_equals_one_scan_per_combination(seed):
     rng = np.random.default_rng(seed)
     k, u, n_validators = 5, int(rng.integers(1, 4)), int(rng.integers(1, 4))
     combos = repeated_pattern_combos(rng, k, u, n_patterns=3, n_combos=10)
-    projected = hand_made_tables(k, combos, [int(c) for c in rng.integers(0, 2**k, k)])
-    assert len({(tuple(s), g) for s, g in zip(projected.src_sandwich.tolist(),
-                                              projected.from_genesis.tolist())}) <= 3
+    cp_conflict = symmetric([int(c) for c in rng.integers(0, 2**k, k)])
+    projected = hand_made_tables(k, combos, cp_conflict)
+    assert len(pattern_keys(projected, *COUNTEREXAMPLE_KEY)) <= 3
     mutation = Mutation.QUORUM_HALF if seed % 2 else Mutation.NONE
     rows, _, _ = state_table(u, n_validators, u * n_validators, 0)
     families = quorum_families(u, n_validators, u * n_validators, 0, mutation)
     total = len(combos) * rows.shape[0]
     for mode in ALL_MODES:
         for limit in (None, 0, 1, rows.shape[0] + 1, total // 2, total - 1):
-            want = scan_per_combination(k, combos, projected.cp_conflict.tolist(), rows,
-                                        families, n_validators, mode, limit)
+            want = scan_per_combination(k, combos, cp_conflict, rows, families, n_validators,
+                                        mode, limit)
             # pattern windows of one combination share no fixpoint
             for pair_batch, window in itertools.product((1, 5, kernels._PAIR_BATCH),
                                                         (1, kernels._MEMO_PAIRS)):
@@ -453,24 +488,25 @@ def test_one_scan_equals_one_scan_per_combination(seed):
 
 
 def test_hit_in_a_later_group_than_its_pattern():
-    # combinations 0 and 1 have the pattern of combination 2 (one genesis
-    # vote that no vote supports) but sandwich nothing, so only combination
-    # 2 justifies checkpoint 2; with one pair per batch each combination is
-    # its own group, and combination 2 reuses the fixpoint of combination 0
+    # votes 0 and 1 justify the conflicting checkpoints 1 and 2 from genesis,
+    # and votes 2 and 3 finalize them, so every combination's one row
+    # disagrees.  The three combinations share their counterexample pattern
+    # and differ only in `partners`: votes 2 and 3 make the lone validator
+    # slashable in combinations 0 and 1, so only combination 2 is a
+    # counterexample.  With one pair per batch each combination is its own
+    # group, and combination 2 reuses the decision of combination 0
     k, cp_conflict = 3, [0, 0b100, 0b010]
-    idle = ([0], [0b000], [0b0, 0b0, 0b1], [0])
-    justifying = ([0], [0b100], [0b0, 0b0, 0b1], [0])
-    combos = [idle, idle, justifying]
+    votes = ([0, 0, 1, 2], [0b010, 0b100, 0, 0], [0, 0b0100, 0b1000])
+    combos = [(*votes, [0, 0, 0b1000, 0b0100])] * 2 + [(*votes, [0] * 4)]
     projected = hand_made_tables(k, combos, cp_conflict)
-    assert len(set(projected.src_sandwich[:, 0])) == len(set(projected.from_genesis)) == 1
+    assert len(pattern_keys(projected, *COUNTEREXAMPLE_KEY)) == 1
     for pair_batch in (1, 5, None):
         for mode in ALL_MODES:
             for mutation in (Mutation.NONE, Mutation.QUORUM_HALF):
-                first = check_hand_made_scan(k, combos, cp_conflict, 2, 2, mutation, mode,
+                first = check_hand_made_scan(k, combos, cp_conflict, 1, 4, mutation, mode,
                                              pair_batch=pair_batch)
-                if mode in (MODE_JUSTIFIED_NONGENESIS, MODE_FINALIZED_NONGENESIS):
-                    rows = state_table(1, 2, 2, 0)[0].shape[0]
-                    assert first // rows == 2, (mode, mutation)
+                if mode == MODE_COUNTEREXAMPLE:
+                    assert first == 2, mutation
 
 
 def test_patterns_tell_genesis_sourced_votes_apart():
@@ -488,30 +524,87 @@ def test_patterns_tell_genesis_sourced_votes_apart():
             assert first == (1 if mode == MODE_JUSTIFIED_NONGENESIS else -1)
 
 
+def test_justified_patterns_tell_sandwich_rows_apart():
+    # one genesis-sourced vote that no vote supports: all three combinations
+    # share their fixpoint pattern, but only the third one's vote sandwiches
+    # a checkpoint, so only it justifies one
+    k, cp_conflict = 3, [0, 0, 0]
+    idle, justifying = ([0], [0b000], [0, 0, 0], [0]), ([0], [0b100], [0, 0, 0], [0])
+    combos = [idle, idle, justifying]
+    projected = hand_made_tables(k, combos, cp_conflict)
+    assert len(pattern_keys(projected, "src_sandwich", "from_genesis")) == 1
+    n_rows = state_table(1, 2, 2, 0)[0].shape[0]
+    for pair_batch in (1, None):
+        first = check_hand_made_scan(k, combos, cp_conflict, 2, 2, Mutation.NONE,
+                                     MODE_JUSTIFIED_NONGENESIS, pair_batch=pair_batch)
+        assert first // n_rows == 2
+
+
 def test_fixpoints_run_once_per_pattern(monkeypatch):
-    # a scan without a hit evaluates each (pattern, family) pair once
-    rng = np.random.default_rng(3)
+    # a scan without a hit decides each (pattern, family) pair once, and so
+    # runs its fixpoints once: this seed draws no support cycle, and no
+    # checkpoint conflicts, so no row is a counterexample
+    rng = np.random.default_rng(65)
     k, u, n_validators = 5, 3, 3
     combos = repeated_pattern_combos(rng, k, u, n_patterns=2, n_combos=12)
     projected = hand_made_tables(k, combos, [0] * k)
-    patterns = {(tuple(s), g) for s, g in zip(projected.src_sandwich.tolist(),
-                                              projected.from_genesis.tolist())}
     rows, _, _ = state_table(u, n_validators, u * n_validators, 0)
     families = quorum_families(u, n_validators, u * n_validators, 0, Mutation.NONE)
-    evaluated = []
-    fixpoints = kernels._fixpoints
+    decided = []
+    decide = kernels._decide
 
     def counting(combo, family, *args):
-        evaluated.extend(zip(combo.tolist(), family.tolist()))
-        return fixpoints(combo, family, *args)
+        decided.extend(zip(combo.tolist(), family.tolist()))
+        return decide(combo, family, *args)
 
-    monkeypatch.setattr(kernels, "_fixpoints", counting)
-    for pair_batch in (1, 5, kernels._PAIR_BATCH):
-        evaluated.clear()
-        monkeypatch.setattr(kernels, "_PAIR_BATCH", pair_batch)
-        assert scan_states(rows, families, projected, n_validators, MODE_LFP_NE_GFP) == (
-            -1, len(combos) * rows.shape[0])
-        assert len(evaluated) == len(set(evaluated)) == len(patterns) * families[0].shape[0]
+    monkeypatch.setattr(kernels, "_decide", counting)
+    for mode, key in ((MODE_LFP_NE_GFP, ("src_sandwich", "from_genesis")),
+                      (MODE_COUNTEREXAMPLE, COUNTEREXAMPLE_KEY)):
+        patterns = pattern_keys(projected, *key)
+        for pair_batch in (1, 5, kernels._PAIR_BATCH):
+            decided.clear()
+            monkeypatch.setattr(kernels, "_PAIR_BATCH", pair_batch)
+            assert scan_states(rows, families, projected, n_validators, mode) == (
+                -1, len(combos) * rows.shape[0])
+            assert len(decided) == len(set(decided)) == len(patterns) * families[0].shape[0]
+
+
+def test_keys_that_differ_only_in_finalizing_links_or_clashes():
+    # votes 0 and 1 justify checkpoint 1 and checkpoint 2 or 3 from genesis,
+    # and votes 2 and 3 may finalize them.  Moving the second pair from
+    # checkpoint 2 to 3, which conflicts with 1, changes only `clashes`;
+    # dropping a finalizing link changes only `src_fin`
+    k, cp_conflict = 4, [0, 0b1000, 0, 0b0010]
+
+    def combo(second, links):
+        fin = [0] * k
+        fin[1], fin[second] = links & 0b0100, links & 0b1000
+        return [0, 0, 1, second], [0b0010, 1 << second, 0, 0], fin, [0] * 4
+
+    variants = [combo(second, links) for second in (2, 3) for links in (0, 0b0100, 0b1000, 0b1100)]
+    projected = hand_made_tables(k, variants, cp_conflict)
+    assert len(pattern_keys(projected, "src_sandwich", "from_genesis")) == 1
+    assert len(pattern_keys(projected, "src_sandwich", "from_genesis", "src_fin")) == 4
+    assert len(pattern_keys(projected, "src_sandwich", "from_genesis", "clashes")) == 2
+    rng = np.random.default_rng(5)
+    for n_validators, mutation in ((1, Mutation.NONE), (2, Mutation.NONE), (2, Mutation.QUORUM_HALF)):
+        rows, _, _ = state_table(4, n_validators, 4 * n_validators, 0)
+        families = quorum_families(4, n_validators, 4 * n_validators, 0, mutation)
+        for order in [range(len(variants))] + [rng.permutation(len(variants)) for _ in range(4)]:
+            combos = [variants[i] for i in order]
+            projected = hand_made_tables(k, combos, cp_conflict)
+            for mode in ALL_MODES:
+                first = check_hand_made_scan(k, combos, cp_conflict, n_validators,
+                                             4 * n_validators, mutation, mode)
+                want = scan_per_combination(k, combos, cp_conflict, rows, families,
+                                            n_validators, mode, None)
+                for pair_batch in (1, 5, kernels._PAIR_BATCH):
+                    with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch):
+                        got = scan_states(rows, families, projected, n_validators, mode)
+                    assert got == want, (mode, pair_batch)
+                if mode == MODE_CONFLICTING_FINALIZED:
+                    # only the variant with both links on conflicting checkpoints
+                    assert first // rows.shape[0] == list(order).index(7)
 
 
 def test_empty_scan():
