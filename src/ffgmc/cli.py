@@ -6,7 +6,9 @@ found / 3 budget exhausted; `solve` 0 unsat / 1 sat / 3 unknown or solver
 absent.  Every command exits 4 on an internal failure (a crash, or a kernel
 counterexample that does not replay through the reference semantics), so a
 failure never reads as a verdict.  An `--out` path that cannot be written
-exits 2 before any work starts.
+exits 2 before any work starts.  A report written to a closed stdout pipe
+(`ffgmc search ... | head -1`) is dropped, and the command's exit code
+stands.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import traceback
@@ -103,7 +106,19 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
-        print(text)
+        _write_stdout(text + "\n")
+
+
+def _write_stdout(text: str) -> None:
+    """Write to stdout; a reader that closed the pipe gets nothing more, and
+    stdout points at os.devnull so that the exit flush cannot fail again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _report_to_json(report: SearchReport, bounds: Bounds, mutation: Mutation) -> dict:
@@ -197,11 +212,13 @@ def cmd_emit_smt(args) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(instance.text)
     else:
-        sys.stdout.write(instance.text)
+        _write_stdout(instance.text)
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
+    if args.timeout is not None and not (math.isfinite(args.timeout) and args.timeout > 0):
+        raise InputError(f"--timeout must be a positive number of seconds, not {args.timeout}")
     bounds = _bounds_from_args(args)
     instance = emit_smt(bounds, args.query, parse_mutation(args.mutation), args.smt_checkpoints)
     result = run_solver(instance, args.solver_cmd, args.timeout)

@@ -378,8 +378,13 @@ def _scan_range(
     """Scan the size-u combinations of ranks lo .. hi - 1 of a unit in order,
     all kept and orbit-minimal ones in one kernel call.
 
-    `limit` caps the checked rows (the budget left).  `stopped` is polled
-    before the range is bounded; a scan it stops returns None.
+    With a `limit` (the budget left), the range is counted, not scanned: the
+    caller knows that no hit lies among its first `limit` checked rows.
+    Every kept combination checks `n_rows` rows, scanned or settled by
+    symmetry, so the cut falls in combination `cut_at` after `part` rows, and
+    the scanned rows are those of the minimal combinations before it, plus
+    `part` if it is minimal itself.  `stopped` is polled before the range is
+    bounded; a scan it stops returns None.
     """
     if stopped is not None and stopped():
         return None
@@ -389,43 +394,37 @@ def _scan_range(
     )
     n_rows = states.shape[0]
     positions, combos, minimal = _kept_combinations(unit, u, lo, hi, plan.mode)
-    # hit and scanned count the rows of every kept combination in scan order;
+    # hit and checked count the rows of every kept combination in scan order;
     # only the minimal combinations (`scan`) reach the kernel
     rows = positions.size * n_rows
-    hit, scanned = -1, rows if limit is None else min(rows, limit)
-    scan = np.flatnonzero(minimal)
-    scan_limit = None
-    if scanned < rows:
-        # the budget runs out in combination `cut_at`, after `part` rows
-        cut_at, part = divmod(scanned, n_rows)
-        before = int(np.searchsorted(scan, cut_at))
-        in_scan = before < scan.size and scan[before] == cut_at
-        scan_limit = before * n_rows + (part if in_scan else 0)
-    scanned_rows = 0
-    if n_rows and scan.size and scan_limit != 0:
+    hit = -1
+    if limit is None and n_rows and minimal.any():
+        scan = np.flatnonzero(minimal)
         families = quorum_families(
             u, bounds.n_validators, bounds.max_votes, plan.min_signers, plan.mutation
         )
         projected = project_tables(unit.tables, combos[scan])
-        scan_hit, scanned_rows = scan_states(
-            states, families, projected, bounds.n_validators, plan.mode, scan_limit
-        )
+        scan_hit, scanned = scan_states(states, families, projected, bounds.n_validators, plan.mode)
         if scan_hit >= 0:
             hit = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
-            scanned = hit + 1
+        checked = hit + 1 if hit >= 0 else rows
+    else:
+        checked = rows if limit is None else min(rows, limit)
+        cut_at, part = divmod(checked, n_rows) if n_rows else (0, 0)
+        scanned = n_rows * int(minimal[:cut_at].sum()) + (part if part and minimal[cut_at] else 0)
     # count the combinations up to the hit or budget cut, else the whole range
-    ended = hit >= 0 or scanned < rows
-    kept = (hit if hit >= 0 else scanned) // n_rows + 1 if ended else positions.size
+    ended = hit >= 0 or checked < rows
+    kept = (hit if hit >= 0 else checked) // n_rows + 1 if ended else positions.size
     skipped = (int(positions[kept - 1]) + 1 if ended else hi) - lo - kept  # dropped by the bound
     found = None
     if hit >= 0:
         found = (u, tuple(int(x) for x in combos[kept - 1]),
                  tuple(int(x) for x in states[hit % n_rows]))
     return _Counts(
-        scanned,
+        checked,
         skipped * total_rows + kept * rows_pruned,
         skipped * n_rows,
-        scanned - scanned_rows,
+        checked - scanned,
         hit=found,
         cut=hit < 0 and ended,
     )
@@ -438,9 +437,10 @@ def _scan_task(
     limit: Optional[int] = None,
     stopped: Optional[Callable[[], bool]] = None,
 ) -> Optional[_Counts]:
-    """Scan a task's (u, lo, hi) segments in order, as `_scan_range` does one:
-    the budget left carries from segment to segment, and the scan ends at a
-    hit or a budget cut; a scan `stopped` ends returns None."""
+    """Scan, or with a `limit` count, a task's (u, lo, hi) segments in order,
+    as `_scan_range` does one: the limit left carries from segment to
+    segment, and the task ends at a hit or a budget cut; a scan `stopped`
+    ends returns None."""
     total = _Counts()
     for u, lo, hi in segments:
         left = None if limit is None else limit - total.checked
@@ -604,9 +604,11 @@ def _help(tasks: _Tasks, writer) -> None:
 
 class _Tasks:
     """The plan's scan tasks, claimed in plan order by the calling process and
-    by forked helpers.  They share the next task to claim and the stop index:
-    the lowest task known to end the run (a hit or a budget cut).  No task
-    past it is claimed, and a running one is abandoned between segments.
+    by forked helpers, and each scanned whole, without the budget, which
+    only `_fold` applies.  They share the next task to claim and the stop
+    index: the lowest task known to end the run (a hit or a budget cut).  No
+    task past it is claimed, and a running one is abandoned between
+    segments.
     """
 
     def __init__(self, plan: _Plan):
@@ -643,24 +645,21 @@ class _Tasks:
         with self.lock:
             self.shared[1] = min(self.shared[1], i)
 
-    def scan(self, i: int, limit: Optional[int] = None) -> Optional[_Counts]:
-        counts = _scan_task(
-            self.plan, *self.plan.task(i), limit, stopped=lambda: self.shared[1] < i
-        )
+    def scan(self, i: int) -> Optional[_Counts]:
+        counts = _scan_task(self.plan, *self.plan.task(i), stopped=lambda: self.shared[1] < i)
         if counts is not None and counts.hit is not None:
             self.stop(i)
         return counts
 
-    def result(self, i: int, limit: Optional[int]) -> _Counts:
-        """Task i's counts; tasks are claimed and scanned here until it is
-        done.  Task i itself is scanned here with `limit`, the others without."""
+    def result(self, i: int) -> _Counts:
+        """Task i's counts; tasks are claimed and scanned here until it is done."""
         while i not in self.done:
             self._receive(0)
             if i in self.done:
                 break
             j = self.claim()
             if j is not None:
-                counts = self.scan(j, limit if j == i else None)
+                counts = self.scan(j)
                 if counts is not None:
                     self.done[j] = counts
             elif self.readers:
@@ -701,14 +700,16 @@ def _fold(
     """Fold the plan in canonical order, stopping at the first hit or budget cut.
 
     Returns the counts up to there, the number of units visited and the
-    hit's unit.  The task being folded is scanned with the budget left as
-    the kernel's limit, tasks scanned ahead without one; a task whose
-    checked rows exceed the budget left is scanned again with the limit, so
-    the cut lands on the row a sequential scan would stop at.  A later unit
-    of a class reuses the class's counts when the budget left covers them
-    (no tables are built for it); otherwise its class's tasks are scanned
-    for real, on its own tables.  The plan's refusal is raised when the
-    fold reaches it.
+    hit's unit.  The budget is applied here only, by counting: tasks are
+    scanned without it, and a task whose checked rows exceed the budget
+    left holds no hit before the cut (its hit, if any, is its last checked
+    row), so its cut is counted with `_scan_range`'s limit, on the row a
+    sequential scan would stop at.  A later unit of a class reuses the
+    class's counts when the budget left covers them (no tables are built for
+    it); otherwise it holds no hit either, and its class's tasks are counted
+    on its own tables, whose labelling places the bound's and the orbit
+    filter's combinations.  The plan's refusal is raised when the fold
+    reaches it.
     """
     run = _Counts()
     memo: dict[tuple, tuple[int, _Counts]] = {}   # class key -> (first unit, its counts)
@@ -717,7 +718,7 @@ def _fold(
             total = _Counts()
             for i in plan.tasks[index]:
                 left = None if budget is None else budget - run.checked
-                counts = tasks.result(i, left)
+                counts = tasks.result(i)
                 if left is not None and counts.checked > left:
                     tasks.stop(i)
                     counts = _scan_task(plan, *plan.task(i), limit=left)
@@ -745,7 +746,7 @@ def _fold(
             unit = _Unit(tables, _vote_permutations(tables))
             for i in plan.tasks[first]:
                 run += _scan_task(plan, unit, plan.task(i)[1], limit=budget - run.checked)
-                if run.hit is not None or run.cut:
+                if run.cut:
                     return run, index + 1, unit
     return run, len(plan.keys), None
 

@@ -3,9 +3,11 @@
 One call scans the canonical vote-assignment rows (`states`, one row of
 per-validator vote masks) of C distinct-vote combinations of one graph,
 against the bit-packed tables of those combinations, in combination-major,
-row-minor order.  It returns the first (combination, row) satisfying the scan
-mode, as a flat index, plus the number of rows scanned, exactly as a
-row-at-a-time scan that stops at the first hit would report them.
+row-minor order, in one pass with no row limit (the enumerator applies
+`--budget` by counting rows).  It returns the first (combination, row)
+satisfying the scan mode, as a flat index, plus the number of rows scanned,
+exactly as a row-at-a-time scan that stops at the first hit would report
+them.
 
 A row is read only through quorum tests (do enough validators' vote masks
 meet a vote set X?) and, for counterexamples, through its per-validator
@@ -16,8 +18,9 @@ masks (`_decide`): the fixpoints run on masks of the votes whose source is
 justified (`_eligible`), the finalized checkpoints are read at the votes'
 sources, and a conflicting finalized pair is a pair test on those masks.
 A decision reads a combination only through its pattern, a few columns of
-its tables (`_patterns`), so it runs once per (pattern, family) pair, and a
-combination's family hits are one gather from those decisions.
+its tables (`_patterns`), so it runs once per (pattern, family) pair.  Hits
+are rare, so only the pairs that hit are kept, and only the combinations of
+a hitting pattern are expanded back to rows.
 
 Before any row is scanned, `bound_combinations` drops whole combinations that
 cannot hold a hit (the monotone combination bound).
@@ -39,7 +42,6 @@ MODE_CONFLICTING_FINALIZED = 3
 MODE_LFP_NE_GFP = 4
 
 _PAIR_BATCH = 1 << 12   # (combination or pattern, family) pairs per batch
-_MEMO_PAIRS = 1 << 20   # (combination, family) pairs per pattern window: a 1 MiB memo at most
 
 
 def backend_name() -> str:
@@ -53,72 +55,65 @@ def scan_states(
     projected: ProjectedTables,
     n_validators: int,
     mode: int,
-    limit: int | None = None,
 ) -> tuple[int, int]:
     """Scan every (combination, row) in order; return (first hit or -1, rows scanned).
 
     `states` is the (S, N) row table of one distinct-vote count u,
     `families` its `quorum_families` (table, index) pair, and `projected`
     holds the tables of C combinations of u votes.  The hit is the flat index
-    c * S + r of row r of combination c.  `limit` caps the rows scanned: a
-    hit at or past it is not reported, and a scan it cuts reports `limit`
-    rows.
+    c * S + r of row r of combination c.
 
     Soundness.  Every mode reads a row only through q(X) for vote sets X, so
     a (combination, family) verdict stands for every row of that family.
     `_decide` reads a combination only through the columns of its pattern
     (`_patterns`), so combinations of one pattern share their verdicts,
     which are decided once per (pattern, family) pair, in fixed-size pair
-    batches, and gathered back per combination.  Patterns are numbered by
-    first appearance within a window of combinations, and each group of
-    combinations decides only the patterns it is the first to need, so a hit
-    in an early group stops the scan as before.  The slashable-validator
-    count of a counterexample is per row: a validator with vote mask m is
-    slashable iff some vote i of m has partners[c, i] & m != 0; it is
-    counted only for the rows whose family already disagrees.
+    batches.  Patterns are numbered by first appearance over the call, and
+    each group of combinations decides only the patterns it is the first to
+    need, so a hit in an early group stops the scan as before.  Only the
+    pairs that hit are kept, per pattern.  The slashable-validator count of
+    a counterexample is per row: a validator with vote mask m is slashable
+    iff some vote i of m has partners[c, i] & m != 0; it is counted for each
+    combination of a hitting pattern, only on the rows whose family
+    disagrees, since `partners` is not part of the pattern.
     """
     table, index = families
-    n_rows = states.shape[0]
-    total = projected.sandwich.shape[0] * n_rows
-    if limit is not None:
-        total = min(total, limit)
-    if total == 0:
+    n_rows, n_combos = states.shape[0], projected.sandwich.shape[0]
+    if n_rows == 0 or n_combos == 0:
         return -1, 0
     n_families = table.shape[0]
     positions = np.arange(projected.src_sandwich.shape[1], dtype=np.int64)[:, None]
     shifted = table.ravel().astype(np.int64) << positions                 # (u, D * 2**u)
-    n_combos = -(-total // n_rows)   # combinations the scan reaches
+    pattern, firsts = _patterns(projected, mode)
+    # (pattern, family) pairs decided up to each combination
+    needed = (np.maximum.accumulate(pattern) + 1) * n_families
+    hitting = np.zeros(firsts.size, dtype=bool)
+    families_hit: dict[int, np.ndarray] = {}   # hitting pattern -> its families that hit
     group = max(1, _PAIR_BATCH // n_families)
-    window = max(group, _MEMO_PAIRS // n_families)
-    for w_lo in range(0, n_combos, window):
-        w_hi = min(w_lo + window, n_combos)
-        pattern, firsts = _patterns(projected, mode, w_lo, w_hi)
-        # per (pattern, family): whether it hits; `needed` counts the entries
-        # up to each combination
-        memo = np.empty((firsts.size, n_families), dtype=bool)
-        needed = (np.maximum.accumulate(pattern) + 1) * n_families
-        done = 0
-        for c_lo in range(w_lo, w_hi, group):
-            c_hi = min(c_lo + group, w_hi)
-            need = int(needed[c_hi - 1 - w_lo])
-            for lo in range(done, need, _PAIR_BATCH):
-                pairs = np.arange(lo, min(lo + _PAIR_BATCH, need))
-                memo.flat[pairs] = _decide(
-                    firsts[pairs // n_families], pairs % n_families, shifted, table,
-                    projected, mode,
-                )
-            done = need
-            hits = memo[pattern[c_lo - w_lo : c_hi - w_lo]]
-            for c in np.flatnonzero(hits.any(axis=1)):
-                combo = c_lo + int(c)
-                rows = np.flatnonzero(hits[c][index])
-                if mode == MODE_COUNTEREXAMPLE:
-                    slashable = _holds_pair(states[rows], projected.partners[combo])
-                    rows = rows[3 * slashable.sum(axis=1) < n_validators]
-                if rows.size:
-                    hit = combo * n_rows + int(rows[0])
-                    return (hit, hit + 1) if hit < total else (-1, total)
-    return -1, total
+    done = 0
+    for c_lo in range(0, n_combos, group):
+        c_hi = min(c_lo + group, n_combos)
+        need = int(needed[c_hi - 1])
+        for lo in range(done, need, _PAIR_BATCH):
+            pairs = np.arange(lo, min(lo + _PAIR_BATCH, need))
+            decided = _decide(
+                firsts[pairs // n_families], pairs % n_families, shifted, table, projected, mode,
+            )
+            for pair in pairs[decided].tolist():
+                p, f = divmod(pair, n_families)
+                hitting[p] = True
+                families_hit.setdefault(p, np.zeros(n_families, dtype=bool))[f] = True
+        done = need
+        for c in np.flatnonzero(hitting[pattern[c_lo:c_hi]]):
+            combo = c_lo + int(c)
+            rows = np.flatnonzero(families_hit[int(pattern[combo])][index])
+            if mode == MODE_COUNTEREXAMPLE:
+                slashable = _holds_pair(states[rows], projected.partners[combo])
+                rows = rows[3 * slashable.sum(axis=1) < n_validators]
+            if rows.size:
+                hit = combo * n_rows + int(rows[0])
+                return hit, hit + 1
+    return -1, n_combos * n_rows
 
 
 def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np.ndarray:
@@ -184,11 +179,9 @@ def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np
     return clash
 
 
-def _patterns(
-    projected: ProjectedTables, mode: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Number the patterns of combinations lo .. hi - 1 by first appearance:
-    each combination's pattern, and each pattern's first combination.
+def _patterns(projected: ProjectedTables, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number the combinations' patterns by first appearance: each
+    combination's pattern, and each pattern's first combination.
 
     A pattern is the row of the columns `_decide` reads under `mode`:
     (src_sandwich, from_genesis) for the fixpoints, plus `sandwich` to
@@ -201,7 +194,7 @@ def _patterns(
         columns.append(projected.sandwich)
     elif mode != MODE_LFP_NE_GFP:
         columns += [projected.src_fin, projected.clashes]
-    keys = np.column_stack([column[lo:hi] for column in columns])
+    keys = np.column_stack(columns)
     order = np.lexsort(keys.T)
     ordered = keys[order]
     starts = np.ones(order.size, dtype=bool)
@@ -212,7 +205,7 @@ def _patterns(
     renumber[by_appearance] = np.arange(by_appearance.size)
     pattern = np.empty_like(order)
     pattern[order] = renumber[np.cumsum(starts) - 1]
-    return pattern, lo + firsts[by_appearance]
+    return pattern, firsts[by_appearance]
 
 
 def _decide(

@@ -1,6 +1,10 @@
 """Scenario files, reports and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -341,6 +345,40 @@ def test_cmd_emit_smt_and_solve(tmp_path, capsys):
     sat_stub.write_text("#!/bin/sh\necho sat\n")
     sat_stub.chmod(0o755)
     assert main(solve + ["--solver-cmd", str(sat_stub)]) == 1
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+def test_solve_refuses_a_bad_timeout_before_any_work(monkeypatch, capsys, timeout):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was written before --timeout was checked")
+
+    monkeypatch.setattr(cli, "emit_smt", refuse)
+    monkeypatch.setattr(cli, "run_solver", refuse)
+    assert main(["solve", "--blocks", "1", "--solver-cmd", "sleep 5",
+                 "--timeout", timeout]) == 2
+    err = capsys.readouterr().err
+    assert "--timeout" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["search", "--blocks", "1", "--validators", "2", "--max-votes", "2"], 0),
+    (["search", "--blocks", "2", "--validators", "2", "--max-votes", "8", "--max-ffg", "4",
+      "--max-chkp-slot", "3", "--mutation", "quorum-half"], 1),
+    (["emit-smt", "--blocks", "1"], 0),
+])
+def test_a_closed_stdout_keeps_the_exit_code(argv, code):
+    # the reader closes the pipe before the child writes its report, as
+    # `| head -1` may: the report is lost, the command's exit code stands
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    try:
+        child = subprocess.run([sys.executable, "-m", "ffgmc.cli", *argv], stdout=write,
+                               stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert child.returncode == code, child.stderr
+    assert "Traceback" not in child.stderr and "internal failure" not in child.stderr
 
 
 def test_cmd_forests(capsys):

@@ -327,52 +327,115 @@ def hand_made_flags(k, combo, cp_conflict, row, n_validators, mutation):
     }
 
 
-def check_hand_made_scan(k, combos, cp_conflict, n_validators, max_votes, mutation,
-                         mode, limit=None, pair_batch=None):
-    """Compare scan_states on hand-made tables with a row-by-row reference loop."""
+def check_hand_made_scans(k, combos, cp_conflict, n_validators, max_votes, mutation,
+                          modes, pair_batch=None):
+    """Compare scan_states in each mode on hand-made tables with one
+    row-by-row reference loop; return each mode's first hit."""
     u = len(combos[0][0])
     rows, _, _ = state_table(u, n_validators, max_votes, 0)
     families = quorum_families(u, n_validators, max_votes, 0, mutation)
     total = len(combos) * rows.shape[0]
-    expected, scanned = -1, (total if limit is None else min(total, limit))
-    for flat in range(scanned):
+    first = {}
+    for flat in range(total):
         combo, row = combos[flat // rows.shape[0]], rows[flat % rows.shape[0]]
-        if hand_made_flags(k, combo, cp_conflict, row, n_validators, mutation)[mode]:
-            expected, scanned = flat, flat + 1
+        flags = hand_made_flags(k, combo, cp_conflict, row, n_validators, mutation)
+        for mode in modes:
+            if flags[mode]:
+                first.setdefault(mode, flat)
+        if len(first) == len(modes):
             break
     projected = hand_made_tables(k, combos, cp_conflict)
-    with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch or kernels._PAIR_BATCH):
-        got = scan_states(rows, families, projected, n_validators, mode, limit)
-    assert got == (expected, scanned), (mode, limit, pair_batch)
-    return expected
+    for mode in modes:
+        expected = first.setdefault(mode, -1)
+        with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch or kernels._PAIR_BATCH):
+            got = scan_states(rows, families, projected, n_validators, mode)
+        assert got == (expected, expected + 1 if expected >= 0 else total), (mode, pair_batch)
+    return first
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def check_hand_made_scan(k, combos, cp_conflict, n_validators, max_votes, mutation,
+                         mode, pair_batch=None):
+    """Compare scan_states on hand-made tables with a row-by-row reference loop."""
+    return check_hand_made_scans(k, combos, cp_conflict, n_validators, max_votes, mutation,
+                                 (mode,), pair_batch)[mode]
+
+
+def hand_made_combination(k, u):
+    """A strategy for one hand-made combination of u votes over K checkpoints.
+    Each vote draws at most one slashable partner, and some combinations
+    plant a finalizing link from genesis (`finalizing`), so that
+    counterexamples are common."""
+    return st.tuples(
+        st.lists(st.integers(0, k - 1), min_size=u, max_size=u),
+        st.lists(st.integers(0, 2**k - 1), min_size=u, max_size=u),
+        st.lists(st.integers(0, 2**u - 1), min_size=k, max_size=k),
+        st.lists(st.sampled_from([0] + [1 << j for j in range(u)]), min_size=u, max_size=u)
+        .map(symmetric),
+        st.booleans(),
+    ).map(lambda c: finalizing(*c[:4]) if c[4] else c[:4]).map(
+        lambda c: (c[0], c[1], sourced(c[0], c[2]), c[3])
+    )
+
+
+def finalizing(sources, cols, fin, partners):
+    """Vote 0 leaves genesis and sandwiches vote 1's source, and vote 1
+    finalizes that source (with two votes or more)."""
+    if len(sources) < 2:
+        return sources, cols, fin, partners
+    target = sources[1] or 1
+    fin = list(fin)
+    fin[target] |= 0b10
+    return [0, target, *sources[2:]], [cols[0] | 1 << target, *cols[1:]], fin, partners
+
+
+def variant(k, combo, flip_sandwich, flip_fin, partners):
+    """`combo` with some columns changed: its sandwich columns away from the
+    votes' sources or which vote finalizes its source (each flipped or
+    kept), or its slashable pairs (kept, none or all).  The fixpoint pattern
+    stays the same, and so does every other mode's pattern that does not
+    read the changed columns."""
+    sources, cols, fin, kept = combo
+    u = len(sources)
+    if flip_sandwich:
+        elsewhere = (2**k - 1) & ~sum(1 << s for s in sources)
+        cols = [col ^ elsewhere for col in cols]
+    if flip_fin:
+        fin = sourced(sources, [mask ^ (2**u - 1) for mask in fin])
+    if partners == "none":
+        kept = [0] * u
+    elif partners == "all":
+        kept = [(2**u - 1) ^ (1 << i) for i in range(u)]
+    return sources, cols, fin, kept
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_scan_matches_checkpoint_set_reference_on_hand_made_tables(data):
+    # besides independent combinations, the draw holds variants of them:
+    # each shares its combination's pattern in the modes that do not read
+    # the columns it changes, and the scan meets them in any order
     k = data.draw(st.integers(2, 6), label="K")
     u = data.draw(st.integers(0, 4), label="u")
     n_validators = data.draw(st.integers(1, 3), label="N")
     max_votes = data.draw(st.integers(u, min(u * n_validators, 6)), label="max_votes")
-    combos = data.draw(st.lists(st.tuples(
-        st.lists(st.integers(0, k - 1), min_size=u, max_size=u),
-        st.lists(st.integers(0, 2**k - 1), min_size=u, max_size=u),
-        st.lists(st.integers(0, 2**u - 1), min_size=k, max_size=k),
-        st.lists(st.integers(0, 2**u - 1), min_size=u, max_size=u).map(symmetric),
-    ).map(lambda c: (c[0], c[1], sourced(c[0], c[2]), c[3])),
-        min_size=1, max_size=3), label="combinations")
+    combos = data.draw(st.lists(hand_made_combination(k, u), min_size=1, max_size=2),
+                       label="combinations")
+    variants = data.draw(st.lists(st.tuples(
+        st.integers(0, len(combos) - 1), st.booleans(), st.booleans(),
+        st.sampled_from(["kept", "none", "all"]),
+    ), min_size=1, max_size=4), label="variants")
+    combos = data.draw(st.permutations(
+        combos + [variant(k, combos[i], *changes) for i, *changes in variants]
+    ), label="order")
     cp_conflict = data.draw(
         st.lists(st.integers(0, 2**k - 1), min_size=k, max_size=k).map(symmetric),
         label="cp_conflict",
     )
     mutation = data.draw(st.sampled_from([Mutation.NONE, Mutation.QUORUM_HALF]),
                          label="mutation")
-    rows = state_table(u, n_validators, max_votes, 0)[0].shape[0]
-    limit = data.draw(st.none() | st.integers(0, len(combos) * rows + 2), label="limit")
     pair_batch = data.draw(st.sampled_from([1, 5, 1024, None]), label="pair batch")
-    for mode in ALL_MODES:
-        check_hand_made_scan(k, combos, cp_conflict, n_validators, max_votes, mutation,
-                             mode, limit, pair_batch)
+    check_hand_made_scans(k, combos, cp_conflict, n_validators, max_votes, mutation,
+                          ALL_MODES, pair_batch)
 
 
 NO_PAIRS = [0] * 4
@@ -448,19 +511,15 @@ def pattern_keys(projected, *names):
 COUNTEREXAMPLE_KEY = ("src_sandwich", "from_genesis", "src_fin", "clashes")
 
 
-def scan_per_combination(k, combos, cp_conflict, rows, families, n_validators, mode, limit):
+def scan_per_combination(k, combos, cp_conflict, rows, families, n_validators, mode):
     """What one scan over `combos` must report, from one scan call per combination."""
     n_rows = rows.shape[0]
-    total = len(combos) * n_rows if limit is None else min(len(combos) * n_rows, limit)
     for c, combo in enumerate(combos):
-        left = min(n_rows, total - c * n_rows)
-        if left <= 0:
-            break
         projected = hand_made_tables(k, [combo], cp_conflict)
-        hit, _ = scan_states(rows, families, projected, n_validators, mode, left)
+        hit, _ = scan_states(rows, families, projected, n_validators, mode)
         if hit >= 0:
             return c * n_rows + hit, c * n_rows + hit + 1
-    return -1, total
+    return -1, len(combos) * n_rows
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -474,17 +533,12 @@ def test_one_scan_equals_one_scan_per_combination(seed):
     mutation = Mutation.QUORUM_HALF if seed % 2 else Mutation.NONE
     rows, _, _ = state_table(u, n_validators, u * n_validators, 0)
     families = quorum_families(u, n_validators, u * n_validators, 0, mutation)
-    total = len(combos) * rows.shape[0]
     for mode in ALL_MODES:
-        for limit in (None, 0, 1, rows.shape[0] + 1, total // 2, total - 1):
-            want = scan_per_combination(k, combos, cp_conflict, rows, families, n_validators,
-                                        mode, limit)
-            # pattern windows of one combination share no fixpoint
-            for pair_batch, window in itertools.product((1, 5, kernels._PAIR_BATCH),
-                                                        (1, kernels._MEMO_PAIRS)):
-                with mock.patch.multiple(kernels, _PAIR_BATCH=pair_batch, _MEMO_PAIRS=window):
-                    got = scan_states(rows, families, projected, n_validators, mode, limit)
-                assert got == want, (mode, limit, pair_batch, window)
+        want = scan_per_combination(k, combos, cp_conflict, rows, families, n_validators, mode)
+        for pair_batch in (1, 5, kernels._PAIR_BATCH):
+            with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch):
+                got = scan_states(rows, families, projected, n_validators, mode)
+            assert got == want, (mode, pair_batch)
 
 
 def test_hit_in_a_later_group_than_its_pattern():
@@ -597,7 +651,7 @@ def test_keys_that_differ_only_in_finalizing_links_or_clashes():
                 first = check_hand_made_scan(k, combos, cp_conflict, n_validators,
                                              4 * n_validators, mutation, mode)
                 want = scan_per_combination(k, combos, cp_conflict, rows, families,
-                                            n_validators, mode, None)
+                                            n_validators, mode)
                 for pair_batch in (1, 5, kernels._PAIR_BATCH):
                     with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch):
                         got = scan_states(rows, families, projected, n_validators, mode)
@@ -616,7 +670,6 @@ def test_empty_scan():
     assert scan_states(rows, no_families, projected, 3, MODE_COUNTEREXAMPLE) == (-1, 0)
     rows, _, _ = state_table(0, 3, 4, 0)
     families = quorum_families(0, 3, 4, 0, Mutation.NONE)
-    assert scan_states(rows, families, projected, 3, MODE_LFP_NE_GFP, limit=0) == (-1, 0)
     none = project_tables(tables, np.zeros((0, 0), dtype=np.int64))
     assert scan_states(rows, families, none, 3, MODE_LFP_NE_GFP) == (-1, 0)
 
@@ -691,13 +744,11 @@ def test_scan_matches_row_by_row_reference(data):
         st.sets(st.integers(0, len(every) - 1), min_size=1, max_size=4), label="combinations"
     ))
     combos = every[picked]
-    total = len(combos) * rows.shape[0]
-    limit = data.draw(st.none() | st.integers(0, total + 2), label="limit")
     pair_batch = data.draw(st.sampled_from([1, 5, kernels._PAIR_BATCH]), label="pair batch")
 
     bounds = Bounds(n_blocks=0, n_validators=n_validators, max_votes=max_votes,
                     slot_rule=slot_rule, graph_filter="forest")
-    expected, scanned = -1, (total if limit is None else min(total, limit))
+    expected, scanned = -1, len(combos) * rows.shape[0]
     for flat in range(scanned):
         combo, row = combos[flat // rows.shape[0]], rows[flat % rows.shape[0]]
         state = materialize_state(
@@ -708,7 +759,7 @@ def test_scan_matches_row_by_row_reference(data):
             break
     projected = project_tables(tables, combos)
     with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch):
-        got = scan_states(rows, families, projected, n_validators, mode, limit)
+        got = scan_states(rows, families, projected, n_validators, mode)
     assert got == (expected, scanned)
 
 

@@ -138,9 +138,9 @@ def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch, chunk):
 def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
     # with 600-combination tasks, task 1 holds the end of level 3 and the
     # start of level 4, both with rows to check; a budget that runs out in
-    # level 4 must carry over from level 3 within the task, in the calling
-    # process, with a helper and through the fold's rescan, and cut where
-    # one-combination tasks cut
+    # level 4 must carry over from level 3 within the task's count, in the
+    # calling process and with a helper, and cut where one-combination
+    # tasks cut
     bounds = _small(n_blocks=2, n_validators=2, max_votes=8)
     mutation = parse_mutation("drop-ancestry")
     monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 600)
@@ -160,9 +160,6 @@ def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
         patch.setattr(enumerator, "_usable_cpus", lambda: 2)
         assert _report(bounds, mutation, budget, jobs=2) == expected
     assert started
-    result = enumerator._Tasks.result
-    monkeypatch.setattr(enumerator._Tasks, "result", lambda self, i, _: result(self, i, None))
-    assert _report(bounds, mutation, budget) == expected
 
 
 @pytest.mark.usefixtures("two_cpus")
@@ -311,24 +308,68 @@ def _cut_kinds(bounds, mutation):
 
 
 @pytest.mark.usefixtures("two_cpus")
-def test_budget_cuts_match_across_jobs_and_rescans(monkeypatch, started):
-    # a task scanned ahead has no limit; when its rows exceed the budget left
-    # the fold scans it again with the limit.  Forcing every task through
-    # that path, and running with a helper, must give the single-process
-    # report at budgets that cut in each kind of place
+def test_budget_cuts_match_across_jobs(started):
+    # every task is scanned without the budget, and the fold counts the cut
+    # in the task whose rows exceed the budget left; with a helper scanning
+    # tasks ahead, the report must equal the single-process one at budgets
+    # that cut in each kind of place
     bounds = _small(max_votes=3, max_ffg_votes=3)
     mutation = parse_mutation("drop-ancestry")
     kinds = _cut_kinds(bounds, mutation)
     assert set(kinds) == {"later unit of a class", "skipped combination", "scanned combination"}
-    result = enumerator._Tasks.result
     for budget in sorted(kinds.values()) + [0]:
         expected = _report(bounds, mutation, budget)
         assert expected.verdict == VERDICT_INCONCLUSIVE
         assert _report(bounds, mutation, budget, jobs=2) == expected
-        with monkeypatch.context() as patch:
-            patch.setattr(enumerator._Tasks, "result", lambda self, i, _: result(self, i, None))
-            assert _report(bounds, mutation, budget) == expected
     assert started
+
+
+# (bounds, mutation, budget, _BOUND_CHUNK, jobs) -> (states_checked,
+# graphs_checked, states_pruned, states_bounded, states_symmetric) of a cut
+# run: a cut in a later unit of a class, and cuts in a task whose unlimited
+# rows exceed the budget left.  The counts were pinned from a fold that
+# scanned each cut with a row limit in the kernel
+COUNTED_CUTS = [
+    (_small(max_votes=3, max_ffg_votes=3), "drop-ancestry", 33, None, 1,
+     (33, 7, 10545, 9848, 21)),
+    (_small(n_blocks=2, n_validators=2, max_votes=8), "drop-ancestry", 43, 600, 1,
+     (43, 1, 17063, 17063, 14)),
+    (_small(n_blocks=2, n_validators=2, max_votes=8), "drop-ancestry", 43, 600, 2,
+     (43, 1, 17063, 17063, 14)),
+]
+
+
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("bounds,mutation_name,budget,chunk,jobs,want", COUNTED_CUTS,
+                         ids=["later-unit", "over-budget-task-jobs1", "over-budget-task-jobs2"])
+def test_cuts_are_counted_without_a_kernel_call(
+    monkeypatch, bounds, mutation_name, budget, chunk, jobs, want
+):
+    # the fold counts a cut with the limit: no kernel, projection or
+    # quorum-family call happens then, and the counts equal those of a
+    # scan that stops at the budget
+    if chunk is not None:
+        monkeypatch.setattr(enumerator, "_BOUND_CHUNK", chunk)
+    counted = []
+    scan_task = enumerator._scan_task
+
+    def refuse(*args):
+        raise AssertionError("a counted cut reached a scan")
+
+    def counting_only(plan, unit, segments, limit=None, stopped=None):
+        if limit is None:
+            return scan_task(plan, unit, segments, stopped=stopped)
+        counted.append(limit)
+        with monkeypatch.context() as patch:
+            for name in ("scan_states", "project_tables", "quorum_families"):
+                patch.setattr(enumerator, name, refuse)
+            return scan_task(plan, unit, segments, limit)
+
+    monkeypatch.setattr(enumerator, "_scan_task", counting_only)
+    report = _report(bounds, parse_mutation(mutation_name), budget, jobs)
+    assert report.verdict == VERDICT_INCONCLUSIVE and counted
+    assert (report.states_checked, report.graphs_checked, report.states_pruned,
+            report.states_bounded, report.states_symmetric) == want
 
 
 # --- find_example and check_lfp_gfp through the plan -------------------------

@@ -3,6 +3,7 @@ search against the unreduced one."""
 
 import itertools
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from ffgmc.enumerator import (
     search,
 )
 from ffgmc.model import GENESIS, Block, BlockForest
-from ffgmc.mutation import parse_mutation
+from ffgmc.mutation import Mutation, parse_mutation
 from ffgmc.symmetry import automorphisms, orbit_minimal, unit_key
-from ffgmc.tables import build_graph_tables
+from ffgmc.tables import build_graph_tables, min_signers_for_quorum, state_table
 
 
 def _slot_preserving_bijections(f, g):
@@ -123,9 +124,11 @@ def _unreduced(monkeypatch, fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
-def _same_search(monkeypatch, bounds, mutation, budget=None, jobs=1):
+def _same_search(monkeypatch, bounds, mutation, budget=None, jobs=1, symmetric_at=None):
     """The reduced report, after checking it against the unreduced one and
-    its symmetric rows against the rows the kernel did not scan."""
+    its symmetric rows against an exact count: without a budget, the rows
+    the kernel did not scan; with one, `symmetric_at(budget)` (see
+    `_symmetric_oracle`)."""
     scanned = []
     scan_states = enumerator.scan_states
 
@@ -140,9 +143,62 @@ def _same_search(monkeypatch, bounds, mutation, budget=None, jobs=1):
     full = _unreduced(monkeypatch, search, bounds, mutation, budget=budget)
     assert full.states_symmetric == 0
     assert replace(reduced, wall_time=0.0, states_symmetric=0) == replace(full, wall_time=0.0)
-    if jobs == 1:   # helper processes scan out of sight
+    if budget is not None:
+        assert reduced.states_symmetric == symmetric_at(budget)
+    elif jobs == 1:   # helper processes scan out of sight
         assert reduced.states_symmetric == reduced.states_checked - sum(scanned)
     return reduced
+
+
+def _symmetric_oracle(monkeypatch, bounds, mutation):
+    """The symmetric rows of a budget run, as a function of the budget, from
+    the prefix sums of per-combination counts: each unit's kept combinations
+    in scan order, on its own tables, check n_rows rows each, all symmetric
+    unless the combination is orbit-minimal.
+
+    A budget that covers the run without a budget reports as it does.
+    Otherwise no hit lies before the cut: a later unit of a class that fits
+    the budget left is symmetric whole, and the unit the budget cuts counts
+    its own combinations, the cut one adding its rows up to the cut only if
+    it is not scanned."""
+    classes = [unit_key(f) for f in iter_units(bounds)]
+    floor = min_signers_for_quorum(bounds.n_validators) if mutation == Mutation.NONE else 0
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerator, "unit_key", lambda forest: object())
+        plan = enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, floor)
+    units = []   # (later unit of a class, checked and symmetric rows per combination)
+    for index, cls in enumerate(classes):
+        checked, symmetric = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for owner, u in plan.levels:
+            if owner == index:
+                n_rows = state_table(u, bounds.n_validators, bounds.max_votes, floor)[0].shape[0]
+                unit = plan.reps[index]
+                _, _, minimal = enumerator._kept_combinations(
+                    unit, u, 0, comb(len(unit.tables.votes), u), plan.mode
+                )
+                checked.append(np.full(minimal.size, n_rows, dtype=np.int64))
+                symmetric.append(np.where(minimal, 0, n_rows))
+        units.append((classes.index(cls) < index, np.concatenate(checked),
+                      np.concatenate(symmetric)))
+    full = search(bounds, mutation)
+
+    def symmetric_at(budget):
+        if budget >= full.states_checked:
+            return full.states_symmetric
+        left, symmetric = budget, 0
+        for later, checked, part in units:
+            if later and checked.sum() <= left:
+                left, symmetric = left - checked.sum(), symmetric + checked.sum()
+                continue
+            ends = np.cumsum(checked)
+            whole = int(np.searchsorted(ends, left, side="right"))   # combinations before the cut
+            if whole < checked.size:
+                before = int(ends[whole - 1]) if whole else 0
+                return symmetric + int(part[:whole].sum()) + (left - before if part[whole] else 0)
+            left, symmetric = left - checked.sum(), symmetric + part.sum()
+        raise AssertionError("the budget cuts no unit")
+
+    return symmetric_at
 
 
 def _small(**kw):
@@ -178,22 +234,25 @@ def test_symmetry_matches_unreduced_search(monkeypatch, mutation_name, bounds):
     mutation = parse_mutation(mutation_name)
     reduced = _same_search(monkeypatch, bounds, mutation)
     checked = reduced.states_checked
+    symmetric_at = _symmetric_oracle(monkeypatch, bounds, mutation)
     for budget in {0, 1, checked // 3, 2 * checked // 3, max(checked - 1, 0)}:
-        _same_search(monkeypatch, bounds, mutation, budget=budget)
+        _same_search(monkeypatch, bounds, mutation, budget=budget, symmetric_at=symmetric_at)
 
 
 def test_budget_cuts_match_unreduced_everywhere(monkeypatch):
     # every budget up to the whole space: cuts land in scanned combinations,
     # in skipped (non-minimal) combinations and in units of a class already
-    # scanned, which are then scanned for real
+    # scanned, which are then counted on their own tables
     bounds = _small(max_votes=3, max_ffg_votes=3)
     mutation = parse_mutation("drop-ancestry")
     keys = [unit_key(f) for f in iter_units(bounds)]
     total = search(bounds, mutation).states_checked
     kinds = set()
     previous = None
+    symmetric_at = _symmetric_oracle(monkeypatch, bounds, mutation)
     for budget in range(total + 1):
-        report = _same_search(monkeypatch, bounds, mutation, budget=budget)
+        report = _same_search(monkeypatch, bounds, mutation, budget=budget,
+                              symmetric_at=symmetric_at)
         if report.verdict == VERDICT_INCONCLUSIVE and budget > 0:
             unit = report.graphs_checked - 1
             if keys.index(keys[unit]) < unit:
