@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
 from multiprocessing import connection
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -84,7 +84,6 @@ from .tables import (
     check_level,
     min_signers_for_quorum,
     project_tables,
-    quorum_families,
     state_count,
     state_table,
     unit_universe,
@@ -269,7 +268,7 @@ def _distinct_vote_range(bounds: Bounds, n_votes: int) -> range:
 def _unit_total_states(bounds: Bounds, n_votes: int) -> int:
     """Rows of a unit with `n_votes` valid votes, counted without a row table."""
     return sum(
-        comb(n_votes, u) * state_count(u, bounds.n_validators, bounds.max_votes)
+        comb(n_votes, u) * state_count(u, bounds.n_validators, bounds.max_votes, 0)
         for u in _distinct_vote_range(bounds, n_votes)
     )
 
@@ -367,46 +366,36 @@ def _kept_combinations(
 
 
 def _scan_range(
-    plan: _Plan,
-    unit: _Unit,
-    u: int,
-    lo: int,
-    hi: int,
-    limit: Optional[int] = None,
-    stopped: Optional[Callable[[], bool]] = None,
-) -> Optional[_Counts]:
+    plan: _Plan, unit: _Unit, u: int, lo: int, hi: int, limit: Optional[int] = None
+) -> _Counts:
     """Scan the size-u combinations of ranks lo .. hi - 1 of a unit in order,
     all kept and orbit-minimal ones in one kernel call.
 
-    With a `limit` (the budget left), the range is counted, not scanned: the
-    caller knows that no hit lies among its first `limit` checked rows.
-    Every kept combination checks `n_rows` rows, scanned or settled by
-    symmetry, so the cut falls in combination `cut_at` after `part` rows, and
-    the scanned rows are those of the minimal combinations before it, plus
-    `part` if it is minimal itself.  `stopped` is polled before the range is
-    bounded; a scan it stops returns None.
+    Rows are counted by `state_count`; the level's `state_table` is built
+    only for that kernel call.  With a `limit` (the budget left), the range
+    is counted, not scanned: the caller knows that no hit lies among its
+    first `limit` checked rows.  Every kept combination checks `n_rows`
+    rows, scanned or settled by symmetry, so the cut falls in combination
+    `cut_at` after `part` rows, and the scanned rows are those of the
+    minimal combinations before it, plus `part` if it is minimal itself.
     """
-    if stopped is not None and stopped():
-        return None
-    bounds = plan.bounds
-    states, rows_pruned, total_rows = state_table(
-        u, bounds.n_validators, bounds.max_votes, plan.min_signers
-    )
-    n_rows = states.shape[0]
+    n_validators, max_votes = plan.bounds.n_validators, plan.bounds.max_votes
+    n_rows = state_count(u, n_validators, max_votes, plan.min_signers)
+    total_rows = state_count(u, n_validators, max_votes, 0)
     positions, combos, minimal = _kept_combinations(unit, u, lo, hi, plan.mode)
     # hit and checked count the rows of every kept combination in scan order;
     # only the minimal combinations (`scan`) reach the kernel
     rows = positions.size * n_rows
-    hit = -1
+    hit, found = -1, None
     if limit is None and n_rows and minimal.any():
         scan = np.flatnonzero(minimal)
-        families = quorum_families(
-            u, bounds.n_validators, bounds.max_votes, plan.min_signers, plan.mutation
-        )
+        level = state_table(u, n_validators, max_votes, plan.min_signers, plan.mutation)
         projected = project_tables(unit.tables, combos[scan])
-        scan_hit, scanned = scan_states(states, families, projected, bounds.n_validators, plan.mode)
+        scan_hit, scanned = scan_states(level, projected, n_validators, plan.mode)
         if scan_hit >= 0:
             hit = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
+            found = (u, tuple(int(x) for x in combos[hit // n_rows]),
+                     tuple(int(x) for x in level[0][hit % n_rows]))
         checked = hit + 1 if hit >= 0 else rows
     else:
         checked = rows if limit is None else min(rows, limit)
@@ -416,13 +405,9 @@ def _scan_range(
     ended = hit >= 0 or checked < rows
     kept = (hit if hit >= 0 else checked) // n_rows + 1 if ended else positions.size
     skipped = (int(positions[kept - 1]) + 1 if ended else hi) - lo - kept  # dropped by the bound
-    found = None
-    if hit >= 0:
-        found = (u, tuple(int(x) for x in combos[kept - 1]),
-                 tuple(int(x) for x in states[hit % n_rows]))
     return _Counts(
         checked,
-        skipped * total_rows + kept * rows_pruned,
+        skipped * total_rows + kept * (total_rows - n_rows),
         skipped * n_rows,
         checked - scanned,
         hit=found,
@@ -431,23 +416,15 @@ def _scan_range(
 
 
 def _scan_task(
-    plan: _Plan,
-    unit: _Unit,
-    segments: list[tuple[int, int, int]],
-    limit: Optional[int] = None,
-    stopped: Optional[Callable[[], bool]] = None,
-) -> Optional[_Counts]:
+    plan: _Plan, unit: _Unit, segments: list[tuple[int, int, int]], limit: Optional[int] = None
+) -> _Counts:
     """Scan, or with a `limit` count, a task's (u, lo, hi) segments in order,
     as `_scan_range` does one: the limit left carries from segment to
-    segment, and the task ends at a hit or a budget cut; a scan `stopped`
-    ends returns None."""
+    segment, and the task ends at a hit or a budget cut."""
     total = _Counts()
     for u, lo, hi in segments:
         left = None if limit is None else limit - total.checked
-        counts = _scan_range(plan, unit, u, lo, hi, left, stopped)
-        if counts is None:
-            return None
-        total += counts
+        total += _scan_range(plan, unit, u, lo, hi, left)
         if total.hit is not None or total.cut:
             break
     return total
@@ -477,14 +454,15 @@ class _Plan:
 
     A class's first unit is settled whole when it is vacuous (a safety mode
     and no conflicting checkpoint pair: its rows are counted from its vote
-    count, not scanned, and no other table of it is built).  Otherwise its
+    count by `tables.state_count`, not scanned, and no other table of it is
+    built, so no size limit applies to it).  Otherwise its
     levels u = 0, 1, ... are laid end to end in canonical order and cut
     into tasks of `_BOUND_CHUNK` combinations of that sequence (the last
     one shorter), numbered in canonical order; each class starts a new
     task.  Later units of a class reuse its counts.
 
-    The plan ends at the first level whose tables are over a size limit
-    (`refusal`: that unit and its error).  No task lies past it, so a run
+    The plan ends at the first scanned level whose tables are over a size
+    limit (`tables.check_level`; `refusal`: that unit and its error).  No task lies past it, so a run
     whose hit or budget cut comes first ends as before, and one that reaches
     it is refused there.
     """
@@ -527,7 +505,7 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
     """Build the scan plan, up to the first level over a size limit."""
     units = list(iter_units(bounds))
     plan = _Plan(bounds, mutation, mode, min_signers, units, [unit_key(f) for f in units])
-    seen, checked_levels = set(), set()
+    seen = set()
     for index, (forest, key) in enumerate(zip(units, plan.keys)):
         if key in seen:
             continue
@@ -538,36 +516,29 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
             chkp_bound = _chkp_bound(bounds, forest)
             universe = unit_universe(forest, bounds.slot_rule, chkp_bound)
             _, votes, cp_conflict = universe
-            scanned = mode not in _VACUITY_MODES or bool(cp_conflict.any())
-            if scanned:
-                tables = build_graph_tables(
-                    forest, bounds.slot_rule, chkp_bound, mutation, universe
-                )
-                plan.reps[index] = _Unit(tables, _vote_permutations(tables))
-            else:
+            if mode in _VACUITY_MODES and not cp_conflict.any():
                 plan.vacuous[index] = len(votes)
+                continue
+            tables = build_graph_tables(forest, bounds.slot_rule, chkp_bound, mutation, universe)
+            plan.reps[index] = _Unit(tables, _vote_permutations(tables))
             for u in _distinct_vote_range(bounds, len(votes)):
-                if (u, scanned) not in checked_levels:
-                    check_level(u, bounds.n_validators, bounds.max_votes, min_signers, scanned)
-                    checked_levels.add((u, scanned))
-                if scanned:
-                    n_combos = comb(len(votes), u)
-                    if n_combos > _MAX_LEVEL_COMBOS:
-                        raise InputError(
-                            f"{n_combos} combinations of {u} of {len(votes)} votes "
-                            "exceed the rank limit 2**62; lower max_ffg_votes or max_chkp_slot"
-                        )
-                    plan.levels.append((index, u))
-                    plan.starts.append(position)
-                    position += n_combos
-                    plan.n_tasks = -(-position // _BOUND_CHUNK)
+                check_level(u, bounds.n_validators, bounds.max_votes, min_signers)
+                n_combos = comb(len(votes), u)
+                if n_combos > _MAX_LEVEL_COMBOS:
+                    raise InputError(
+                        f"{n_combos} combinations of {u} of {len(votes)} votes "
+                        "exceed the rank limit 2**62; lower max_ffg_votes or max_chkp_slot"
+                    )
+                plan.levels.append((index, u))
+                plan.starts.append(position)
+                position += n_combos
+                plan.n_tasks = -(-position // _BOUND_CHUNK)
         except InputError as error:
             # the refused unit keeps the tasks of its levels that fit
             plan.tasks[index] = range(first, plan.n_tasks)
             plan.refusal = (index, error)
             return plan
-        if scanned:
-            plan.tasks[index] = range(first, plan.n_tasks)
+        plan.tasks[index] = range(first, plan.n_tasks)
     return plan
 
 
@@ -598,8 +569,7 @@ def _help(tasks: _Tasks, writer) -> None:
         except Exception:
             writer.send((i, traceback.format_exc()))
             return
-        if counts is not None:
-            writer.send((i, counts))
+        writer.send((i, counts))
 
 
 class _Tasks:
@@ -607,8 +577,7 @@ class _Tasks:
     by forked helpers, and each scanned whole, without the budget, which
     only `_fold` applies.  They share the next task to claim and the stop
     index: the lowest task known to end the run (a hit or a budget cut).  No
-    task past it is claimed, and a running one is abandoned between
-    segments.
+    task past it is claimed; a task that is already running is finished.
     """
 
     def __init__(self, plan: _Plan):
@@ -645,9 +614,9 @@ class _Tasks:
         with self.lock:
             self.shared[1] = min(self.shared[1], i)
 
-    def scan(self, i: int) -> Optional[_Counts]:
-        counts = _scan_task(self.plan, *self.plan.task(i), stopped=lambda: self.shared[1] < i)
-        if counts is not None and counts.hit is not None:
+    def scan(self, i: int) -> _Counts:
+        counts = _scan_task(self.plan, *self.plan.task(i))
+        if counts.hit is not None:
             self.stop(i)
         return counts
 
@@ -659,9 +628,7 @@ class _Tasks:
                 break
             j = self.claim()
             if j is not None:
-                counts = self.scan(j)
-                if counts is not None:
-                    self.done[j] = counts
+                self.done[j] = self.scan(j)
             elif self.readers:
                 self._receive(None)
             else:

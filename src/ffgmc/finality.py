@@ -31,8 +31,6 @@ class FinalityView:
     justified: frozenset[Checkpoint]
     finalized: frozenset[Checkpoint]
     finalized_blocks: frozenset[str]
-    # Diagnostic: which validators justify each justified checkpoint.
-    justifying_validators: dict[Checkpoint, frozenset[int]]
 
 
 def supports(
@@ -152,13 +150,8 @@ def finality_view(
         c for c in set(ordered) | {GENESIS_CHECKPOINT}
         if is_finalized(state, justified, c, mutation)
     )
-    support = {
-        c: justifying_validators(state, justified, c, mutation)
-        for c in sorted(justified, key=_cp_sort_key)
-    }
     return FinalityView(
         justified=justified,
         finalized=finalized,
         finalized_blocks=frozenset(c.block for c in finalized),
-        justifying_validators=support,
     )

@@ -1,7 +1,9 @@
 """State-scan kernel: the hot inner loop of the bounded search.
 
-One call scans the canonical vote-assignment rows (`states`, one row of
-per-validator vote masks) of C distinct-vote combinations of one graph,
+One call scans the canonical vote-assignment rows of one level (its
+`tables.state_table`, one row of per-validator vote masks each; the
+enumerator builds it only for such a call) for C distinct-vote
+combinations of one graph,
 against the bit-packed tables of those combinations, in combination-major,
 row-minor order, in one pass with no row limit (the enumerator applies
 `--budget` by counting rows).  It returns the first (combination, row)
@@ -11,9 +13,9 @@ them.
 
 A row is read only through quorum tests (do enough validators' vote masks
 meet a vote set X?) and, for counterexamples, through its per-validator
-slashability.  Rows inducing the same quorum family
-(`tables.quorum_families`) therefore have the same justified and finalized
-sets.  Each mode is decided per (combination, family) pair on u-bit vote
+slashability.  Rows inducing the same quorum family (`tables.state_table`
+holds the rows, their distinct families and each row's family) therefore
+have the same justified and finalized sets.  Each mode is decided per (combination, family) pair on u-bit vote
 masks (`_decide`): the fixpoints run on masks of the votes whose source is
 justified (`_eligible`), the finalized checkpoints are read at the votes'
 sources, and a conflicting finalized pair is a pair test on those masks.
@@ -50,17 +52,17 @@ def backend_name() -> str:
 
 
 def scan_states(
-    states: np.ndarray,
-    families: tuple[np.ndarray, np.ndarray],
+    level: tuple[np.ndarray, np.ndarray, np.ndarray],
     projected: ProjectedTables,
     n_validators: int,
     mode: int,
 ) -> tuple[int, int]:
     """Scan every (combination, row) in order; return (first hit or -1, rows scanned).
 
-    `states` is the (S, N) row table of one distinct-vote count u,
-    `families` its `quorum_families` (table, index) pair, and `projected`
-    holds the tables of C combinations of u votes.  The hit is the flat index
+    `level` is the `tables.state_table` of one distinct-vote count u: the
+    (S, N) rows, the (D, 2**u) table of their quorum families and the (S,)
+    family index of each row.  `projected` holds the tables of C
+    combinations of u votes.  The hit is the flat index
     c * S + r of row r of combination c.
 
     Soundness.  Every mode reads a row only through q(X) for vote sets X, so
@@ -77,7 +79,7 @@ def scan_states(
     combination of a hitting pattern, only on the rows whose family
     disagrees, since `partners` is not part of the pattern.
     """
-    table, index = families
+    states, table, index = level
     n_rows, n_combos = states.shape[0], projected.sandwich.shape[0]
     if n_rows == 0 or n_combos == 0:
         return -1, 0
@@ -169,7 +171,7 @@ def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np
         justified = grown
     if mode == MODE_JUSTIFIED_NONGENESIS:
         return justified != 1
-    finalizing = np.bitwise_or.reduce((tables.fin * bits).sum(axis=0)[combos], axis=1)
+    finalizing = np.bitwise_or.reduce(np.where(tables.finalizing[combos].T, 1 << source, 0), axis=0)
     finalized = (justified & finalizing) | 1
     if mode == MODE_FINALIZED_NONGENESIS:
         return finalized != 1

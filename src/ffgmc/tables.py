@@ -5,10 +5,16 @@ mutation: vote validity (`model.is_valid_ffg_vote`), chain conflict
 (`model.are_conflicting`), the sandwich clause (`finality.supports`), the
 finalizing link (`finality.finalizes`) and slashable pairs
 (`slashing.slash_kind`); the quorum rule enters through `mutation.quorum_met`
-in `quorum_families`.  Nothing downstream reads a mutation flag, so the fast
+in `state_table`.  Nothing downstream reads a mutation flag, so the fast
 path has no copy of the rules to drift from the reference.  Its first step,
 `unit_universe` (checkpoints, valid votes, chain conflict), is all the scan
 plan reads of a unit that is vacuous for safety.
+
+A level (one distinct-vote count u) has its rows counted by arithmetic
+(`state_count`), which is all the plan, the vacuous units and the budget
+count need.  Its row table and quorum families (`state_table`), the
+kernel's inputs, are built only where a kernel call scans the level, and
+`check_level` refuses a scanned level over a size limit before that.
 
 Bit conventions: checkpoints of one graph are indexed 0..K-1 in (c, p, block)
 order with the genesis checkpoint at index 0, and a checkpoint set is an int64
@@ -36,15 +42,13 @@ import numpy as np
 
 from .finality import finalizes, supports
 from .model import (
-    GENESIS_CHECKPOINT,
     BlockForest,
     Checkpoint,
     FfgVote,
     InputError,
     ProtocolState,
-    _cp_sort_key,
     are_conflicting,
-    is_valid_checkpoint,
+    checkpoints_of,
     is_valid_ffg_vote,
 )
 from .mutation import Mutation, quorum_met
@@ -67,7 +71,7 @@ class GraphTables:
     vote_src: np.ndarray                         # (M,) checkpoint index of each source
     cp_conflict: np.ndarray                      # (K,) int64 conflict bitmasks
     sandwich: np.ndarray                         # (K, M) bool, `finality.supports`
-    fin: np.ndarray                              # (K, M) bool, `finality.finalizes`
+    finalizing: np.ndarray                       # (M,) bool, `finality.finalizes` at the source
     slash_pair: np.ndarray                       # (M, M) bool, symmetric `slashing.slash_kind`
 
 
@@ -83,21 +87,12 @@ def unit_universe(forest: BlockForest, slot_rule: str, max_chkp_slot: int) -> Un
     mask is vacuous for safety even when its forest forks.
     """
     probe = ProtocolState(forest, 1, frozenset(), slot_rule)
-    cps: list[Checkpoint] = []
-    for block in forest:
-        for c in range(max_chkp_slot + 1):
-            cp = Checkpoint(block.id, c, block.slot)
-            if is_valid_checkpoint(probe, cp):
-                cps.append(cp)
-    cps.sort(key=_cp_sort_key)
-    k = len(cps)
-    if k > MAX_CHECKPOINT_BITS:
+    cps = checkpoints_of(probe, max_chkp_slot)
+    if len(cps) > MAX_CHECKPOINT_BITS:
         raise InputError(
-            f"checkpoint universe of size {k} exceeds the kernel limit "
+            f"checkpoint universe of size {len(cps)} exceeds the kernel limit "
             f"{MAX_CHECKPOINT_BITS}; lower max_chkp_slot or n_blocks"
         )
-    assert cps[0] == GENESIS_CHECKPOINT
-
     pairs = (FfgVote(s, t) for s in cps for t in cps)
     votes = tuple(v for v in pairs if is_valid_ffg_vote(probe, v))
     conflicting = {
@@ -127,7 +122,7 @@ def build_graph_tables(
     sandwich = np.array(
         [[supports(forest, v, cp, mutation) for v in votes] for cp in cps], dtype=bool
     )
-    fin = np.array([[finalizes(v, cp) for v in votes] for cp in cps], dtype=bool)
+    finalizing = np.array([finalizes(v, v.source) for v in votes], dtype=bool)
     slash_pair = np.zeros((m, m), dtype=bool)
     for a, b in itertools.combinations(range(m), 2):
         slash_pair[a, b] = slash_pair[b, a] = slash_kind(votes[a], votes[b], mutation) is not None
@@ -138,7 +133,7 @@ def build_graph_tables(
         vote_src=vote_src,
         cp_conflict=cp_conflict,
         sandwich=sandwich,
-        fin=fin,
+        finalizing=finalizing,
         slash_pair=slash_pair,
     )
 
@@ -177,7 +172,7 @@ def project_tables(tables: GraphTables, combos: np.ndarray) -> ProjectedTables:
         sandwich=sandwich,
         src_sandwich=np.take_along_axis(sandwich, src, axis=1),
         from_genesis=_pack_votes(src == 0),
-        src_fin=_pack_votes(tables.fin[src[:, :, None], combos[:, None, :]]),
+        src_fin=_pack_votes(tables.finalizing[combos][:, None, :] & (src[:, :, None] == src[:, None, :])),
         clashes=_pack_votes(clash.astype(bool)),
         partners=_pack_votes(tables.slash_pair[combos[:, :, None], combos[:, None, :]]),
     )
@@ -194,17 +189,26 @@ def _pack_votes(bits: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def state_table(
-    u: int, n_validators: int, max_votes: int, min_signers: int
-) -> tuple[np.ndarray, int, int]:
-    """Canonical vote-assignment rows for `u` distinct votes.
+    u: int, n_validators: int, max_votes: int, min_signers: int, mutation: Mutation
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's inputs for `u` distinct votes: (rows, families, index).
 
-    Rows are non-decreasing tuples of per-validator subset masks (one row per
-    validator-permutation class), with union exactly the full u-bit set and at
-    most `max_votes` signed votes in total.  Returns (rows meeting the
-    min_signers floor, count of rows pruned by that floor, total row count).
+    `rows` holds the canonical vote-assignment rows, an (S, N) array of
+    non-decreasing tuples of per-validator subset masks (one row per
+    validator-permutation class), with union exactly the full u-bit set, at
+    most `max_votes` signed votes in total and at least `min_signers`
+    nonempty masks; S is `state_count`.
+
+    The quorum family of a row (m_1, ..., m_N) is the test
+    q(X) = quorum_met(|{v : m_v & X != 0}|, N, mutation) for every vote
+    subset X in [0, 2**u).  `families` is the (D, 2**u) bool table of the
+    distinct families and `index` the (S,) family index of each row.  Rows
+    are keyed by their bit-packed family, so deduplication compares machine
+    words rather than bool rows.  A level over a size limit (`check_level`)
+    is refused rather than built.
     """
+    check_level(u, n_validators, max_votes, min_signers)
     n_subsets = 2**u
-    _check_state_rows(u, n_validators)
     rows = np.fromiter(
         itertools.chain.from_iterable(
             itertools.combinations_with_replacement(range(n_subsets), n_validators)
@@ -215,61 +219,10 @@ def state_table(
     pop = np.zeros(rows.shape[0], dtype=np.int64)
     for bit in range(u):
         pop += ((rows >> bit) & 1).sum(axis=1)
-    keep = (union == n_subsets - 1) & (pop <= max_votes)
-    rows = rows[keep]
-    signers = (rows != 0).sum(axis=1)
-    active = rows[signers >= min_signers]
-    total = int(rows.shape[0])
-    return active, total - int(active.shape[0]), total
-
-
-def state_count(u: int, n_validators: int, max_votes: int) -> int:
-    """The total row count of `state_table` (signer floor not applied), by arithmetic.
-
-    Inclusion-exclusion over the union: the rows number
-    sum_s (-1)^(u - s) C(u, s) g(s), where g(s) counts the multisets of N
-    subsets of an s-set with at most `max_votes` signed votes in total.  g(s)
-    is a DP over popcount classes: class k holds C(s, k) subsets of k votes,
-    and a validators drawing from it make C(C(s, k) + a - 1, a) multisets.
-    """
-    total = 0
-    for s in range(u + 1):
-        cap = min(max_votes, n_validators * s)
-        ways = [[0] * (cap + 1) for _ in range(n_validators + 1)]   # [subsets][votes]
-        ways[0][0] = 1
-        for k in range(s + 1):
-            size = comb(s, k)
-            grown = [[0] * (cap + 1) for _ in range(n_validators + 1)]
-            for n, row in enumerate(ways):
-                for w, count in enumerate(row):
-                    if not count:
-                        continue
-                    most = n_validators - n if k == 0 else min(n_validators - n, (cap - w) // k)
-                    for a in range(most + 1):
-                        grown[n + a][w + k * a] += count * comb(size + a - 1, a)
-            ways = grown
-        total += (-1) ** (u - s) * comb(u, s) * sum(ways[n_validators])
-    return total
-
-
-@lru_cache(maxsize=None)
-def quorum_families(
-    u: int, n_validators: int, max_votes: int, min_signers: int, mutation: Mutation
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of `state_table` by the quorum family they induce.
-
-    The quorum family of a row (m_1, ..., m_N) is the test
-    q(X) = quorum_met(|{v : m_v & X != 0}|, N, mutation) for every vote
-    subset X in [0, 2**u).  Returns (families, index): the (D, 2**u) bool
-    table of distinct families and the (S,) family index of each row.  Rows
-    are keyed by their bit-packed family, so deduplication compares machine
-    words rather than bool rows; a key table above MAX_FAMILY_KEY_BYTES is
-    refused rather than built.
-    """
-    rows = state_table(u, n_validators, max_votes, min_signers)[0]
-    n_subsets = 2**u
+    rows = rows[(union == n_subsets - 1) & (pop <= max_votes)]
+    rows = rows[(rows != 0).sum(axis=1) >= min_signers]
     subsets = np.arange(n_subsets, dtype=np.int64)
-    n_words = _check_family_keys(u, n_validators, rows.shape[0])
+    n_words = -(-n_subsets // 64)
     keys = np.zeros((rows.shape[0], 8 * n_words), dtype=np.uint8)
     step = max(1, _FAMILY_CHUNK // n_subsets)
     for lo in range(0, rows.shape[0], step):
@@ -289,42 +242,67 @@ def quorum_families(
         keys[first], axis=1, count=n_subsets, bitorder="little"
     ).astype(bool)
     index = index.reshape(-1).astype(np.intp)
-    families.flags.writeable = False
-    index.flags.writeable = False
-    return families, index
+    for table in (rows, families, index):
+        table.flags.writeable = False
+    return rows, families, index
 
 
-def check_level(
-    u: int, n_validators: int, max_votes: int, min_signers: int, scanned: bool
-) -> None:
-    """Refuse a distinct-vote count u whose tables cannot be built, before they are.
+@lru_cache(maxsize=None)
+def state_count(u: int, n_validators: int, max_votes: int, min_signers: int) -> int:
+    """The row count of `state_table`, by arithmetic.
 
-    Every level needs its row table (`state_table`); a level whose rows are
-    scanned also needs u-bit vote masks (`project_tables`) and quorum-family
-    keys (`quorum_families`).  The key size is checked on the row-count
-    estimate, and only when that is too large on the exact count, so no
-    level that fits is refused.
+    Inclusion-exclusion over the union: the rows number
+    sum_s (-1)^(u - s) C(u, s) g(s), where g(s) counts the multisets of N
+    subsets of an s-set with at most `max_votes` signed votes in total and
+    at least `min_signers` nonempty subsets.  g(s) is a DP over popcount
+    classes: class k holds C(s, k) subsets of k votes, a validators drawing
+    from it make C(C(s, k) + a - 1, a) multisets, and class 0, the empty
+    subset, takes at most N - `min_signers` validators.
     """
-    estimate = _check_state_rows(u, n_validators)
-    if not scanned:
-        return
-    _check_vote_bits(u)
-    if estimate * 8 * -(-2**u // 64) > MAX_FAMILY_KEY_BYTES:
-        rows = state_table(u, n_validators, max_votes, min_signers)[0]
-        _check_family_keys(u, n_validators, rows.shape[0])
+    total = 0
+    for s in range(u + 1):
+        cap = min(max_votes, n_validators * s)
+        ways = [[0] * (cap + 1) for _ in range(n_validators + 1)]   # [subsets][votes]
+        ways[0][0] = 1
+        for k in range(s + 1):
+            size = comb(s, k)
+            grown = [[0] * (cap + 1) for _ in range(n_validators + 1)]
+            for n, row in enumerate(ways):
+                for w, count in enumerate(row):
+                    if not count:
+                        continue
+                    most = n_validators - min_signers if k == 0 else min(
+                        n_validators - n, (cap - w) // k
+                    )
+                    for a in range(most + 1):
+                        grown[n + a][w + k * a] += count * comb(size + a - 1, a)
+            ways = grown
+        total += (-1) ** (u - s) * comb(u, s) * sum(ways[n_validators])
+    return total
 
 
-def _check_state_rows(u: int, n_validators: int) -> int:
-    """The row count before filtering: multisets of N subsets of u votes."""
-    estimate = 1
-    for i in range(n_validators):
-        estimate = estimate * (2**u + i) // (i + 1)
+def check_level(u: int, n_validators: int, max_votes: int, min_signers: int) -> None:
+    """Refuse a scanned distinct-vote count u whose tables cannot be built, before they are.
+
+    Its row table (`state_table`) enumerates every multiset of N subsets of
+    u votes (`MAX_STATE_ROWS`) before filtering, its vote masks
+    (`project_tables`) take u bits, and its quorum-family keys one per row
+    (`MAX_FAMILY_KEY_BYTES`), on the exact row count.
+    """
+    estimate = comb(2**u + n_validators - 1, n_validators)
     if estimate > MAX_STATE_ROWS:
         raise InputError(
             f"state table for u={u}, N={n_validators} would have ~{estimate} rows; "
             "lower max_ffg_votes or n_validators"
         )
-    return estimate
+    _check_vote_bits(u)
+    n_rows = state_count(u, n_validators, max_votes, min_signers)
+    n_bytes = n_rows * 8 * -(-2**u // 64)
+    if n_bytes > MAX_FAMILY_KEY_BYTES:
+        raise InputError(
+            f"quorum families for u={u}, N={n_validators} would take "
+            f"{n_bytes >> 20} MiB; lower max_ffg_votes or n_validators"
+        )
 
 
 def _check_vote_bits(u: int) -> None:
@@ -333,17 +311,6 @@ def _check_vote_bits(u: int) -> None:
             f"{u} distinct votes exceed the kernel limit {MAX_VOTE_BITS}; "
             "lower max_ffg_votes"
         )
-
-
-def _check_family_keys(u: int, n_validators: int, n_rows: int) -> int:
-    """The 64-bit words of one family key, if a key per row fits the limit."""
-    n_words = -(-2**u // 64)
-    if n_rows * 8 * n_words > MAX_FAMILY_KEY_BYTES:
-        raise InputError(
-            f"quorum families for u={u}, N={n_validators} would take "
-            f"{n_rows * 8 * n_words >> 20} MiB; lower max_ffg_votes or n_validators"
-        )
-    return n_words
 
 
 def min_signers_for_quorum(n_validators: int) -> int:

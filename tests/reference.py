@@ -2,10 +2,13 @@
 
 `enumerate_states` materializes every canonical state of a forest's units,
 one ProtocolState per (combination, row), in the order the search scans
-them; the search itself never builds states this way.
+them; the search itself never builds states this way, and the canonical
+rows are built here, not read from the kernel's row table.
 """
 
 import itertools
+import operator
+from functools import reduce
 from typing import Iterator
 
 from ffgmc.enumerator import (
@@ -16,7 +19,18 @@ from ffgmc.enumerator import (
     materialize_state,
 )
 from ffgmc.model import BlockForest, ProtocolState
-from ffgmc.tables import build_graph_tables, state_table
+from ffgmc.tables import build_graph_tables
+
+
+def canonical_rows(u: int, n_validators: int, max_votes: int) -> list[tuple[int, ...]]:
+    """Non-decreasing tuples of N vote subsets of u votes (masks) whose union
+    is every vote, with at most `max_votes` signed votes, in lexicographic order."""
+    full = (1 << u) - 1
+    return [
+        row for row in itertools.combinations_with_replacement(range(full + 1), n_validators)
+        if reduce(operator.or_, row, 0) == full
+        and sum(bin(mask).count("1") for mask in row) <= max_votes
+    ]
 
 
 def enumerate_states(bounds: Bounds, forest: BlockForest) -> Iterator[ProtocolState]:
@@ -24,9 +38,7 @@ def enumerate_states(bounds: Bounds, forest: BlockForest) -> Iterator[ProtocolSt
     for slotted in _slot_variants(forest, bounds):
         tables = build_graph_tables(slotted, bounds.slot_rule, _chkp_bound(bounds, slotted))
         for u in _distinct_vote_range(bounds, len(tables.votes)):
-            states, _, _ = state_table(u, bounds.n_validators, bounds.max_votes, 0)
+            rows = canonical_rows(u, bounds.n_validators, bounds.max_votes)
             for combo in itertools.combinations(range(len(tables.votes)), u):
-                for row in states:
-                    yield materialize_state(
-                        bounds, tables, combo, tuple(int(x) for x in row)
-                    )
+                for row in rows:
+                    yield materialize_state(bounds, tables, combo, row)

@@ -22,6 +22,7 @@ from ffgmc.model import (
     ProtocolState,
     SignedVote,
 )
+from ffgmc.mutation import Mutation
 from ffgmc.scenario import parse_scenario, scenario_to_json
 
 FINALIZING_SCENARIO = {
@@ -194,10 +195,10 @@ def test_cmd_search_rejects_negative_budget(capsys):
 # --- size limits: the plan ends at the first level over one -----------------
 
 SIZE_LIMITS = [
-    # (extra flags, patched limit, message).  u=8 at N=4 needs ~183 M rows;
-    # the other limits are lowered to fail at u=4 of the first unit, the
-    # fork, whose levels below 4 the monotone bound drops whole
-    (["--blocks", "1", "--max-ffg", "8", "--max-votes", "24"], None, "state table"),
+    # (extra flags, patched limit, message).  u=3 at N=34 needs ~22.5 M rows
+    # before filtering; the other limits are lowered to fail at u=4 of the
+    # first unit, the fork, whose levels below 4 the monotone bound drops whole
+    (["--validators", "34"], None, "state table"),
     ([], ("MAX_STATE_ROWS", 1000), "state table"),
     ([], ("MAX_FAMILY_KEY_BYTES", 1 << 12), "quorum families"),
     ([], ("MAX_VOTE_BITS", 3), "distinct votes exceed"),
@@ -244,17 +245,32 @@ def test_a_run_that_ends_before_an_oversized_level_is_not_refused(capsys, argv, 
 
 
 def test_size_limits_count_rows_before_refusing(monkeypatch, capsys):
-    # the row estimate for u=4 at N=4 overshoots the family-key limit, but
-    # the rows left after the signer floor fit it exactly: the run goes on
+    # the family keys are sized on the exact row count: the rows of u=4 at
+    # N=4 left after the signer floor fit the limit exactly, so the run goes on
     argv = ["search", "--blocks", "2", "--validators", "4", "--max-votes", "12",
             "--max-ffg", "4", "--max-chkp-slot", "3"]
     assert main(argv) == 0
     expected = json.loads(capsys.readouterr().out)["counters"]
-    rows = tables.state_table(4, 4, 12, 3)[0].shape[0]
-    assert rows < 3876   # the estimate: multisets of 4 subsets of 4 votes
+    rows = tables.state_table(4, 4, 12, 3, Mutation.NONE)[0].shape[0]
+    assert rows < 3876   # multisets of 4 subsets of 4 votes, before filtering
     monkeypatch.setattr(tables, "MAX_FAMILY_KEY_BYTES", rows * 8)
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["counters"] == expected
+
+
+def test_a_vacuous_class_is_counted_at_any_size(monkeypatch, capsys):
+    # one block forks nothing: u=8 at N=4 is far over the row limit, but a
+    # vacuous class is counted by arithmetic, never scanned, so nothing is
+    # refused and no row table is built
+    monkeypatch.setattr(enumerator, "state_table", None)
+    assert main([
+        "search", "--blocks", "1", "--validators", "4", "--max-votes", "24",
+        "--max-ffg", "8", "--max-chkp-slot", "3",
+    ]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "holds-exhaustively"
+    assert report["counters"]["states_checked"] == 0
+    assert report["counters"]["states_pruned"] == 59_767_584_684
 
 
 def test_cmd_example_rejects_negative_budget(capsys):

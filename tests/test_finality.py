@@ -219,7 +219,7 @@ def test_finality_view():
     view = finality_view(state)
     assert view.justified == {GC, C1, Checkpoint(GENESIS, 1, 0)}
     assert view.finalized == {GC}
-    assert view.justifying_validators[C1] == {0, 1, 2}
+    assert justifying_validators(state, view.justified, C1) == {0, 1, 2}
     assert view.finalized <= view.justified | {GC}
     assert view.finalized_blocks == {c.block for c in view.finalized}
 

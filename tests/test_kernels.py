@@ -43,7 +43,7 @@ from ffgmc.tables import (
     build_graph_tables,
     min_signers_for_quorum,
     project_tables,
-    quorum_families,
+    state_count,
     state_table,
 )
 
@@ -99,8 +99,8 @@ def test_kernel_first_hits_match_reference(mutation):
     tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot, mutation)
     checked_states = 0
     for u in range(0, 3):
-        rows, _, _ = state_table(u, bounds.n_validators, bounds.max_votes, 0)
-        families = quorum_families(u, bounds.n_validators, bounds.max_votes, 0, mutation)
+        level = state_table(u, bounds.n_validators, bounds.max_votes, 0, mutation)
+        rows = level[0]
         combos = all_combinations(len(tables.votes), u)
         n_rows = rows.shape[0]
         first = {mode: -1 for mode in ALL_MODES}   # flat index over all combinations
@@ -120,13 +120,13 @@ def test_kernel_first_hits_match_reference(mutation):
             for mode in ALL_MODES:
                 if first[mode] == -1 and expected[mode] != -1:
                     first[mode] = c * n_rows + expected[mode]
-                hit, scanned = scan_states(rows, families, projected, bounds.n_validators, mode)
+                hit, scanned = scan_states(level, projected, bounds.n_validators, mode)
                 assert hit == expected[mode], (mode, combo)
                 want = n_rows if expected[mode] == -1 else expected[mode] + 1
                 assert scanned == want
         projected = project_tables(tables, combos)
         for mode in ALL_MODES:
-            hit, scanned = scan_states(rows, families, projected, bounds.n_validators, mode)
+            hit, scanned = scan_states(level, projected, bounds.n_validators, mode)
             assert hit == first[mode], (mode, u)
             assert scanned == (len(combos) * n_rows if first[mode] == -1 else first[mode] + 1)
     assert checked_states > 400
@@ -148,8 +148,8 @@ def test_counterexample_hits_match_reference(mutation):
     plain = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
     keep = bound_combinations(plain, every, MODE_COUNTEREXAMPLE)
     combos = every[np.flatnonzero(keep | (np.arange(len(every)) < 2))]
-    rows, _, _ = state_table(4, 3, bounds.max_votes, 0)
-    families = quorum_families(4, 3, bounds.max_votes, 0, mutation)
+    level = state_table(4, 3, bounds.max_votes, 0, mutation)
+    rows = level[0]
     expected = {MODE_COUNTEREXAMPLE: -1, MODE_CONFLICTING_FINALIZED: -1}
     for flat in range(len(combos) * rows.shape[0]):
         combo, row = combos[flat // rows.shape[0]], rows[flat % rows.shape[0]]
@@ -167,7 +167,7 @@ def test_counterexample_hits_match_reference(mutation):
     projected = project_tables(tables, combos)
     for mode, first in expected.items():
         want = (first, first + 1) if first >= 0 else (-1, len(combos) * rows.shape[0])
-        assert scan_states(rows, families, projected, 3, mode) == want, mode
+        assert scan_states(level, projected, 3, mode) == want, mode
 
 
 @pytest.mark.parametrize("mutation", ALL_MUTATIONS, ids=lambda m: m.label())
@@ -230,10 +230,9 @@ def test_fixpoint_comparison_sees_a_support_cycle():
         clashes=np.zeros((1, 2), dtype=np.int64),
         partners=np.zeros((1, 2), dtype=np.int64),
     )
-    rows, _, _ = state_table(2, 1, 2, 0)
-    families = quorum_families(2, 1, 2, 0, Mutation.NONE)
-    assert scan_states(rows, families, projected, 1, MODE_LFP_NE_GFP) == (0, 1)
-    assert scan_states(rows, families, projected, 1, MODE_JUSTIFIED_NONGENESIS) == (-1, 1)
+    level = state_table(2, 1, 2, 0, Mutation.NONE)
+    assert scan_states(level, projected, 1, MODE_LFP_NE_GFP) == (0, 1)
+    assert scan_states(level, projected, 1, MODE_JUSTIFIED_NONGENESIS) == (-1, 1)
 
 
 # Hand-made combinations: a valid vote's source slot is below its target
@@ -332,8 +331,8 @@ def check_hand_made_scans(k, combos, cp_conflict, n_validators, max_votes, mutat
     """Compare scan_states in each mode on hand-made tables with one
     row-by-row reference loop; return each mode's first hit."""
     u = len(combos[0][0])
-    rows, _, _ = state_table(u, n_validators, max_votes, 0)
-    families = quorum_families(u, n_validators, max_votes, 0, mutation)
+    level = state_table(u, n_validators, max_votes, 0, mutation)
+    rows = level[0]
     total = len(combos) * rows.shape[0]
     first = {}
     for flat in range(total):
@@ -348,7 +347,7 @@ def check_hand_made_scans(k, combos, cp_conflict, n_validators, max_votes, mutat
     for mode in modes:
         expected = first.setdefault(mode, -1)
         with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch or kernels._PAIR_BATCH):
-            got = scan_states(rows, families, projected, n_validators, mode)
+            got = scan_states(level, projected, n_validators, mode)
         assert got == (expected, expected + 1 if expected >= 0 else total), (mode, pair_batch)
     return first
 
@@ -511,12 +510,12 @@ def pattern_keys(projected, *names):
 COUNTEREXAMPLE_KEY = ("src_sandwich", "from_genesis", "src_fin", "clashes")
 
 
-def scan_per_combination(k, combos, cp_conflict, rows, families, n_validators, mode):
+def scan_per_combination(k, combos, cp_conflict, level, n_validators, mode):
     """What one scan over `combos` must report, from one scan call per combination."""
-    n_rows = rows.shape[0]
+    n_rows = level[0].shape[0]
     for c, combo in enumerate(combos):
         projected = hand_made_tables(k, [combo], cp_conflict)
-        hit, _ = scan_states(rows, families, projected, n_validators, mode)
+        hit, _ = scan_states(level, projected, n_validators, mode)
         if hit >= 0:
             return c * n_rows + hit, c * n_rows + hit + 1
     return -1, len(combos) * n_rows
@@ -531,13 +530,12 @@ def test_one_scan_equals_one_scan_per_combination(seed):
     projected = hand_made_tables(k, combos, cp_conflict)
     assert len(pattern_keys(projected, *COUNTEREXAMPLE_KEY)) <= 3
     mutation = Mutation.QUORUM_HALF if seed % 2 else Mutation.NONE
-    rows, _, _ = state_table(u, n_validators, u * n_validators, 0)
-    families = quorum_families(u, n_validators, u * n_validators, 0, mutation)
+    level = state_table(u, n_validators, u * n_validators, 0, mutation)
     for mode in ALL_MODES:
-        want = scan_per_combination(k, combos, cp_conflict, rows, families, n_validators, mode)
+        want = scan_per_combination(k, combos, cp_conflict, level, n_validators, mode)
         for pair_batch in (1, 5, kernels._PAIR_BATCH):
             with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch):
-                got = scan_states(rows, families, projected, n_validators, mode)
+                got = scan_states(level, projected, n_validators, mode)
             assert got == want, (mode, pair_batch)
 
 
@@ -587,7 +585,7 @@ def test_justified_patterns_tell_sandwich_rows_apart():
     combos = [idle, idle, justifying]
     projected = hand_made_tables(k, combos, cp_conflict)
     assert len(pattern_keys(projected, "src_sandwich", "from_genesis")) == 1
-    n_rows = state_table(1, 2, 2, 0)[0].shape[0]
+    n_rows = state_count(1, 2, 2, 0)
     for pair_batch in (1, None):
         first = check_hand_made_scan(k, combos, cp_conflict, 2, 2, Mutation.NONE,
                                      MODE_JUSTIFIED_NONGENESIS, pair_batch=pair_batch)
@@ -602,8 +600,8 @@ def test_fixpoints_run_once_per_pattern(monkeypatch):
     k, u, n_validators = 5, 3, 3
     combos = repeated_pattern_combos(rng, k, u, n_patterns=2, n_combos=12)
     projected = hand_made_tables(k, combos, [0] * k)
-    rows, _, _ = state_table(u, n_validators, u * n_validators, 0)
-    families = quorum_families(u, n_validators, u * n_validators, 0, Mutation.NONE)
+    level = state_table(u, n_validators, u * n_validators, 0, Mutation.NONE)
+    rows = level[0]
     decided = []
     decide = kernels._decide
 
@@ -618,9 +616,9 @@ def test_fixpoints_run_once_per_pattern(monkeypatch):
         for pair_batch in (1, 5, kernels._PAIR_BATCH):
             decided.clear()
             monkeypatch.setattr(kernels, "_PAIR_BATCH", pair_batch)
-            assert scan_states(rows, families, projected, n_validators, mode) == (
+            assert scan_states(level, projected, n_validators, mode) == (
                 -1, len(combos) * rows.shape[0])
-            assert len(decided) == len(set(decided)) == len(patterns) * families[0].shape[0]
+            assert len(decided) == len(set(decided)) == len(patterns) * level[1].shape[0]
 
 
 def test_keys_that_differ_only_in_finalizing_links_or_clashes():
@@ -642,19 +640,19 @@ def test_keys_that_differ_only_in_finalizing_links_or_clashes():
     assert len(pattern_keys(projected, "src_sandwich", "from_genesis", "clashes")) == 2
     rng = np.random.default_rng(5)
     for n_validators, mutation in ((1, Mutation.NONE), (2, Mutation.NONE), (2, Mutation.QUORUM_HALF)):
-        rows, _, _ = state_table(4, n_validators, 4 * n_validators, 0)
-        families = quorum_families(4, n_validators, 4 * n_validators, 0, mutation)
+        level = state_table(4, n_validators, 4 * n_validators, 0, mutation)
+        rows = level[0]
         for order in [range(len(variants))] + [rng.permutation(len(variants)) for _ in range(4)]:
             combos = [variants[i] for i in order]
             projected = hand_made_tables(k, combos, cp_conflict)
             for mode in ALL_MODES:
                 first = check_hand_made_scan(k, combos, cp_conflict, n_validators,
                                              4 * n_validators, mutation, mode)
-                want = scan_per_combination(k, combos, cp_conflict, rows, families,
+                want = scan_per_combination(k, combos, cp_conflict, level,
                                             n_validators, mode)
                 for pair_batch in (1, 5, kernels._PAIR_BATCH):
                     with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch):
-                        got = scan_states(rows, families, projected, n_validators, mode)
+                        got = scan_states(level, projected, n_validators, mode)
                     assert got == want, (mode, pair_batch)
                 if mode == MODE_CONFLICTING_FINALIZED:
                     # only the variant with both links on conflicting checkpoints
@@ -665,13 +663,12 @@ def test_empty_scan():
     forest = BlockForest([Block("b1", 1, GENESIS)])
     tables = build_graph_tables(forest, "strict", 2)
     projected = project_tables(tables, np.zeros((1, 0), dtype=np.int64))
-    rows = np.zeros((0, 3), dtype=np.int64)
-    no_families = (np.zeros((0, 1), dtype=bool), np.zeros(0, dtype=np.intp))
-    assert scan_states(rows, no_families, projected, 3, MODE_COUNTEREXAMPLE) == (-1, 0)
-    rows, _, _ = state_table(0, 3, 4, 0)
-    families = quorum_families(0, 3, 4, 0, Mutation.NONE)
+    no_rows = (np.zeros((0, 3), dtype=np.int64), np.zeros((0, 1), dtype=bool),
+               np.zeros(0, dtype=np.intp))
+    assert scan_states(no_rows, projected, 3, MODE_COUNTEREXAMPLE) == (-1, 0)
+    level = state_table(0, 3, 4, 0, Mutation.NONE)
     none = project_tables(tables, np.zeros((0, 0), dtype=np.int64))
-    assert scan_states(rows, families, none, 3, MODE_LFP_NE_GFP) == (-1, 0)
+    assert scan_states(level, none, 3, MODE_LFP_NE_GFP) == (-1, 0)
 
 
 HALF, DROP = Mutation.QUORUM_HALF, Mutation.DROP_ANCESTRY
@@ -689,8 +686,7 @@ E1_E2 = Mutation.DISABLE_E1 | Mutation.DISABLE_E2
 def test_quorum_families_match_direct_count(
     u, n_validators, max_votes, min_signers, mutation
 ):
-    rows, _, _ = state_table(u, n_validators, max_votes, min_signers)
-    table, index = quorum_families(u, n_validators, max_votes, min_signers, mutation)
+    rows, table, index = state_table(u, n_validators, max_votes, min_signers, mutation)
     assert index.shape == (rows.shape[0],)
     assert table.shape[1] == 2**u
     for r, row in enumerate(rows):
@@ -705,11 +701,11 @@ def test_quorum_families_match_direct_count(
 def test_quorum_families_refuse_an_oversized_table(monkeypatch):
     # 71 rows at u=3, N=3 need one 8-byte key each
     monkeypatch.setattr("ffgmc.tables.MAX_FAMILY_KEY_BYTES", 70 * 8)
-    quorum_families.cache_clear()
+    state_table.cache_clear()
     with pytest.raises(InputError, match="quorum families"):
-        quorum_families(3, 3, 9, 0, Mutation.NONE)
+        state_table(3, 3, 9, 0, Mutation.NONE)
     monkeypatch.setattr("ffgmc.tables.MAX_FAMILY_KEY_BYTES", 71 * 8)
-    assert quorum_families(3, 3, 9, 0, Mutation.NONE)[1].shape == (71,)
+    assert state_table(3, 3, 9, 0, Mutation.NONE)[2].shape == (71,)
 
 
 # Graph units for the differential test: depth and free slot modes on up to
@@ -737,8 +733,8 @@ def test_scan_matches_row_by_row_reference(data):
     min_signers = data.draw(
         st.sampled_from([0, min_signers_for_quorum(n_validators)]), label="min_signers"
     )
-    rows, _, _ = state_table(u, n_validators, max_votes, min_signers)
-    families = quorum_families(u, n_validators, max_votes, min_signers, mutation)
+    level = state_table(u, n_validators, max_votes, min_signers, mutation)
+    rows = level[0]
     every = all_combinations(len(tables.votes), u)
     picked = sorted(data.draw(
         st.sets(st.integers(0, len(every) - 1), min_size=1, max_size=4), label="combinations"
@@ -759,7 +755,7 @@ def test_scan_matches_row_by_row_reference(data):
             break
     projected = project_tables(tables, combos)
     with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch):
-        got = scan_states(rows, families, projected, n_validators, mode)
+        got = scan_states(level, projected, n_validators, mode)
     assert got == (expected, scanned)
 
 
@@ -806,11 +802,10 @@ def test_bound_matches_unanimity_state(
         m = len(tables.votes)
         combos = all_combinations(m, u)
         keep = {mode: bound_combinations(tables, combos, mode) for mode in BOUNDED_MODES}
-        rows, _, _ = state_table(u, n_validators, bounds.max_votes, 0)
-        table, index = quorum_families(u, n_validators, bounds.max_votes, 0, mutation)
+        rows, table, index = state_table(u, n_validators, bounds.max_votes, 0, mutation)
         unanimity = int(np.flatnonzero((rows == (1 << u) - 1).all(axis=1))[0])
         row = rows[unanimity : unanimity + 1]
-        families = (table, index[unanimity : unanimity + 1])
+        level = (row, table, index[unanimity : unanimity + 1])
         for i, combo in enumerate(combos):
             combo = tuple(int(x) for x in combo)
             state = materialize_state(bounds, tables, combo, tuple(int(x) for x in row[0]))
@@ -826,7 +821,7 @@ def test_bound_matches_unanimity_state(
             for mode in BOUNDED_MODES:
                 assert keep[mode][i] == reference[mode], (mode, combo)
                 scan_mode = MODE_CONFLICTING_FINALIZED if mode == MODE_COUNTEREXAMPLE else mode
-                hit, _ = scan_states(row, families, projected, n_validators, scan_mode)
+                hit, _ = scan_states(level, projected, n_validators, scan_mode)
                 assert keep[mode][i] == (hit == 0), (mode, combo)
                 kept[mode] += bool(keep[mode][i])
     assert kept[MODE_FINALIZED_NONGENESIS] > 0

@@ -199,12 +199,14 @@ def test_a_vacuous_class_builds_no_graph_tables(monkeypatch):
 
 @pytest.mark.parametrize("n_validators", [1, 2, 3, 4])
 def test_row_count_matches_the_row_table(n_validators):
-    # the arithmetic count of a vacuous unit's rows against `state_table`'s
-    # total, which the signer floor does not change
+    # the arithmetic row count against the rows of `state_table`, for every
+    # signer floor from none to more signers than validators
     for u in range(6):
         for max_votes in range(14):
-            want = tables.state_table(u, n_validators, max_votes, 0)[2]
-            assert tables.state_count(u, n_validators, max_votes) == want, (u, max_votes)
+            for floor in range(n_validators + 2):
+                want = tables.state_table(u, n_validators, max_votes, floor, Mutation.NONE)[0]
+                got = tables.state_count(u, n_validators, max_votes, floor)
+                assert got == want.shape[0], (u, max_votes, floor)
 
 
 def test_a_vacuous_unit_builds_no_row_table(monkeypatch):
@@ -215,9 +217,24 @@ def test_a_vacuous_unit_builds_no_row_table(monkeypatch):
     assert report.verdict == VERDICT_HOLDS and report.states_checked == 0
     assert report.states_pruned == sum(
         comb(len(enumerator.build_graph_tables(forest, "strict", 3).votes), u)
-        * tables.state_table(u, 4, 12, 0)[2]
+        * tables.state_table(u, 4, 12, 0, Mutation.NONE)[0].shape[0]
         for forest in iter_units(bounds) for u in range(5)
     )
+
+
+def test_row_tables_are_built_only_for_scanned_levels(monkeypatch):
+    # falsify-c3's fork unit scans u=4 only: the monotone bound drops every
+    # combination of u <= 3, so those levels are counted and never built
+    built = []
+    build = enumerator.state_table
+
+    def recorded(u, *args):
+        built.append(u)
+        return build(u, *args)
+
+    monkeypatch.setattr(enumerator, "state_table", recorded)
+    assert _report(C3, parse_mutation("quorum-half")).verdict == VERDICT_COUNTEREXAMPLE
+    assert set(built) == {4}
 
 
 VACUITY_BOUNDS = [Bounds(**spec) for spec in PARITY_BOUNDS] + [
@@ -346,8 +363,8 @@ def test_cuts_are_counted_without_a_kernel_call(
     monkeypatch, bounds, mutation_name, budget, chunk, jobs, want
 ):
     # the fold counts a cut with the limit: no kernel, projection or
-    # quorum-family call happens then, and the counts equal those of a
-    # scan that stops at the budget
+    # row-table call happens then, and the counts equal those of a scan
+    # that stops at the budget
     if chunk is not None:
         monkeypatch.setattr(enumerator, "_BOUND_CHUNK", chunk)
     counted = []
@@ -356,12 +373,12 @@ def test_cuts_are_counted_without_a_kernel_call(
     def refuse(*args):
         raise AssertionError("a counted cut reached a scan")
 
-    def counting_only(plan, unit, segments, limit=None, stopped=None):
+    def counting_only(plan, unit, segments, limit=None):
         if limit is None:
-            return scan_task(plan, unit, segments, stopped=stopped)
+            return scan_task(plan, unit, segments)
         counted.append(limit)
         with monkeypatch.context() as patch:
-            for name in ("scan_states", "project_tables", "quorum_families"):
+            for name in ("scan_states", "project_tables", "state_table"):
                 patch.setattr(enumerator, name, refuse)
             return scan_task(plan, unit, segments, limit)
 

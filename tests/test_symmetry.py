@@ -171,7 +171,9 @@ def _symmetric_oracle(monkeypatch, bounds, mutation):
         checked, symmetric = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         for owner, u in plan.levels:
             if owner == index:
-                n_rows = state_table(u, bounds.n_validators, bounds.max_votes, floor)[0].shape[0]
+                n_rows = state_table(
+                    u, bounds.n_validators, bounds.max_votes, floor, mutation
+                )[0].shape[0]
                 unit = plan.reps[index]
                 _, _, minimal = enumerator._kept_combinations(
                     unit, u, 0, comb(len(unit.tables.votes), u), plan.mode
