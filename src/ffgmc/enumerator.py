@@ -11,7 +11,8 @@ permutations of each other.
 
 Work is organized in graph units (one forest plus slot assignment); a unit
 whose forest has no conflicting block pair is skipped whole in safety
-searches, where the property holds vacuously.  Within a unit, the monotone
+searches, where the property holds vacuously, and so is one none of whose
+levels has a row under the signer floor.  Within a unit, the monotone
 combination bound (`kernels.bound_combinations`) drops every distinct-vote
 combination whose unanimity state cannot hit; only the rest are projected and
 scanned, in the same canonical order.  Dropped rows count as pruned, so
@@ -453,9 +454,11 @@ class _Plan:
     first unit of each isomorphism class.
 
     A class's first unit is settled whole when it is vacuous (a safety mode
-    and no conflicting checkpoint pair: its rows are counted from its vote
-    count by `tables.state_count`, not scanned, and no other table of it is
-    built, so no size limit applies to it).  Otherwise its
+    and no conflicting checkpoint pair) or floor-empty (`tables.state_count`
+    is 0 at every level under the signer floor, so a scan would check no
+    row and prune every one): its rows are counted from its vote count by
+    `tables.state_count`, not scanned, and no other table of it is built,
+    so no size limit applies to it.  Otherwise its
     levels u = 0, 1, ... are laid end to end in canonical order and cut
     into tasks of `_BOUND_CHUNK` combinations of that sequence (the last
     one shorter), numbered in canonical order; each class starts a new
@@ -474,7 +477,7 @@ class _Plan:
     units: list[BlockForest]
     keys: list[tuple]
     reps: dict[int, _Unit] = field(default_factory=dict)    # first unit of a scanned class
-    vacuous: dict[int, int] = field(default_factory=dict)   # vote count of a vacuous one
+    vacuous: dict[int, int] = field(default_factory=dict)   # vote count of a settled one
     tasks: dict[int, range] = field(default_factory=dict)   # task numbers of a scanned one
     levels: list[tuple[int, int]] = field(default_factory=list)  # (unit, u) per level
     # position of each level's first combination: a class's sequence starts
@@ -516,12 +519,15 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
             chkp_bound = _chkp_bound(bounds, forest)
             universe = unit_universe(forest, bounds.slot_rule, chkp_bound)
             _, votes, cp_conflict = universe
-            if mode in _VACUITY_MODES and not cp_conflict.any():
+            levels = _distinct_vote_range(bounds, len(votes))
+            if (mode in _VACUITY_MODES and not cp_conflict.any()) or not any(
+                state_count(u, bounds.n_validators, bounds.max_votes, min_signers) for u in levels
+            ):
                 plan.vacuous[index] = len(votes)
                 continue
             tables = build_graph_tables(forest, bounds.slot_rule, chkp_bound, mutation, universe)
             plan.reps[index] = _Unit(tables, _vote_permutations(tables))
-            for u in _distinct_vote_range(bounds, len(votes)):
+            for u in levels:
                 check_level(u, bounds.n_validators, bounds.max_votes, min_signers)
                 n_combos = comb(len(votes), u)
                 if n_combos > _MAX_LEVEL_COMBOS:

@@ -84,8 +84,8 @@ def scan_states(
     if n_rows == 0 or n_combos == 0:
         return -1, 0
     n_families = table.shape[0]
-    positions = np.arange(projected.src_sandwich.shape[1], dtype=np.int64)[:, None]
-    shifted = table.ravel().astype(np.int64) << positions                 # (u, D * 2**u)
+    positions = np.arange(projected.src_sandwich.shape[1], dtype=np.uint16)[:, None]
+    shifted = table.ravel().astype(np.uint16) << positions                # (u, D * 2**u)
     pattern, firsts = _patterns(projected, mode)
     # (pattern, family) pairs decided up to each combination
     needed = (np.maximum.accumulate(pattern) + 1) * n_families
@@ -220,8 +220,9 @@ def _decide(
 ) -> np.ndarray:
     """Whether each (combination, family) pair hits `mode`.
 
-    `shifted` is the family table as int64 shifted left by each vote
-    position j (u rows), so a gather from row j is q(X) << j.  Everything
+    `shifted` is the family table as uint16 shifted left by each vote
+    position j (u rows), so a gather from row j is q(X) << j; j is below
+    `tables.MAX_VOTE_BITS`, so the bit fits.  Everything
     runs on u-bit vote masks except the justified test, which reads the
     combination's own checkpoint columns (checkpoint 0 is genesis): a
     justified checkpoint need not be any vote's source or target.

@@ -14,7 +14,10 @@ A level (one distinct-vote count u) has its rows counted by arithmetic
 (`state_count`), which is all the plan, the vacuous units and the budget
 count need.  Its row table and quorum families (`state_table`), the
 kernel's inputs, are built only where a kernel call scans the level, and
-`check_level` refuses a scanned level over a size limit before that.
+`check_level` refuses a scanned level over a size limit before that.  The
+rows are grown one validator at a time from canonical prefixes, so no
+multiset outside the level is built, and a row's quorum counts are sums of
+rows of one (2**u, 2**u) table, one gather per validator.
 
 Bit conventions: checkpoints of one graph are indexed 0..K-1 in (c, p, block)
 order with the genesis checkpoint at index 0, and a checkpoint set is an int64
@@ -197,39 +200,33 @@ def state_table(
     non-decreasing tuples of per-validator subset masks (one row per
     validator-permutation class), with union exactly the full u-bit set, at
     most `max_votes` signed votes in total and at least `min_signers`
-    nonempty masks; S is `state_count`.
+    nonempty masks, in lexicographic order; S is `state_count`.  They are
+    grown one validator at a time (`_canonical_rows`), so no multiset that
+    fails these tests is built.
 
     The quorum family of a row (m_1, ..., m_N) is the test
     q(X) = quorum_met(|{v : m_v & X != 0}|, N, mutation) for every vote
-    subset X in [0, 2**u).  `families` is the (D, 2**u) bool table of the
-    distinct families and `index` the (S,) family index of each row.  Rows
-    are keyed by their bit-packed family, so deduplication compares machine
-    words rather than bool rows.  A level over a size limit (`check_level`)
-    is refused rather than built.
+    subset X in [0, 2**u); the counts are sums of rows of the (2**u, 2**u)
+    table meets[m, X] = (m & X != 0), in the smallest signed dtype that
+    holds the 3N of the quorum test.  `families` is the (D, 2**u) bool
+    table of the distinct families and `index` the (S,) family index of
+    each row.  Rows are keyed by their bit-packed family, so deduplication
+    compares machine words rather than bool rows.  A level over a size
+    limit (`check_level`) is refused rather than built.
     """
     check_level(u, n_validators, max_votes, min_signers)
     n_subsets = 2**u
-    rows = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations_with_replacement(range(n_subsets), n_validators)
-        ),
-        dtype=np.int64,
-    ).reshape(-1, n_validators)
-    union = np.bitwise_or.reduce(rows, axis=1)
-    pop = np.zeros(rows.shape[0], dtype=np.int64)
-    for bit in range(u):
-        pop += ((rows >> bit) & 1).sum(axis=1)
-    rows = rows[(union == n_subsets - 1) & (pop <= max_votes)]
-    rows = rows[(rows != 0).sum(axis=1) >= min_signers]
-    subsets = np.arange(n_subsets, dtype=np.int64)
+    rows = _canonical_rows(u, n_validators, max_votes, min_signers)
+    meets = _meets(u)
+    dtype = np.min_scalar_type(-3 * n_validators)
     n_words = -(-n_subsets // 64)
     keys = np.zeros((rows.shape[0], 8 * n_words), dtype=np.uint8)
     step = max(1, _FAMILY_CHUNK // n_subsets)
     for lo in range(0, rows.shape[0], step):
         block = rows[lo : lo + step]
-        counts = np.zeros((block.shape[0], n_subsets), dtype=np.int64)
+        counts = np.zeros((block.shape[0], n_subsets), dtype=dtype)
         for v in range(n_validators):
-            counts += (block[:, v, None] & subsets) != 0
+            counts += meets[block[:, v]]
         met = quorum_met(counts, n_validators, mutation)
         packed = np.packbits(met, axis=1, bitorder="little")
         keys[lo : lo + step, : packed.shape[1]] = packed
@@ -247,47 +244,125 @@ def state_table(
     return rows, families, index
 
 
+def _canonical_rows(u: int, n_validators: int, max_votes: int, min_signers: int) -> np.ndarray:
+    """The rows of `state_table`, grown breadth-first one validator at a time.
+
+    A prefix is a non-decreasing tuple of masks, carried with its union and
+    its vote total.  Validator n extends it by every mask m that is at
+    least its last mask; whose votes, plus a lower bound on the votes still
+    owed, fit in `max_votes`; that is 0 only below position N - min_signers
+    (so at least `min_signers` masks are nonempty); and that, at the last
+    validator, makes the union full.  The bound is the larger of the
+    uncovered votes and one vote per later validator that must be nonempty:
+    every one after a nonempty m, else those the signer floor forces.  The
+    bound never drops a prefix that has a completion, and at the last
+    validator it is exact, so the rows are those of the definition.
+    Prefixes are extended in order and each block of (prefix, mask) pairs
+    is read row-major, so the rows come out in lexicographic order.  Each
+    step keeps only (parent prefix, mask) pairs; the rows are read back
+    from them at the end.
+    """
+    n_subsets = 2**u
+    masks = np.arange(n_subsets, dtype=np.int64)
+    weight = np.zeros(n_subsets, dtype=np.int64)
+    for bit in range(u):
+        weight += (masks >> bit) & 1
+    steps = []
+    last = union = spent = np.zeros(1 if min_signers <= n_validators else 0, dtype=np.int64)
+    chunk = max(1, _FAMILY_CHUNK // n_subsets)
+    for n in range(n_validators):
+        if not last.size:
+            break
+        later = n_validators - 1 - n
+        signing = np.full(n_subsets, later)   # later validators that must sign, per mask
+        signing[0] = min(later, min_signers)
+        pairs = []
+        for lo in range(0, last.size, chunk):
+            cover = union[lo : lo + chunk, None] | masks
+            owed = np.maximum(signing, u - weight[cover])
+            fits = (masks >= last[lo : lo + chunk, None]) & (
+                spent[lo : lo + chunk, None] + weight + owed <= max_votes
+            )
+            if n >= n_validators - min_signers:
+                fits[:, 0] = False
+            if not later:
+                fits &= cover == n_subsets - 1
+            parent, chosen = np.nonzero(fits)
+            pairs.append((parent + lo, chosen))
+        parent, last = (np.concatenate(side) for side in zip(*pairs))
+        union = union[parent] | last
+        spent = spent[parent] + weight[last]
+        steps.append((parent, last))
+    rows = np.empty((last.size, n_validators), dtype=np.int64)
+    at = np.arange(rows.shape[0])
+    for n, (parent, chosen) in reversed(list(enumerate(steps))):
+        rows[:, n] = chosen[at]
+        at = parent[at]
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _meets(u: int) -> np.ndarray:
+    """The (2**u, 2**u) bool table meets[m, X] = (m & X != 0)."""
+    subsets = np.arange(2**u, dtype=np.int64)
+    meets = (subsets[:, None] & subsets) != 0
+    meets.flags.writeable = False
+    return meets
+
+
 @lru_cache(maxsize=None)
 def state_count(u: int, n_validators: int, max_votes: int, min_signers: int) -> int:
     """The row count of `state_table`, by arithmetic.
 
     Inclusion-exclusion over the union: the rows number
-    sum_s (-1)^(u - s) C(u, s) g(s), where g(s) counts the multisets of N
-    subsets of an s-set with at most `max_votes` signed votes in total and
-    at least `min_signers` nonempty subsets.  g(s) is a DP over popcount
-    classes: class k holds C(s, k) subsets of k votes, a validators drawing
-    from it make C(C(s, k) + a - 1, a) multisets, and class 0, the empty
-    subset, takes at most N - `min_signers` validators.
+    sum_s (-1)^(u - s) C(u, s) g(s), where g(s) (`_multisets`) counts the
+    multisets of N subsets of an s-set with at most `max_votes` signed votes
+    in total and at least `min_signers` nonempty subsets.  g does not depend
+    on u, so the levels of one bound share it.
     """
-    total = 0
-    for s in range(u + 1):
-        cap = min(max_votes, n_validators * s)
-        ways = [[0] * (cap + 1) for _ in range(n_validators + 1)]   # [subsets][votes]
-        ways[0][0] = 1
-        for k in range(s + 1):
-            size = comb(s, k)
-            grown = [[0] * (cap + 1) for _ in range(n_validators + 1)]
-            for n, row in enumerate(ways):
-                for w, count in enumerate(row):
-                    if not count:
-                        continue
-                    most = n_validators - min_signers if k == 0 else min(
-                        n_validators - n, (cap - w) // k
-                    )
-                    for a in range(most + 1):
-                        grown[n + a][w + k * a] += count * comb(size + a - 1, a)
-            ways = grown
-        total += (-1) ** (u - s) * comb(u, s) * sum(ways[n_validators])
-    return total
+    return sum(
+        (-1) ** (u - s) * comb(u, s) * _multisets(s, n_validators, max_votes, min_signers)
+        for s in range(u + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _multisets(s: int, n_validators: int, max_votes: int, min_signers: int) -> int:
+    """g(s) of `state_count`: a DP over popcount classes.
+
+    Class k holds C(s, k) subsets of k votes; a validators drawing from it
+    make C(C(s, k) + a - 1, a) multisets.  Class 0, the empty subset, takes
+    at most N - `min_signers` validators and the last class every validator
+    left, so only reachable (validators, votes) states are kept.
+    """
+    cap = min(max_votes, n_validators * s)
+    ways = {(0, 0): 1}   # (validators drawn, votes) -> multisets
+    for k in range(s + 1):
+        size = comb(s, k)
+        grown: dict[tuple[int, int], int] = {}
+        for (n, w), count in ways.items():
+            most = n_validators - min_signers if k == 0 else min(
+                n_validators - n, (cap - w) // k
+            )
+            for a in range(n_validators - n if k == s else 0, most + 1):
+                key = (n + a, w + k * a)
+                grown[key] = grown.get(key, 0) + count * comb(size + a - 1, a)
+        ways = grown
+    return sum(ways.values())
 
 
 def check_level(u: int, n_validators: int, max_votes: int, min_signers: int) -> None:
     """Refuse a scanned distinct-vote count u whose tables cannot be built, before they are.
 
-    Its row table (`state_table`) enumerates every multiset of N subsets of
-    u votes (`MAX_STATE_ROWS`) before filtering, its vote masks
-    (`project_tables`) take u bits, and its quorum-family keys one per row
-    (`MAX_FAMILY_KEY_BYTES`), on the exact row count.
+    Its row table (`state_table`) is estimated at the C(2**u + N - 1, N)
+    multisets of N subsets of u votes (`MAX_STATE_ROWS`): the build never
+    holds more, since its prefixes of n validators number at most
+    C(2**u + n - 1, n).  The estimate, not the exact count, also caps what
+    the rows lead to before they exist: the kernel's family table grows with
+    the number of distinct quorum families, known only once the rows are
+    built.  Its vote masks (`project_tables`) take u bits, and its
+    quorum-family keys one per row (`MAX_FAMILY_KEY_BYTES`), on the exact
+    row count.
     """
     estimate = comb(2**u + n_validators - 1, n_validators)
     if estimate > MAX_STATE_ROWS:

@@ -195,10 +195,11 @@ def test_cmd_search_rejects_negative_budget(capsys):
 # --- size limits: the plan ends at the first level over one -----------------
 
 SIZE_LIMITS = [
-    # (extra flags, patched limit, message).  u=3 at N=34 needs ~22.5 M rows
-    # before filtering; the other limits are lowered to fail at u=4 of the
-    # first unit, the fork, whose levels below 4 the monotone bound drops whole
-    (["--validators", "34"], None, "state table"),
+    # (extra flags, patched limit, message).  u=3 at N=34 is estimated at
+    # ~22.5 M rows, and with 24 votes it has 1,243 rows under the signer
+    # floor of 23; the other limits are lowered to fail at u=4 of the first
+    # unit, the fork, whose levels below 4 the monotone bound drops whole
+    (["--validators", "34", "--max-votes", "24"], None, "state table"),
     ([], ("MAX_STATE_ROWS", 1000), "state table"),
     ([], ("MAX_FAMILY_KEY_BYTES", 1 << 12), "quorum families"),
     ([], ("MAX_VOTE_BITS", 3), "distinct votes exceed"),
@@ -252,7 +253,7 @@ def test_size_limits_count_rows_before_refusing(monkeypatch, capsys):
     assert main(argv) == 0
     expected = json.loads(capsys.readouterr().out)["counters"]
     rows = tables.state_table(4, 4, 12, 3, Mutation.NONE)[0].shape[0]
-    assert rows < 3876   # multisets of 4 subsets of 4 votes, before filtering
+    assert rows < 3876   # multisets of 4 subsets of 4 votes, the size estimate
     monkeypatch.setattr(tables, "MAX_FAMILY_KEY_BYTES", rows * 8)
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["counters"] == expected
@@ -271,6 +272,29 @@ def test_a_vacuous_class_is_counted_at_any_size(monkeypatch, capsys):
     assert report["verdict"] == "holds-exhaustively"
     assert report["counters"]["states_checked"] == 0
     assert report["counters"]["states_pruned"] == 59_767_584_684
+
+
+@pytest.mark.parametrize("flags,graphs,pruned", [
+    # 5 of 7 validators must sign, but 4 votes are allowed: every class
+    # scanned before, checking nothing
+    (["--blocks", "3", "--validators", "7", "--max-votes", "4",
+      "--max-chkp-slot", "4"], 16, 34_967_033),
+    # 23 of 34 validators must sign in 12 votes: refused before at u=3,
+    # whose multisets are over the row limit although it has no row
+    (["--blocks", "2", "--validators", "34", "--max-votes", "12",
+      "--max-chkp-slot", "3"], 3, 494_478_630),
+])
+def test_a_class_empty_under_the_signer_floor_is_counted(monkeypatch, capsys, flags, graphs, pruned):
+    # settled like a vacuous class: no combination is bounded, no table built
+    for name in ("bound_combinations", "state_table", "scan_states"):
+        monkeypatch.setattr(enumerator, name, None)
+    assert main(["search", "--max-ffg", "4", *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "holds-exhaustively"
+    assert report["counters"] == {
+        "graphs_checked": graphs, "states_bounded": 0, "states_checked": 0,
+        "states_pruned": pruned, "states_symmetric": 0,
+    }
 
 
 def test_cmd_example_rejects_negative_budget(capsys):

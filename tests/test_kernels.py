@@ -39,6 +39,7 @@ from ffgmc.finality import finalizes, supports
 from ffgmc.mutation import Mutation, parse_mutation, quorum_met
 from ffgmc.slashing import accountable_safety, disagreement, slash_kind
 from ffgmc.tables import (
+    MAX_VOTE_BITS,
     ProjectedTables,
     build_graph_tables,
     min_signers_for_quorum,
@@ -46,6 +47,7 @@ from ffgmc.tables import (
     state_count,
     state_table,
 )
+from reference import canonical_rows
 
 ALL_MODES = (
     MODE_COUNTEREXAMPLE,
@@ -679,7 +681,10 @@ E1_E2 = Mutation.DISABLE_E1 | Mutation.DISABLE_E2
     "u,n_validators,max_votes,min_signers,mutation",
     [(0, 2, 4, 0, Mutation.NONE), (2, 1, 4, 0, E1_E2), (3, 3, 9, 0, DROP),
      (3, 4, 12, 3, HALF), (4, 3, 12, 2, Mutation.NONE), (4, 4, 12, 0, HALF | DROP),
-     (7, 2, 14, 0, Mutation.NONE)],
+     (7, 2, 14, 0, Mutation.NONE),
+     # a floor above N, no votes at all, one validator
+     (2, 3, 6, 4, Mutation.NONE), (0, 3, 0, 0, HALF), (2, 3, 0, 0, Mutation.NONE),
+     (3, 1, 3, 1, Mutation.NONE), (4, 1, 4, 0, HALF)],
     # the id's last field says whether the quorum is halved
     ids=lambda v: str(HALF in v) if isinstance(v, Mutation) else None,
 )
@@ -696,6 +701,39 @@ def test_quorum_families_match_direct_count(
     # one entry per distinct family, and every family is some row's
     assert len({tuple(f) for f in table}) == table.shape[0]
     assert set(index.tolist()) == set(range(table.shape[0]))
+
+
+@pytest.mark.parametrize("mutation", [Mutation.NONE, HALF], ids=["two-thirds", "half"])
+@pytest.mark.parametrize("u", range(5))
+def test_row_table_is_the_reference_rows_under_the_floor(u, mutation):
+    # the rows grown validator by validator against every multiset filtered,
+    # in the same (lexicographic) order
+    for n_validators in range(1, 6):
+        for max_votes in range(15):
+            reference = canonical_rows(u, n_validators, max_votes)
+            for floor in range(n_validators + 2):
+                want = [list(row) for row in reference if sum(map(bool, row)) >= floor]
+                rows = state_table(u, n_validators, max_votes, floor, mutation)[0]
+                assert rows.shape == (len(want), n_validators)
+                assert rows.tolist() == want, (n_validators, max_votes, floor)
+
+
+@pytest.mark.parametrize("mutation", [Mutation.NONE, HALF], ids=["two-thirds", "half"])
+def test_quorum_families_count_past_int16(mutation):
+    # 11,000 validators, of whom at least 10,996 sign: 3 * count passes
+    # 32,767, so the two-thirds test on an int16 count would wrap
+    n_validators = 11_000
+    rows, table, index = state_table(1, n_validators, n_validators, n_validators - 4, mutation)
+    assert rows.shape == (5, n_validators)
+    for r, row in enumerate(rows.tolist()):
+        count = sum(row)
+        assert 3 * count > np.iinfo(np.int16).max
+        assert table[index[r]].tolist() == [False, quorum_met(count, n_validators, mutation)]
+
+
+def test_vote_positions_fit_the_uint16_family_table():
+    # the kernel shifts quorum bits left by a vote position, in uint16
+    assert MAX_VOTE_BITS <= np.iinfo(np.uint16).bits
 
 
 def test_quorum_families_refuse_an_oversized_table(monkeypatch):
