@@ -30,7 +30,6 @@ from .model import (
 )
 from .mutation import Mutation, parse_mutation
 from .slashing import SafetyVerdict, SlashingEvidence, accountable_safety, is_slashable_pair
-from .smt import SmtInstance, SolverResult, emit_smt, run_solver
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

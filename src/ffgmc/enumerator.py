@@ -41,16 +41,11 @@ from __future__ import annotations
 import bisect
 import contextlib
 import itertools
-import mmap
-import multiprocessing
-import multiprocessing.synchronize
 import os
 import time
-import traceback
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb
-from multiprocessing import connection
 from typing import Iterator, Optional
 
 import numpy as np
@@ -558,7 +553,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _start_helper(ctx, tasks: _Tasks, writer) -> multiprocessing.process.BaseProcess:
+def _start_helper(ctx, tasks: _Tasks, writer):
     helper = ctx.Process(target=_help, args=(tasks, writer), daemon=True)
     helper.start()
     return helper
@@ -566,6 +561,8 @@ def _start_helper(ctx, tasks: _Tasks, writer) -> multiprocessing.process.BasePro
 
 def _help(tasks: _Tasks, writer) -> None:
     """A helper process: claim tasks in plan order, send back their counts."""
+    import traceback
+
     while True:
         i = tasks.claim()
         if i is None:
@@ -594,10 +591,16 @@ class _Tasks:
         self.readers: list = []             # result pipes of helpers still running
 
     def fork(self, jobs: int) -> None:
-        """Start min(jobs, usable CPUs) - 1 helpers, none if one task or less."""
+        """Start min(jobs, usable CPUs) - 1 helpers, none if one task or less.
+
+        The process modules are imported here, and by `_receive` and
+        `_help`, so a run that starts no helper never loads them."""
         n_helpers = min(jobs, _usable_cpus(), self.plan.n_tasks) - 1
         if n_helpers < 1:
             return
+        import mmap
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         shared = memoryview(mmap.mmap(-1, 16)).cast("q")   # anonymous, so inherited
         shared[0], shared[1] = self.shared
@@ -647,6 +650,8 @@ class _Tasks:
     def _receive(self, timeout: Optional[float]) -> None:
         if not self.readers:
             return
+        from multiprocessing import connection
+
         for reader in connection.wait(self.readers, timeout):
             try:
                 i, counts = reader.recv()

@@ -24,6 +24,12 @@ its tables (`_patterns`), so it runs once per (pattern, family) pair.  Hits
 are rare, so only the pairs that hit are kept, and only the combinations of
 a hitting pattern are expanded back to rows.
 
+`tables.ProjectedTables` computes a column on its first read, so a scan
+builds only what its mode reads: `src_sandwich` and `from_genesis` for the
+fixpoints, `sandwich` too for the justified test, `src_fin` and `clashes`
+too for the finalizing modes, and `partners` only once a counterexample
+pattern hits.
+
 Before any row is scanned, `bound_combinations` drops whole combinations that
 cannot hold a hit (the monotone combination bound).
 
@@ -80,7 +86,7 @@ def scan_states(
     disagrees, since `partners` is not part of the pattern.
     """
     states, table, index = level
-    n_rows, n_combos = states.shape[0], projected.sandwich.shape[0]
+    n_rows, n_combos = states.shape[0], projected.from_genesis.shape[0]
     if n_rows == 0 or n_combos == 0:
         return -1, 0
     n_families = table.shape[0]

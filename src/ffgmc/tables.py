@@ -28,16 +28,17 @@ packs, per combination, u-bit vote masks per checkpoint (`sandwich`) and per
 vote, read at the vote's source checkpoint (`src_sandwich`: the votes that
 sandwich it; `src_fin`: its finalizing links; `clashes`: the votes whose
 source conflicts with it), plus `from_genesis` (the genesis-sourced votes)
-and `partners` (the votes each vote forms a slashable pair with).  The
-kernel decides every scan mode on the per-vote masks; only the justified
-test reads `sandwich`.
+and `partners` (the votes each vote forms a slashable pair with).  Each
+column is computed on its first read, so a scan pays only for the columns
+its mode reads: the kernel decides every scan mode on the per-vote masks,
+only the justified test reads `sandwich`, and only a hit reads `partners`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Optional
 
@@ -141,44 +142,72 @@ def build_graph_tables(
     )
 
 
-@dataclass(frozen=True)
 class ProjectedTables:
     """GraphTables restricted to C combinations of u distinct votes, bit-packed.
 
-    Row c of `sandwich` holds, per checkpoint, the u-bit mask of the votes
-    of combination c that sandwich it.  Every other table is vote-indexed:
-    entry [c, j] is a u-bit mask read at vote j's source checkpoint.
-    `src_sandwich` holds the votes that sandwich that source and `src_fin`
-    its finalizing links; `from_genesis[c]` is the mask of the
-    genesis-sourced votes.  Bit i of `clashes[c, j]` says whether the
-    sources of votes i and j conflict (`GraphTables.cp_conflict`), and bit i
-    of `partners[c, j]` whether votes i and j form a slashable pair
-    (`GraphTables.slash_pair`).  The kernel decides every mode on these vote
-    masks; only the justified test reads `sandwich`.
+    Each column is computed from `tables` and `combos` (a (C, u) array of
+    vote indices) on its first read and kept, so a scan builds only the
+    columns its mode reads (see `kernels`).  Row c of `sandwich` holds, per
+    checkpoint, the u-bit mask of the votes of combination c that sandwich
+    it.  Every other column is vote-indexed: entry [c, j] is a u-bit mask
+    read at vote j's source checkpoint.  `src_sandwich` holds the votes
+    that sandwich that source and `src_fin` its finalizing links;
+    `from_genesis[c]` is the mask of the genesis-sourced votes.  Bit i of
+    `clashes[c, j]` says whether the sources of votes i and j conflict
+    (`GraphTables.cp_conflict`), and bit i of `partners[c, j]` whether votes
+    i and j form a slashable pair (`GraphTables.slash_pair`).
     """
 
-    sandwich: np.ndarray       # (C, K) int64 vote masks
-    src_sandwich: np.ndarray   # (C, u) int64 vote masks
-    from_genesis: np.ndarray   # (C,) int64 vote mask
-    src_fin: np.ndarray        # (C, u) int64 vote masks: the finalizing links of each source
-    clashes: np.ndarray        # (C, u) int64 vote masks: the votes with a conflicting source
-    partners: np.ndarray       # (C, u) int64 vote masks: the votes each vote is slashable with
+    def __init__(self, tables: GraphTables, combos: np.ndarray):
+        self._tables = tables
+        self._combos = combos
+
+    @cached_property
+    def _sources(self) -> np.ndarray:
+        """(C, u) checkpoint index of each vote's source."""
+        return self._tables.vote_src[self._combos]
+
+    @cached_property
+    def sandwich(self) -> np.ndarray:
+        """(C, K) int64 vote masks."""
+        return _pack_votes(self._tables.sandwich[:, self._combos]).T
+
+    @cached_property
+    def src_sandwich(self) -> np.ndarray:
+        """(C, u) int64 vote masks: the votes that sandwich each source."""
+        combos = self._combos
+        return _pack_votes(self._tables.sandwich[self._sources[:, :, None], combos[:, None, :]])
+
+    @cached_property
+    def from_genesis(self) -> np.ndarray:
+        """(C,) int64 vote mask."""
+        return _pack_votes(self._sources == 0)
+
+    @cached_property
+    def src_fin(self) -> np.ndarray:
+        """(C, u) int64 vote masks: the finalizing links of each source."""
+        src = self._sources
+        same_source = src[:, :, None] == src[:, None, :]
+        return _pack_votes(self._tables.finalizing[self._combos][:, None, :] & same_source)
+
+    @cached_property
+    def clashes(self) -> np.ndarray:
+        """(C, u) int64 vote masks: the votes with a conflicting source."""
+        src = self._sources
+        clash = (self._tables.cp_conflict[src][:, :, None] >> src[:, None, :]) & 1
+        return _pack_votes(clash != 0)
+
+    @cached_property
+    def partners(self) -> np.ndarray:
+        """(C, u) int64 vote masks: the votes each vote is slashable with."""
+        combos = self._combos
+        return _pack_votes(self._tables.slash_pair[combos[:, :, None], combos[:, None, :]])
 
 
 def project_tables(tables: GraphTables, combos: np.ndarray) -> ProjectedTables:
     """Project the tables onto each row of `combos`, a (C, u) array of vote indices."""
     _check_vote_bits(combos.shape[1])
-    sandwich = _pack_votes(tables.sandwich[:, combos]).T                # (C, K)
-    src = tables.vote_src[combos]                                        # (C, u)
-    clash = (tables.cp_conflict[src][:, :, None] >> src[:, None, :]) & 1
-    return ProjectedTables(
-        sandwich=sandwich,
-        src_sandwich=np.take_along_axis(sandwich, src, axis=1),
-        from_genesis=_pack_votes(src == 0),
-        src_fin=_pack_votes(tables.finalizing[combos][:, None, :] & (src[:, :, None] == src[:, None, :])),
-        clashes=_pack_votes(clash.astype(bool)),
-        partners=_pack_votes(tables.slash_pair[combos[:, :, None], combos[:, None, :]]),
-    )
+    return ProjectedTables(tables, combos)
 
 
 def _pack_votes(bits: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ equal the reference's, for every scan mode.
 
 import itertools
 from math import comb
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,7 @@ from ffgmc.kernels import (
     bound_combinations,
     scan_states,
 )
-from ffgmc.catalog import catalog_forest
+from ffgmc.catalog import catalog_forest, catalog_ids
 from ffgmc.model import (
     GENESIS, GENESIS_CHECKPOINT, Block, BlockForest, InputError, are_conflicting,
 )
@@ -40,7 +41,6 @@ from ffgmc.mutation import Mutation, parse_mutation, quorum_met
 from ffgmc.slashing import accountable_safety, disagreement, slash_kind
 from ffgmc.tables import (
     MAX_VOTE_BITS,
-    ProjectedTables,
     build_graph_tables,
     min_signers_for_quorum,
     project_tables,
@@ -219,12 +219,85 @@ def test_projection_matches_graph_tables(mutation):
                     assert counts[t] == slashable, (combo, t)
 
 
+COLUMNS = ("sandwich", "src_sandwich", "from_genesis", "src_fin", "clashes", "partners")
+# the catalog graphs that build (i1 and i2 are broken on purpose)
+CATALOG_GRAPHS = [name for name in catalog_ids() if name not in ("i1", "i2")]
+
+
+def derived_columns(tables, combo):
+    """Every projected column of one combination, bit by bit from the graph tables."""
+    src = [int(tables.vote_src[v]) for v in combo]
+
+    def mask(bit):
+        return sum(1 << i for i in range(len(combo)) if bit(i))
+
+    return {
+        "sandwich": [mask(lambda i: tables.sandwich[k, combo[i]])
+                     for k in range(len(tables.checkpoints))],
+        "src_sandwich": [mask(lambda i: tables.sandwich[s, combo[i]]) for s in src],
+        "from_genesis": mask(lambda i: src[i] == 0),
+        "src_fin": [mask(lambda i: tables.finalizing[combo[i]] and src[i] == s) for s in src],
+        "clashes": [mask(lambda i: tables.cp_conflict[s] >> src[i] & 1) for s in src],
+        "partners": [mask(lambda i: tables.slash_pair[v, combo[i]]) for v in combo],
+    }
+
+
+@pytest.mark.parametrize("mutation", [Mutation.NONE, Mutation.QUORUM_HALF, Mutation.DROP_ANCESTRY],
+                         ids=lambda m: m.label())
+@pytest.mark.parametrize("graph", CATALOG_GRAPHS)
+def test_lazy_columns_match_the_graph_tables(graph, mutation):
+    # each column, computed on its first read in a shuffled order, equals its
+    # per-combination derivation; up to 100 combinations of each size u <= 4,
+    # in shuffled order, so no column can lean on the combinations' order
+    tables = build_graph_tables(catalog_forest(graph), "nonstrict", 3, mutation)
+    rng = np.random.default_rng(len(tables.votes))
+    for u in range(5):
+        every = all_combinations(len(tables.votes), u)
+        combos = every[rng.permutation(len(every))[:100]]
+        projected = project_tables(tables, combos)
+        derived = [derived_columns(tables, [int(v) for v in combo]) for combo in combos]
+        for name in rng.permutation(COLUMNS):
+            column = getattr(projected, name)
+            assert column.dtype == np.int64, name
+            assert column.tolist() == [columns[name] for columns in derived], (name, u)
+
+
+# (mode, u, N, mutation, whether the scan hits, the columns it reads) on
+# the fork: a conflicting finalized pair takes four votes, and under
+# quorum-half two disjoint pairs of four validators finalize it
+SCAN_READS = [
+    (MODE_LFP_NE_GFP, 3, 3, Mutation.NONE, False, {"src_sandwich", "from_genesis"}),
+    (MODE_JUSTIFIED_NONGENESIS, 3, 3, Mutation.NONE, True,
+     {"src_sandwich", "from_genesis", "sandwich"}),
+    (MODE_FINALIZED_NONGENESIS, 3, 3, Mutation.NONE, True,
+     {"src_sandwich", "from_genesis", "src_fin", "clashes"}),
+    (MODE_COUNTEREXAMPLE, 3, 3, Mutation.NONE, False,
+     {"src_sandwich", "from_genesis", "src_fin", "clashes"}),
+    (MODE_COUNTEREXAMPLE, 4, 4, Mutation.QUORUM_HALF, True,
+     {"src_sandwich", "from_genesis", "src_fin", "clashes", "partners"}),
+]
+
+
+@pytest.mark.parametrize("mode,u,n_validators,mutation,hits,read", SCAN_READS,
+                         ids=["lfp", "justified", "finalized", "counterexample-no-hit",
+                              "counterexample-hit"])
+def test_a_scan_computes_only_the_columns_it_reads(mode, u, n_validators, mutation, hits, read):
+    forest = BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)])
+    tables = build_graph_tables(forest, "nonstrict", 2, mutation)
+    level = state_table(u, n_validators, 2 * n_validators, 0, mutation)
+    projected = project_tables(tables, all_combinations(len(tables.votes), u))
+    assert not projected.__dict__.keys() & set(COLUMNS)
+    hit, _ = scan_states(level, projected, n_validators, mode)
+    assert (hit >= 0) == hits
+    assert projected.__dict__.keys() & set(COLUMNS) == read
+
+
 def test_fixpoint_comparison_sees_a_support_cycle():
     # valid votes never form one (source slot < target slot), so a hand-made
     # table is the only way to make the two fixpoints differ: vote 0 has
     # source checkpoint 1 and sandwiches 2, vote 1 the reverse.  The least
     # fixpoint justifies genesis alone, the greatest keeps 1 and 2.
-    projected = ProjectedTables(
+    projected = SimpleNamespace(
         sandwich=np.array([[0, 0b10, 0b01]]),
         src_sandwich=np.array([[0b10, 0b01]]),
         from_genesis=np.array([0]),
@@ -268,13 +341,14 @@ def vote_masks(rows):
 
 
 def hand_made_tables(k, combos, cp_conflict):
-    """ProjectedTables of hand-made combinations over K checkpoints."""
+    """The projected columns of hand-made combinations over K checkpoints,
+    under the names the kernel reads."""
     sandwich = np.array(
         [[sum(((col >> cp) & 1) << j for j, col in enumerate(cols)) for cp in range(k)]
          for _, cols, _, _ in combos],
         dtype=np.int64,
     )
-    return ProjectedTables(
+    return SimpleNamespace(
         sandwich=sandwich,
         src_sandwich=vote_masks(
             [[sandwich[c, s] for s in src] for c, (src, _, _, _) in enumerate(combos)]

@@ -3,8 +3,11 @@
 import itertools
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +181,26 @@ def test_falsify_c3_plans_one_task_and_forks_nothing(monkeypatch):
 
     monkeypatch.setattr(enumerator, "_start_helper", refuse)
     assert _report(C3, mutation, jobs=2) == expected
+
+
+def test_falsify_c3_imports_no_process_or_smt_module():
+    # the process modules load only when a helper starts, and `import ffgmc`
+    # leaves out the SMT bridge, so a fresh interpreter running falsify-c3 at
+    # --jobs 2 (one task) loads neither
+    code = "\n".join([
+        "import sys",
+        "import ffgmc",
+        "from ffgmc.enumerator import Bounds, search",
+        "from ffgmc.mutation import parse_mutation",
+        f"report = search({C3!r}, parse_mutation('quorum-half'), jobs=2)",
+        "loaded = [m for m in ('multiprocessing', 'ffgmc.smt') if m in sys.modules]",
+        "print(report.verdict, *loaded)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(enumerator.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == [VERDICT_COUNTEREXAMPLE]
 
 
 # --- vacuous classes -------------------------------------------------------------
