@@ -278,7 +278,7 @@ class _Counts:
     pruned: int = 0      # rows not scanned, bounded ones included
     bounded: int = 0     # rows of combinations the monotone bound dropped
     symmetric: int = 0   # checked rows settled by symmetry rather than scanned
-    hit: Optional[tuple] = None  # (u, combo, row masks)
+    hit: Optional[tuple] = None  # (combo, row masks)
     cut: bool = False            # the budget ran out inside
 
     def __add__(self, other: _Counts) -> _Counts:
@@ -390,7 +390,7 @@ def _scan_range(
         scan_hit, scanned = scan_states(level, projected, n_validators, plan.mode)
         if scan_hit >= 0:
             hit = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
-            found = (u, tuple(int(x) for x in combos[hit // n_rows]),
+            found = (tuple(int(x) for x in combos[hit // n_rows]),
                      tuple(int(x) for x in level[0][hit % n_rows]))
         checked = hit + 1 if hit >= 0 else rows
     else:
@@ -768,7 +768,7 @@ def search(
     wall = time.perf_counter() - start
     counterexample = None
     if run.hit is not None:
-        state = materialize_state(bounds, unit.tables, *run.hit[1:])
+        state = materialize_state(bounds, unit.tables, *run.hit)
         safety = accountable_safety(state, mutation)
         if safety.holds:
             raise _disagrees("counterexample")
@@ -810,7 +810,7 @@ def find_example(
         raise SearchBudgetExceeded(run.checked)
     if run.hit is None:
         return None
-    state = materialize_state(bounds, unit.tables, *run.hit[1:])
+    state = materialize_state(bounds, unit.tables, *run.hit)
     view = finality_view(state)
     if mode == MODE_CONFLICTING_FINALIZED:
         holds = disagreement(state, view)
@@ -838,7 +838,7 @@ def check_lfp_gfp(bounds: Bounds, mutation: Mutation = Mutation.NONE) -> Fixpoin
     run, _, unit = _run(bounds, mutation, MODE_LFP_NE_GFP, min_signers=0, budget=None, jobs=1)
     mismatch = None
     if run.hit is not None:
-        mismatch = materialize_state(bounds, unit.tables, *run.hit[1:])
+        mismatch = materialize_state(bounds, unit.tables, *run.hit)
         universe = unit.tables.checkpoints
         if justified_checkpoints(mismatch, universe, mutation) == justified_checkpoints_gfp(
             mismatch, universe, mutation

@@ -20,9 +20,10 @@ masks (`_decide`): the fixpoints run on masks of the votes whose source is
 justified (`_eligible`), the finalized checkpoints are read at the votes'
 sources, and a conflicting finalized pair is a pair test on those masks.
 A decision reads a combination only through its pattern, a few columns of
-its tables (`_patterns`), so it runs once per (pattern, family) pair.  Hits
-are rare, so only the pairs that hit are kept, and only the combinations of
-a hitting pattern are expanded back to rows.
+its tables (`_patterns`, numbered by `tables.distinct_rows` as the families
+are), so it runs once per (pattern, family) pair.  Hits are rare, so only
+the pairs that hit are kept, and only the combinations of a hitting pattern
+are expanded back to rows.
 
 `tables.ProjectedTables` computes a column on its first read, so a scan
 builds only what its mode reads: `src_sandwich` and `from_genesis` for the
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tables import GraphTables, ProjectedTables
+from .tables import GraphTables, ProjectedTables, distinct_rows
 
 MODE_COUNTEREXAMPLE = 0        # disagreement with under-threshold slashing
 MODE_FINALIZED_NONGENESIS = 1
@@ -161,6 +162,15 @@ def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np
     source; a step of J is u gathers on (C,) arrays.  A conflicting pair in
     F has a non-genesis member, which is the source of a finalizing vote of
     U, so the conflict test runs over the u sources.
+
+    This is the kernel's decision at the one-family unanimity table,
+    q(X) = (X != 0), with the checkpoint set J standing in for the
+    (C, u, u) projection; `test_bound_matches_unanimity_state` pins the two
+    together.  It stays separate because projecting every combination is
+    what costs: a `_decide` call at that table in its place took the 3-block
+    search (N=4, 12 votes, 5 FFG votes, checkpoint slots up to 4) from 1.46
+    to 5.48 s on 2 cores, 3.6 s of it projection.  It can go once
+    combinations are generated one vote at a time, with their projection.
     """
     if mode == MODE_LFP_NE_GFP:
         raise ValueError("the lfp/gfp comparison is not monotone and has no bound")
@@ -193,27 +203,15 @@ def _patterns(projected: ProjectedTables, mode: int) -> tuple[np.ndarray, np.nda
 
     A pattern is the row of the columns `_decide` reads under `mode`:
     (src_sandwich, from_genesis) for the fixpoints, plus `sandwich` to
-    justify a checkpoint, or `src_fin` and `clashes` to finalize one.  The
-    lexsort is stable, so each run of equal rows is in index order and
-    starts at its pattern's first appearance.
+    justify a checkpoint, or `src_fin` and `clashes` to finalize one;
+    `tables.distinct_rows` numbers them, as it numbers quorum families.
     """
     columns = [projected.src_sandwich, projected.from_genesis[:, None]]
     if mode == MODE_JUSTIFIED_NONGENESIS:
         columns.append(projected.sandwich)
     elif mode != MODE_LFP_NE_GFP:
         columns += [projected.src_fin, projected.clashes]
-    keys = np.column_stack(columns)
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    firsts = order[starts]
-    by_appearance = np.argsort(firsts)
-    renumber = np.empty_like(by_appearance)
-    renumber[by_appearance] = np.arange(by_appearance.size)
-    pattern = np.empty_like(order)
-    pattern[order] = renumber[np.cumsum(starts) - 1]
-    return pattern, firsts[by_appearance]
+    return distinct_rows(np.column_stack(columns))
 
 
 def _decide(

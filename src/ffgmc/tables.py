@@ -17,7 +17,9 @@ kernel's inputs, are built only where a kernel call scans the level, and
 `check_level` refuses a scanned level over a size limit before that.  The
 rows are grown one validator at a time from canonical prefixes, so no
 multiset outside the level is built, and a row's quorum counts are sums of
-rows of one (2**u, 2**u) table, one gather per validator.
+rows of one (2**u, 2**u) table, one gather per validator.  `distinct_rows`
+numbers integer keys by first appearance, once for a level's quorum families
+and once per scan for the kernel's vote patterns.
 
 Bit conventions: checkpoints of one graph are indexed 0..K-1 in (c, p, block)
 order with the genesis checkpoint at index 0, and a checkpoint set is an int64
@@ -238,8 +240,9 @@ def state_table(
     subset X in [0, 2**u); the counts are sums of rows of the (2**u, 2**u)
     table meets[m, X] = (m & X != 0), in the smallest signed dtype that
     holds the 3N of the quorum test.  `families` is the (D, 2**u) bool
-    table of the distinct families and `index` the (S,) family index of
-    each row.  Rows are keyed by their bit-packed family, so deduplication
+    table of the distinct families, numbered by their first row, and
+    `index` the (S,) family index of each row.  Rows are keyed by their
+    family packed into uint64 words (`distinct_rows`), so deduplication
     compares machine words rather than bool rows.  A level over a size
     limit (`check_level`) is refused rather than built.
     """
@@ -259,18 +262,36 @@ def state_table(
         met = quorum_met(counts, n_validators, mutation)
         packed = np.packbits(met, axis=1, bitorder="little")
         keys[lo : lo + step, : packed.shape[1]] = packed
-    words = keys.view(np.uint64)
-    if n_words == 1:
-        _, first, index = np.unique(words[:, 0], return_index=True, return_inverse=True)
-    else:
-        _, first, index = np.unique(words, axis=0, return_index=True, return_inverse=True)
+    index, first = distinct_rows(keys.view(np.uint64))
     families = np.unpackbits(
         keys[first], axis=1, count=n_subsets, bitorder="little"
     ).astype(bool)
-    index = index.reshape(-1).astype(np.intp)
     for table in (rows, families, index):
         table.flags.writeable = False
     return rows, families, index
+
+
+def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of an (n, w) integer array by first appearance:
+    each row's number, and each number's first row.
+
+    One stable `np.lexsort` puts equal rows in runs, each in index order, so
+    a run starts at its row's first appearance.  Runs are found by comparing
+    neighbours one key column at a time, so no sorted copy of `keys` is held.
+    """
+    order = np.lexsort(keys.T)
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for column in keys.T:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    firsts = order[starts]
+    by_appearance = np.argsort(firsts)
+    renumber = np.empty_like(by_appearance)
+    renumber[by_appearance] = np.arange(by_appearance.size)
+    number = np.empty_like(order)
+    number[order] = renumber[np.cumsum(starts) - 1]
+    return number, firsts[by_appearance]
 
 
 def _canonical_rows(u: int, n_validators: int, max_votes: int, min_signers: int) -> np.ndarray:

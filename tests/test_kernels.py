@@ -42,6 +42,7 @@ from ffgmc.slashing import accountable_safety, disagreement, slash_kind
 from ffgmc.tables import (
     MAX_VOTE_BITS,
     build_graph_tables,
+    distinct_rows,
     min_signers_for_quorum,
     project_tables,
     state_count,
@@ -775,6 +776,38 @@ def test_quorum_families_match_direct_count(
     # one entry per distinct family, and every family is some row's
     assert len({tuple(f) for f in table}) == table.shape[0]
     assert set(index.tolist()) == set(range(table.shape[0]))
+    # families are numbered by their first row: index is a restricted growth
+    # string, starting at 0 and at most one above every entry before it
+    assert index[:1].tolist() in ([], [0])
+    assert (index[1:] <= np.maximum.accumulate(index)[:-1] + 1).all()
+
+
+def first_appearance(keys):
+    """Number the rows of `keys` by first appearance with a dict."""
+    numbers = {}
+    number = [numbers.setdefault(tuple(row), len(numbers)) for row in keys.tolist()]
+    firsts = [number.index(k) for k in range(len(numbers))]
+    return number, firsts
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+@pytest.mark.parametrize("n,w", [(0, 1), (0, 3), (1, 1), (1, 3), (200, 1), (200, 3)])
+def test_distinct_rows_number_by_first_appearance(dtype, n, w):
+    rng = np.random.default_rng(n * 10 + w)
+    if dtype is np.uint64:
+        # family words: bit 63 set, and the largest word
+        pool = np.array([0, 1, 5, 2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
+    else:
+        pool = np.array([-(2**63), -1, 0, 1, 5, 2**63 - 1], dtype=np.int64)
+    # few values per column, so rows repeat
+    keys = pool[rng.integers(0, pool.size, (n, w))]
+    # rows that differ only after their first column
+    same_first = keys.copy()
+    same_first[:, 0] = pool[-1]
+    all_equal = np.repeat(keys[:1], n, axis=0)
+    for case in (keys, same_first, all_equal):
+        number, firsts = distinct_rows(case)
+        assert (number.tolist(), firsts.tolist()) == first_appearance(case)
 
 
 @pytest.mark.parametrize("mutation", [Mutation.NONE, HALF], ids=["two-thirds", "half"])
