@@ -15,15 +15,18 @@ A row is read only through quorum tests (do enough validators' vote masks
 meet a vote set X?) and, for counterexamples, through its per-validator
 slashability.  Rows inducing the same quorum family (`tables.state_table`
 holds the rows, their distinct families and each row's family) therefore
-have the same justified and finalized sets.  Each mode is decided per (combination, family) pair on u-bit vote
-masks (`_decide`): the fixpoints run on masks of the votes whose source is
-justified (`_eligible`), the finalized checkpoints are read at the votes'
-sources, and a conflicting finalized pair is a pair test on those masks.
+have the same justified and finalized sets.  Each mode is decided per
+(combination, family) pair on u-bit vote masks (`_decide`): the fixpoints
+run on masks of the votes whose source is justified (`_eligible`), the
+finalized checkpoints are read at the votes' sources, and a conflicting
+finalized pair is a pair test on those masks.
 A decision reads a combination only through its pattern, a few columns of
 its tables (`_patterns`, numbered by `tables.distinct_rows` as the families
-are), so it runs once per (pattern, family) pair.  Hits are rare, so only
-the pairs that hit are kept, and only the combinations of a hitting pattern
-are expanded back to rows.
+are), so it runs once per (pattern, family) pair.  The pairs are decided in
+pattern-major order, in full batches, each quorum test a gather from the
+level's own family table; a combination is read as soon as its pattern's
+pairs are all decided.  Hits are rare, so only the pairs that hit are kept,
+and only the combinations of a hitting pattern are expanded back to rows.
 
 `tables.ProjectedTables` computes a column on its first read, so a scan
 builds only what its mode reads: `src_sandwich` and `from_genesis` for the
@@ -50,7 +53,7 @@ MODE_JUSTIFIED_NONGENESIS = 2
 MODE_CONFLICTING_FINALIZED = 3
 MODE_LFP_NE_GFP = 4
 
-_PAIR_BATCH = 1 << 12   # (combination or pattern, family) pairs per batch
+_PAIR_BATCH = 1 << 12   # (pattern, family) pairs per `_decide` call
 
 
 def backend_name() -> str:
@@ -76,44 +79,39 @@ def scan_states(
     a (combination, family) verdict stands for every row of that family.
     `_decide` reads a combination only through the columns of its pattern
     (`_patterns`), so combinations of one pattern share their verdicts,
-    which are decided once per (pattern, family) pair, in fixed-size pair
-    batches.  Patterns are numbered by first appearance over the call, and
-    each group of combinations decides only the patterns it is the first to
-    need, so a hit in an early group stops the scan as before.  Only the
-    pairs that hit are kept, per pattern.  The slashable-validator count of
-    a counterexample is per row: a validator with vote mask m is slashable
-    iff some vote i of m has partners[c, i] & m != 0; it is counted for each
-    combination of a hitting pattern, only on the rows whose family
-    disagrees, since `partners` is not part of the pattern.
+    which are decided once per (pattern, family) pair.  Patterns are
+    numbered by first appearance over the call, and the pairs are decided in
+    pattern-major order, in full batches of `_PAIR_BATCH`.  A combination is
+    ready once every pair of its pattern is decided; after each batch the
+    newly ready combinations are read in order, so the first hit is the
+    row-at-a-time one, and a hit ends the scan at most one batch past the
+    pairs it needed.  Only the pairs that hit are kept, per pattern.  The
+    slashable-validator count of a counterexample is per row: a validator
+    with vote mask m is slashable iff some vote i of m has
+    partners[c, i] & m != 0; it is counted for each combination of a
+    hitting pattern, only on the rows whose family disagrees, since
+    `partners` is not part of the pattern.
     """
     states, table, index = level
     n_rows, n_combos = states.shape[0], projected.from_genesis.shape[0]
     if n_rows == 0 or n_combos == 0:
         return -1, 0
     n_families = table.shape[0]
-    positions = np.arange(projected.src_sandwich.shape[1], dtype=np.uint16)[:, None]
-    shifted = table.ravel().astype(np.uint16) << positions                # (u, D * 2**u)
     pattern, firsts = _patterns(projected, mode)
-    # (pattern, family) pairs decided up to each combination
+    # (pattern, family) pairs that must be decided before each combination
     needed = (np.maximum.accumulate(pattern) + 1) * n_families
     hitting = np.zeros(firsts.size, dtype=bool)
     families_hit: dict[int, np.ndarray] = {}   # hitting pattern -> its families that hit
-    group = max(1, _PAIR_BATCH // n_families)
-    done = 0
-    for c_lo in range(0, n_combos, group):
-        c_hi = min(c_lo + group, n_combos)
-        need = int(needed[c_hi - 1])
-        for lo in range(done, need, _PAIR_BATCH):
-            pairs = np.arange(lo, min(lo + _PAIR_BATCH, need))
-            decided = _decide(
-                firsts[pairs // n_families], pairs % n_families, shifted, table, projected, mode,
-            )
-            for pair in pairs[decided].tolist():
-                p, f = divmod(pair, n_families)
-                hitting[p] = True
-                families_hit.setdefault(p, np.zeros(n_families, dtype=bool))[f] = True
-        done = need
-        for c in np.flatnonzero(hitting[pattern[c_lo:c_hi]]):
+    n_pairs, ready = int(needed[-1]), 0
+    for lo in range(0, n_pairs, _PAIR_BATCH):
+        pairs = np.arange(lo, min(lo + _PAIR_BATCH, n_pairs))
+        decided = _decide(firsts[pairs // n_families], pairs % n_families, table, projected, mode)
+        for pair in pairs[decided].tolist():
+            p, f = divmod(pair, n_families)
+            hitting[p] = True
+            families_hit.setdefault(p, np.zeros(n_families, dtype=bool))[f] = True
+        c_lo, ready = ready, int(np.searchsorted(needed, pairs[-1] + 1, side="right"))
+        for c in np.flatnonzero(hitting[pattern[c_lo:ready]]):
             combo = c_lo + int(c)
             rows = np.flatnonzero(families_hit[int(pattern[combo])][index])
             if mode == MODE_COUNTEREXAMPLE:
@@ -217,19 +215,17 @@ def _patterns(projected: ProjectedTables, mode: int) -> tuple[np.ndarray, np.nda
 def _decide(
     combo: np.ndarray,
     family: np.ndarray,
-    shifted: np.ndarray,
     table: np.ndarray,
     projected: ProjectedTables,
     mode: int,
 ) -> np.ndarray:
     """Whether each (combination, family) pair hits `mode`.
 
-    `shifted` is the family table as uint16 shifted left by each vote
-    position j (u rows), so a gather from row j is q(X) << j; j is below
-    `tables.MAX_VOTE_BITS`, so the bit fits.  Everything
-    runs on u-bit vote masks except the justified test, which reads the
-    combination's own checkpoint columns (checkpoint 0 is genesis): a
-    justified checkpoint need not be any vote's source or target.
+    Every quorum test is a gather q(X) = table.ravel()[(family << u) + X]
+    from the level's bool family table.  Everything runs on u-bit vote masks
+    except the justified test, which reads the combination's own checkpoint
+    columns (checkpoint 0 is genesis): a justified checkpoint need not be
+    any vote's source or target.
 
     Finalization at the sources.  A finalizing link leaves from the
     checkpoint it finalizes (`finality.finalizes`) and q(0) is false, so
@@ -242,29 +238,30 @@ def _decide(
     clashes[j], the same pair test as a slashable validator.
     """
     u = projected.src_sandwich.shape[1]
-    base = family << u
+    quorum, base = table.ravel(), family << u
     src_sandwich = np.ascontiguousarray(projected.src_sandwich[combo].T)   # (u, P)
     from_genesis = projected.from_genesis[combo]
-    eligible = _eligible(from_genesis, from_genesis, base, shifted, src_sandwich)
+    eligible = _eligible(from_genesis, from_genesis, base, quorum, src_sandwich)
     if mode == MODE_LFP_NE_GFP:
         every = np.full_like(from_genesis, (1 << u) - 1)
-        return eligible != _eligible(every, from_genesis, base, shifted, src_sandwich)
+        return eligible != _eligible(every, from_genesis, base, quorum, src_sandwich)
     if mode == MODE_JUSTIFIED_NONGENESIS:
         sandwich = projected.sandwich[combo, 1:].T                         # (K - 1, P)
-        return table.ravel()[base + (sandwich & eligible)].any(axis=0)
-    finalizing = eligible & _quorum_bits(shifted, base, projected.src_fin[combo].T)
+        return quorum[base + (sandwich & eligible)].any(axis=0)
+    finalizing = eligible & _quorum_bits(quorum, base, projected.src_fin[combo].T)
     if mode == MODE_FINALIZED_NONGENESIS:
         return (finalizing & ~from_genesis) != 0
     return _holds_pair(finalizing | from_genesis, projected.clashes[combo].T)
 
 
-def _quorum_bits(shifted: np.ndarray, base: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """sum_j q(masks[j]) << j per (combination, family) pair: one gather per
-    vote position, from (u, P) vote masks."""
-    bits = np.zeros_like(base)
-    for quorum_j, mask_j in zip(shifted, masks):
-        bits |= quorum_j[base + mask_j]
-    return bits
+def _quorum_bits(quorum: np.ndarray, base: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """sum_j q(masks[j]) << j per (combination, family) pair, from (u, P)
+    vote masks: one gather from the flat family table `quorum`, then row j
+    as bit j of a uint16 (u is at most `tables.MAX_VOTE_BITS`, 16), ORed
+    over the rows."""
+    positions = np.arange(masks.shape[0], dtype=np.uint16)[:, None]
+    bits = np.left_shift(quorum[base + masks], positions, dtype=np.uint16)   # (u, P)
+    return np.bitwise_or.reduce(bits, axis=0)
 
 
 def _holds_pair(masks: np.ndarray, partners: np.ndarray) -> np.ndarray:
@@ -276,7 +273,7 @@ def _holds_pair(masks: np.ndarray, partners: np.ndarray) -> np.ndarray:
     return held
 
 
-def _eligible(eligible, from_genesis, base, shifted, src_sandwich):
+def _eligible(eligible, from_genesis, base, quorum, src_sandwich):
     """Iterate justification on eligible-vote masks (P,) from `eligible` to its fixpoint.
 
     A vote is eligible when its source checkpoint is justified.  The
@@ -294,7 +291,7 @@ def _eligible(eligible, from_genesis, base, shifted, src_sandwich):
     E_lfp = E_gfp, since J* is a function of E* and E* = elig(J*).
     """
     while True:
-        grown = from_genesis | _quorum_bits(shifted, base, src_sandwich & eligible)
+        grown = from_genesis | _quorum_bits(quorum, base, src_sandwich & eligible)
         if np.array_equal(grown, eligible):
             return eligible
         eligible = grown

@@ -4,17 +4,17 @@
 
 Runs one fixed sweep against `src/` of this checkout and of OTHER_ROOT, each
 in a fresh interpreter, and compares the two case by case: `search` over
-every mutation label, twelve bounds (2 and 3 blocks, the criterion-3 bounds
-and one more FFG vote, 7 FFG votes at N=2, one block, nonstrict slots, free
-slot mode, catalog `m3` and `forest`) and budgets that cut at several
-depths, each at `jobs=1` and `jobs=2`; `find_example` for every property at
-a few budgets; `check_lfp_gfp` for every bound. The `jobs=2` cases run on
-scan tasks of 64 combinations, so that most of them plan more than one task
-and start a helper; reports do not depend on task size, and each side
-prints how many of its `jobs=2` cases planned more than one task. Exits 0
-when every case is identical, 1 at the first case whose verdict, counters,
-counterexample, `graph_index` or example differs, and 2 when a side cannot
-run. Pytest does not collect this file.
+every mutation label, thirteen bounds (2 and 3 blocks, the criterion-3
+bounds and one and two more FFG votes, 7 FFG votes at N=2, one block,
+nonstrict slots, free slot mode, catalog `m3` and `forest`) and budgets
+that cut at several depths, each at `jobs=1` and `jobs=2`; `find_example`
+for every property at a few budgets; `check_lfp_gfp` for every bound. The
+`jobs=2` cases run on scan tasks of 64 combinations, so that most of them
+plan more than one task and start a helper; reports do not depend on task
+size, and each side prints how many of its `jobs=2` cases planned more
+than one task. Exits 0 when every case is identical, 1 at the first case
+whose verdict, counters, counterexample, `graph_index` or example differs,
+and 2 when a side cannot run. Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ BOUNDS = (
     # 1,812 quorum families at 5 distinct votes: scan calls span many
     # combinations per family
     dict(n_blocks=2, n_validators=4, max_votes=12, max_ffg_votes=5, max_chkp_slot=3),
+    # 25,398 quorum families at 6 distinct votes, more than one pair batch:
+    # a pattern's families span several `_decide` calls
+    dict(n_blocks=2, n_validators=4, max_votes=12, max_ffg_votes=6, max_chkp_slot=3),
     # 7 distinct votes: quorum-family keys two words wide
     dict(n_blocks=2, n_validators=2, max_votes=14, max_ffg_votes=7, max_chkp_slot=3),
     dict(n_blocks=3, n_validators=1, max_votes=4, max_ffg_votes=4, max_chkp_slot=3),

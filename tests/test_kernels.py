@@ -616,26 +616,30 @@ def test_one_scan_equals_one_scan_per_combination(seed):
             assert got == want, (mode, pair_batch)
 
 
-def test_hit_in_a_later_group_than_its_pattern():
+def test_hit_in_a_later_batch_than_its_pattern():
     # votes 0 and 1 justify the conflicting checkpoints 1 and 2 from genesis,
-    # and votes 2 and 3 finalize them, so every combination's one row
-    # disagrees.  The three combinations share their counterexample pattern
-    # and differ only in `partners`: votes 2 and 3 make the lone validator
-    # slashable in combinations 0 and 1, so only combination 2 is a
-    # counterexample.  With one pair per batch each combination is its own
-    # group, and combination 2 reuses the decision of combination 0
+    # and votes 2 and 3 finalize them, so the one row of combinations 0, 1
+    # and 3 disagrees.  Those three share their counterexample pattern and
+    # differ only in `partners`: votes 2 and 3 make the lone validator
+    # slashable in combinations 0 and 1, so only combination 3 is a
+    # counterexample.  Combination 2 sandwiches nothing, so it has a pattern
+    # of its own and hits nothing.  With one pair per batch, combination 3
+    # is read only after the batch that decides combination 2's pattern, and
+    # reuses the decision of an earlier batch
     k, cp_conflict = 3, [0, 0b100, 0b010]
-    votes = ([0, 0, 1, 2], [0b010, 0b100, 0, 0], [0, 0b0100, 0b1000])
-    combos = [(*votes, [0, 0, 0b1000, 0b0100])] * 2 + [(*votes, [0] * 4)]
+    sources, fin = [0, 0, 1, 2], [0, 0b0100, 0b1000]
+    disagreeing, idle = (sources, [0b010, 0b100, 0, 0], fin), (sources, [0] * 4, fin)
+    slashable = (*disagreeing, [0, 0, 0b1000, 0b0100])
+    combos = [slashable, slashable, (*idle, [0] * 4), (*disagreeing, [0] * 4)]
     projected = hand_made_tables(k, combos, cp_conflict)
-    assert len(pattern_keys(projected, *COUNTEREXAMPLE_KEY)) == 1
+    assert len(pattern_keys(projected, *COUNTEREXAMPLE_KEY)) == 2
     for pair_batch in (1, 5, None):
         for mode in ALL_MODES:
             for mutation in (Mutation.NONE, Mutation.QUORUM_HALF):
                 first = check_hand_made_scan(k, combos, cp_conflict, 1, 4, mutation, mode,
                                              pair_batch=pair_batch)
                 if mode == MODE_COUNTEREXAMPLE:
-                    assert first == 2, mutation
+                    assert first == 3, mutation
 
 
 def test_patterns_tell_genesis_sourced_votes_apart():
@@ -672,30 +676,37 @@ def test_justified_patterns_tell_sandwich_rows_apart():
 def test_fixpoints_run_once_per_pattern(monkeypatch):
     # a scan without a hit decides each (pattern, family) pair once, and so
     # runs its fixpoints once: this seed draws no support cycle, and no
-    # checkpoint conflicts, so no row is a counterexample
+    # checkpoint conflicts, so no row is a counterexample.  The pairs go to
+    # `_decide` in full batches, whatever pattern they belong to: the level
+    # has 14 families, so a batch of 5 pairs can span two patterns
     rng = np.random.default_rng(65)
     k, u, n_validators = 5, 3, 3
     combos = repeated_pattern_combos(rng, k, u, n_patterns=2, n_combos=12)
     projected = hand_made_tables(k, combos, [0] * k)
-    level = state_table(u, n_validators, u * n_validators, 0, Mutation.NONE)
-    rows = level[0]
-    decided = []
+    level = state_table(u, n_validators, 5, 0, Mutation.NONE)
+    rows, n_families = level[0], level[1].shape[0]
+    decided, batches = [], []
     decide = kernels._decide
 
     def counting(combo, family, *args):
         decided.extend(zip(combo.tolist(), family.tolist()))
+        batches.append(combo.size)
         return decide(combo, family, *args)
 
     monkeypatch.setattr(kernels, "_decide", counting)
     for mode, key in ((MODE_LFP_NE_GFP, ("src_sandwich", "from_genesis")),
                       (MODE_COUNTEREXAMPLE, COUNTEREXAMPLE_KEY)):
-        patterns = pattern_keys(projected, *key)
+        n_pairs = len(pattern_keys(projected, *key)) * n_families
+        assert n_pairs % 5 != 0
         for pair_batch in (1, 5, kernels._PAIR_BATCH):
             decided.clear()
+            batches.clear()
             monkeypatch.setattr(kernels, "_PAIR_BATCH", pair_batch)
             assert scan_states(level, projected, n_validators, mode) == (
                 -1, len(combos) * rows.shape[0])
-            assert len(decided) == len(set(decided)) == len(patterns) * level[1].shape[0]
+            assert len(decided) == len(set(decided)) == n_pairs
+            assert len(batches) == -(-n_pairs // pair_batch), (mode, pair_batch)
+            assert set(batches[:-1]) <= {pair_batch}, (mode, pair_batch)
 
 
 def test_keys_that_differ_only_in_finalizing_links_or_clashes():
@@ -839,8 +850,23 @@ def test_quorum_families_count_past_int16(mutation):
 
 
 def test_vote_positions_fit_the_uint16_family_table():
-    # the kernel shifts quorum bits left by a vote position, in uint16
+    # the kernel gathers quorum bits from the bool family table and puts
+    # vote position j's bit at bit j of a uint16
     assert MAX_VOTE_BITS <= np.iinfo(np.uint16).bits
+
+
+@pytest.mark.parametrize("u", [0, 1, 7, 8, 9, 16])
+def test_quorum_bits_match_a_loop_over_vote_positions(u):
+    rng = np.random.default_rng(u)
+    n_families, n_pairs = 3, 64
+    table = rng.random((n_families, 2**u)) < 0.5
+    family = rng.integers(0, n_families, n_pairs)
+    masks = rng.integers(0, 2**u, (u, n_pairs))
+    want = [sum(int(table[f, masks[j, p]]) << j for j in range(u)) for p, f in enumerate(family)]
+    assert u < 9 or max(want) >= 1 << 8
+    got = kernels._quorum_bits(table.ravel(), family << u, masks)
+    assert got.shape == (n_pairs,)
+    assert got.tolist() == want
 
 
 def test_quorum_families_refuse_an_oversized_table(monkeypatch):
