@@ -65,15 +65,13 @@ from .model import (
     GENESIS_CHECKPOINT,
     Block,
     BlockForest,
-    Checkpoint,
-    FfgVote,
     InputError,
     ProtocolState,
     SignedVote,
 )
 from .mutation import Mutation
 from .slashing import SafetyVerdict, accountable_safety, disagreement
-from .symmetry import automorphisms, orbit_minimal, unit_key
+from .symmetry import orbit_minimal, unit_key
 from .tables import (
     GraphTables,
     build_graph_tables,
@@ -82,7 +80,6 @@ from .tables import (
     project_tables,
     state_count,
     state_table,
-    unit_universe,
 )
 
 VERDICT_HOLDS = "holds-exhaustively"
@@ -251,10 +248,13 @@ def iter_units(bounds: Bounds) -> Iterator[BlockForest]:
         yield from _slot_variants(forest, bounds)
 
 
-def _chkp_bound(bounds: Bounds, forest: BlockForest) -> int:
-    if bounds.max_chkp_slot is not None:
-        return bounds.max_chkp_slot
-    return max(b.slot for b in forest) + 1
+def _graph_tables(bounds: Bounds, forest: BlockForest, mutation: Mutation) -> GraphTables:
+    """A unit's graph tables, over the checkpoints up to `max_chkp_slot`, or
+    for a catalog graph with no such cap, up to one past its last slot."""
+    chkp = bounds.max_chkp_slot
+    if chkp is None:
+        chkp = max(b.slot for b in forest) + 1
+    return build_graph_tables(forest, bounds.slot_rule, chkp, mutation)
 
 
 def _distinct_vote_range(bounds: Bounds, n_votes: int) -> range:
@@ -322,26 +322,8 @@ def _combinations(m: int, u: int, start: int, count: int) -> np.ndarray:
     return out
 
 
-def _vote_permutations(tables: GraphTables) -> np.ndarray:
-    """The unit's nontrivial automorphisms as (A, M) vote-index permutations."""
-    index = {vote: i for i, vote in enumerate(tables.votes)}
-    perms = []
-    for image in automorphisms(tables.forest):
-        move = lambda cp: Checkpoint(image[cp.block], cp.c, cp.p)
-        perms.append([index[FfgVote(move(v.source), move(v.target))] for v in tables.votes])
-    return np.array(perms, dtype=np.int64).reshape(len(perms), len(tables.votes))
-
-
-@dataclass(frozen=True)
-class _Unit:
-    """A scanned unit's tables and its automorphisms as vote permutations."""
-
-    tables: GraphTables
-    perms: np.ndarray
-
-
 def _kept_combinations(
-    unit: _Unit, u: int, lo: int, hi: int, mode: int
+    tables: GraphTables, u: int, lo: int, hi: int, mode: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(positions, combinations, minimal): the size-u vote combinations of
     ranks lo .. hi - 1 that the monotone bound keeps, in canonical order;
@@ -352,17 +334,17 @@ def _kept_combinations(
     The lfp/gfp comparison has no bound and keeps every combination.  The
     orbit filter runs after the bound, which is relabelling-invariant.
     """
-    chunk = _combinations(len(unit.tables.votes), u, lo, hi - lo)
+    chunk = _combinations(len(tables.votes), u, lo, hi - lo)
     if mode == MODE_LFP_NE_GFP:
         keep = np.arange(hi - lo)
     else:
-        keep = np.flatnonzero(bound_combinations(unit.tables, chunk, mode))
+        keep = np.flatnonzero(bound_combinations(tables, chunk, mode))
     combos = chunk[keep]
-    return lo + keep, combos, orbit_minimal(combos, unit.perms)
+    return lo + keep, combos, orbit_minimal(combos, tables.perms)
 
 
 def _scan_range(
-    plan: _Plan, unit: _Unit, u: int, lo: int, hi: int, limit: Optional[int] = None
+    plan: _Plan, tables: GraphTables, u: int, lo: int, hi: int, limit: Optional[int] = None
 ) -> _Counts:
     """Scan the size-u combinations of ranks lo .. hi - 1 of a unit in order,
     all kept and orbit-minimal ones in one kernel call.
@@ -378,7 +360,7 @@ def _scan_range(
     n_validators, max_votes = plan.bounds.n_validators, plan.bounds.max_votes
     n_rows = state_count(u, n_validators, max_votes, plan.min_signers)
     total_rows = state_count(u, n_validators, max_votes, 0)
-    positions, combos, minimal = _kept_combinations(unit, u, lo, hi, plan.mode)
+    positions, combos, minimal = _kept_combinations(tables, u, lo, hi, plan.mode)
     # hit and checked count the rows of every kept combination in scan order;
     # only the minimal combinations (`scan`) reach the kernel
     rows = positions.size * n_rows
@@ -386,7 +368,7 @@ def _scan_range(
     if limit is None and n_rows and minimal.any():
         scan = np.flatnonzero(minimal)
         level = state_table(u, n_validators, max_votes, plan.min_signers, plan.mutation)
-        projected = project_tables(unit.tables, combos[scan])
+        projected = project_tables(tables, combos[scan])
         scan_hit, scanned = scan_states(level, projected, n_validators, plan.mode)
         if scan_hit >= 0:
             hit = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
@@ -412,7 +394,10 @@ def _scan_range(
 
 
 def _scan_task(
-    plan: _Plan, unit: _Unit, segments: list[tuple[int, int, int]], limit: Optional[int] = None
+    plan: _Plan,
+    tables: GraphTables,
+    segments: list[tuple[int, int, int]],
+    limit: Optional[int] = None,
 ) -> _Counts:
     """Scan, or with a `limit` count, a task's (u, lo, hi) segments in order,
     as `_scan_range` does one: the limit left carries from segment to
@@ -420,7 +405,7 @@ def _scan_task(
     total = _Counts()
     for u, lo, hi in segments:
         left = None if limit is None else limit - total.checked
-        total += _scan_range(plan, unit, u, lo, hi, left)
+        total += _scan_range(plan, tables, u, lo, hi, left)
         if total.hit is not None or total.cut:
             break
     return total
@@ -452,12 +437,13 @@ class _Plan:
     and no conflicting checkpoint pair) or floor-empty (`tables.state_count`
     is 0 at every level under the signer floor, so a scan would check no
     row and prune every one): its rows are counted from its vote count by
-    `tables.state_count`, not scanned, and no other table of it is built,
-    so no size limit applies to it.  Otherwise its
-    levels u = 0, 1, ... are laid end to end in canonical order and cut
-    into tasks of `_BOUND_CHUNK` combinations of that sequence (the last
-    one shorter), numbered in canonical order; each class starts a new
-    task.  Later units of a class reuse its counts.
+    `tables.state_count`, not scanned.  Of its graph tables only `votes` is
+    read, and `cp_conflict` in the safety modes, so no other relation of it
+    is evaluated and no size limit applies to it.  Otherwise its levels
+    u = 0, 1, ... are laid end to end in canonical order and cut into tasks
+    of `_BOUND_CHUNK` combinations of that sequence (the last one shorter),
+    numbered in canonical order; each class starts a new task.  Later units
+    of a class reuse its counts.
 
     The plan ends at the first scanned level whose tables are over a size
     limit (`tables.check_level`; `refusal`: that unit and its error).  No task lies past it, so a run
@@ -471,7 +457,7 @@ class _Plan:
     min_signers: int
     units: list[BlockForest]
     keys: list[tuple]
-    reps: dict[int, _Unit] = field(default_factory=dict)    # first unit of a scanned class
+    reps: dict[int, GraphTables] = field(default_factory=dict)  # first unit of a scanned class
     vacuous: dict[int, int] = field(default_factory=dict)   # vote count of a settled one
     tasks: dict[int, range] = field(default_factory=dict)   # task numbers of a scanned one
     levels: list[tuple[int, int]] = field(default_factory=list)  # (unit, u) per level
@@ -482,21 +468,22 @@ class _Plan:
     n_tasks: int = 0
     refusal: Optional[tuple[int, InputError]] = None
 
-    def task(self, i: int) -> tuple[_Unit, list[tuple[int, int, int]]]:
-        """(unit, segments): task i scans, for each (u, lo, hi) segment in
-        order, the size-u combinations of ranks lo .. hi - 1."""
+    def task(self, i: int) -> tuple[GraphTables, list[tuple[int, int, int]]]:
+        """(tables, segments): task i scans, on the tables of its class's
+        first unit, for each (u, lo, hi) segment in order, the size-u
+        combinations of ranks lo .. hi - 1."""
         begin, end = i * _BOUND_CHUNK, (i + 1) * _BOUND_CHUNK
         level = bisect.bisect_right(self.starts, begin) - 1
         index = self.levels[level][0]
-        unit = self.reps[index]
+        tables = self.reps[index]
         segments = []
         for k in range(level, len(self.levels)):
             (owner, u), start = self.levels[k], self.starts[k]
             if owner != index or start >= end:
                 break
-            size = comb(len(unit.tables.votes), u)
+            size = comb(len(tables.votes), u)
             segments.append((u, max(begin - start, 0), min(end - start, size)))
-        return unit, segments
+        return tables, segments
 
 
 def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _Plan:
@@ -511,23 +498,21 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
         first = plan.n_tasks
         position = first * _BOUND_CHUNK
         try:
-            chkp_bound = _chkp_bound(bounds, forest)
-            universe = unit_universe(forest, bounds.slot_rule, chkp_bound)
-            _, votes, cp_conflict = universe
-            levels = _distinct_vote_range(bounds, len(votes))
-            if (mode in _VACUITY_MODES and not cp_conflict.any()) or not any(
+            tables = _graph_tables(bounds, forest, mutation)
+            n_votes = len(tables.votes)
+            levels = _distinct_vote_range(bounds, n_votes)
+            if (mode in _VACUITY_MODES and not tables.cp_conflict.any()) or not any(
                 state_count(u, bounds.n_validators, bounds.max_votes, min_signers) for u in levels
             ):
-                plan.vacuous[index] = len(votes)
+                plan.vacuous[index] = n_votes
                 continue
-            tables = build_graph_tables(forest, bounds.slot_rule, chkp_bound, mutation, universe)
-            plan.reps[index] = _Unit(tables, _vote_permutations(tables))
+            plan.reps[index] = tables
             for u in levels:
                 check_level(u, bounds.n_validators, bounds.max_votes, min_signers)
-                n_combos = comb(len(votes), u)
+                n_combos = comb(n_votes, u)
                 if n_combos > _MAX_LEVEL_COMBOS:
                     raise InputError(
-                        f"{n_combos} combinations of {u} of {len(votes)} votes "
+                        f"{n_combos} combinations of {u} of {n_votes} votes "
                         "exceed the rank limit 2**62; lower max_ffg_votes or max_chkp_slot"
                     )
                 plan.levels.append((index, u))
@@ -674,20 +659,20 @@ class _Tasks:
 
 def _fold(
     plan: _Plan, tasks: _Tasks, budget: Optional[int]
-) -> tuple[_Counts, int, Optional[_Unit]]:
+) -> tuple[_Counts, int, Optional[GraphTables]]:
     """Fold the plan in canonical order, stopping at the first hit or budget cut.
 
     Returns the counts up to there, the number of units visited and the
-    hit's unit.  The budget is applied here only, by counting: tasks are
-    scanned without it, and a task whose checked rows exceed the budget
-    left holds no hit before the cut (its hit, if any, is its last checked
-    row), so its cut is counted with `_scan_range`'s limit, on the row a
-    sequential scan would stop at.  A later unit of a class reuses the
-    class's counts when the budget left covers them (no tables are built for
-    it); otherwise it holds no hit either, and its class's tasks are counted
-    on its own tables, whose labelling places the bound's and the orbit
-    filter's combinations.  The plan's refusal is raised when the fold
-    reaches it.
+    graph tables of the hit's unit.  The budget is applied here only, by
+    counting: tasks are scanned without it, and a task whose checked rows
+    exceed the budget left holds no hit before the cut (its hit, if any, is
+    its last checked row), so its cut is counted with `_scan_range`'s limit,
+    on the row a sequential scan would stop at.  A later unit of a class
+    reuses the class's counts when the budget left covers them (no tables
+    are built for it); otherwise it holds no hit either, and its class's
+    tasks are counted on its own tables, whose labelling places the bound's
+    and the orbit filter's combinations.  The plan's refusal is raised when
+    the fold reaches it.
     """
     run = _Counts()
     memo: dict[tuple, tuple[int, _Counts]] = {}   # class key -> (first unit, its counts)
@@ -717,15 +702,11 @@ def _fold(
             if budget is None or budget - run.checked >= known.checked:
                 run += replace(known, symmetric=known.checked)
                 continue
-            forest = plan.units[index]
-            tables = build_graph_tables(
-                forest, plan.bounds.slot_rule, _chkp_bound(plan.bounds, forest), plan.mutation
-            )
-            unit = _Unit(tables, _vote_permutations(tables))
+            tables = _graph_tables(plan.bounds, plan.units[index], plan.mutation)
             for i in plan.tasks[first]:
-                run += _scan_task(plan, unit, plan.task(i)[1], limit=budget - run.checked)
+                run += _scan_task(plan, tables, plan.task(i)[1], limit=budget - run.checked)
                 if run.cut:
-                    return run, index + 1, unit
+                    return run, index + 1, tables
     return run, len(plan.keys), None
 
 
@@ -736,7 +717,7 @@ def _run(
     min_signers: int,
     budget: Optional[int],
     jobs: int,
-) -> tuple[_Counts, int, Optional[_Unit]]:
+) -> tuple[_Counts, int, Optional[GraphTables]]:
     """Plan the run, then fold it with the calling process and jobs - 1 helpers."""
     if budget is not None and budget < 0:
         raise InputError("budget must be non-negative")
@@ -764,11 +745,11 @@ def search(
     """Exhaust the bounded space or stop at the first (canonical) counterexample."""
     start = time.perf_counter()
     min_signers = min_signers_for_quorum(bounds.n_validators) if mutation == Mutation.NONE else 0
-    run, graphs, unit = _run(bounds, mutation, MODE_COUNTEREXAMPLE, min_signers, budget, jobs)
+    run, graphs, tables = _run(bounds, mutation, MODE_COUNTEREXAMPLE, min_signers, budget, jobs)
     wall = time.perf_counter() - start
     counterexample = None
     if run.hit is not None:
-        state = materialize_state(bounds, unit.tables, *run.hit)
+        state = materialize_state(bounds, tables, *run.hit)
         safety = accountable_safety(state, mutation)
         if safety.holds:
             raise _disagrees("counterexample")
@@ -805,12 +786,12 @@ def find_example(
             f"unknown property {property_name!r}; choose from {', '.join(PROPERTY_MODES)}"
         ) from None
     min_signers = min_signers_for_quorum(bounds.n_validators)
-    run, _, unit = _run(bounds, Mutation.NONE, mode, min_signers, budget, jobs=1)
+    run, _, tables = _run(bounds, Mutation.NONE, mode, min_signers, budget, jobs=1)
     if run.cut:
         raise SearchBudgetExceeded(run.checked)
     if run.hit is None:
         return None
-    state = materialize_state(bounds, unit.tables, *run.hit)
+    state = materialize_state(bounds, tables, *run.hit)
     view = finality_view(state)
     if mode == MODE_CONFLICTING_FINALIZED:
         holds = disagreement(state, view)
@@ -835,11 +816,11 @@ def check_lfp_gfp(bounds: Bounds, mutation: Mutation = Mutation.NONE) -> Fixpoin
     A mismatch is confirmed by both reference fixpoints over its unit's
     checkpoints.
     """
-    run, _, unit = _run(bounds, mutation, MODE_LFP_NE_GFP, min_signers=0, budget=None, jobs=1)
+    run, _, tables = _run(bounds, mutation, MODE_LFP_NE_GFP, min_signers=0, budget=None, jobs=1)
     mismatch = None
     if run.hit is not None:
-        mismatch = materialize_state(bounds, unit.tables, *run.hit)
-        universe = unit.tables.checkpoints
+        mismatch = materialize_state(bounds, tables, *run.hit)
+        universe = tables.checkpoints
         if justified_checkpoints(mismatch, universe, mutation) == justified_checkpoints_gfp(
             mismatch, universe, mutation
         ):

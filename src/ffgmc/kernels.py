@@ -26,13 +26,15 @@ are), so it runs once per (pattern, family) pair.  The pairs are decided in
 pattern-major order, in full batches, each quorum test a gather from the
 level's own family table; a combination is read as soon as its pattern's
 pairs are all decided.  Hits are rare, so only the pairs that hit are kept,
-and only the combinations of a hitting pattern are expanded back to rows.
+and only the combinations of a hitting pattern are expanded back to rows,
+each pattern's rows once per call.
 
 `tables.ProjectedTables` computes a column on its first read, so a scan
 builds only what its mode reads: `src_sandwich` and `from_genesis` for the
-fixpoints, `sandwich` too for the justified test, `src_fin` and `clashes`
-too for the finalizing modes, and `partners` only once a counterexample
-pattern hits.
+fixpoints, `sandwich` too for the justified test, and `src_fin` and
+`clashes` too for the finalizing modes.  The slashable pairs of a
+combination (`ProjectedTables.partners`) are evaluated only when a
+counterexample scan expands that combination's rows.
 
 Before any row is scanned, `bound_combinations` drops whole combinations that
 cannot hold a hit (the monotone combination bound).
@@ -42,6 +44,8 @@ Neither function takes a mutation: the graph tables were built for one
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -85,12 +89,13 @@ def scan_states(
     ready once every pair of its pattern is decided; after each batch the
     newly ready combinations are read in order, so the first hit is the
     row-at-a-time one, and a hit ends the scan at most one batch past the
-    pairs it needed.  Only the pairs that hit are kept, per pattern.  The
-    slashable-validator count of a counterexample is per row: a validator
-    with vote mask m is slashable iff some vote i of m has
-    partners[c, i] & m != 0; it is counted for each combination of a
-    hitting pattern, only on the rows whose family disagrees, since
-    `partners` is not part of the pattern.
+    pairs it needed.  Only the pairs that hit are kept, per pattern, and a
+    hitting pattern's rows (those of its hitting families) are found once,
+    when its first combination is read.  The slashable-validator count of a
+    counterexample is per row: a validator with vote mask m is slashable iff
+    some vote i of m has partners(c)[i] & m != 0; it is counted for each
+    combination of a hitting pattern, only on those rows, since the
+    slashable pairs are not part of the pattern.
     """
     states, table, index = level
     n_rows, n_combos = states.shape[0], projected.from_genesis.shape[0]
@@ -102,6 +107,8 @@ def scan_states(
     needed = (np.maximum.accumulate(pattern) + 1) * n_families
     hitting = np.zeros(firsts.size, dtype=bool)
     families_hit: dict[int, np.ndarray] = {}   # hitting pattern -> its families that hit
+    # a hitting pattern's rows, those of its families that hit, found on its first read
+    rows_of = cache(lambda p: np.flatnonzero(families_hit[p][index]))
     n_pairs, ready = int(needed[-1]), 0
     for lo in range(0, n_pairs, _PAIR_BATCH):
         pairs = np.arange(lo, min(lo + _PAIR_BATCH, n_pairs))
@@ -113,9 +120,9 @@ def scan_states(
         c_lo, ready = ready, int(np.searchsorted(needed, pairs[-1] + 1, side="right"))
         for c in np.flatnonzero(hitting[pattern[c_lo:ready]]):
             combo = c_lo + int(c)
-            rows = np.flatnonzero(families_hit[int(pattern[combo])][index])
+            rows = rows_of(int(pattern[combo]))
             if mode == MODE_COUNTEREXAMPLE:
-                slashable = _holds_pair(states[rows], projected.partners[combo])
+                slashable = _holds_pair(states[rows], projected.partners(combo))
                 rows = rows[3 * slashable.sum(axis=1) < n_validators]
             if rows.size:
                 hit = combo * n_rows + int(rows[0])

@@ -1,14 +1,15 @@
 """Array tables backing the enumeration kernels.
 
-`build_graph_tables` evaluates the reference predicates once per unit and
-mutation: vote validity (`model.is_valid_ffg_vote`), chain conflict
-(`model.are_conflicting`), the sandwich clause (`finality.supports`), the
-finalizing link (`finality.finalizes`) and slashable pairs
-(`slashing.slash_kind`); the quorum rule enters through `mutation.quorum_met`
-in `state_table`.  Nothing downstream reads a mutation flag, so the fast
-path has no copy of the rules to drift from the reference.  Its first step,
-`unit_universe` (checkpoints, valid votes, chain conflict), is all the scan
-plan reads of a unit that is vacuous for safety.
+`GraphTables` holds the relations of one unit and mutation, each evaluated
+from the reference predicates on its first read: vote validity
+(`model.is_valid_ffg_vote`), chain conflict (`model.are_conflicting`), the
+sandwich clause (`finality.supports`), the finalizing link
+(`finality.finalizes`) and the unit's automorphisms (`symmetry`); slashable
+pairs (`slashing.slash_kind`) are evaluated per combination, by
+`ProjectedTables.partners`.  The quorum rule enters through
+`mutation.quorum_met` in `state_table`.  Nothing downstream reads a
+mutation flag, so the fast path has no copy of the rules to drift from the
+reference, and which relation is evaluated when is decided here alone.
 
 A level (one distinct-vote count u) has its rows counted by arithmetic
 (`state_count`), which is all the plan, the vacuous units and the budget
@@ -29,20 +30,19 @@ validator's vote subset is an int over those u positions.  `ProjectedTables`
 packs, per combination, u-bit vote masks per checkpoint (`sandwich`) and per
 vote, read at the vote's source checkpoint (`src_sandwich`: the votes that
 sandwich it; `src_fin`: its finalizing links; `clashes`: the votes whose
-source conflicts with it), plus `from_genesis` (the genesis-sourced votes)
-and `partners` (the votes each vote forms a slashable pair with).  Each
-column is computed on its first read, so a scan pays only for the columns
-its mode reads: the kernel decides every scan mode on the per-vote masks,
-only the justified test reads `sandwich`, and only a hit reads `partners`.
+source conflicts with it), plus `from_genesis` (the genesis-sourced votes).
+Each column is computed on its first read, so a scan pays only for the
+columns its mode reads: the kernel decides every scan mode on the per-vote
+masks, and only the justified test reads `sandwich`.  The votes each vote
+forms a slashable pair with (`partners(c)`) are evaluated only for a
+combination whose rows a counterexample scan expands.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Optional
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .model import (
 )
 from .mutation import Mutation, quorum_met
 from .slashing import slash_kind
+from .symmetry import automorphisms
 
 MAX_CHECKPOINT_BITS = 63
 MAX_VOTE_BITS = 16
@@ -67,81 +68,94 @@ MAX_FAMILY_KEY_BYTES = 1 << 28
 _FAMILY_CHUNK = 1 << 15   # row x subset entries per family batch
 
 
-@dataclass(frozen=True)
 class GraphTables:
-    """Checkpoint/vote structure of one (forest, slot assignment) pair under one mutation."""
+    """Checkpoint and vote relations of one unit (a forest and its slot
+    assignment) under one mutation.
 
-    forest: BlockForest
-    checkpoints: tuple[Checkpoint, ...]          # K entries, genesis first
-    votes: tuple[FfgVote, ...]                   # M valid votes, (src, tgt) index order
-    vote_src: np.ndarray                         # (M,) checkpoint index of each source
-    cp_conflict: np.ndarray                      # (K,) int64 conflict bitmasks
-    sandwich: np.ndarray                         # (K, M) bool, `finality.supports`
-    finalizing: np.ndarray                       # (M,) bool, `finality.finalizes` at the source
-    slash_pair: np.ndarray                       # (M, M) bool, symmetric `slashing.slash_kind`
-
-
-Universe = tuple[tuple[Checkpoint, ...], tuple[FfgVote, ...], np.ndarray]
-
-
-def unit_universe(forest: BlockForest, slot_rule: str, max_chkp_slot: int) -> Universe:
-    """The checkpoints of one unit (genesis first), its valid votes and each
-    checkpoint's (K,) int64 conflict bitmask.
-
-    Conflict is read on checkpoints, not blocks: a block with no checkpoint
-    under `max_chkp_slot` conflicts with nothing, so a unit with no nonzero
-    mask is vacuous for safety even when its forest forks.
+    Each relation is evaluated from the reference predicates on its first
+    read and kept, so a unit pays only for what its readers read: the scan
+    plan reads `votes` of every class, and `cp_conflict` too in the safety
+    modes, where a unit with no conflicting checkpoint pair is vacuous; only
+    a scanned class reads the rest.  `checkpoints` refuses a universe over
+    `MAX_CHECKPOINT_BITS` on its first read, which is the plan's.
     """
-    probe = ProtocolState(forest, 1, frozenset(), slot_rule)
-    cps = checkpoints_of(probe, max_chkp_slot)
-    if len(cps) > MAX_CHECKPOINT_BITS:
-        raise InputError(
-            f"checkpoint universe of size {len(cps)} exceeds the kernel limit "
-            f"{MAX_CHECKPOINT_BITS}; lower max_chkp_slot or n_blocks"
+
+    def __init__(
+        self, forest: BlockForest, slot_rule: str, max_chkp_slot: int, mutation: Mutation
+    ):
+        self.forest, self.mutation, self._max_chkp_slot = forest, mutation, max_chkp_slot
+        self._probe = ProtocolState(forest, 1, frozenset(), slot_rule)   # read by the predicates
+
+    @cached_property
+    def checkpoints(self) -> tuple[Checkpoint, ...]:
+        """The K checkpoints under `max_chkp_slot`, genesis first."""
+        cps = tuple(checkpoints_of(self._probe, self._max_chkp_slot))
+        if len(cps) > MAX_CHECKPOINT_BITS:
+            raise InputError(
+                f"checkpoint universe of size {len(cps)} exceeds the kernel limit "
+                f"{MAX_CHECKPOINT_BITS}; lower max_chkp_slot or n_blocks"
+            )
+        return cps
+
+    @cached_property
+    def votes(self) -> tuple[FfgVote, ...]:
+        """The M valid votes (`model.is_valid_ffg_vote`), in (source, target) index order."""
+        pairs = (FfgVote(s, t) for s in self.checkpoints for t in self.checkpoints)
+        return tuple(v for v in pairs if is_valid_ffg_vote(self._probe, v))
+
+    @cached_property
+    def vote_src(self) -> np.ndarray:
+        """(M,) checkpoint index of each vote's source."""
+        return np.array([self.checkpoints.index(v.source) for v in self.votes], dtype=np.int64)
+
+    @cached_property
+    def cp_conflict(self) -> np.ndarray:
+        """(K,) int64 masks of the checkpoints each checkpoint conflicts with
+        (`model.are_conflicting` on their blocks).
+
+        Conflict is read on checkpoints, not blocks: a block with no
+        checkpoint under `max_chkp_slot` conflicts with nothing, so a unit
+        with no nonzero mask is vacuous for safety even when its forest forks.
+        """
+        blocks = self.forest.blocks
+        conflicting = {(a, b): are_conflicting(self.forest, a, b) for a in blocks for b in blocks}
+        return np.array(
+            [sum(1 << j for j, b in enumerate(self.checkpoints) if conflicting[a.block, b.block])
+             for a in self.checkpoints],
+            dtype=np.int64,
         )
-    pairs = (FfgVote(s, t) for s in cps for t in cps)
-    votes = tuple(v for v in pairs if is_valid_ffg_vote(probe, v))
-    conflicting = {
-        (a, b): are_conflicting(forest, a, b) for a in forest.blocks for b in forest.blocks
-    }
-    cp_conflict = np.array(
-        [sum(1 << j for j, b in enumerate(cps) if conflicting[a.block, b.block]) for a in cps],
-        dtype=np.int64,
-    )
-    return tuple(cps), votes, cp_conflict
+
+    @cached_property
+    def sandwich(self) -> np.ndarray:
+        """(K, M) bool: whether each vote supports each checkpoint (`finality.supports`)."""
+        return np.array(
+            [[supports(self.forest, v, cp, self.mutation) for v in self.votes]
+             for cp in self.checkpoints],
+            dtype=bool,
+        )
+
+    @cached_property
+    def finalizing(self) -> np.ndarray:
+        """(M,) bool: whether each vote finalizes its source (`finality.finalizes`)."""
+        return np.array([finalizes(v, v.source) for v in self.votes], dtype=bool)
+
+    @cached_property
+    def perms(self) -> np.ndarray:
+        """The unit's nontrivial automorphisms (`symmetry.automorphisms`) as
+        (A, M) vote-index permutations."""
+        index = {vote: i for i, vote in enumerate(self.votes)}
+        perms = []
+        for image in automorphisms(self.forest):
+            move = lambda cp: Checkpoint(image[cp.block], cp.c, cp.p)
+            perms.append([index[FfgVote(move(v.source), move(v.target))] for v in self.votes])
+        return np.array(perms, dtype=np.int64).reshape(len(perms), len(self.votes))
 
 
 def build_graph_tables(
-    forest: BlockForest,
-    slot_rule: str,
-    max_chkp_slot: int,
-    mutation: Mutation = Mutation.NONE,
-    universe: Optional[Universe] = None,
+    forest: BlockForest, slot_rule: str, max_chkp_slot: int, mutation: Mutation = Mutation.NONE
 ) -> GraphTables:
-    """Evaluate the reference predicates on every checkpoint and vote of one
-    unit; `universe` is the unit's `unit_universe`, if the caller has it."""
-    if universe is None:
-        universe = unit_universe(forest, slot_rule, max_chkp_slot)
-    cps, votes, cp_conflict = universe
-    m = len(votes)
-    vote_src = np.array([cps.index(v.source) for v in votes], dtype=np.int64)
-    sandwich = np.array(
-        [[supports(forest, v, cp, mutation) for v in votes] for cp in cps], dtype=bool
-    )
-    finalizing = np.array([finalizes(v, v.source) for v in votes], dtype=bool)
-    slash_pair = np.zeros((m, m), dtype=bool)
-    for a, b in itertools.combinations(range(m), 2):
-        slash_pair[a, b] = slash_pair[b, a] = slash_kind(votes[a], votes[b], mutation) is not None
-    return GraphTables(
-        forest=forest,
-        checkpoints=cps,
-        votes=votes,
-        vote_src=vote_src,
-        cp_conflict=cp_conflict,
-        sandwich=sandwich,
-        finalizing=finalizing,
-        slash_pair=slash_pair,
-    )
+    """The relations of one unit, none of them evaluated yet."""
+    return GraphTables(forest, slot_rule, max_chkp_slot, mutation)
 
 
 class ProjectedTables:
@@ -156,8 +170,9 @@ class ProjectedTables:
     that sandwich that source and `src_fin` its finalizing links;
     `from_genesis[c]` is the mask of the genesis-sourced votes.  Bit i of
     `clashes[c, j]` says whether the sources of votes i and j conflict
-    (`GraphTables.cp_conflict`), and bit i of `partners[c, j]` whether votes
-    i and j form a slashable pair (`GraphTables.slash_pair`).
+    (`GraphTables.cp_conflict`).  The slashable pairs are no column: only a
+    hit's row expansion reads them, for one combination at a time, so
+    `partners(c)` evaluates them for combination c alone.
     """
 
     def __init__(self, tables: GraphTables, combos: np.ndarray):
@@ -199,11 +214,17 @@ class ProjectedTables:
         clash = (self._tables.cp_conflict[src][:, :, None] >> src[:, None, :]) & 1
         return _pack_votes(clash != 0)
 
-    @cached_property
-    def partners(self) -> np.ndarray:
-        """(C, u) int64 vote masks: the votes each vote is slashable with."""
-        combos = self._combos
-        return _pack_votes(self._tables.slash_pair[combos[:, :, None], combos[:, None, :]])
+    def partners(self, c: int) -> np.ndarray:
+        """(u,) int64 vote masks of combination c: bit i of entry j says
+        whether votes i and j form a slashable pair (`slashing.slash_kind`,
+        which is symmetric), evaluated on the u(u - 1)/2 pairs at each call."""
+        votes = [self._tables.votes[v] for v in self._combos[c]]
+        masks = np.zeros(len(votes), dtype=np.int64)
+        for i, j in itertools.combinations(range(len(votes)), 2):
+            if slash_kind(votes[i], votes[j], self._tables.mutation) is not None:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        return masks
 
 
 def project_tables(tables: GraphTables, combos: np.ndarray) -> ProjectedTables:

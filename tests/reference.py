@@ -13,13 +13,13 @@ from typing import Iterator
 
 from ffgmc.enumerator import (
     Bounds,
-    _chkp_bound,
     _distinct_vote_range,
+    _graph_tables,
     _slot_variants,
     materialize_state,
 )
 from ffgmc.model import BlockForest, ProtocolState
-from ffgmc.tables import build_graph_tables
+from ffgmc.mutation import Mutation
 
 
 def canonical_rows(u: int, n_validators: int, max_votes: int) -> list[tuple[int, ...]]:
@@ -36,7 +36,7 @@ def canonical_rows(u: int, n_validators: int, max_votes: int) -> list[tuple[int,
 def enumerate_states(bounds: Bounds, forest: BlockForest) -> Iterator[ProtocolState]:
     """All states over `forest` within bounds, in canonical scan order."""
     for slotted in _slot_variants(forest, bounds):
-        tables = build_graph_tables(slotted, bounds.slot_rule, _chkp_bound(bounds, slotted))
+        tables = _graph_tables(bounds, slotted, Mutation.NONE)
         for u in _distinct_vote_range(bounds, len(tables.votes)):
             rows = canonical_rows(u, bounds.n_validators, bounds.max_votes)
             for combo in itertools.combinations(range(len(tables.votes)), u):

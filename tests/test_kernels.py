@@ -22,6 +22,7 @@ from ffgmc.finality import (
     justified_checkpoints,
     justified_checkpoints_gfp,
 )
+import ffgmc.tables
 from ffgmc import kernels
 from ffgmc.kernels import (
     MODE_CONFLICTING_FINALIZED,
@@ -178,7 +179,7 @@ def test_projection_matches_graph_tables(mutation):
     # every packed mask, bit by bit, against the reference predicates: bit i
     # of src_sandwich[c, j] says vote i supports vote j's source checkpoint,
     # of src_fin[c, j] that vote i finalizes it, of clashes[c, j] that the
-    # sources of votes i and j conflict, and of partners[c, j] that votes i
+    # sources of votes i and j conflict, and of partners(c)[j] that votes i
     # and j form a slashable pair
     forests = [
         BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)]),
@@ -208,10 +209,10 @@ def test_projection_matches_graph_tables(mutation):
                             assert (projected.sandwich[c, k] >> i & 1) == supported
                     for i, other in enumerate(combo):
                         paired = i != j and slash_kind(votes[vote], votes[other], mutation)
-                        assert (projected.partners[c, j] >> i & 1) == bool(paired), (combo, i, j)
+                        assert (projected.partners(c)[j] >> i & 1) == bool(paired), (combo, i, j)
                 # a vote subset is slashable iff it holds a slashable pair
                 subsets = np.arange(2**u, dtype=np.int64)[:, None]
-                counts = kernels._holds_pair(subsets, projected.partners[c]).sum(axis=1)
+                counts = kernels._holds_pair(subsets, projected.partners(c)).sum(axis=1)
                 for t in range(2**u):
                     held = [votes[v] for i, v in enumerate(combo) if t >> i & 1]
                     slashable = any(
@@ -220,7 +221,7 @@ def test_projection_matches_graph_tables(mutation):
                     assert counts[t] == slashable, (combo, t)
 
 
-COLUMNS = ("sandwich", "src_sandwich", "from_genesis", "src_fin", "clashes", "partners")
+COLUMNS = ("sandwich", "src_sandwich", "from_genesis", "src_fin", "clashes")
 # the catalog graphs that build (i1 and i2 are broken on purpose)
 CATALOG_GRAPHS = [name for name in catalog_ids() if name not in ("i1", "i2")]
 
@@ -239,7 +240,6 @@ def derived_columns(tables, combo):
         "from_genesis": mask(lambda i: src[i] == 0),
         "src_fin": [mask(lambda i: tables.finalizing[combo[i]] and src[i] == s) for s in src],
         "clashes": [mask(lambda i: tables.cp_conflict[s] >> src[i] & 1) for s in src],
-        "partners": [mask(lambda i: tables.slash_pair[v, combo[i]]) for v in combo],
     }
 
 
@@ -263,6 +263,30 @@ def test_lazy_columns_match_the_graph_tables(graph, mutation):
             assert column.tolist() == [columns[name] for columns in derived], (name, u)
 
 
+@pytest.mark.parametrize("mutation", ALL_MUTATIONS, ids=lambda m: m.label())
+@pytest.mark.parametrize("graph", CATALOG_GRAPHS)
+def test_partners_match_slash_kind(graph, mutation):
+    # bit i of partners(c)[j] against `slash_kind` on votes i and j, in both
+    # orders, for up to 100 combinations of each size u <= 4 in shuffled order
+    tables = build_graph_tables(catalog_forest(graph), "nonstrict", 3, mutation)
+    votes = tables.votes
+    rng = np.random.default_rng(len(votes))
+    paired = 0
+    for u in range(5):
+        every = all_combinations(len(votes), u)
+        combos = every[rng.permutation(len(every))[:100]]
+        projected = project_tables(tables, combos)
+        for c, combo in enumerate(combos):
+            partners = projected.partners(c)
+            assert partners.dtype == np.int64 and partners.shape == (u,)
+            for i, j in itertools.product(range(u), repeat=2):
+                kind = slash_kind(votes[combo[i]], votes[combo[j]], mutation)
+                want = i != j and kind is not None
+                assert (int(partners[j]) >> i & 1) == want, (combo, i, j)
+                paired += want
+    assert paired or Mutation.DISABLE_E1 | Mutation.DISABLE_E2 in mutation
+
+
 # (mode, u, N, mutation, whether the scan hits, the columns it reads) on
 # the fork: a conflicting finalized pair takes four votes, and under
 # quorum-half two disjoint pairs of four validators finalize it
@@ -275,14 +299,20 @@ SCAN_READS = [
     (MODE_COUNTEREXAMPLE, 3, 3, Mutation.NONE, False,
      {"src_sandwich", "from_genesis", "src_fin", "clashes"}),
     (MODE_COUNTEREXAMPLE, 4, 4, Mutation.QUORUM_HALF, True,
-     {"src_sandwich", "from_genesis", "src_fin", "clashes", "partners"}),
+     {"src_sandwich", "from_genesis", "src_fin", "clashes"}),
 ]
 
 
 @pytest.mark.parametrize("mode,u,n_validators,mutation,hits,read", SCAN_READS,
                          ids=["lfp", "justified", "finalized", "counterexample-no-hit",
                               "counterexample-hit"])
-def test_a_scan_computes_only_the_columns_it_reads(mode, u, n_validators, mutation, hits, read):
+def test_a_scan_computes_only_the_columns_it_reads(
+    monkeypatch, mode, u, n_validators, mutation, hits, read
+):
+    # and evaluates slashable pairs only to expand a counterexample's rows
+    pairs = []
+    slash_kind = ffgmc.tables.slash_kind
+    monkeypatch.setattr(ffgmc.tables, "slash_kind", lambda *a: pairs.append(a) or slash_kind(*a))
     forest = BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)])
     tables = build_graph_tables(forest, "nonstrict", 2, mutation)
     level = state_table(u, n_validators, 2 * n_validators, 0, mutation)
@@ -291,6 +321,7 @@ def test_a_scan_computes_only_the_columns_it_reads(mode, u, n_validators, mutati
     hit, _ = scan_states(level, projected, n_validators, mode)
     assert (hit >= 0) == hits
     assert projected.__dict__.keys() & set(COLUMNS) == read
+    assert bool(pairs) == (hits and mode == MODE_COUNTEREXAMPLE)
 
 
 def test_fixpoint_comparison_sees_a_support_cycle():
@@ -304,7 +335,6 @@ def test_fixpoint_comparison_sees_a_support_cycle():
         from_genesis=np.array([0]),
         src_fin=np.zeros((1, 2), dtype=np.int64),
         clashes=np.zeros((1, 2), dtype=np.int64),
-        partners=np.zeros((1, 2), dtype=np.int64),
     )
     level = state_table(2, 1, 2, 0, Mutation.NONE)
     assert scan_states(level, projected, 1, MODE_LFP_NE_GFP) == (0, 1)
@@ -363,7 +393,7 @@ def hand_made_tables(k, combos, cp_conflict):
             [[sum((cp_conflict[s] >> t & 1) << i for i, t in enumerate(src)) for s in src]
              for src, _, _, _ in combos]
         ),
-        partners=vote_masks([partners for _, _, _, partners in combos]),
+        partners=vote_masks([partners for _, _, _, partners in combos]).__getitem__,
     )
 
 
@@ -640,6 +670,42 @@ def test_hit_in_a_later_batch_than_its_pattern():
                                              pair_batch=pair_batch)
                 if mode == MODE_COUNTEREXAMPLE:
                     assert first == 3, mutation
+
+
+def test_a_hitting_pattern_is_expanded_once(monkeypatch):
+    # the combinations of `test_hit_in_a_later_batch_than_its_pattern` at
+    # N = 2: combinations 0, 1 and 3 share a counterexample pattern, whose
+    # disagreeing row has both validators cast all four votes.  Both are
+    # slashable in 0 and 1, so the scan expands the rows of all three before
+    # its hit in 3, and finds the pattern's rows in one pass over the
+    # level's family index
+    k, cp_conflict = 3, [0, 0b100, 0b010]
+    sources, fin = [0, 0, 1, 2], [0, 0b0100, 0b1000]
+    disagreeing, idle = (sources, [0b010, 0b100, 0, 0], fin), (sources, [0] * 4, fin)
+    slashable = (*disagreeing, [0, 0, 0b1000, 0b0100])
+    combos = [slashable, slashable, (*idle, [0] * 4), (*disagreeing, [0] * 4)]
+    level = state_table(4, 2, 8, 0, Mutation.NONE)
+    n_rows = level[0].shape[0]
+    assert n_rows > len(combos)
+    expanded, passes = [], []
+    flatnonzero = np.flatnonzero
+
+    def counted(a):
+        if np.size(a) == n_rows:
+            passes.append(1)
+        return flatnonzero(a)
+
+    monkeypatch.setattr(np, "flatnonzero", counted)
+    for pair_batch in (1, 5, kernels._PAIR_BATCH):
+        projected = hand_made_tables(k, combos, cp_conflict)
+        partners = projected.partners
+        projected.partners = lambda c: expanded.append(c) or partners(c)
+        expanded.clear()
+        passes.clear()
+        monkeypatch.setattr(kernels, "_PAIR_BATCH", pair_batch)
+        hit, _ = scan_states(level, projected, 2, MODE_COUNTEREXAMPLE)
+        assert hit // n_rows == 3 and expanded == [0, 1, 3], pair_batch
+        assert len(passes) == 1, pair_batch
 
 
 def test_patterns_tell_genesis_sourced_votes_apart():

@@ -86,7 +86,7 @@ def test_combinations_of_a_level_beyond_int64():
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_JUSTIFIED_NONGENESIS, 0)
     index, error = plan.refusal
     assert index == 0 and "rank limit" in str(error)
-    assert len(plan.reps[0].tables.votes) == 210
+    assert len(plan.reps[0].votes) == 210
     assert plan.levels[-1] == (0, 11)
     assert comb(210, 11) <= 1 << 62 < comb(210, 12)
 
@@ -122,14 +122,14 @@ def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch, chunk):
             tasks = plan.tasks[index]
             assert tasks.start == next_task
             next_task = tasks.stop
-            n_votes = len(plan.reps[index].tables.votes)
+            n_votes = len(plan.reps[index].votes)
             levels = [u for owner, u in plan.levels if owner == index]
             assert levels == list(range(len(levels)))
             expected = [(u, rank) for u in levels for rank in range(comb(n_votes, u))]
             got = []
             for i in tasks:
-                unit, segments = plan.task(i)
-                assert unit is plan.reps[index]
+                graph_tables, segments = plan.task(i)
+                assert graph_tables is plan.reps[index]
                 sizes = [hi - lo for _, lo, hi in segments]
                 assert min(sizes) > 0
                 assert sum(sizes) == chunk if i < tasks.stop - 1 else 0 < sum(sizes) <= chunk
@@ -149,9 +149,9 @@ def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
     monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 600)
     plan = enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, 0)
     before = enumerator._scan_task(plan, *plan.task(0)).checked
-    unit, segments = plan.task(1)
+    graph_tables, segments = plan.task(1)
     assert [u for u, _, _ in segments] == [3, 4]
-    first, second = (enumerator._scan_range(plan, unit, *s).checked for s in segments)
+    first, second = (enumerator._scan_range(plan, graph_tables, *s).checked for s in segments)
     assert first > 0 and second > 1
     budget = before + first + 1
     with monkeypatch.context() as patch:
@@ -205,19 +205,62 @@ def test_falsify_c3_imports_no_process_or_smt_module():
 
 # --- vacuous classes -------------------------------------------------------------
 
-def test_a_vacuous_class_builds_no_graph_tables(monkeypatch):
-    # falsify-c3 has one conflicting class and the vacuous chain class; only
-    # the conflicting one gets its graph tables built
-    calls = []
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The reference-predicate calls the graph tables make, by predicate:
+    the forest of each `supports` call and the vote pair of each
+    `slash_kind` call."""
+    calls = {"supports": [], "slash_kind": []}
+    supports, slash_kind = tables.supports, tables.slash_kind
+
+    def counted_supports(forest, *args):
+        calls["supports"].append(forest)
+        return supports(forest, *args)
+
+    def counted_slash_kind(a, b, *args):
+        calls["slash_kind"].append((a, b))
+        return slash_kind(a, b, *args)
+
+    monkeypatch.setattr(tables, "supports", counted_supports)
+    monkeypatch.setattr(tables, "slash_kind", counted_slash_kind)
+    return calls
+
+
+def test_a_vacuous_class_evaluates_no_sandwich_or_slashable_pair(monkeypatch, evaluated):
+    # falsify-c3 has one conflicting class and the vacuous chain class; the
+    # run reads only the vacuous class's votes and checkpoint conflicts, and
+    # every sandwich and slashable-pair test is on the fork's tables.  The
+    # slashable pairs are those of the combinations whose rows the kernel
+    # expands: at most u(u - 1) = 12 calls for one combination of u = 4
+    built = []
     build = enumerator.build_graph_tables
 
-    def counted(*args):
-        calls.append(args[0])
-        return build(*args)
+    def kept(*args):
+        built.append(build(*args))
+        return built[-1]
 
-    monkeypatch.setattr(enumerator, "build_graph_tables", counted)
-    plan = enumerator._plan(C3, parse_mutation("quorum-half"), enumerator.MODE_COUNTEREXAMPLE, 0)
-    assert len(calls) == 1 and list(plan.reps) == [0] and list(plan.vacuous) == [1]
+    monkeypatch.setattr(enumerator, "build_graph_tables", kept)
+    report = search(C3, parse_mutation("quorum-half"))
+    assert report.verdict == VERDICT_COUNTEREXAMPLE
+    fork, chain = built
+    assert fork.cp_conflict.any() and not chain.cp_conflict.any()
+    assert chain.__dict__.keys() & {"sandwich", "finalizing", "vote_src", "perms"} == set()
+    assert evaluated["supports"] and {id(f) for f in evaluated["supports"]} == {id(fork.forest)}
+    state_votes = {signed.vote for signed in report.counterexample.state.votes}
+    assert 0 < len(evaluated["slash_kind"]) <= 12
+    assert {v for pair in evaluated["slash_kind"] for v in pair} <= state_votes
+
+
+def test_slashable_pairs_are_evaluated_only_for_expanded_combinations(evaluated):
+    # an unmutated criterion-3 proof expands the rows of one combination of
+    # u = 4, whose slashable validators settle every disagreeing row, and the
+    # fixpoint comparison reads no slashable pair
+    assert search(C3).verdict == VERDICT_HOLDS
+    assert 0 < len(evaluated["slash_kind"]) <= 12
+    evaluated["slash_kind"].clear()
+    n3 = replace(C3, n_validators=3)
+    assert check_lfp_gfp(n3).mismatch is None
+    assert evaluated["slash_kind"] == []
 
 
 @pytest.mark.parametrize("n_validators", [1, 2, 3, 4])
@@ -269,28 +312,25 @@ VACUITY_BOUNDS = [Bounds(**spec) for spec in PARITY_BOUNDS] + [
 
 @pytest.mark.parametrize("bounds", VACUITY_BOUNDS)
 def test_vote_count_and_vacuity_match_the_full_build(bounds):
-    # `unit_universe` against the full tables and `are_conflicting` on the
-    # checkpoints' blocks for every unit; the plan keeps the full tables of
-    # a conflicting class and only the vote count of a vacuous one
+    # the plan's vote counts and vacuity against tables built apart and
+    # `are_conflicting` on the checkpoints' blocks for every unit; the plan
+    # keeps the tables of a conflicting class and only the vote count of a
+    # vacuous one
     units = list(iter_units(bounds))
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 0)
     assert len(plan.reps) + len(plan.vacuous) == len(set(plan.keys))
     forked = 0
     for index, forest in enumerate(units):
-        chkp = enumerator._chkp_bound(bounds, forest)
-        full = tables.build_graph_tables(forest, bounds.slot_rule, chkp)
-        cps, votes, cp_conflict = tables.unit_universe(forest, bounds.slot_rule, chkp)
-        assert cps == full.checkpoints and votes == full.votes
-        assert np.array_equal(cp_conflict, full.cp_conflict)
-        blocks = {cp.block for cp in cps}
+        full = enumerator._graph_tables(bounds, forest, Mutation.NONE)
+        blocks = {cp.block for cp in full.checkpoints}
         conflicting = any(are_conflicting(forest, a, b) for a in blocks for b in blocks)
-        assert bool(cp_conflict.any()) == conflicting
+        assert bool(full.cp_conflict.any()) == conflicting
         forks = any(are_conflicting(forest, a, b) for a in forest.blocks for b in forest.blocks)
         forked += forks and not conflicting
         if index in plan.vacuous:
             assert not conflicting and plan.vacuous[index] == len(full.votes)
         elif index in plan.reps:
-            assert conflicting and plan.reps[index].tables.votes == full.votes
+            assert conflicting and plan.reps[index].votes == full.votes
     if bounds.max_chkp_slot == 2 and bounds.n_blocks == 3:
         assert forked, "no forked unit without conflicting checkpoints"
 

@@ -98,7 +98,7 @@ def test_automorphisms_match_brute_force():
 @pytest.mark.parametrize("entry", ["m3", "m5a", "m5b"])
 def test_orbit_minimal_matches_brute_force(entry):
     tables = build_graph_tables(catalog_forest(entry), "strict", 3)
-    perms = enumerator._vote_permutations(tables)
+    perms = tables.perms
     assert perms.shape[0] == 1   # one branch swap
     assert orbit_minimal(np.zeros((1, 0), dtype=np.int64), perms).tolist() == [True]
     for u in range(1, 4):
@@ -115,7 +115,7 @@ def test_orbit_minimal_matches_brute_force(entry):
 def _no_symmetry(patch):
     """Every unit its own class, and no automorphisms."""
     patch.setattr(enumerator, "unit_key", lambda forest: object())
-    patch.setattr(enumerator, "automorphisms", lambda forest: [])
+    patch.setattr("ffgmc.tables.automorphisms", lambda forest: [])
 
 
 def _unreduced(monkeypatch, fn, *args, **kwargs):
@@ -174,9 +174,9 @@ def _symmetric_oracle(monkeypatch, bounds, mutation):
                 n_rows = state_table(
                     u, bounds.n_validators, bounds.max_votes, floor, mutation
                 )[0].shape[0]
-                unit = plan.reps[index]
+                graph_tables = plan.reps[index]
                 _, _, minimal = enumerator._kept_combinations(
-                    unit, u, 0, comb(len(unit.tables.votes), u), plan.mode
+                    graph_tables, u, 0, comb(len(graph_tables.votes), u), plan.mode
                 )
                 checked.append(np.full(minimal.size, n_rows, dtype=np.int64))
                 symmetric.append(np.where(minimal, 0, n_rows))
