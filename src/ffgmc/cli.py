@@ -87,6 +87,15 @@ def _bounds_from_args(args) -> Bounds:
     )
 
 
+def _smt_bounds(args) -> Bounds:
+    """Bounds of an SMT instance, which encodes every forest of --blocks
+    blocks and has no catalog-graph form."""
+    if args.graph is not None:
+        raise InputError(f"{args.command} encodes every forest of --blocks blocks; "
+                         "it takes no --graph")
+    return _bounds_from_args(args)
+
+
 def _check_out(out: Optional[str]) -> None:
     """Refuse an --out path that cannot be written, before any work starts."""
     if not out:
@@ -206,7 +215,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_emit_smt(args) -> int:
-    bounds = _bounds_from_args(args)
+    bounds = _smt_bounds(args)
     instance = emit_smt(bounds, args.query, parse_mutation(args.mutation), args.smt_checkpoints)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -219,7 +228,7 @@ def cmd_emit_smt(args) -> int:
 def cmd_solve(args) -> int:
     if args.timeout is not None and not (math.isfinite(args.timeout) and args.timeout > 0):
         raise InputError(f"--timeout must be a positive number of seconds, not {args.timeout}")
-    bounds = _bounds_from_args(args)
+    bounds = _smt_bounds(args)
     instance = emit_smt(bounds, args.query, parse_mutation(args.mutation), args.smt_checkpoints)
     result = run_solver(instance, args.solver_cmd, args.timeout)
     doc = {"status": result.status, "query": instance.query}

@@ -109,7 +109,7 @@ class Bounds:
     checkpoint slots of the candidate universe, `max_ffg_votes` caps distinct
     FFG votes and `max_votes` total signed votes.  Omitted caps default to
     max_slot = n_blocks, max_chkp_slot = n_blocks + 1, max_ffg_votes =
-    max_votes.
+    max_votes.  A `graph_filter` (one catalog graph) takes n_blocks = 0.
     """
 
     n_blocks: int
@@ -135,6 +135,8 @@ class Bounds:
                 raise InputError(f"{name} must be non-negative")
         if self.n_validators < 1:
             raise InputError("n_validators must be positive")
+        if self.graph_filter is not None and self.n_blocks != 0:
+            raise InputError("a catalog graph fixes its own blocks: n_blocks must be 0")
         if self.slot_rule not in ("strict", "nonstrict"):
             raise InputError(f"unknown slot rule {self.slot_rule!r}")
         if self.slot_mode not in ("depth", "free"):
@@ -353,35 +355,37 @@ def _scan_range(
     only for that kernel call.  With a `limit` (the budget left), the range
     is counted, not scanned: the caller knows that no hit lies among its
     first `limit` checked rows.  Every kept combination checks `n_rows`
-    rows, scanned or settled by symmetry, so the cut falls in combination
-    `cut_at` after `part` rows, and the scanned rows are those of the
-    minimal combinations before it, plus `part` if it is minimal itself.
+    rows, scanned or settled by symmetry, so one stop rule counts every
+    range: after `stop` checked rows it stops in combination `cut_at`
+    after `part` rows, and the scanned rows are those of the minimal
+    combinations before it, plus `part` if it is minimal itself.  A hit at
+    kept row h stops at h, and the hit row is checked and scanned too; a
+    budget cut stops at `limit`, and a whole range after its last row.
     """
     n_validators, max_votes = plan.bounds.n_validators, plan.bounds.max_votes
     n_rows = state_count(u, n_validators, max_votes, plan.min_signers)
     total_rows = state_count(u, n_validators, max_votes, 0)
     positions, combos, minimal = _kept_combinations(tables, u, lo, hi, plan.mode)
-    # hit and checked count the rows of every kept combination in scan order;
+    # stop and scanned count the rows of every kept combination in scan order;
     # only the minimal combinations (`scan`) reach the kernel
     rows = positions.size * n_rows
-    hit, found = -1, None
+    stop, found = rows if limit is None else min(rows, limit), None
     if limit is None and n_rows and minimal.any():
         scan = np.flatnonzero(minimal)
         level = state_table(u, n_validators, max_votes, plan.min_signers, plan.mutation)
         projected = project_tables(tables, combos[scan])
-        scan_hit, scanned = scan_states(level, projected, n_validators, plan.mode)
+        scan_hit, _ = scan_states(level, projected, n_validators, plan.mode)
         if scan_hit >= 0:
-            hit = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
-            found = (tuple(int(x) for x in combos[hit // n_rows]),
-                     tuple(int(x) for x in level[0][hit % n_rows]))
-        checked = hit + 1 if hit >= 0 else rows
-    else:
-        checked = rows if limit is None else min(rows, limit)
-        cut_at, part = divmod(checked, n_rows) if n_rows else (0, 0)
-        scanned = n_rows * int(minimal[:cut_at].sum()) + (part if part and minimal[cut_at] else 0)
-    # count the combinations up to the hit or budget cut, else the whole range
-    ended = hit >= 0 or checked < rows
-    kept = (hit if hit >= 0 else checked) // n_rows + 1 if ended else positions.size
+            stop = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
+            found = (tuple(int(x) for x in combos[stop // n_rows]),
+                     tuple(int(x) for x in level[0][stop % n_rows]))
+    hit = found is not None
+    checked = stop + hit
+    cut_at, part = divmod(stop, n_rows) if n_rows else (0, 0)
+    scanned = n_rows * int(minimal[:cut_at].sum()) + (part if part and minimal[cut_at] else 0) + hit
+    # count the combinations up to the stop row, else the whole range
+    ended = hit or stop < rows
+    kept = cut_at + 1 if ended else positions.size
     skipped = (int(positions[kept - 1]) + 1 if ended else hi) - lo - kept  # dropped by the bound
     return _Counts(
         checked,
@@ -389,7 +393,7 @@ def _scan_range(
         skipped * n_rows,
         checked - scanned,
         hit=found,
-        cut=hit < 0 and ended,
+        cut=ended and not hit,
     )
 
 

@@ -5,6 +5,13 @@ Justification is the least fixpoint of one monotone operator; a downward
 cross-validation.  Vote validity forces source.c < target.c, which makes the
 justification dependency well-founded, so the two fixpoints coincide; that is
 checked by tests rather than assumed.
+
+This reference and the kernel's justification (`kernels._eligible`) still
+iterate to a fixpoint.  The monotone bound (`kernels.bound_combinations`)
+does not: source.c < target.c, with votes indexed in source order and
+checkpoints by slot first, lets one pass over a combination's votes in
+index order reach the least fixpoint.  The bound relies on that vote order,
+which `test_votes_justify_only_later_sources` pins.
 """
 
 from __future__ import annotations

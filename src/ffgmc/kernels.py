@@ -134,9 +134,9 @@ def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np
     """Which vote combinations may still hold a hit of `mode`.
 
     `combos` is a (C, u) array of vote indices into `tables.votes`, one
-    combination per row; the result is a (C,) bool array that is False where
-    no canonical row of the combination can hit, so that combination needs
-    no projection and no scan.
+    combination per row, each row ascending; the result is a (C,) bool array
+    that is False where no canonical row of the combination can hit, so that
+    combination needs no projection and no scan.
 
     Soundness.  Every row of a combination U is a vote set contained in the
     unanimity state, in which all N validators cast every vote of U.
@@ -164,9 +164,17 @@ def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np
     J and F are evaluated for all C combinations at once on int64 checkpoint
     masks (checkpoint 0 is genesis).  Each vote carries the mask of the
     checkpoints it sandwiches and, if it is finalizing, the bit of its
-    source; a step of J is u gathers on (C,) arrays.  A conflicting pair in
-    F has a non-genesis member, which is the source of a finalizing vote of
-    U, so the conflict test runs over the u sources.
+    source.  J is one fold over the u vote positions, in ascending order:
+    vote j adds its sandwich mask iff its source is in J so far.  That pass
+    is exact because `tables.votes` is in (source, target) order and
+    checkpoints are c-major.  A vote that sandwiches checkpoint k targets
+    slot k.c, and its source lies at a lower slot, so its source index is
+    below k; it therefore precedes, in an ascending row, every vote whose
+    source is k.  So whether the source of vote j is in J is final when j is
+    reached, and the pass ends at the least fixpoint, under every mutation
+    and slot mode (`test_votes_justify_only_later_sources` pins the order).
+    A conflicting pair in F has a non-genesis member, which is the source of
+    a finalizing vote of U, so the conflict test runs over the u sources.
 
     This is the kernel's decision at the one-family unanimity table,
     q(X) = (X != 0), with the checkpoint set J standing in for the
@@ -183,13 +191,8 @@ def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np
     sandwiched = (tables.sandwich * bits).sum(axis=0)[combos].T           # (u, C)
     source = tables.vote_src[combos].T                                  # (u, C)
     justified = np.ones(combos.shape[0], dtype=np.int64)
-    while True:
-        grown = np.ones_like(justified)
-        for src_j, sandwiched_j in zip(source, sandwiched):
-            grown |= -((justified >> src_j) & 1) & sandwiched_j
-        if np.array_equal(grown, justified):
-            break
-        justified = grown
+    for src_j, sandwiched_j in zip(source, sandwiched):
+        justified |= -((justified >> src_j) & 1) & sandwiched_j
     if mode == MODE_JUSTIFIED_NONGENESIS:
         return justified != 1
     finalizing = np.bitwise_or.reduce(np.where(tables.finalizing[combos].T, 1 << source, 0), axis=0)

@@ -333,6 +333,37 @@ def test_cmd_search_graph_vacuity(tmp_path):
     assert report["counters"]["states_pruned"] > 0
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the bounds were checked")
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["search"], "search"),
+    (["example", "--property", "justified-nongenesis"], "find_example"),
+])
+def test_a_catalog_graph_with_blocks_is_refused_before_any_work(monkeypatch, capsys, argv, work):
+    # a catalog graph fixes its own blocks, so --blocks beside --graph
+    # contradicts it instead of being ignored
+    monkeypatch.setattr(cli, work, _refuse)
+    assert main([*argv, "--graph", "m3", "--blocks", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "n_blocks" in err and "Traceback" not in err
+    with pytest.raises(InputError):
+        enumerator.Bounds(n_blocks=3, n_validators=1, max_votes=2, graph_filter="m3")
+
+
+@pytest.mark.parametrize("command", ["emit-smt", "solve"])
+def test_smt_commands_refuse_a_catalog_graph(monkeypatch, capsys, command):
+    # an SMT instance encodes every forest of --blocks blocks; with --graph
+    # it used to encode a 0-block instance without a word
+    monkeypatch.setattr(cli, "emit_smt", _refuse)
+    monkeypatch.setattr(cli, "run_solver", _refuse)
+    for flags in (["--graph", "m3"], ["--graph", "m3", "--blocks", "2"]):
+        assert main([command, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "--graph" in err and "Traceback" not in err
+
+
 def test_cmd_example(tmp_path, capsys):
     assert main([
         "example", "--blocks", "1", "--validators", "4", "--max-votes", "6",

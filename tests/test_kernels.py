@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ffgmc import enumerator
 from ffgmc.enumerator import Bounds, iter_units, materialize_state
 from ffgmc.finality import (
     default_universe,
@@ -1106,6 +1107,80 @@ def test_mask_bound_matches_finality_on_every_unit(mutation):
                         view.justified - {GENESIS_CHECKPOINT}), combo
                     kept += conflicting
     assert kept > 0
+
+
+def _bound_test_units():
+    """(bounds, forest) of every unit the bound tests cover: three blocks,
+    two blocks in free slot mode, and each catalog graph under both slot
+    rules, with no checkpoint cap (one slot past its last block), as a
+    `--graph` run builds it."""
+    for bounds in (
+        Bounds(n_blocks=3, n_validators=1, max_votes=4, max_chkp_slot=3, slot_rule="nonstrict"),
+        Bounds(n_blocks=2, n_validators=1, max_votes=4, max_chkp_slot=3, slot_mode="free",
+               max_slot=2),
+    ):
+        for forest in iter_units(bounds):
+            yield bounds, forest
+    for name in CATALOG_GRAPHS:
+        for slot_rule in ("strict", "nonstrict"):
+            bounds = Bounds(n_blocks=0, n_validators=1, max_votes=4, slot_rule=slot_rule,
+                            graph_filter=name)
+            yield bounds, catalog_forest(name)
+
+
+@pytest.mark.parametrize("mutation", ALL_MUTATIONS, ids=lambda m: m.label())
+def test_votes_justify_only_later_sources(mutation):
+    # the order `bound_combinations` folds in: checkpoints are c-major,
+    # votes are in source order, and a vote that sandwiches checkpoint k has
+    # its source below k, so in an ascending combination it comes before
+    # every vote whose source is k
+    sandwiching = 0
+    for bounds, forest in _bound_test_units():
+        tables = enumerator._graph_tables(bounds, forest, mutation)
+        slots = [cp.c for cp in tables.checkpoints]
+        assert slots == sorted(slots)
+        assert (np.diff(tables.vote_src) >= 0).all()
+        checkpoint, vote = np.nonzero(tables.sandwich)
+        assert (tables.vote_src[vote] < checkpoint).all()
+        sandwiching += checkpoint.size
+    assert sandwiching > 0
+
+
+def test_bound_matches_finality_on_two_step_chains():
+    # one block with checkpoint slots up to 5: a checkpoint justified from
+    # genesis can source the vote that justifies a third, so finalization
+    # may need two steps of justification.  Every combination of up to four
+    # votes that a conflict or finality mode keeps, and one in 40 of the
+    # rest, against the reference finality of the unanimity state; a single
+    # pass in reverse vote order, or one that reads J from before the pass,
+    # drops some of the two-step ones
+    bounds = Bounds(n_blocks=1, n_validators=1, max_votes=4, max_chkp_slot=5)
+    (forest,) = iter_units(bounds)
+    tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
+    rng = np.random.default_rng(5)
+    two_step = 0
+    for u in range(1, 5):
+        every = all_combinations(len(tables.votes), u)
+        keep = {mode: bound_combinations(tables, every, mode) for mode in BOUNDED_MODES}
+        sample = (keep[MODE_FINALIZED_NONGENESIS] | keep[MODE_CONFLICTING_FINALIZED]
+                  | (rng.random(len(every)) < 1 / 40))
+        for i in np.flatnonzero(sample):
+            combo = tuple(int(v) for v in every[i])
+            state = materialize_state(bounds, tables, combo, ((1 << u) - 1,))
+            view = finality_view(state)
+            conflicting = disagreement(state, view)
+            assert keep[MODE_COUNTEREXAMPLE][i] == conflicting, combo
+            assert keep[MODE_CONFLICTING_FINALIZED][i] == conflicting, combo
+            assert keep[MODE_FINALIZED_NONGENESIS][i] == bool(
+                view.finalized - {GENESIS_CHECKPOINT}), combo
+            assert keep[MODE_JUSTIFIED_NONGENESIS][i] == bool(
+                view.justified - {GENESIS_CHECKPOINT}), combo
+            # a finalized checkpoint that no genesis-sourced vote sandwiches
+            one_step = {0} | {k for v in combo if tables.vote_src[v] == 0
+                              for k in np.flatnonzero(tables.sandwich[:, v])}
+            two_step += any(tables.checkpoints.index(cp) not in one_step
+                            for cp in view.finalized)
+    assert two_step > 0
 
 
 def test_bound_refuses_the_fixpoint_comparison():
