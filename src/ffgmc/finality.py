@@ -3,15 +3,12 @@
 Justification is the least fixpoint of one monotone operator; a downward
 (greatest-fixpoint) computation of the same operator is kept solely for
 cross-validation.  Vote validity forces source.c < target.c, which makes the
-justification dependency well-founded, so the two fixpoints coincide; that is
-checked by tests rather than assumed.
+justification dependency well-founded, so the two fixpoints coincide
+(`kernels._eligible`); tests compare them by brute force.
 
-This reference and the kernel's justification (`kernels._eligible`) still
-iterate to a fixpoint.  The monotone bound (`kernels.bound_combinations`)
-does not: source.c < target.c, with votes indexed in source order and
-checkpoints by slot first, lets one pass over a combination's votes in
-index order reach the least fixpoint.  The bound relies on that vote order,
-which `test_votes_justify_only_later_sources` pins.
+This reference iterates to the fixpoint.  The kernel and the monotone bound
+(`kernels.bound_combinations`) reach it in one pass over a combination's
+votes, in the slot order that `tables.GraphTables.sandwich` checks.
 """
 
 from __future__ import annotations

@@ -16,10 +16,10 @@ meet a vote set X?) and, for counterexamples, through its per-validator
 slashability.  Rows inducing the same quorum family (`tables.state_table`
 holds the rows, their distinct families and each row's family) therefore
 have the same justified and finalized sets.  Each mode is decided per
-(combination, family) pair on u-bit vote masks (`_decide`): the fixpoints
-run on masks of the votes whose source is justified (`_eligible`), the
-finalized checkpoints are read at the votes' sources, and a conflicting
-finalized pair is a pair test on those masks.
+(combination, family) pair on u-bit vote masks (`_decide`): justification
+is one pass over the votes, on masks of the votes whose source is justified
+(`_eligible`), the finalized checkpoints are read at the votes' sources, and
+a conflicting finalized pair is a pair test on those masks.
 A decision reads a combination only through its pattern, a few columns of
 its tables (`_patterns`, numbered by `tables.distinct_rows` as the families
 are), so it runs once per (pattern, family) pair.  The pairs are decided in
@@ -30,8 +30,8 @@ and only the combinations of a hitting pattern are expanded back to rows,
 each pattern's rows once per call.
 
 `tables.ProjectedTables` computes a column on its first read, so a scan
-builds only what its mode reads: `src_sandwich` and `from_genesis` for the
-fixpoints, `sandwich` too for the justified test, and `src_fin` and
+builds only what its mode reads: `src_sandwich` and `from_genesis` for
+justification, `sandwich` too for the justified test, and `src_fin` and
 `clashes` too for the finalizing modes.  The slashable pairs of a
 combination (`ProjectedTables.partners`) are evaluated only when a
 counterexample scan expands that combination's rows.
@@ -55,7 +55,6 @@ MODE_COUNTEREXAMPLE = 0        # disagreement with under-threshold slashing
 MODE_FINALIZED_NONGENESIS = 1
 MODE_JUSTIFIED_NONGENESIS = 2
 MODE_CONFLICTING_FINALIZED = 3
-MODE_LFP_NE_GFP = 4
 
 _PAIR_BATCH = 1 << 12   # (pattern, family) pairs per `_decide` call
 
@@ -158,21 +157,15 @@ def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np
     conflicting-finalized modes; a counterexample also needs few slashable
     validators, so dropping that conjunct only keeps more), F is more than
     genesis (finalized-nongenesis) or J is more than genesis
-    (justified-nongenesis).  `MODE_LFP_NE_GFP` compares two fixpoints of the
-    same state, which is not monotone, and has no bound.
+    (justified-nongenesis).
 
     J and F are evaluated for all C combinations at once on int64 checkpoint
     masks (checkpoint 0 is genesis).  Each vote carries the mask of the
     checkpoints it sandwiches and, if it is finalizing, the bit of its
     source.  J is one fold over the u vote positions, in ascending order:
-    vote j adds its sandwich mask iff its source is in J so far.  That pass
-    is exact because `tables.votes` is in (source, target) order and
-    checkpoints are c-major.  A vote that sandwiches checkpoint k targets
-    slot k.c, and its source lies at a lower slot, so its source index is
-    below k; it therefore precedes, in an ascending row, every vote whose
-    source is k.  So whether the source of vote j is in J is final when j is
-    reached, and the pass ends at the least fixpoint, under every mutation
-    and slot mode (`test_votes_justify_only_later_sources` pins the order).
+    vote j adds its sandwich mask iff its source is in J so far.  Whether
+    that source is in J is final when j is reached, by the slot order
+    stated at `_eligible`, so the fold ends at the least fixpoint.
     A conflicting pair in F has a non-genesis member, which is the source of
     a finalizing vote of U, so the conflict test runs over the u sources.
 
@@ -185,8 +178,6 @@ def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np
     to 5.48 s on 2 cores, 3.6 s of it projection.  It can go once
     combinations are generated one vote at a time, with their projection.
     """
-    if mode == MODE_LFP_NE_GFP:
-        raise ValueError("the lfp/gfp comparison is not monotone and has no bound")
     bits = np.int64(1) << np.arange(tables.sandwich.shape[0], dtype=np.int64)[:, None]
     sandwiched = (tables.sandwich * bits).sum(axis=0)[combos].T           # (u, C)
     source = tables.vote_src[combos].T                                  # (u, C)
@@ -210,14 +201,14 @@ def _patterns(projected: ProjectedTables, mode: int) -> tuple[np.ndarray, np.nda
     combination's pattern, and each pattern's first combination.
 
     A pattern is the row of the columns `_decide` reads under `mode`:
-    (src_sandwich, from_genesis) for the fixpoints, plus `sandwich` to
+    (src_sandwich, from_genesis) for justification, plus `sandwich` to
     justify a checkpoint, or `src_fin` and `clashes` to finalize one;
     `tables.distinct_rows` numbers them, as it numbers quorum families.
     """
     columns = [projected.src_sandwich, projected.from_genesis[:, None]]
     if mode == MODE_JUSTIFIED_NONGENESIS:
         columns.append(projected.sandwich)
-    elif mode != MODE_LFP_NE_GFP:
+    else:
         columns += [projected.src_fin, projected.clashes]
     return distinct_rows(np.column_stack(columns))
 
@@ -241,7 +232,7 @@ def _decide(
     checkpoint it finalizes (`finality.finalizes`) and q(0) is false, so
     every finalized checkpoint other than genesis is the source of a vote of
     the combination.  Vote j's source is finalized iff it is genesis, or it
-    is justified (j is eligible in the least fixpoint) and q(src_fin[j]).
+    is justified (j is eligible) and q(src_fin[j]).
     Genesis is finalized even with no genesis-sourced vote, but then nothing
     else is justified, so no conflicting pair is lost.  Two finalized
     sources conflict iff the finalized-source mask holds a vote j and one of
@@ -251,10 +242,7 @@ def _decide(
     quorum, base = table.ravel(), family << u
     src_sandwich = np.ascontiguousarray(projected.src_sandwich[combo].T)   # (u, P)
     from_genesis = projected.from_genesis[combo]
-    eligible = _eligible(from_genesis, from_genesis, base, quorum, src_sandwich)
-    if mode == MODE_LFP_NE_GFP:
-        every = np.full_like(from_genesis, (1 << u) - 1)
-        return eligible != _eligible(every, from_genesis, base, quorum, src_sandwich)
+    eligible = _eligible(from_genesis, base, quorum, src_sandwich)
     if mode == MODE_JUSTIFIED_NONGENESIS:
         sandwich = projected.sandwich[combo, 1:].T                         # (K - 1, P)
         return quorum[base + (sandwich & eligible)].any(axis=0)
@@ -283,25 +271,24 @@ def _holds_pair(masks: np.ndarray, partners: np.ndarray) -> np.ndarray:
     return held
 
 
-def _eligible(eligible, from_genesis, base, quorum, src_sandwich):
-    """Iterate justification on eligible-vote masks (P,) from `eligible` to its fixpoint.
+def _eligible(from_genesis, base, quorum, src_sandwich):
+    """Justification on eligible-vote masks (P,), in one pass over the vote positions.
 
-    A vote is eligible when its source checkpoint is justified.  The
-    justification operator reads a checkpoint set J only through
-    E = elig(J): the next set is J' = genesis + {k : q(sandwich[k] & E)}.
-    So the step factors exactly through the masks,
+    A vote is eligible when its source checkpoint is justified, and k is
+    justified iff it is genesis or q(sandwich[k] & E) for the eligible mask
+    E, so bit j of E is from_genesis_j | q(src_sandwich[j] & E) << j.
 
-        E' = elig(J') = from_genesis | sum_j q(src_sandwich[j] & E) << j,
-
-    one gather per vote position.  Starting from E_0 = elig(J_0), every step
-    keeps E_n = elig(J_n): the least fixpoint starts from from_genesis
-    (J_0 = {genesis}), the greatest from every vote (J_0 = every checkpoint).
-    If E_n = E_{n+1} then J_{n+2} = J_{n+1}, so both iterations stop at the same
-    fixpoint, J* = genesis + {k : q(sandwich[k] & E*)}; and J_lfp = J_gfp iff
-    E_lfp = E_gfp, since J* is a function of E* and E* = elig(J*).
+    Slot order.  A vote supports checkpoint k only if it targets slot k.c
+    (`finality.supports`), and a valid vote's source lies at a lower slot,
+    under every mutation (quorum-half changes only q, drop-ancestry keeps
+    the slot clause).  So whether k is justified depends only on lower
+    slots, and by induction the operator has one fixpoint.  Checkpoints are
+    c-major and votes in source order (`tables.GraphTables.sandwich` checks
+    both), so a vote that sandwiches k has its source index below k and, in
+    an ascending combination, precedes every vote whose source is k.  So
+    bit j reads only bits below j, which are final when the pass reaches j.
     """
-    while True:
-        grown = from_genesis | _quorum_bits(quorum, base, src_sandwich & eligible)
-        if np.array_equal(grown, eligible):
-            return eligible
-        eligible = grown
+    eligible = from_genesis.copy()
+    for j, src_sandwich_j in enumerate(src_sandwich):
+        eligible |= quorum[base + (src_sandwich_j & eligible)].astype(np.int64) << j
+    return eligible

@@ -127,12 +127,23 @@ class GraphTables:
 
     @cached_property
     def sandwich(self) -> np.ndarray:
-        """(K, M) bool: whether each vote supports each checkpoint (`finality.supports`)."""
-        return np.array(
+        """(K, M) bool: whether each vote supports each checkpoint (`finality.supports`).
+
+        Its evaluation checks the slot order of one-pass justification
+        (`kernels._eligible`), so nothing scans, bounds or counts without it.
+        """
+        sandwich = np.array(
             [[supports(self.forest, v, cp, self.mutation) for v in self.votes]
              for cp in self.checkpoints],
             dtype=bool,
         )
+        checkpoint, vote = np.nonzero(sandwich)
+        if (np.diff(self.vote_src) < 0).any() or (self.vote_src[vote] >= checkpoint).any():
+            raise RuntimeError(
+                "graph tables out of slot order: votes must come in source order and "
+                "sandwich only checkpoints above their source"
+            )
+        return sandwich
 
     @cached_property
     def finalizing(self) -> np.ndarray:

@@ -507,12 +507,26 @@ def test_example_replay_mismatch_exits_internal(monkeypatch, capsys, prop):
     assert "does not replay" in capsys.readouterr().err
 
 
-def test_fixpoint_mismatch_replay_raises(monkeypatch):
-    # a kernel that reports a fixpoint mismatch on the first row, where both
-    # reference fixpoints are genesis alone, is an internal failure
-    monkeypatch.setattr(enumerator, "scan_states", lambda *args: (0, 1))
-    with pytest.raises(RuntimeError, match="does not replay"):
-        enumerator.check_lfp_gfp(enumerator.Bounds(n_blocks=1, n_validators=2, max_votes=2))
+def test_tables_out_of_slot_order_are_an_internal_error(monkeypatch, capsys):
+    # a planted fault: the fork's last vote also sandwiches its own source,
+    # which no valid vote can.  The order check refuses the fork's tables in
+    # the fixpoint comparison, in a search at one or two jobs and in the CLI
+    bounds = enumerator.Bounds(n_blocks=2, n_validators=2, max_votes=4)
+    fork = next(enumerator.iter_units(bounds))
+    victim = enumerator._graph_tables(bounds, fork, Mutation.NONE).votes[-1]
+    supports = tables.supports
+    monkeypatch.setattr(
+        tables, "supports",
+        lambda forest, vote, cp, mutation: supports(forest, vote, cp, mutation)
+        or (vote == victim and cp == vote.source),
+    )
+    with pytest.raises(RuntimeError, match="slot order"):
+        enumerator.check_lfp_gfp(bounds)
+    for jobs in (1, 2):
+        with pytest.raises(RuntimeError, match="slot order"):
+            enumerator.search(bounds, jobs=jobs)
+    assert main(["search", "--blocks", "2", "--validators", "2", "--max-votes", "4"]) == 4
+    assert "slot order" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["search"], ["example", "--property", "justified-nongenesis"]])

@@ -17,12 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ffgmc import enumerator
 from ffgmc.enumerator import Bounds, iter_units, materialize_state
-from ffgmc.finality import (
-    default_universe,
-    finality_view,
-    justified_checkpoints,
-    justified_checkpoints_gfp,
-)
+from ffgmc.finality import finality_view
 import ffgmc.tables
 from ffgmc import kernels
 from ffgmc.kernels import (
@@ -30,7 +25,6 @@ from ffgmc.kernels import (
     MODE_COUNTEREXAMPLE,
     MODE_FINALIZED_NONGENESIS,
     MODE_JUSTIFIED_NONGENESIS,
-    MODE_LFP_NE_GFP,
     bound_combinations,
     scan_states,
 )
@@ -57,7 +51,6 @@ ALL_MODES = (
     MODE_FINALIZED_NONGENESIS,
     MODE_JUSTIFIED_NONGENESIS,
     MODE_CONFLICTING_FINALIZED,
-    MODE_LFP_NE_GFP,
 )
 
 MUTATIONS = [
@@ -76,15 +69,11 @@ ALL_MUTATIONS = [
 def reference_flags(state, mutation=Mutation.NONE):
     view = finality_view(state, mutation=mutation)
     safety = accountable_safety(state, mutation)
-    universe = default_universe(state)
-    lfp = justified_checkpoints(state, universe, mutation)
-    gfp = justified_checkpoints_gfp(state, universe, mutation)
     return {
         MODE_COUNTEREXAMPLE: not safety.holds,
         MODE_FINALIZED_NONGENESIS: bool(view.finalized - {GENESIS_CHECKPOINT}),
         MODE_JUSTIFIED_NONGENESIS: bool(view.justified - {GENESIS_CHECKPOINT}),
         MODE_CONFLICTING_FINALIZED: disagreement(state, view),
-        MODE_LFP_NE_GFP: lfp != gfp,
     }
 
 
@@ -292,7 +281,6 @@ def test_partners_match_slash_kind(graph, mutation):
 # the fork: a conflicting finalized pair takes four votes, and under
 # quorum-half two disjoint pairs of four validators finalize it
 SCAN_READS = [
-    (MODE_LFP_NE_GFP, 3, 3, Mutation.NONE, False, {"src_sandwich", "from_genesis"}),
     (MODE_JUSTIFIED_NONGENESIS, 3, 3, Mutation.NONE, True,
      {"src_sandwich", "from_genesis", "sandwich"}),
     (MODE_FINALIZED_NONGENESIS, 3, 3, Mutation.NONE, True,
@@ -305,7 +293,7 @@ SCAN_READS = [
 
 
 @pytest.mark.parametrize("mode,u,n_validators,mutation,hits,read", SCAN_READS,
-                         ids=["lfp", "justified", "finalized", "counterexample-no-hit",
+                         ids=["justified", "finalized", "counterexample-no-hit",
                               "counterexample-hit"])
 def test_a_scan_computes_only_the_columns_it_reads(
     monkeypatch, mode, u, n_validators, mutation, hits, read
@@ -325,33 +313,15 @@ def test_a_scan_computes_only_the_columns_it_reads(
     assert bool(pairs) == (hits and mode == MODE_COUNTEREXAMPLE)
 
 
-def test_fixpoint_comparison_sees_a_support_cycle():
-    # valid votes never form one (source slot < target slot), so a hand-made
-    # table is the only way to make the two fixpoints differ: vote 0 has
-    # source checkpoint 1 and sandwiches 2, vote 1 the reverse.  The least
-    # fixpoint justifies genesis alone, the greatest keeps 1 and 2.
-    projected = SimpleNamespace(
-        sandwich=np.array([[0, 0b10, 0b01]]),
-        src_sandwich=np.array([[0b10, 0b01]]),
-        from_genesis=np.array([0]),
-        src_fin=np.zeros((1, 2), dtype=np.int64),
-        clashes=np.zeros((1, 2), dtype=np.int64),
-    )
-    level = state_table(2, 1, 2, 0, Mutation.NONE)
-    assert scan_states(level, projected, 1, MODE_LFP_NE_GFP) == (0, 1)
-    assert scan_states(level, projected, 1, MODE_JUSTIFIED_NONGENESIS) == (-1, 1)
-
-
-# Hand-made combinations: a valid vote's source slot is below its target
-# slot, so real graphs never hold a support cycle and the two fixpoints of
-# every real row agree.  These tables draw each vote's source checkpoint and
-# sandwich column freely.  A combination is (sources, sandwich columns, fin
+# Hand-made combinations.  A combination is (sources, sandwich columns, fin
 # masks, partner masks): vote j has source checkpoint sources[j], sandwiches
 # the checkpoints of the K-bit mask columns[j], and forms a slashable pair
 # with the votes of partners[j] (a symmetric relation, see `symmetric`);
-# fin[cp] holds the votes that finalize checkpoint cp.  Two properties of
-# real tables hold here too: a vote finalizes only its own source (see
-# `sourced`), and checkpoint conflict is symmetric and irreflexive.
+# fin[cp] holds the votes that finalize checkpoint cp.  Three properties of
+# real tables hold here too: the votes come in source order and sandwich
+# only checkpoints above their source (see `above`), the order that
+# `tables.GraphTables.sandwich` checks; a vote finalizes only its own source
+# (see `sourced`); and checkpoint conflict is symmetric and irreflexive.
 
 
 def symmetric(raw):
@@ -360,6 +330,11 @@ def symmetric(raw):
     n = len(raw)
     return [sum(1 << j for j in range(n) if j != i and (raw[i] >> j & 1 or raw[j] >> i & 1))
             for i in range(n)]
+
+
+def above(sources, cols):
+    """Each vote's sandwich column kept to the checkpoints above its source."""
+    return [col & ~((2 << s) - 1) for s, col in zip(sources, cols)]
 
 
 def sourced(sources, raw):
@@ -414,8 +389,8 @@ def hand_made_flags(k, combo, cp_conflict, row, n_validators, mutation):
                 return justified
             justified = grown
 
-    lfp = fixpoint(1)
-    finalized = 1 | sum(1 << cp for cp in range(k) if lfp >> cp & 1 and quorum(fin[cp]))
+    justified = fixpoint(1)
+    finalized = 1 | sum(1 << cp for cp in range(k) if justified >> cp & 1 and quorum(fin[cp]))
     disagreement = any(
         finalized >> a & 1 and finalized >> b & 1 and cp_conflict[a] >> b & 1
         for a in range(k) for b in range(k)
@@ -428,9 +403,8 @@ def hand_made_flags(k, combo, cp_conflict, row, n_validators, mutation):
     return {
         MODE_COUNTEREXAMPLE: disagreement and 3 * slashable < n_validators,
         MODE_FINALIZED_NONGENESIS: finalized > 1,
-        MODE_JUSTIFIED_NONGENESIS: lfp > 1,
+        MODE_JUSTIFIED_NONGENESIS: justified > 1,
         MODE_CONFLICTING_FINALIZED: disagreement,
-        MODE_LFP_NE_GFP: lfp != fixpoint((1 << k) - 1),
     }
 
 
@@ -468,44 +442,47 @@ def check_hand_made_scan(k, combos, cp_conflict, n_validators, max_votes, mutati
 
 
 def hand_made_combination(k, u):
-    """A strategy for one hand-made combination of u votes over K checkpoints.
-    Each vote draws at most one slashable partner, and some combinations
-    plant a finalizing link from genesis (`finalizing`), so that
-    counterexamples are common."""
+    """A strategy for one hand-made combination of u votes over K checkpoints,
+    in vote order: ascending sources, each vote sandwiching only checkpoints
+    above its source.  Each vote draws at most one slashable partner, and
+    some combinations plant a finalizing link from genesis (`finalizing`),
+    so that counterexamples are common."""
     return st.tuples(
-        st.lists(st.integers(0, k - 1), min_size=u, max_size=u),
+        st.lists(st.integers(0, k - 1), min_size=u, max_size=u).map(sorted),
         st.lists(st.integers(0, 2**k - 1), min_size=u, max_size=u),
         st.lists(st.integers(0, 2**u - 1), min_size=k, max_size=k),
         st.lists(st.sampled_from([0] + [1 << j for j in range(u)]), min_size=u, max_size=u)
         .map(symmetric),
         st.booleans(),
     ).map(lambda c: finalizing(*c[:4]) if c[4] else c[:4]).map(
-        lambda c: (c[0], c[1], sourced(c[0], c[2]), c[3])
+        lambda c: (c[0], above(c[0], c[1]), sourced(c[0], c[2]), c[3])
     )
 
 
 def finalizing(sources, cols, fin, partners):
     """Vote 0 leaves genesis and sandwiches vote 1's source, and vote 1
-    finalizes that source (with two votes or more)."""
+    finalizes that source (with two votes or more); later sources are raised
+    to it, so the sources stay ascending."""
     if len(sources) < 2:
         return sources, cols, fin, partners
     target = sources[1] or 1
     fin = list(fin)
     fin[target] |= 0b10
-    return [0, target, *sources[2:]], [cols[0] | 1 << target, *cols[1:]], fin, partners
+    sources = [0, target, *(max(s, target) for s in sources[2:])]
+    return sources, [cols[0] | 1 << target, *cols[1:]], fin, partners
 
 
 def variant(k, combo, flip_sandwich, flip_fin, partners):
     """`combo` with some columns changed: its sandwich columns away from the
-    votes' sources or which vote finalizes its source (each flipped or
-    kept), or its slashable pairs (kept, none or all).  The fixpoint pattern
-    stays the same, and so does every other mode's pattern that does not
-    read the changed columns."""
+    votes' sources, above each vote's own, or which vote finalizes its source
+    (each flipped or kept), or its slashable pairs (kept, none or all).  The
+    justification pattern stays the same, and so does every other mode's
+    pattern that does not read the changed columns."""
     sources, cols, fin, kept = combo
     u = len(sources)
     if flip_sandwich:
         elsewhere = (2**k - 1) & ~sum(1 << s for s in sources)
-        cols = [col ^ elsewhere for col in cols]
+        cols = above(sources, [col ^ elsewhere for col in cols])
     if flip_fin:
         fin = sourced(sources, [mask ^ (2**u - 1) for mask in fin])
     if partners == "none":
@@ -543,41 +520,6 @@ def test_scan_matches_checkpoint_set_reference_on_hand_made_tables(data):
     pair_batch = data.draw(st.sampled_from([1, 5, 1024, None]), label="pair batch")
     check_hand_made_scans(k, combos, cp_conflict, n_validators, max_votes, mutation,
                           ALL_MODES, pair_batch)
-
-
-NO_PAIRS = [0] * 4
-
-
-@pytest.mark.parametrize(
-    "k,combos,n_validators",
-    [
-        # two votes each sandwiching the other's source
-        (3, [([1, 2], [0b100, 0b010], [0, 0, 0], NO_PAIRS[:2])], 1),
-        # one vote sandwiching its own source, behind a combination without a cycle
-        (3, [([0], [0b010], [0, 0, 0], NO_PAIRS[:1]), ([1], [0b010], [0, 0, 0], NO_PAIRS[:1])],
-         1),
-        # a justified genesis chain beside a cycle, each with a finalizing link
-        (4, [([0, 2, 3], [0b0010, 0b1000, 0b0100], [0b001, 0, 0b010, 0b100], NO_PAIRS[:3])],
-         2),
-        # a three-vote cycle that a quorum of two of three validators must close
-        (4, [([1, 2, 3], [0b0100, 0b1000, 0b0010], [0, 0, 0, 0], NO_PAIRS[:3])], 3),
-    ],
-    ids=["two-cycle", "self-support", "cycle-beside-chain", "three-cycle-N3"],
-)
-def test_support_cycles_separate_the_fixpoints(k, combos, n_validators):
-    cp_conflict = [0] * k
-    cp_conflict[1], cp_conflict[2] = 0b100, 0b010
-    u = len(combos[0][0])
-    for mode in ALL_MODES:
-        for mutation in (Mutation.NONE, Mutation.QUORUM_HALF):
-            first = check_hand_made_scan(
-                k, combos, cp_conflict, n_validators, u * n_validators, mutation, mode
-            )
-            if mode == MODE_LFP_NE_GFP:
-                assert first >= 0
-            for pair_batch in (1, 5):
-                check_hand_made_scan(k, combos, cp_conflict, n_validators, u * n_validators,
-                                     mutation, mode, pair_batch=pair_batch)
 
 
 # Each (pattern, family) pair is decided once.  These batches repeat a few
@@ -718,15 +660,14 @@ def test_patterns_tell_genesis_sourced_votes_apart():
     projected = hand_made_tables(k, combos, cp_conflict)
     assert projected.src_sandwich.tolist() == [[0], [0]]
     for pair_batch in (1, None):
-        for mode in (MODE_JUSTIFIED_NONGENESIS, MODE_LFP_NE_GFP):
-            first = check_hand_made_scan(k, combos, cp_conflict, 1, 1, Mutation.NONE, mode,
-                                         pair_batch=pair_batch)
-            assert first == (1 if mode == MODE_JUSTIFIED_NONGENESIS else -1)
+        first = check_hand_made_scan(k, combos, cp_conflict, 1, 1, Mutation.NONE,
+                                     MODE_JUSTIFIED_NONGENESIS, pair_batch=pair_batch)
+        assert first == 1
 
 
 def test_justified_patterns_tell_sandwich_rows_apart():
     # one genesis-sourced vote that no vote supports: all three combinations
-    # share their fixpoint pattern, but only the third one's vote sandwiches
+    # share their justification pattern, but only the third one's vote sandwiches
     # a checkpoint, so only it justifies one
     k, cp_conflict = 3, [0, 0, 0]
     idle, justifying = ([0], [0b000], [0, 0, 0], [0]), ([0], [0b100], [0, 0, 0], [0])
@@ -741,8 +682,7 @@ def test_justified_patterns_tell_sandwich_rows_apart():
 
 
 def test_fixpoints_run_once_per_pattern(monkeypatch):
-    # a scan without a hit decides each (pattern, family) pair once, and so
-    # runs its fixpoints once: this seed draws no support cycle, and no
+    # a scan without a hit decides each (pattern, family) pair once: no
     # checkpoint conflicts, so no row is a counterexample.  The pairs go to
     # `_decide` in full batches, whatever pattern they belong to: the level
     # has 14 families, so a batch of 5 pairs can span two patterns
@@ -761,19 +701,17 @@ def test_fixpoints_run_once_per_pattern(monkeypatch):
         return decide(combo, family, *args)
 
     monkeypatch.setattr(kernels, "_decide", counting)
-    for mode, key in ((MODE_LFP_NE_GFP, ("src_sandwich", "from_genesis")),
-                      (MODE_COUNTEREXAMPLE, COUNTEREXAMPLE_KEY)):
-        n_pairs = len(pattern_keys(projected, *key)) * n_families
-        assert n_pairs % 5 != 0
-        for pair_batch in (1, 5, kernels._PAIR_BATCH):
-            decided.clear()
-            batches.clear()
-            monkeypatch.setattr(kernels, "_PAIR_BATCH", pair_batch)
-            assert scan_states(level, projected, n_validators, mode) == (
-                -1, len(combos) * rows.shape[0])
-            assert len(decided) == len(set(decided)) == n_pairs
-            assert len(batches) == -(-n_pairs // pair_batch), (mode, pair_batch)
-            assert set(batches[:-1]) <= {pair_batch}, (mode, pair_batch)
+    n_pairs = len(pattern_keys(projected, *COUNTEREXAMPLE_KEY)) * n_families
+    assert n_pairs % 5 != 0
+    for pair_batch in (1, 5, kernels._PAIR_BATCH):
+        decided.clear()
+        batches.clear()
+        monkeypatch.setattr(kernels, "_PAIR_BATCH", pair_batch)
+        assert scan_states(level, projected, n_validators, MODE_COUNTEREXAMPLE) == (
+            -1, len(combos) * rows.shape[0])
+        assert len(decided) == len(set(decided)) == n_pairs
+        assert len(batches) == -(-n_pairs // pair_batch), pair_batch
+        assert set(batches[:-1]) <= {pair_batch}, pair_batch
 
 
 def test_keys_that_differ_only_in_finalizing_links_or_clashes():
@@ -823,7 +761,8 @@ def test_empty_scan():
     assert scan_states(no_rows, projected, 3, MODE_COUNTEREXAMPLE) == (-1, 0)
     level = state_table(0, 3, 4, 0, Mutation.NONE)
     none = project_tables(tables, np.zeros((0, 0), dtype=np.int64))
-    assert scan_states(level, none, 3, MODE_LFP_NE_GFP) == (-1, 0)
+    for mode in ALL_MODES:
+        assert scan_states(level, none, 3, mode) == (-1, 0)
 
 
 HALF, DROP = Mutation.QUORUM_HALF, Mutation.DROP_ANCESTRY
@@ -997,14 +936,6 @@ def test_scan_matches_row_by_row_reference(data):
     assert got == (expected, scanned)
 
 
-BOUNDED_MODES = (
-    MODE_COUNTEREXAMPLE,
-    MODE_FINALIZED_NONGENESIS,
-    MODE_JUSTIFIED_NONGENESIS,
-    MODE_CONFLICTING_FINALIZED,
-)
-
-
 @pytest.mark.parametrize(
     "mutation",
     [Mutation.NONE, Mutation.QUORUM_HALF, Mutation.DROP_ANCESTRY],
@@ -1035,11 +966,11 @@ def test_bound_matches_unanimity_state(
     tables = build_graph_tables(
         forests[graph], bounds.slot_rule, bounds.max_chkp_slot, mutation
     )
-    kept = {mode: 0 for mode in BOUNDED_MODES}
+    kept = {mode: 0 for mode in ALL_MODES}
     for u in range(max_u + 1):
         m = len(tables.votes)
         combos = all_combinations(m, u)
-        keep = {mode: bound_combinations(tables, combos, mode) for mode in BOUNDED_MODES}
+        keep = {mode: bound_combinations(tables, combos, mode) for mode in ALL_MODES}
         rows, table, index = state_table(u, n_validators, bounds.max_votes, 0, mutation)
         unanimity = int(np.flatnonzero((rows == (1 << u) - 1).all(axis=1))[0])
         row = rows[unanimity : unanimity + 1]
@@ -1056,7 +987,7 @@ def test_bound_matches_unanimity_state(
                 MODE_CONFLICTING_FINALIZED: conflicting,
             }
             projected = project_tables(tables, combos[i : i + 1])
-            for mode in BOUNDED_MODES:
+            for mode in ALL_MODES:
                 assert keep[mode][i] == reference[mode], (mode, combo)
                 scan_mode = MODE_CONFLICTING_FINALIZED if mode == MODE_COUNTEREXAMPLE else mode
                 hit, _ = scan_states(level, projected, n_validators, scan_mode)
@@ -1093,7 +1024,7 @@ def test_mask_bound_matches_finality_on_every_unit(mutation):
                          for side in (conflict, ~conflict)]
                 combos = every[np.sort(np.concatenate(picks + [rng.choice(len(every), 10)]))]
                 keep = {mode: bound_combinations(tables, combos, mode)
-                        for mode in BOUNDED_MODES}
+                        for mode in ALL_MODES}
                 for i, combo in enumerate(combos):
                     combo = tuple(int(x) for x in combo)
                     state = materialize_state(bounds, tables, combo, ((1 << u) - 1,))
@@ -1151,9 +1082,10 @@ def test_bound_matches_finality_on_two_step_chains():
     # genesis can source the vote that justifies a third, so finalization
     # may need two steps of justification.  Every combination of up to four
     # votes that a conflict or finality mode keeps, and one in 40 of the
-    # rest, against the reference finality of the unanimity state; a single
-    # pass in reverse vote order, or one that reads J from before the pass,
-    # drops some of the two-step ones
+    # rest, against the reference finality of the unanimity state.  That
+    # state is the one row of its level at N=1, so the kernel's verdicts on
+    # the two-step ones are checked too.  A single pass in reverse vote
+    # order, or one that reads J from before the pass, drops some of them
     bounds = Bounds(n_blocks=1, n_validators=1, max_votes=4, max_chkp_slot=5)
     (forest,) = iter_units(bounds)
     tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
@@ -1161,30 +1093,33 @@ def test_bound_matches_finality_on_two_step_chains():
     two_step = 0
     for u in range(1, 5):
         every = all_combinations(len(tables.votes), u)
-        keep = {mode: bound_combinations(tables, every, mode) for mode in BOUNDED_MODES}
+        keep = {mode: bound_combinations(tables, every, mode) for mode in ALL_MODES}
         sample = (keep[MODE_FINALIZED_NONGENESIS] | keep[MODE_CONFLICTING_FINALIZED]
                   | (rng.random(len(every)) < 1 / 40))
+        level = state_table(u, 1, u, 0, Mutation.NONE)
+        assert level[0].tolist() == [[(1 << u) - 1]]
         for i in np.flatnonzero(sample):
             combo = tuple(int(v) for v in every[i])
             state = materialize_state(bounds, tables, combo, ((1 << u) - 1,))
             view = finality_view(state)
             conflicting = disagreement(state, view)
-            assert keep[MODE_COUNTEREXAMPLE][i] == conflicting, combo
-            assert keep[MODE_CONFLICTING_FINALIZED][i] == conflicting, combo
-            assert keep[MODE_FINALIZED_NONGENESIS][i] == bool(
-                view.finalized - {GENESIS_CHECKPOINT}), combo
-            assert keep[MODE_JUSTIFIED_NONGENESIS][i] == bool(
-                view.justified - {GENESIS_CHECKPOINT}), combo
+            want = {
+                MODE_COUNTEREXAMPLE: conflicting,
+                MODE_CONFLICTING_FINALIZED: conflicting,
+                MODE_FINALIZED_NONGENESIS: bool(view.finalized - {GENESIS_CHECKPOINT}),
+                MODE_JUSTIFIED_NONGENESIS: bool(view.justified - {GENESIS_CHECKPOINT}),
+            }
+            for mode in ALL_MODES:
+                assert keep[mode][i] == want[mode], (mode, combo)
             # a finalized checkpoint that no genesis-sourced vote sandwiches
             one_step = {0} | {k for v in combo if tables.vote_src[v] == 0
                               for k in np.flatnonzero(tables.sandwich[:, v])}
-            two_step += any(tables.checkpoints.index(cp) not in one_step
-                            for cp in view.finalized)
+            if any(tables.checkpoints.index(cp) not in one_step for cp in view.finalized):
+                two_step += 1
+                projected = project_tables(tables, every[i : i + 1])
+                # not the counterexample mode: a lone validator may be slashable
+                for mode in (MODE_FINALIZED_NONGENESIS, MODE_JUSTIFIED_NONGENESIS,
+                             MODE_CONFLICTING_FINALIZED):
+                    hit, _ = scan_states(level, projected, 1, mode)
+                    assert (hit == 0) == want[mode], (mode, combo)
     assert two_step > 0
-
-
-def test_bound_refuses_the_fixpoint_comparison():
-    forest = BlockForest([Block("b1", 1, GENESIS)])
-    tables = build_graph_tables(forest, "strict", 2)
-    with pytest.raises(ValueError):
-        bound_combinations(tables, np.zeros((1, 0), dtype=np.int64), MODE_LFP_NE_GFP)

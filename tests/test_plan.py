@@ -26,8 +26,8 @@ from ffgmc.enumerator import (
     iter_units,
     search,
 )
-from ffgmc.finality import finality_view
-from ffgmc.model import GENESIS_CHECKPOINT, are_conflicting
+from ffgmc.finality import finality_view, justified_checkpoints, justified_checkpoints_gfp
+from ffgmc.model import GENESIS_CHECKPOINT, are_conflicting, checkpoints_of
 from ffgmc.mutation import Mutation, parse_mutation
 from ffgmc.slashing import disagreement
 from ffgmc.symmetry import unit_key
@@ -111,8 +111,8 @@ def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch, chunk):
         enumerator._plan(bounds, parse_mutation(name), enumerator.MODE_COUNTEREXAMPLE, 0)
         for name, bounds in TASK_CASES
     ]
-    lfp = enumerator.MODE_LFP_NE_GFP
-    plans.append(enumerator._plan(_small(n_blocks=2), Mutation.NONE, lfp, 0))
+    justified = enumerator.MODE_JUSTIFIED_NONGENESIS
+    plans.append(enumerator._plan(_small(n_blocks=2), Mutation.NONE, justified, 0))
     plans.append(_refused_plan(monkeypatch))
     assert plans[-1].refusal is not None
     for plan in plans:
@@ -465,9 +465,15 @@ def _holds(state, name):
 def test_find_example_and_fixpoints_match_the_reference(monkeypatch):
     # the first state of each property and the fixpoint comparison's count,
     # with levels cut into tasks of 5 combinations, against the reference
-    # enumeration of every state in canonical order
+    # enumeration of every state in canonical order, on each of which the
+    # reference fixpoints agree
     bounds = _small(n_blocks=2)
     states = [s for unit in iter_units(bounds) for s in enumerate_states(bounds, unit)]
+    for state in states:
+        universe = checkpoints_of(state, bounds.max_chkp_slot)
+        assert justified_checkpoints(state, universe) == justified_checkpoints_gfp(
+            state, universe
+        )
     monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 5)
     for name in sorted(PROPERTY_MODES):
         expected = next(s for s in states if _holds(s, name))
@@ -477,6 +483,18 @@ def test_find_example_and_fixpoints_match_the_reference(monkeypatch):
     report = check_lfp_gfp(bounds)
     assert report.states_checked == len(states)
     assert report.mismatch is None
+
+
+def test_fixpoint_comparison_counts_without_the_kernel(monkeypatch):
+    # at the fixpoint-n3 benchmark bounds every row is counted, and no row
+    # table is built and nothing is scanned
+    def refuse(*args):
+        raise AssertionError("check_lfp_gfp reached the kernel")
+
+    monkeypatch.setattr(enumerator, "scan_states", refuse)
+    monkeypatch.setattr(enumerator, "state_table", refuse)
+    bounds = Bounds(n_blocks=2, n_validators=3, max_votes=12, max_ffg_votes=4, max_chkp_slot=3)
+    assert check_lfp_gfp(bounds) == enumerator.FixpointReport(3_097_418, None)
 
 
 # --- helper processes ----------------------------------------------------------
