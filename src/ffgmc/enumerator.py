@@ -13,10 +13,11 @@ Work is organized in graph units (one forest plus slot assignment); a unit
 whose forest has no conflicting block pair is skipped whole in safety
 searches, where the property holds vacuously, and so is one none of whose
 levels has a row under the signer floor.  Within a unit, the monotone
-combination bound (`kernels.bound_combinations`) drops every distinct-vote
-combination whose unanimity state cannot hit; only the rest are projected and
-scanned, in the same canonical order.  Dropped rows count as pruned, so
-checked + pruned always covers the whole space.
+combination bound keeps only the distinct-vote combinations whose unanimity
+state can hit (`kernels.KeptCombinations`, which generates them level by
+level from reachable cores); only those are projected and scanned, in the
+same canonical order.  Rows of the others count as pruned, so checked +
+pruned always covers the whole space.
 
 Block relabelling is exploited at two levels (`ffgmc.symmetry`, which also
 gives the soundness argument): only the first unit of each isomorphism
@@ -44,7 +45,6 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from math import comb
 from typing import Iterator, Optional
 
@@ -56,7 +56,6 @@ from .kernels import (
     MODE_COUNTEREXAMPLE,
     MODE_FINALIZED_NONGENESIS,
     MODE_JUSTIFIED_NONGENESIS,
-    bound_combinations,
     scan_states,
 )
 from .model import (
@@ -297,46 +296,21 @@ _BOUND_CHUNK = 4096  # most combinations in one scan task, over one class's leve
 _MAX_LEVEL_COMBOS = 1 << 62  # most combinations of one scanned level: ranks are int64
 
 
-@lru_cache(maxsize=None)
-def _binomials(m: int, u: int) -> np.ndarray:
-    """(u + 1, m) table of C(y, k); within a level of `_plan`, each fits int64."""
-    return np.array(
-        [[comb(y, k) for y in range(m)] for k in range(u + 1)], dtype=np.int64
-    ).reshape(u + 1, m)
-
-
-def _combinations(m: int, u: int, start: int, count: int) -> np.ndarray:
-    """The size-u combinations of range(m) of lexicographic ranks start ..
-    start + count - 1, as a (count, u) array, by the combinatorial number
-    system: rank r of c_0 < ... < c_{u-1} has
-    C(m, u) - 1 - r = sum_k C(m - 1 - c_{u-k}, k) over k = u .. 1, so each
-    element is one search in a column of binomials.  C(m, u) is at most
-    `_MAX_LEVEL_COMBOS` (`_plan` refuses larger levels).
-    """
-    table = _binomials(m, u)
-    rest = comb(m, u) - 1 - np.arange(start, start + count, dtype=np.int64)
-    out = np.empty((count, u), dtype=np.int64)
-    for k in range(u, 0, -1):
-        y = np.searchsorted(table[k], rest, side="right") - 1
-        out[:, u - k] = m - 1 - y
-        rest -= table[k][y]
-    return out
-
-
 def _kept_combinations(
-    tables: GraphTables, u: int, lo: int, hi: int, mode: int
+    plan: _Plan, tables: GraphTables, u: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(positions, combinations, minimal): the size-u vote combinations of
-    ranks lo .. hi - 1 that the monotone bound keeps, in canonical order;
-    positions are ranks, and `minimal` marks the kept combinations that are
-    lexicographically minimal in their orbit under the unit's automorphisms,
-    the only ones scanned.  The orbit filter runs after the bound, which is
-    relabelling-invariant.
+    ranks lo .. hi - 1 that the monotone bound keeps (`GraphTables.kept`, up
+    to the unit's last level), in canonical order; positions are ranks, and
+    `minimal` marks the kept combinations that are lexicographically minimal
+    in their orbit under the unit's automorphisms, the only ones scanned.
+    The orbit filter runs after the bound, which is relabelling-invariant.
     """
-    chunk = _combinations(len(tables.votes), u, lo, hi - lo)
-    keep = np.flatnonzero(bound_combinations(tables, chunk, mode))
-    combos = chunk[keep]
-    return lo + keep, combos, orbit_minimal(combos, tables.perms)
+    top = _distinct_vote_range(plan.bounds, len(tables.votes))[-1]
+    ranks, combos = tables.kept(plan.mode, top).level(u)
+    a, b = np.searchsorted(ranks, (lo, hi))
+    minimal = orbit_minimal(combos[a:b], tables.perms) if b > a else np.zeros(0, dtype=bool)
+    return ranks[a:b], combos[a:b], minimal
 
 
 def _scan_range(
@@ -359,7 +333,9 @@ def _scan_range(
     n_validators, max_votes = plan.bounds.n_validators, plan.bounds.max_votes
     n_rows = state_count(u, n_validators, max_votes, plan.min_signers)
     total_rows = state_count(u, n_validators, max_votes, 0)
-    positions, combos, minimal = _kept_combinations(tables, u, lo, hi, plan.mode)
+    positions, combos, minimal = _kept_combinations(plan, tables, u, lo, hi)
+    if not positions.size:
+        return _Counts(pruned=(hi - lo) * total_rows, bounded=(hi - lo) * n_rows)
     # stop and scanned count the rows of every kept combination in scan order;
     # only the minimal combinations (`scan`) reach the kernel
     rows = positions.size * n_rows

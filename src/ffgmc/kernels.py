@@ -36,20 +36,23 @@ justification, `sandwich` too for the justified test, and `src_fin` and
 combination (`ProjectedTables.partners`) are evaluated only when a
 counterexample scan expands that combination's rows.
 
-Before any row is scanned, `bound_combinations` drops whole combinations that
-cannot hold a hit (the monotone combination bound).
+Only combinations that may hold a hit reach a scan (the monotone
+combination bound): `KeptCombinations` generates each level's kept
+combinations from the reachable cores of a unit's votes, so no other
+combination is listed or tested.
 
-Neither function takes a mutation: the graph tables were built for one
+Nothing here takes a mutation: the graph tables were built for one
 (`tables.build_graph_tables`), and the quorum families carry its quorum rule.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import comb
 
 import numpy as np
 
-from .tables import GraphTables, ProjectedTables, distinct_rows
+from .tables import _BATCH_ENTRIES, GraphTables, ProjectedTables, distinct_rows
 
 MODE_COUNTEREXAMPLE = 0        # disagreement with under-threshold slashing
 MODE_FINALIZED_NONGENESIS = 1
@@ -129,71 +132,185 @@ def scan_states(
     return -1, n_combos * n_rows
 
 
-def bound_combinations(tables: GraphTables, combos: np.ndarray, mode: int) -> np.ndarray:
-    """Which vote combinations may still hold a hit of `mode`.
+def keeps(
+    justified: np.ndarray, finalized: np.ndarray, clash: np.ndarray, mode: int
+) -> np.ndarray:
+    """The monotone bound's test of `mode` on reachable cores, from their
+    justified and finalized checkpoint masks (bit 0 is genesis) and whether
+    their finalized set holds a conflicting pair (see `KeptCombinations`)."""
+    if mode == MODE_JUSTIFIED_NONGENESIS:
+        return justified != 1
+    if mode == MODE_FINALIZED_NONGENESIS:
+        return finalized != 1
+    return clash
 
-    `combos` is a (C, u) array of vote indices into `tables.votes`, one
-    combination per row, each row ascending; the result is a (C,) bool array
-    that is False where no canonical row of the combination can hit, so that
-    combination needs no projection and no scan.
 
-    Soundness.  Every row of a combination U is a vote set contained in the
-    unanimity state, in which all N validators cast every vote of U.
-    Justification is the least fixpoint of a monotone operator, and a
-    justifying or finalizing quorum only grows with added votes, so the
-    justified set, the finalized set and a conflicting finalized pair are
-    all monotone in the vote set; no mutation flag changes that (quorum-half
-    lowers the threshold, drop-ancestry widens the sandwich clause that
-    `tables.sandwich` already holds, e1/e2 touch only slashing).  Hence a row
-    can hit only if the unanimity state does.  In the unanimity state every
-    vote of U has N senders and the quorum test always passes (3N >= 2N, and
-    2N >= N under quorum-half), so the fixpoint reduces to reachability over
-    the votes of U, independent of N:
+class KeptCombinations:
+    """The vote combinations of one unit that the monotone combination bound
+    keeps under one scan mode, on the levels up to `top` (the unit's last);
+    each level is made on its first read (`level`) and kept.
+
+    Soundness of the bound.  Every row of a combination U is a vote set
+    contained in the unanimity state, in which all N validators cast every
+    vote of U.  Justification is the least fixpoint of a monotone operator,
+    and a justifying or finalizing quorum only grows with added votes, so
+    the justified set, the finalized set and a conflicting finalized pair
+    are all monotone in the vote set; no mutation flag changes that
+    (quorum-half lowers the threshold, drop-ancestry widens the sandwich
+    clause that `tables.sandwich` already holds, e1/e2 touch only
+    slashing).  Hence a row can hit only if the unanimity state does.  In
+    the unanimity state every vote of U has N senders and the quorum test
+    always passes (3N >= 2N, and 2N >= N under quorum-half), so the fixpoint
+    reduces to reachability over the votes of U, independent of N:
 
       J = genesis + {k : a vote of U with its source in J sandwiches k}
       F = genesis + (J & {k : U holds a finalizing vote from k})
 
-    A combination is kept iff F holds a conflicting pair (counterexample and
+    U is kept (`keeps`) iff F holds a conflicting pair (counterexample and
     conflicting-finalized modes; a counterexample also needs few slashable
     validators, so dropping that conjunct only keeps more), F is more than
     genesis (finalized-nongenesis) or J is more than genesis
-    (justified-nongenesis).
+    (justified-nongenesis).  This is the kernel's decision at the
+    one-family unanimity table, q(X) = (X != 0), with the checkpoint set J
+    standing in for the projection; `test_bound_matches_unanimity_state`
+    pins the two together.
 
-    J and F are evaluated for all C combinations at once on int64 checkpoint
-    masks (checkpoint 0 is genesis).  Each vote carries the mask of the
-    checkpoints it sandwiches and, if it is finalizing, the bit of its
-    source.  J is one fold over the u vote positions, in ascending order:
-    vote j adds its sandwich mask iff its source is in J so far.  Whether
-    that source is in J is final when j is reached, by the slot order
-    stated at `_eligible`, so the fold ends at the least fixpoint.
-    A conflicting pair in F has a non-genesis member, which is the source of
-    a finalizing vote of U, so the conflict test runs over the u sources.
+    Cores.  The reachable votes of U, those whose source is in J, form its
+    core R(U); the others add nothing to J or F, so U is kept iff R(U) is.
+    A core is a vote set G with R(G) = G.  A vote sandwiches only
+    checkpoints above its source (the slot order stated at `_eligible`,
+    which `tables.GraphTables.sandwich` checks) and votes come in source
+    order, so no later vote justifies an earlier vote's source, and in
+    ascending vote order a core's prefixes are cores.  So the cores of s + 1
+    votes are those of s votes, each extended by a later vote whose source
+    is in its J, and J, F and the clash flag carry over on int64 checkpoint
+    masks: the vote adds its sandwich mask to J and, if it is finalizing,
+    its source to F; a new conflicting pair in F has that source as one
+    member (conflict is symmetric, and genesis conflicts with nothing).
+    Every core of fewer than `top` votes is held, to grow the next size;
+    those of `top` votes are grown in batches, and only the kept ones held.
 
-    This is the kernel's decision at the one-family unanimity table,
-    q(X) = (X != 0), with the checkpoint set J standing in for the
-    (C, u, u) projection; `test_bound_matches_unanimity_state` pins the two
-    together.  It stays separate because projecting every combination is
-    what costs: a `_decide` call at that table in its place took the 3-block
-    search (N=4, 12 votes, 5 FFG votes, checkpoint slots up to 4) from 1.46
-    to 5.48 s on 2 cores, 3.6 s of it projection.  It can go once
-    combinations are generated one vote at a time, with their projection.
+    Padding.  A size-u combination U splits uniquely into its core G and
+    u - |G| padding votes, whose sources lie outside J(G); G plus any such
+    votes has core G.  So a level's kept combinations are the kept cores of
+    at most u votes, each padded in every way.  They are ranked by the
+    combinatorial number system (`ranks`) and returned in rank order, the
+    canonical one.
     """
-    bits = np.int64(1) << np.arange(tables.sandwich.shape[0], dtype=np.int64)[:, None]
-    sandwiched = (tables.sandwich * bits).sum(axis=0)[combos].T           # (u, C)
-    source = tables.vote_src[combos].T                                  # (u, C)
-    justified = np.ones(combos.shape[0], dtype=np.int64)
-    for src_j, sandwiched_j in zip(source, sandwiched):
-        justified |= -((justified >> src_j) & 1) & sandwiched_j
-    if mode == MODE_JUSTIFIED_NONGENESIS:
-        return justified != 1
-    finalizing = np.bitwise_or.reduce(np.where(tables.finalizing[combos].T, 1 << source, 0), axis=0)
-    finalized = (justified & finalizing) | 1
-    if mode == MODE_FINALIZED_NONGENESIS:
-        return finalized != 1
-    clash = np.zeros(combos.shape[0], dtype=bool)
-    for src_j in source:
-        clash |= (((finalized >> src_j) & 1) != 0) & ((tables.cp_conflict[src_j] & finalized) != 0)
-    return clash
+
+    def __init__(self, tables: GraphTables, mode: int, top: int):
+        self._tables, self._mode, self._top = tables, mode, top
+        source = tables.vote_src
+        bits = np.int64(1) << np.arange(tables.sandwich.shape[0], dtype=np.int64)[:, None]
+        finalizes = np.where(tables.finalizing, np.int64(1) << source, 0)
+        # what each vote adds to a core's (J, F), and the checkpoints its
+        # finalized source conflicts with
+        self._adds = np.column_stack([(tables.sandwich * bits).sum(axis=0), finalizes])
+        self._clashes = np.where(tables.finalizing, tables.cp_conflict[source], 0)
+        # every core of one size: (votes, (J, F) masks, clash); at first the empty core
+        empty = (np.zeros((1, 0), dtype=np.int64), np.ones((1, 2), dtype=np.int64),
+                 np.zeros(1, dtype=bool))
+        self._frontier = empty
+        self._kept_cores = {0: self._select(*empty)}   # size -> (votes, (J, F) masks)
+        self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def level(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ranks, combos): the kept size-u combinations, a (C, u) array of
+        ascending vote indices, and their ranks among all size-u
+        combinations, ascending; u is at most `top`."""
+        if u not in self._levels:
+            self._levels[u] = self._pad(u)
+        return self._levels[u]
+
+    def _select(self, votes, marks, clash) -> tuple[np.ndarray, np.ndarray]:
+        kept = keeps(marks[:, 0], marks[:, 1], clash, self._mode)
+        return votes[kept], marks[kept]
+
+    def _cores(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """(votes, (J, F) masks) of the kept cores of s votes.
+
+        The frontier holds every core of one size, to grow the next.  A size
+        below `top` is grown whole and becomes the frontier; `top` keeps only
+        its kept cores, and the frontier is dropped then.
+        """
+        while s not in self._kept_cores:
+            size = self._frontier[0].shape[1] + 1
+            grown = self._grow(whole=size < self._top)
+            if size < self._top:
+                self._frontier = grown
+                grown = self._select(*grown)
+            else:
+                self._frontier = None
+            self._kept_cores[size] = grown[:2]
+        return self._kept_cores[s]
+
+    def _grow(self, whole: bool) -> tuple[np.ndarray, ...]:
+        """(votes, (J, F) masks, clash) of the cores of one vote more than the
+        frontier's, every one if `whole`, else the kept ones: each frontier
+        core extended by each later vote whose source is in its J, with J, F
+        and the clash flag carried.  The frontier is read in batches of about
+        `_BATCH_ENTRIES` (core, vote) pairs, each filtered as it is grown."""
+        votes, marks, clash = self._frontier
+        source = self._tables.vote_src
+        later = np.arange(source.size)
+        step = max(1, _BATCH_ENTRIES // source.size)
+        batches = []
+        for lo in range(0, max(votes.shape[0], 1), step):
+            after = votes[lo : lo + step, -1:] if votes.shape[1] else -1
+            core, vote = np.nonzero((marks[lo : lo + step, :1] >> source) & (later > after))
+            core += lo
+            grown = marks[core] | self._adds[vote]
+            grown_clash = clash[core] | ((self._clashes[vote] & grown[:, 1]) != 0)
+            if not whole:
+                kept = keeps(grown[:, 0], grown[:, 1], grown_clash, self._mode)
+                core, vote, grown, grown_clash = (
+                    part[kept] for part in (core, vote, grown, grown_clash)
+                )
+            batches.append((np.column_stack([votes[core], vote]), grown, grown_clash))
+        return tuple(np.concatenate(part) for part in zip(*batches))
+
+    def _pad(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """The kept size-u combinations and their ranks, in rank order: each
+        kept core of s <= u votes with every u - s of the votes whose source
+        is outside its J, drawn in ascending order."""
+        source = self._tables.vote_src
+        later = np.arange(source.size)
+        parts = []
+        for s in range(u + 1):
+            votes, marks = self._cores(s)
+            if not votes.shape[0]:
+                continue
+            if s < u:
+                unreachable = ((marks[:, :1] >> source) & 1) == 0                     # (G, M)
+                core, padding = np.arange(votes.shape[0]), np.zeros((votes.shape[0], 0), np.int64)
+                for _ in range(u - s):
+                    after = padding[:, -1:] if padding.shape[1] else -1
+                    row, vote = np.nonzero(unreachable[core] & (later > after))
+                    core, padding = core[row], np.column_stack([padding[row], vote])
+                votes = np.sort(np.hstack([votes[core], padding]), axis=1)
+            parts.append(votes)
+        if not parts:
+            return np.zeros(0, dtype=np.int64), np.zeros((0, u), dtype=np.int64)
+        combos = np.concatenate(parts)
+        rank = ranks(combos, source.size)
+        order = np.argsort(rank)
+        return rank[order], combos[order]
+
+
+def ranks(combos: np.ndarray, m: int) -> np.ndarray:
+    """The lexicographic rank of each row of `combos` ((C, u) ascending vote
+    indices) among the size-u combinations of range(m), by the combinatorial
+    number system: rank r of c_0 < ... < c_{u-1} has
+    C(m, u) - 1 - r = sum_i C(m - 1 - c_i, u - i).  Each term is at most
+    C(m, u), which the plan holds to 2**62, so the sum is exact in int64.
+    """
+    u = combos.shape[1]
+    rest = np.zeros(combos.shape[0], dtype=np.int64)
+    for i in range(u):
+        # c_i >= i, so only C(y, u - i) for y < m - i is read
+        column = np.array([comb(y, u - i) for y in range(m - i)], dtype=np.int64)
+        rest += column[m - 1 - combos[:, i]]
+    return comb(m, u) - 1 - rest
 
 
 def _patterns(projected: ProjectedTables, mode: int) -> tuple[np.ndarray, np.ndarray]:

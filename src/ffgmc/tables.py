@@ -65,7 +65,7 @@ MAX_CHECKPOINT_BITS = 63
 MAX_VOTE_BITS = 16
 MAX_STATE_ROWS = 20_000_000
 MAX_FAMILY_KEY_BYTES = 1 << 28
-_FAMILY_CHUNK = 1 << 15   # row x subset entries per family batch
+_BATCH_ENTRIES = 1 << 15   # (row, vote subset) or (core, vote) entries per batch
 
 
 class GraphTables:
@@ -76,8 +76,10 @@ class GraphTables:
     read and kept, so a unit pays only for what its readers read: the scan
     plan reads `votes` of every class, and `cp_conflict` too in the safety
     modes, where a unit with no conflicting checkpoint pair is vacuous; only
-    a scanned class reads the rest.  `checkpoints` refuses a universe over
-    `MAX_CHECKPOINT_BITS` on its first read, which is the plan's.
+    a scanned class reads the rest, and the vote combinations that the
+    monotone bound keeps under its scan mode (`kept`).  `checkpoints`
+    refuses a universe over `MAX_CHECKPOINT_BITS` on its first read, which
+    is the plan's.
     """
 
     def __init__(
@@ -85,6 +87,7 @@ class GraphTables:
     ):
         self.forest, self.mutation, self._max_chkp_slot = forest, mutation, max_chkp_slot
         self._probe = ProtocolState(forest, 1, frozenset(), slot_rule)   # read by the predicates
+        self._kept: dict = {}   # (scan mode, top level) -> its kept combinations, made by `kept`
 
     @cached_property
     def checkpoints(self) -> tuple[Checkpoint, ...]:
@@ -160,6 +163,17 @@ class GraphTables:
             move = lambda cp: Checkpoint(image[cp.block], cp.c, cp.p)
             perms.append([index[FfgVote(move(v.source), move(v.target))] for v in self.votes])
         return np.array(perms, dtype=np.int64).reshape(len(perms), len(self.votes))
+
+    def kept(self, mode: int, top: int):
+        """The vote combinations the monotone bound keeps under scan mode
+        `mode`, on levels up to `top` (`kernels.KeptCombinations`), made on
+        their first read and kept, so each level is generated once per unit."""
+        kept = self._kept.get((mode, top))
+        if kept is None:
+            from .kernels import KeptCombinations   # the kernels read these tables
+
+            kept = self._kept[mode, top] = KeptCombinations(self, mode, top)
+        return kept
 
 
 def build_graph_tables(
@@ -285,7 +299,7 @@ def state_table(
     dtype = np.min_scalar_type(-3 * n_validators)
     n_words = -(-n_subsets // 64)
     keys = np.zeros((rows.shape[0], 8 * n_words), dtype=np.uint8)
-    step = max(1, _FAMILY_CHUNK // n_subsets)
+    step = max(1, _BATCH_ENTRIES // n_subsets)
     for lo in range(0, rows.shape[0], step):
         block = rows[lo : lo + step]
         counts = np.zeros((block.shape[0], n_subsets), dtype=dtype)
@@ -351,7 +365,7 @@ def _canonical_rows(u: int, n_validators: int, max_votes: int, min_signers: int)
         weight += (masks >> bit) & 1
     steps = []
     last = union = spent = np.zeros(1 if min_signers <= n_validators else 0, dtype=np.int64)
-    chunk = max(1, _FAMILY_CHUNK // n_subsets)
+    chunk = max(1, _BATCH_ENTRIES // n_subsets)
     for n in range(n_validators):
         if not last.size:
             break

@@ -4,9 +4,10 @@
 
 Runs one fixed sweep against `src/` of this checkout and of OTHER_ROOT, each
 in a fresh interpreter, and compares the two case by case: `search` over
-every mutation label, thirteen bounds (2 and 3 blocks, the criterion-3
-bounds and one and two more FFG votes, 7 FFG votes at N=2, one block,
-nonstrict slots, free slot mode, catalog `m3` and `forest`) and budgets
+every mutation label, fourteen bounds (2 and 3 blocks, the criterion-3
+bounds and one and two more FFG votes, 7 FFG votes at N=2, 3 blocks with
+5 FFG votes at N=4, one block, nonstrict slots, free slot mode, catalog `m3`
+and `forest`) and budgets
 that cut at several depths, each at `jobs=1` and `jobs=2`; `find_example`
 for every property at a few budgets; `check_lfp_gfp` for every bound. The
 `jobs=2` cases run on scan tasks of 64 combinations, so that most of them
@@ -44,6 +45,9 @@ BOUNDS = (
     # 7 distinct votes: quorum-family keys two words wide
     dict(n_blocks=2, n_validators=2, max_votes=14, max_ffg_votes=7, max_chkp_slot=3),
     dict(n_blocks=3, n_validators=1, max_votes=4, max_ffg_votes=4, max_chkp_slot=3),
+    # over a million combinations a class, almost none kept: most scan
+    # tasks of a class hold no kept combination
+    dict(n_blocks=3, n_validators=4, max_votes=12, max_ffg_votes=5, max_chkp_slot=4),
     dict(n_blocks=3, n_validators=2, max_votes=6, max_ffg_votes=3, max_chkp_slot=3,
          slot_rule="nonstrict"),
     dict(n_blocks=1, n_validators=3, max_votes=6, max_ffg_votes=4, max_chkp_slot=3),

@@ -286,7 +286,7 @@ def test_a_vacuous_class_is_counted_at_any_size(monkeypatch, capsys):
 ])
 def test_a_class_empty_under_the_signer_floor_is_counted(monkeypatch, capsys, flags, graphs, pruned):
     # settled like a vacuous class: no combination is bounded, no table built
-    for name in ("bound_combinations", "state_table", "scan_states"):
+    for name in ("_kept_combinations", "state_table", "scan_states"):
         monkeypatch.setattr(enumerator, name, None)
     assert main(["search", "--max-ffg", "4", *flags]) == 0
     report = json.loads(capsys.readouterr().out)

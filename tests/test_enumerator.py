@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ffgmc import enumerator
+from ffgmc import enumerator, kernels
 from ffgmc.enumerator import (
     PROPERTY_MODES,
     Bounds,
@@ -412,13 +412,14 @@ def test_run_arguments_validated():
 
 # --- the monotone combination bound against the unreduced space -----------
 
-def _keep_every_combination(tables, combos, mode):
-    return np.ones(combos.shape[0], dtype=bool)
+def _keep_every_core(justified, finalized, clash, mode):
+    return np.ones(justified.shape, dtype=bool)
 
 
 def _unbounded(monkeypatch, fn, *args):
+    # every core kept pads into every combination
     with monkeypatch.context() as patch:
-        patch.setattr(enumerator, "bound_combinations", _keep_every_combination)
+        patch.setattr(kernels, "keeps", _keep_every_core)
         return fn(*args)
 
 
@@ -462,6 +463,24 @@ def test_monotone_bound_matches_unreduced_search(monkeypatch, mutation_name, bou
     assert full.states_bounded == 0
     assert reduced.states_checked + reduced.states_bounded == full.states_checked
     assert reduced.states_bounded > 0
+
+
+@pytest.mark.parametrize("bounds,covered,bounded", [
+    # 3 blocks, 5 FFG votes, checkpoint slots up to 4
+    (Bounds(n_blocks=3, n_validators=4, max_votes=12, max_ffg_votes=5, max_chkp_slot=4),
+     465_750_014_138, 348_313_022_186),
+    # 4 blocks, 4 FFG votes, checkpoint slots up to 5
+    (Bounds(n_blocks=4, n_validators=4, max_votes=12, max_ffg_votes=4, max_chkp_slot=5),
+     1_001_144_805_202, 856_939_558_361),
+], ids=["3-blocks", "4-blocks"])
+def test_bound_dominated_searches_hold(bounds, covered, bounded):
+    # unmutated N=4 proofs past the benchmark workloads, in which the
+    # monotone bound drops almost every combination: the verdict and the
+    # covered and bounded totals are pinned
+    report = search(bounds)
+    assert report.verdict == VERDICT_HOLDS
+    assert report.states_checked + report.states_pruned == covered
+    assert report.states_bounded == bounded
 
 
 REDUCTION_EXAMPLES = [

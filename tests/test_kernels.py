@@ -25,7 +25,6 @@ from ffgmc.kernels import (
     MODE_COUNTEREXAMPLE,
     MODE_FINALIZED_NONGENESIS,
     MODE_JUSTIFIED_NONGENESIS,
-    bound_combinations,
     scan_states,
 )
 from ffgmc.catalog import catalog_forest, catalog_ids
@@ -81,6 +80,19 @@ def all_combinations(m, u):
     return np.array(list(itertools.combinations(range(m), u)), dtype=np.int64).reshape(
         comb(m, u), u
     )
+
+
+def kept_level(tables, every, mode):
+    """The kept combinations of `tables.kept` at the level of `every` (its
+    `all_combinations`) as a mask over it, once their ranks are checked to
+    be ascending and each to name its own combination."""
+    u = every.shape[1]
+    ranks, combos = tables.kept(mode, u).level(u)
+    assert (np.diff(ranks) > 0).all(), (mode, u)
+    assert np.array_equal(combos, every[ranks]), (mode, u)
+    keep = np.zeros(len(every), dtype=bool)
+    keep[ranks] = True
+    return keep
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.label())
@@ -140,7 +152,7 @@ def test_counterexample_hits_match_reference(mutation):
     every = all_combinations(len(tables.votes), 4)
     # the combinations are picked by the unmutated bound, whatever the mutation
     plain = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
-    keep = bound_combinations(plain, every, MODE_COUNTEREXAMPLE)
+    keep = kept_level(plain, every, MODE_COUNTEREXAMPLE)
     combos = every[np.flatnonzero(keep | (np.arange(len(every)) < 2))]
     level = state_table(4, 3, bounds.max_votes, 0, mutation)
     rows = level[0]
@@ -952,8 +964,9 @@ def test_scan_matches_row_by_row_reference(data):
 def test_bound_matches_unanimity_state(
     mutation, graph, slot_rule, max_chkp_slot, n_validators, max_u
 ):
-    # for every combination, the batched bound equals the reference semantics
-    # and a one-row scan on the state where every validator casts every vote
+    # for every combination, whether the generator keeps it equals the
+    # reference semantics and a one-row scan on the state where every
+    # validator casts every vote
     forests = {
         "fork": BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)]),
         "chain": BlockForest([Block("b1", 1, GENESIS), Block("b2", 2, "b1")]),
@@ -970,7 +983,7 @@ def test_bound_matches_unanimity_state(
     for u in range(max_u + 1):
         m = len(tables.votes)
         combos = all_combinations(m, u)
-        keep = {mode: bound_combinations(tables, combos, mode) for mode in ALL_MODES}
+        keep = {mode: kept_level(tables, combos, mode) for mode in ALL_MODES}
         rows, table, index = state_table(u, n_validators, bounds.max_votes, 0, mutation)
         unanimity = int(np.flatnonzero((rows == (1 << u) - 1).all(axis=1))[0])
         row = rows[unanimity : unanimity + 1]
@@ -1001,8 +1014,8 @@ def test_bound_matches_unanimity_state(
 @pytest.mark.parametrize("mutation", ALL_MUTATIONS, ids=lambda m: m.label())
 def test_mask_bound_matches_finality_on_every_unit(mutation):
     # every unit of three blocks and of two blocks in free slot mode, up to
-    # four votes: on combinations the bound keeps and drops for a
-    # conflicting finalized pair, and random ones, the bound equals the
+    # four votes: on combinations the generator keeps and drops for a
+    # conflicting finalized pair, and random ones, its levels equal the
     # reference finality of the unanimity state (one validator casting
     # every vote)
     rng = np.random.default_rng(7)
@@ -1019,12 +1032,13 @@ def test_mask_bound_matches_finality_on_every_unit(mutation):
             m = len(tables.votes)
             for u in range(1, 5):
                 every = all_combinations(m, u)
-                conflict = bound_combinations(tables, every, MODE_CONFLICTING_FINALIZED)
+                level = {mode: kept_level(tables, every, mode) for mode in ALL_MODES}
+                conflict = level[MODE_CONFLICTING_FINALIZED]
                 picks = [rng.permutation(np.flatnonzero(side))[:10]
                          for side in (conflict, ~conflict)]
-                combos = every[np.sort(np.concatenate(picks + [rng.choice(len(every), 10)]))]
-                keep = {mode: bound_combinations(tables, combos, mode)
-                        for mode in ALL_MODES}
+                picked = np.sort(np.concatenate(picks + [rng.choice(len(every), 10)]))
+                combos = every[picked]
+                keep = {mode: level[mode][picked] for mode in ALL_MODES}
                 for i, combo in enumerate(combos):
                     combo = tuple(int(x) for x in combo)
                     state = materialize_state(bounds, tables, combo, ((1 << u) - 1,))
@@ -1061,10 +1075,10 @@ def _bound_test_units():
 
 @pytest.mark.parametrize("mutation", ALL_MUTATIONS, ids=lambda m: m.label())
 def test_votes_justify_only_later_sources(mutation):
-    # the order `bound_combinations` folds in: checkpoints are c-major,
-    # votes are in source order, and a vote that sandwiches checkpoint k has
-    # its source below k, so in an ascending combination it comes before
-    # every vote whose source is k
+    # the order the kept cores grow in: checkpoints are c-major, votes are
+    # in source order, and a vote that sandwiches checkpoint k has its
+    # source below k, so in an ascending combination it comes before every
+    # vote whose source is k
     sandwiching = 0
     for bounds, forest in _bound_test_units():
         tables = enumerator._graph_tables(bounds, forest, mutation)
@@ -1084,8 +1098,9 @@ def test_bound_matches_finality_on_two_step_chains():
     # votes that a conflict or finality mode keeps, and one in 40 of the
     # rest, against the reference finality of the unanimity state.  That
     # state is the one row of its level at N=1, so the kernel's verdicts on
-    # the two-step ones are checked too.  A single pass in reverse vote
-    # order, or one that reads J from before the pass, drops some of them
+    # the two-step ones are checked too.  Cores extended by a vote whose
+    # source their J does not yet hold, or with F read from their last vote
+    # only, keep some of them wrongly
     bounds = Bounds(n_blocks=1, n_validators=1, max_votes=4, max_chkp_slot=5)
     (forest,) = iter_units(bounds)
     tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
@@ -1093,7 +1108,7 @@ def test_bound_matches_finality_on_two_step_chains():
     two_step = 0
     for u in range(1, 5):
         every = all_combinations(len(tables.votes), u)
-        keep = {mode: bound_combinations(tables, every, mode) for mode in ALL_MODES}
+        keep = {mode: kept_level(tables, every, mode) for mode in ALL_MODES}
         sample = (keep[MODE_FINALIZED_NONGENESIS] | keep[MODE_CONFLICTING_FINALIZED]
                   | (rng.random(len(every)) < 1 / 40))
         level = state_table(u, 1, u, 0, Mutation.NONE)

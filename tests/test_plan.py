@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ffgmc import enumerator, tables
+from ffgmc import enumerator, kernels, tables
 from ffgmc.cli import main
 from ffgmc.enumerator import (
     PROPERTY_MODES,
@@ -27,6 +27,7 @@ from ffgmc.enumerator import (
     search,
 )
 from ffgmc.finality import finality_view, justified_checkpoints, justified_checkpoints_gfp
+from ffgmc.kernels import ranks
 from ffgmc.model import GENESIS_CHECKPOINT, are_conflicting, checkpoints_of
 from ffgmc.mutation import Mutation, parse_mutation
 from ffgmc.slashing import disagreement
@@ -62,22 +63,29 @@ def started(monkeypatch):
     return starts
 
 
-# --- combinations from a starting rank ---------------------------------------
+# --- combination ranks ---------------------------------------------------------
 
-def test_combinations_from_rank_match_itertools():
-    # every m <= 12, every u and every start rank, to the end of the level
+def test_ranks_match_itertools_positions():
+    # every m <= 12 and every u: a combination's rank is its position in
+    # itertools order, the canonical one
     for m in range(13):
         for u in range(m + 1):
-            expected = np.array(list(itertools.combinations(range(m), u)), dtype=np.int64)
-            expected = expected.reshape(comb(m, u), u)
-            for start in range(comb(m, u) + 1):
-                got = enumerator._combinations(m, u, start, comb(m, u) - start)
-                assert got.shape == (comb(m, u) - start, u)
-                assert np.array_equal(got, expected[start:]), (m, u, start)
-            assert enumerator._combinations(m, u, 0, 1 if u <= m else 0).shape[1] == u
+            every = np.array(list(itertools.combinations(range(m), u)), dtype=np.int64)
+            every = every.reshape(comb(m, u), u)
+            assert ranks(every, m).tolist() == list(range(comb(m, u))), (m, u)
 
 
-def test_combinations_of_a_level_beyond_int64():
+def _rank(combo, m):
+    """Lexicographic rank in Python integers: the combinations before
+    `combo` that agree with it up to position i and are smaller there."""
+    u, rank, previous = len(combo), 0, -1
+    for i, c in enumerate(combo):
+        rank += sum(comb(m - 1 - v, u - 1 - i) for v in range(previous + 1, c))
+        previous = c
+    return rank
+
+
+def test_ranks_of_a_level_near_int64():
     # ranks are int64, so the plan refuses a scanned level of more than 2**62
     # combinations like its other size limits, after the levels before it.
     # One block with checkpoint slots up to 12 has 210 votes, and C(210, 12)
@@ -89,6 +97,16 @@ def test_combinations_of_a_level_beyond_int64():
     assert len(plan.reps[0].votes) == 210
     assert plan.levels[-1] == (0, 11)
     assert comb(210, 11) <= 1 << 62 < comb(210, 12)
+    # a level of 0.99 * 2**62 combinations: its first, its last and random
+    # ones, against Python integers
+    m, u = 249, 11
+    assert 0.99 * 2**62 < comb(m, u) <= 1 << 62
+    rng = np.random.default_rng(11)
+    combos = np.array(
+        [range(u), range(m - u, m), *(np.sort(rng.choice(m, u, replace=False)) for _ in range(50))]
+    )
+    assert ranks(combos, m).tolist() == [_rank(c.tolist(), m) for c in combos]
+    assert ranks(combos[1:2], m)[0] == comb(m, u) - 1
 
 
 # --- tasks over a class's levels ------------------------------------------------
@@ -585,9 +603,7 @@ def test_a_task_that_raises_exits_internal(monkeypatch, capsys, where):
         return scan_states(*args)
 
     monkeypatch.setattr(enumerator, "scan_states", failing)
-    monkeypatch.setattr(
-        enumerator, "bound_combinations", lambda tables, combos, *_: np.ones(len(combos), bool)
-    )
+    monkeypatch.setattr(kernels, "keeps", lambda justified, *_: np.ones(justified.shape, bool))
     monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 1)
     assert main([
         "search", "--blocks", "2", "--validators", "2", "--max-votes", "8",

@@ -176,7 +176,7 @@ def _symmetric_oracle(monkeypatch, bounds, mutation):
                 )[0].shape[0]
                 graph_tables = plan.reps[index]
                 _, _, minimal = enumerator._kept_combinations(
-                    graph_tables, u, 0, comb(len(graph_tables.votes), u), plan.mode
+                    plan, graph_tables, u, 0, comb(len(graph_tables.votes), u)
                 )
                 checked.append(np.full(minimal.size, n_rows, dtype=np.int64))
                 symmetric.append(np.where(minimal, 0, n_rows))
