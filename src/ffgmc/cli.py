@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutation", default="none")
     p.add_argument("--budget", type=int, default=None, help="max states to check")
     p.add_argument("--jobs", type=int, default=1,
-                   help="processes scanning the plan's tasks (capped at the usable CPUs)")
+                   help="processes scanning whole classes, one task each "
+                        "(capped at the usable CPUs and the tasks)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 

@@ -28,18 +28,16 @@ checked (and separately as symmetric), exactly as a scan would count them.
 
 `search` and `find_example` run one scan plan (`_plan`): every unit in
 canonical order, where the first unit of each class is either settled
-whole or cut into scan tasks.  A class's levels
-(distinct-vote counts u = 0, 1, ...) are laid end to end in canonical
-order, and each task takes the next `_BOUND_CHUNK` combinations of that
-sequence: a task may span levels, never classes.  The calling process
-claims and scans tasks itself, and with jobs > 1 forked helpers claim them
-too; results fold in plan order (`_fold`), so every report equals the
+whole or one scan task.  A task scans its class's levels (distinct-vote
+counts u = 0, 1, ...) in canonical order, with one kernel call per level
+that holds an orbit-minimal kept combination.  The calling process claims
+and scans tasks itself, and with jobs > 1 forked helpers claim them too;
+results fold in plan order (`_fold`), so every report equals the
 single-process one.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import itertools
 import os
@@ -56,6 +54,7 @@ from .kernels import (
     MODE_COUNTEREXAMPLE,
     MODE_FINALIZED_NONGENESIS,
     MODE_JUSTIFIED_NONGENESIS,
+    rank,
     scan_states,
 )
 from .model import (
@@ -292,53 +291,46 @@ class _Counts:
         )
 
 
-_BOUND_CHUNK = 4096  # most combinations in one scan task, over one class's levels
-_MAX_LEVEL_COMBOS = 1 << 62  # most combinations of one scanned level: ranks are int64
-
-
-def _kept_combinations(
-    plan: _Plan, tables: GraphTables, u: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(positions, combinations, minimal): the size-u vote combinations of
-    ranks lo .. hi - 1 that the monotone bound keeps (`GraphTables.kept`, up
-    to the unit's last level), in canonical order; positions are ranks, and
-    `minimal` marks the kept combinations that are lexicographically minimal
-    in their orbit under the unit's automorphisms, the only ones scanned.
-    The orbit filter runs after the bound, which is relabelling-invariant.
+def _kept_combinations(plan: _Plan, tables: GraphTables, u: int) -> tuple[np.ndarray, np.ndarray]:
+    """(combinations, minimal): the size-u vote combinations that the
+    monotone bound keeps (`GraphTables.kept`, up to the unit's last level),
+    in canonical order, and which of them are lexicographically minimal in
+    their orbit under the unit's automorphisms, the only ones scanned.  The
+    orbit filter runs after the bound, which is relabelling-invariant.
     """
     top = _distinct_vote_range(plan.bounds, len(tables.votes))[-1]
-    ranks, combos = tables.kept(plan.mode, top).level(u)
-    a, b = np.searchsorted(ranks, (lo, hi))
-    minimal = orbit_minimal(combos[a:b], tables.perms) if b > a else np.zeros(0, dtype=bool)
-    return ranks[a:b], combos[a:b], minimal
+    combos = tables.kept(plan.mode, top).level(u)
+    minimal = orbit_minimal(combos, tables.perms) if len(combos) else np.zeros(0, dtype=bool)
+    return combos, minimal
 
 
-def _scan_range(
-    plan: _Plan, tables: GraphTables, u: int, lo: int, hi: int, limit: Optional[int] = None
-) -> _Counts:
-    """Scan the size-u combinations of ranks lo .. hi - 1 of a unit in order,
-    all kept and orbit-minimal ones in one kernel call.
+def _scan_level(plan: _Plan, tables: GraphTables, u: int, limit: Optional[int] = None) -> _Counts:
+    """Scan the size-u combinations of a unit in order, all kept and
+    orbit-minimal ones in one kernel call.
 
     Rows are counted by `state_count`; the level's `state_table` is built
-    only for that kernel call.  With a `limit` (the budget left), the range
+    only for that kernel call.  With a `limit` (the budget left), the level
     is counted, not scanned: the caller knows that no hit lies among its
     first `limit` checked rows.  Every kept combination checks `n_rows`
     rows, scanned or settled by symmetry, so one stop rule counts every
-    range: after `stop` checked rows it stops in combination `cut_at`
+    level: after `stop` checked rows it stops in kept combination `cut_at`
     after `part` rows, and the scanned rows are those of the minimal
     combinations before it, plus `part` if it is minimal itself.  A hit at
     kept row h stops at h, and the hit row is checked and scanned too; a
-    budget cut stops at `limit`, and a whole range after its last row.
+    budget cut stops at `limit`, and a whole level after its last row.  The
+    combinations the bound dropped before a stop are counted from the rank
+    of the one it stops in (`kernels.rank`).
     """
     n_validators, max_votes = plan.bounds.n_validators, plan.bounds.max_votes
     n_rows = state_count(u, n_validators, max_votes, plan.min_signers)
     total_rows = state_count(u, n_validators, max_votes, 0)
-    positions, combos, minimal = _kept_combinations(plan, tables, u, lo, hi)
-    if not positions.size:
-        return _Counts(pruned=(hi - lo) * total_rows, bounded=(hi - lo) * n_rows)
+    n_combos = comb(len(tables.votes), u)
+    combos, minimal = _kept_combinations(plan, tables, u)
+    if not len(combos):
+        return _Counts(pruned=n_combos * total_rows, bounded=n_combos * n_rows)
     # stop and scanned count the rows of every kept combination in scan order;
     # only the minimal combinations (`scan`) reach the kernel
-    rows = positions.size * n_rows
+    rows = len(combos) * n_rows
     stop, found = rows if limit is None else min(rows, limit), None
     if limit is None and n_rows and minimal.any():
         scan = np.flatnonzero(minimal)
@@ -353,10 +345,10 @@ def _scan_range(
     checked = stop + hit
     cut_at, part = divmod(stop, n_rows) if n_rows else (0, 0)
     scanned = n_rows * int(minimal[:cut_at].sum()) + (part if part and minimal[cut_at] else 0) + hit
-    # count the combinations up to the stop row, else the whole range
+    # count the combinations up to the stop row, else the whole level
     ended = hit or stop < rows
-    kept = cut_at + 1 if ended else positions.size
-    skipped = (int(positions[kept - 1]) + 1 if ended else hi) - lo - kept  # dropped by the bound
+    kept = cut_at + 1 if ended else len(combos)
+    skipped = (rank(combos[cut_at], len(tables.votes)) + 1 if ended else n_combos) - kept
     return _Counts(
         checked,
         skipped * total_rows + kept * (total_rows - n_rows),
@@ -370,17 +362,20 @@ def _scan_range(
 def _scan_task(
     plan: _Plan,
     tables: GraphTables,
-    segments: list[tuple[int, int, int]],
+    levels: range,
     limit: Optional[int] = None,
+    budget: Optional[int] = None,
 ) -> _Counts:
-    """Scan, or with a `limit` count, a task's (u, lo, hi) segments in order,
-    as `_scan_range` does one: the limit left carries from segment to
-    segment, and the task ends at a hit or a budget cut."""
+    """Scan, or with a `limit` count, a class's `levels` in order, as
+    `_scan_level` does one: the limit left carries from level to level, and
+    the task ends at a hit or a budget cut.  A scan also ends after the
+    level that takes its checked rows past the run's `budget`: the run is
+    cut within those levels, where the fold counts the cut with a limit."""
     total = _Counts()
-    for u, lo, hi in segments:
+    for u in levels:
         left = None if limit is None else limit - total.checked
-        total += _scan_range(plan, tables, u, lo, hi, left)
-        if total.hit is not None or total.cut:
+        total += _scan_level(plan, tables, u, left)
+        if total.hit is not None or total.cut or (budget is not None and total.checked > budget):
             break
     return total
 
@@ -404,8 +399,8 @@ _VACUITY_MODES = (MODE_COUNTEREXAMPLE, MODE_CONFLICTING_FINALIZED)
 
 @dataclass
 class _Plan:
-    """Every unit of a run in canonical order, and the scan tasks of the
-    first unit of each isomorphism class.
+    """Every unit of a run in canonical order, and one scan task for the
+    first unit of each isomorphism class that is not settled whole.
 
     A class's first unit is settled whole when it is vacuous (a safety mode
     and no conflicting checkpoint pair) or floor-empty (`tables.state_count`
@@ -413,16 +408,15 @@ class _Plan:
     row and prune every one): its rows are counted from its vote count by
     `tables.state_count`, not scanned.  Of its graph tables only `votes` is
     read, and `cp_conflict` in the safety modes, so no other relation of it
-    is evaluated and no size limit applies to it.  Otherwise its levels
-    u = 0, 1, ... are laid end to end in canonical order and cut into tasks
-    of `_BOUND_CHUNK` combinations of that sequence (the last one shorter),
-    numbered in canonical order; each class starts a new task.  Later units
-    of a class reuse its counts.
+    is evaluated and no size limit applies to it.  Otherwise its task scans
+    its levels u = 0, 1, ... in canonical order; tasks are numbered in
+    canonical order.  Later units of a class reuse its counts.
 
     The plan ends at the first scanned level whose tables are over a size
-    limit (`tables.check_level`; `refusal`: that unit and its error).  No task lies past it, so a run
-    whose hit or budget cut comes first ends as before, and one that reaches
-    it is refused there.
+    limit (`tables.check_level`; `refusal`: that unit and its error).  The
+    refused unit's task holds only the levels before it, so a run whose hit
+    or budget cut comes first ends as before, and one that reaches it is
+    refused there.
     """
 
     bounds: Bounds
@@ -433,31 +427,13 @@ class _Plan:
     keys: list[tuple]
     reps: dict[int, GraphTables] = field(default_factory=dict)  # first unit of a scanned class
     vacuous: dict[int, int] = field(default_factory=dict)   # vote count of a settled one
-    tasks: dict[int, range] = field(default_factory=dict)   # task numbers of a scanned one
-    levels: list[tuple[int, int]] = field(default_factory=list)  # (unit, u) per level
-    # position of each level's first combination: a class's sequence starts
-    # at its first task times `_BOUND_CHUNK`, and task i holds positions
-    # i * _BOUND_CHUNK .. (i + 1) * _BOUND_CHUNK - 1
-    starts: list[int] = field(default_factory=list)
-    n_tasks: int = 0
+    tasks: list[tuple[int, range]] = field(default_factory=list)  # (scanned unit, its levels)
     refusal: Optional[tuple[int, InputError]] = None
 
-    def task(self, i: int) -> tuple[GraphTables, list[tuple[int, int, int]]]:
-        """(tables, segments): task i scans, on the tables of its class's
-        first unit, for each (u, lo, hi) segment in order, the size-u
-        combinations of ranks lo .. hi - 1."""
-        begin, end = i * _BOUND_CHUNK, (i + 1) * _BOUND_CHUNK
-        level = bisect.bisect_right(self.starts, begin) - 1
-        index = self.levels[level][0]
-        tables = self.reps[index]
-        segments = []
-        for k in range(level, len(self.levels)):
-            (owner, u), start = self.levels[k], self.starts[k]
-            if owner != index or start >= end:
-                break
-            size = comb(len(tables.votes), u)
-            segments.append((u, max(begin - start, 0), min(end - start, size)))
-        return tables, segments
+    def task(self, i: int) -> tuple[GraphTables, range]:
+        """(tables, levels): task i scans these levels on these tables."""
+        index, levels = self.tasks[i]
+        return self.reps[index], levels
 
 
 def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _Plan:
@@ -469,8 +445,6 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
         if key in seen:
             continue
         seen.add(key)
-        first = plan.n_tasks
-        position = first * _BOUND_CHUNK
         try:
             tables = _graph_tables(bounds, forest, mutation)
             n_votes = len(tables.votes)
@@ -481,24 +455,13 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
                 plan.vacuous[index] = n_votes
                 continue
             plan.reps[index] = tables
+            plan.tasks.append((index, range(0)))
             for u in levels:
                 check_level(u, bounds.n_validators, bounds.max_votes, min_signers)
-                n_combos = comb(n_votes, u)
-                if n_combos > _MAX_LEVEL_COMBOS:
-                    raise InputError(
-                        f"{n_combos} combinations of {u} of {n_votes} votes "
-                        "exceed the rank limit 2**62; lower max_ffg_votes or max_chkp_slot"
-                    )
-                plan.levels.append((index, u))
-                plan.starts.append(position)
-                position += n_combos
-                plan.n_tasks = -(-position // _BOUND_CHUNK)
+                plan.tasks[-1] = (index, range(u + 1))
         except InputError as error:
-            # the refused unit keeps the tasks of its levels that fit
-            plan.tasks[index] = range(first, plan.n_tasks)
             plan.refusal = (index, error)
             return plan
-        plan.tasks[index] = range(first, plan.n_tasks)
     return plan
 
 
@@ -536,25 +499,26 @@ def _help(tasks: _Tasks, writer) -> None:
 
 class _Tasks:
     """The plan's scan tasks, claimed in plan order by the calling process and
-    by forked helpers, and each scanned whole, without the budget, which
-    only `_fold` applies.  They share the next task to claim and the stop
-    index: the lowest task known to end the run (a hit or a budget cut).  No
-    task past it is claimed; a task that is already running is finished.
+    by forked helpers, and each scanned without the budget, which only
+    `_fold` applies, up to a hit or past the run's `budget` (`_scan_task`).
+    They share the next task to claim and the stop index: the lowest task
+    known to end the run (a hit or a budget cut).  No task past it is
+    claimed; a task that is already running is finished.
     """
 
-    def __init__(self, plan: _Plan):
-        self.plan = plan
+    def __init__(self, plan: _Plan, budget: Optional[int]):
+        self.plan, self.budget = plan, budget
         self.shared, self.lock = [0, _NO_STOP], contextlib.nullcontext()
         self.done: dict[int, object] = {}   # task -> counts, or a helper's traceback
         self.helpers: list = []
         self.readers: list = []             # result pipes of helpers still running
 
     def fork(self, jobs: int) -> None:
-        """Start min(jobs, usable CPUs) - 1 helpers, none if one task or less.
+        """Start min(jobs, usable CPUs, tasks) - 1 helpers, none if one task or less.
 
         The process modules are imported here, and by `_receive` and
         `_help`, so a run that starts no helper never loads them."""
-        n_helpers = min(jobs, _usable_cpus(), self.plan.n_tasks) - 1
+        n_helpers = min(jobs, _usable_cpus(), len(self.plan.tasks)) - 1
         if n_helpers < 1:
             return
         import mmap
@@ -573,7 +537,7 @@ class _Tasks:
     def claim(self) -> Optional[int]:
         with self.lock:
             i = self.shared[0]
-            if i >= self.plan.n_tasks or i > self.shared[1]:
+            if i >= len(self.plan.tasks) or i > self.shared[1]:
                 return None
             self.shared[0] = i + 1
         return i
@@ -583,7 +547,7 @@ class _Tasks:
             self.shared[1] = min(self.shared[1], i)
 
     def scan(self, i: int) -> _Counts:
-        counts = _scan_task(self.plan, *self.plan.task(i))
+        counts = _scan_task(self.plan, *self.plan.task(i), budget=self.budget)
         if counts.hit is not None:
             self.stop(i)
         return counts
@@ -638,49 +602,45 @@ def _fold(
 
     Returns the counts up to there, the number of units visited and the
     graph tables of the hit's unit.  The budget is applied here only, by
-    counting: tasks are scanned without it, and a task whose checked rows
-    exceed the budget left holds no hit before the cut (its hit, if any, is
-    its last checked row), so its cut is counted with `_scan_range`'s limit,
-    on the row a sequential scan would stop at.  A later unit of a class
-    reuses the class's counts when the budget left covers them (no tables
-    are built for it); otherwise it holds no hit either, and its class's
-    tasks are counted on its own tables, whose labelling places the bound's
-    and the orbit filter's combinations.  The plan's refusal is raised when
-    the fold reaches it.
+    counting: a task whose checked rows exceed the budget left holds no hit
+    before the cut (its hit, if any, is its last checked row), so its cut is
+    counted with `_scan_level`'s limit, on the row a sequential scan would
+    stop at.  A later unit of a class reuses the class's counts when the
+    budget left covers them (no tables are built for it); otherwise it holds
+    no hit either, and its class's levels are counted on its own tables,
+    whose labelling places the bound's and the orbit filter's combinations.
+    The plan's refusal is raised when the fold reaches it.
     """
     run = _Counts()
-    memo: dict[tuple, tuple[int, _Counts]] = {}   # class key -> (first unit, its counts)
+    memo: dict[tuple, tuple[range, _Counts]] = {}   # class key -> (its levels, its counts)
+    task = 0   # the task of the next scanned class
     for index, key in enumerate(plan.keys):
-        if index in plan.tasks:
-            total = _Counts()
-            for i in plan.tasks[index]:
-                left = None if budget is None else budget - run.checked
-                counts = tasks.result(i)
-                if left is not None and counts.checked > left:
-                    tasks.stop(i)
-                    counts = _scan_task(plan, *plan.task(i), limit=left)
-                total += counts
-                run += counts
-                if run.hit is not None or run.cut:
-                    return run, index + 1, plan.reps[index]
-            if plan.refusal is not None and plan.refusal[0] == index:
-                raise plan.refusal[1]
-            memo[key] = (index, total)
-        elif index in plan.vacuous:
-            n_votes = plan.vacuous[index]
-            counts = _Counts(pruned=_unit_total_states(plan.bounds, n_votes))
-            memo[key] = (index, counts)
+        if index in plan.reps:
+            tables, levels = plan.task(task)
+            left = None if budget is None else budget - run.checked
+            counts = tasks.result(task)
+            if left is not None and counts.checked > left:
+                tasks.stop(task)
+                counts = _scan_task(plan, tables, levels, limit=left)
+            task += 1
             run += counts
-        else:
-            first, known = memo[key]
+            if run.hit is not None or run.cut:
+                return run, index + 1, tables
+            memo[key] = (levels, counts)
+        elif index in plan.vacuous:
+            counts = _Counts(pruned=_unit_total_states(plan.bounds, plan.vacuous[index]))
+            memo[key] = (range(0), counts)
+            run += counts
+        elif key in memo:
+            levels, known = memo[key]
             if budget is None or budget - run.checked >= known.checked:
                 run += replace(known, symmetric=known.checked)
                 continue
             tables = _graph_tables(plan.bounds, plan.units[index], plan.mutation)
-            for i in plan.tasks[first]:
-                run += _scan_task(plan, tables, plan.task(i)[1], limit=budget - run.checked)
-                if run.cut:
-                    return run, index + 1, tables
+            run += _scan_task(plan, tables, levels, limit=budget - run.checked)
+            return run, index + 1, tables
+        if plan.refusal is not None and plan.refusal[0] == index:
+            raise plan.refusal[1]
     return run, len(plan.keys), None
 
 
@@ -698,7 +658,7 @@ def _run(
     if jobs < 1:
         raise InputError("jobs must be at least 1")
     plan = _plan(bounds, mutation, mode, min_signers)
-    tasks = _Tasks(plan)
+    tasks = _Tasks(plan, budget)
     try:
         tasks.fork(jobs)
         return _fold(plan, tasks, budget)

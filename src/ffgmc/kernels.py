@@ -3,13 +3,13 @@
 One call scans the canonical vote-assignment rows of one level (its
 `tables.state_table`, one row of per-validator vote masks each; the
 enumerator builds it only for such a call) for C distinct-vote
-combinations of one graph,
-against the bit-packed tables of those combinations, in combination-major,
-row-minor order, in one pass with no row limit (the enumerator applies
-`--budget` by counting rows).  It returns the first (combination, row)
-satisfying the scan mode, as a flat index, plus the number of rows scanned,
-exactly as a row-at-a-time scan that stops at the first hit would report
-them.
+combinations of one graph (the enumerator makes one call per scanned level
+of a class), against the bit-packed tables of those combinations, in
+combination-major, row-minor order, in one pass with no row limit (the
+enumerator applies `--budget` by counting rows).  It returns the first
+(combination, row) satisfying the scan mode, as a flat index, plus the
+number of rows scanned, exactly as a row-at-a-time scan that stops at the
+first hit would report them.
 
 A row is read only through quorum tests (do enough validators' vote masks
 meet a vote set X?) and, for counterexamples, through its per-validator
@@ -38,8 +38,9 @@ counterexample scan expands that combination's rows.
 
 Only combinations that may hold a hit reach a scan (the monotone
 combination bound): `KeptCombinations` generates each level's kept
-combinations from the reachable cores of a unit's votes, so no other
-combination is listed or tested.
+combinations from the reachable cores of a unit's votes, in lexicographic
+order, so no other combination is listed or tested; `rank` places one of
+them among all the combinations of its size, exactly at any size.
 
 Nothing here takes a mutation: the graph tables were built for one
 (`tables.build_graph_tables`), and the quorum families carry its quorum rule.
@@ -193,9 +194,9 @@ class KeptCombinations:
     Padding.  A size-u combination U splits uniquely into its core G and
     u - |G| padding votes, whose sources lie outside J(G); G plus any such
     votes has core G.  So a level's kept combinations are the kept cores of
-    at most u votes, each padded in every way.  They are ranked by the
-    combinatorial number system (`ranks`) and returned in rank order, the
-    canonical one.
+    at most u votes, each padded in every way.  They are returned in
+    lexicographic order, the canonical one; a combination's rank in it is
+    `rank`, which the enumerator needs only where a scan stops.
     """
 
     def __init__(self, tables: GraphTables, mode: int, top: int):
@@ -212,12 +213,11 @@ class KeptCombinations:
                  np.zeros(1, dtype=bool))
         self._frontier = empty
         self._kept_cores = {0: self._select(*empty)}   # size -> (votes, (J, F) masks)
-        self._levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._levels: dict[int, np.ndarray] = {}
 
-    def level(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ranks, combos): the kept size-u combinations, a (C, u) array of
-        ascending vote indices, and their ranks among all size-u
-        combinations, ascending; u is at most `top`."""
+    def level(self, u: int) -> np.ndarray:
+        """The kept size-u combinations, a (C, u) array of ascending vote
+        indices in lexicographic order; u is at most `top`."""
         if u not in self._levels:
             self._levels[u] = self._pad(u)
         return self._levels[u]
@@ -269,13 +269,13 @@ class KeptCombinations:
             batches.append((np.column_stack([votes[core], vote]), grown, grown_clash))
         return tuple(np.concatenate(part) for part in zip(*batches))
 
-    def _pad(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """The kept size-u combinations and their ranks, in rank order: each
-        kept core of s <= u votes with every u - s of the votes whose source
-        is outside its J, drawn in ascending order."""
+    def _pad(self, u: int) -> np.ndarray:
+        """The kept size-u combinations in lexicographic order: each kept
+        core of s <= u votes with every u - s of the votes whose source is
+        outside its J, drawn in ascending order."""
         source = self._tables.vote_src
         later = np.arange(source.size)
-        parts = []
+        parts = [np.zeros((0, u), dtype=np.int64)]
         for s in range(u + 1):
             votes, marks = self._cores(s)
             if not votes.shape[0]:
@@ -289,28 +289,18 @@ class KeptCombinations:
                     core, padding = core[row], np.column_stack([padding[row], vote])
                 votes = np.sort(np.hstack([votes[core], padding]), axis=1)
             parts.append(votes)
-        if not parts:
-            return np.zeros(0, dtype=np.int64), np.zeros((0, u), dtype=np.int64)
         combos = np.concatenate(parts)
-        rank = ranks(combos, source.size)
-        order = np.argsort(rank)
-        return rank[order], combos[order]
+        # lexsort's last key is its first: column 0 leads; u = 0 has no key to sort by
+        return combos[np.lexsort(combos.T[::-1])] if u else combos
 
 
-def ranks(combos: np.ndarray, m: int) -> np.ndarray:
-    """The lexicographic rank of each row of `combos` ((C, u) ascending vote
-    indices) among the size-u combinations of range(m), by the combinatorial
-    number system: rank r of c_0 < ... < c_{u-1} has
-    C(m, u) - 1 - r = sum_i C(m - 1 - c_i, u - i).  Each term is at most
-    C(m, u), which the plan holds to 2**62, so the sum is exact in int64.
-    """
-    u = combos.shape[1]
-    rest = np.zeros(combos.shape[0], dtype=np.int64)
-    for i in range(u):
-        # c_i >= i, so only C(y, u - i) for y < m - i is read
-        column = np.array([comb(y, u - i) for y in range(m - i)], dtype=np.int64)
-        rest += column[m - 1 - combos[:, i]]
-    return comb(m, u) - 1 - rest
+def rank(combo, m: int) -> int:
+    """The lexicographic rank of `combo` (ascending vote indices) among the
+    size-u combinations of range(m), in Python integers, so exact at any
+    size, by the combinatorial number system: rank r of c_0 < ... < c_{u-1}
+    has C(m, u) - 1 - r = sum_i C(m - 1 - c_i, u - i)."""
+    u = len(combo)
+    return comb(m, u) - 1 - sum(comb(m - 1 - int(c), u - i) for i, c in enumerate(combo))
 
 
 def _patterns(projected: ProjectedTables, mode: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,13 +9,11 @@ bounds and one and two more FFG votes, 7 FFG votes at N=2, 3 blocks with
 5 FFG votes at N=4, one block, nonstrict slots, free slot mode, catalog `m3`
 and `forest`) and budgets
 that cut at several depths, each at `jobs=1` and `jobs=2`; `find_example`
-for every property at a few budgets; `check_lfp_gfp` for every bound. The
-`jobs=2` cases run on scan tasks of 64 combinations, so that most of them
-plan more than one task and start a helper; reports do not depend on task
-size, and each side prints how many of its `jobs=2` cases planned more
-than one task. Exits 0 when every case is identical, 1 at the first case
-whose verdict, counters, counterexample, `graph_index` or example differs,
-and 2 when a side cannot run. Pytest does not collect this file.
+for every property at a few budgets; `check_lfp_gfp` for every bound. Each
+side prints how many of its `jobs=2` cases planned more than one scan task,
+and so started a helper. Exits 0 when every case is identical, 1 at the
+first case whose verdict, counters, counterexample, `graph_index` or example
+differs, and 2 when a side cannot run. Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ BOUNDS = (
     # 7 distinct votes: quorum-family keys two words wide
     dict(n_blocks=2, n_validators=2, max_votes=14, max_ffg_votes=7, max_chkp_slot=3),
     dict(n_blocks=3, n_validators=1, max_votes=4, max_ffg_votes=4, max_chkp_slot=3),
-    # over a million combinations a class, almost none kept: most scan
-    # tasks of a class hold no kept combination
+    # over a million combinations a class, almost none kept: a budget cut
+    # counts many dropped combinations by the rank of the one it cuts in
     dict(n_blocks=3, n_validators=4, max_votes=12, max_ffg_votes=5, max_chkp_slot=4),
     dict(n_blocks=3, n_validators=2, max_votes=6, max_ffg_votes=3, max_chkp_slot=3,
          slot_rule="nonstrict"),
@@ -67,9 +65,6 @@ def _budgets(checked: int) -> list[int]:
     return sorted(cuts - {-1})
 
 
-JOBS2_CHUNK = 64  # scan-task size of the jobs=2 cases
-
-
 def _cases():
     """Yield (case, record, tasks) triples of the sweep, in a fixed order;
     `tasks` is the plan's task count of a jobs=2 search, else None."""
@@ -87,14 +82,8 @@ def _cases():
     from ffgmc.scenario import scenario_to_json, verdict_to_json
     from ffgmc.tables import min_signers_for_quorum
 
-    chunk = enumerator._BOUND_CHUNK
-
     def searched(bounds, mutation, budget, jobs):
-        enumerator._BOUND_CHUNK = JOBS2_CHUNK if jobs == 2 else chunk
-        try:
-            report = search(bounds, mutation, budget=budget, jobs=jobs)
-        finally:
-            enumerator._BOUND_CHUNK = chunk
+        report = search(bounds, mutation, budget=budget, jobs=jobs)
         cex = report.counterexample
         return {
             "verdict": report.verdict,
@@ -116,11 +105,10 @@ def _cases():
 
     def jobs2_tasks(bounds, mutation):
         floor = min_signers_for_quorum(bounds.n_validators) if mutation == Mutation.NONE else 0
-        enumerator._BOUND_CHUNK = JOBS2_CHUNK
-        try:
-            return enumerator._plan(bounds, mutation, MODE_COUNTEREXAMPLE, floor).n_tasks
-        finally:
-            enumerator._BOUND_CHUNK = chunk
+        plan = enumerator._plan(bounds, mutation, MODE_COUNTEREXAMPLE, floor)
+        # a plan of rank-range tasks counts them in `n_tasks`, one of a task
+        # per class lists them in `tasks`
+        return plan.n_tasks if hasattr(plan, "n_tasks") else len(plan.tasks)
 
     for spec in BOUNDS:
         bounds = Bounds(**spec)

@@ -33,7 +33,7 @@ from ffgmc.model import (
 )
 from ffgmc.mutation import Mutation, parse_mutation
 from ffgmc.slashing import accountable_safety
-from ffgmc.tables import build_graph_tables
+from ffgmc.tables import build_graph_tables, project_tables
 from reference import enumerate_states
 
 
@@ -517,11 +517,21 @@ BATCHING_CASES = [
 
 @pytest.mark.parametrize("bounds,mutation_name,budget", BATCHING_CASES)
 def test_combination_batches_leave_reports_unchanged(monkeypatch, bounds, mutation_name, budget):
-    # with scan tasks of one combination every scan call covers one
-    # combination, as the per-combination scan did; batching may change no
+    # a level's combinations scanned one per kernel call, as the
+    # per-combination scan did, up to the first hit; batching may change no
     # verdict or counter
     mutation = parse_mutation(mutation_name)
     batched = replace(search(bounds, mutation, budget=budget), wall_time=0.0)
+    scan_states = enumerator.scan_states
+
+    def one_at_a_time(level, projected, *args):
+        n_rows, combos = level[0].shape[0], projected._combos
+        for c in range(len(combos)):
+            hit, _ = scan_states(level, project_tables(projected._tables, combos[c : c + 1]), *args)
+            if hit >= 0:
+                return c * n_rows + hit, c * n_rows + hit + 1
+        return -1, len(combos) * n_rows
+
     with monkeypatch.context() as patch:
-        patch.setattr(enumerator, "_BOUND_CHUNK", 1)
+        patch.setattr(enumerator, "scan_states", one_at_a_time)
         assert batched == replace(search(bounds, mutation, budget=budget), wall_time=0.0)

@@ -84,14 +84,16 @@ def all_combinations(m, u):
 
 def kept_level(tables, every, mode):
     """The kept combinations of `tables.kept` at the level of `every` (its
-    `all_combinations`) as a mask over it, once their ranks are checked to
-    be ascending and each to name its own combination."""
+    `all_combinations`) as a mask over it, once they are checked to be rows
+    of `every` in its order: read as base-M numbers, both are ascending."""
     u = every.shape[1]
-    ranks, combos = tables.kept(mode, u).level(u)
-    assert (np.diff(ranks) > 0).all(), (mode, u)
-    assert np.array_equal(combos, every[ranks]), (mode, u)
+    combos = tables.kept(mode, u).level(u)
+    digits = len(tables.votes) ** np.arange(u - 1, -1, -1, dtype=np.int64)
+    positions = np.searchsorted(every @ digits, combos @ digits)
+    assert (np.diff(positions) > 0).all(), (mode, u)
+    assert np.array_equal(combos, every[positions]), (mode, u)
     keep = np.zeros(len(every), dtype=bool)
-    keep[ranks] = True
+    keep[positions] = True
     return keep
 
 

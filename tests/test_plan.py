@@ -1,6 +1,7 @@
-"""The scan plan: task ranges, helper processes and the in-order fold."""
+"""The scan plan: one task per scanned class, helper processes and the in-order fold."""
 
 import itertools
+import json
 import multiprocessing
 import os
 import subprocess
@@ -27,8 +28,8 @@ from ffgmc.enumerator import (
     search,
 )
 from ffgmc.finality import finality_view, justified_checkpoints, justified_checkpoints_gfp
-from ffgmc.kernels import ranks
-from ffgmc.model import GENESIS_CHECKPOINT, are_conflicting, checkpoints_of
+from ffgmc.kernels import rank
+from ffgmc.model import GENESIS_CHECKPOINT, InputError, are_conflicting, checkpoints_of
 from ffgmc.mutation import Mutation, parse_mutation
 from ffgmc.slashing import disagreement
 from ffgmc.symmetry import unit_key
@@ -70,9 +71,8 @@ def test_ranks_match_itertools_positions():
     # itertools order, the canonical one
     for m in range(13):
         for u in range(m + 1):
-            every = np.array(list(itertools.combinations(range(m), u)), dtype=np.int64)
-            every = every.reshape(comb(m, u), u)
-            assert ranks(every, m).tolist() == list(range(comb(m, u))), (m, u)
+            every = itertools.combinations(range(m), u)
+            assert [rank(c, m) for c in every] == list(range(comb(m, u))), (m, u)
 
 
 def _rank(combo, m):
@@ -86,30 +86,27 @@ def _rank(combo, m):
 
 
 def test_ranks_of_a_level_near_int64():
-    # ranks are int64, so the plan refuses a scanned level of more than 2**62
-    # combinations like its other size limits, after the levels before it.
-    # One block with checkpoint slots up to 12 has 210 votes, and C(210, 12)
-    # is about 1e19
+    # ranks are Python integers, so a scanned level may hold more than 2**63
+    # combinations: one block with checkpoint slots up to 12 has 210 votes,
+    # and C(210, 12) is about 1e19, yet the plan keeps every level of it
     bounds = Bounds(n_blocks=1, n_validators=1, max_votes=16, max_chkp_slot=12)
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_JUSTIFIED_NONGENESIS, 0)
-    index, error = plan.refusal
-    assert index == 0 and "rank limit" in str(error)
+    assert plan.refusal is None and plan.tasks == [(0, range(17))]
     assert len(plan.reps[0].votes) == 210
-    assert plan.levels[-1] == (0, 11)
-    assert comb(210, 11) <= 1 << 62 < comb(210, 12)
-    # a level of 0.99 * 2**62 combinations: its first, its last and random
-    # ones, against Python integers
-    m, u = 249, 11
-    assert 0.99 * 2**62 < comb(m, u) <= 1 << 62
+    assert comb(210, 11) < 2**63 < comb(210, 12)
+    # the levels on both sides of 2**63 and one of 0.99 * 2**62
+    # combinations: their first, their last and random ones, against the
+    # reference sum
+    assert 0.99 * 2**62 < comb(249, 11) <= 1 << 62
     rng = np.random.default_rng(11)
-    combos = np.array(
-        [range(u), range(m - u, m), *(np.sort(rng.choice(m, u, replace=False)) for _ in range(50))]
-    )
-    assert ranks(combos, m).tolist() == [_rank(c.tolist(), m) for c in combos]
-    assert ranks(combos[1:2], m)[0] == comb(m, u) - 1
+    for m, u in ((210, 11), (210, 12), (249, 11)):
+        combos = [range(u), range(m - u, m),
+                  *(sorted(rng.choice(m, u, replace=False).tolist()) for _ in range(50))]
+        assert [rank(c, m) for c in combos] == [_rank(list(c), m) for c in combos]
+        assert rank(range(m - u, m), m) == comb(m, u) - 1
 
 
-# --- tasks over a class's levels ------------------------------------------------
+# --- one task per scanned class ---------------------------------------------------
 
 def _refused_plan(monkeypatch):
     """A plan that ends at u=5 of its first unit, with 4-bit vote masks."""
@@ -119,12 +116,21 @@ def _refused_plan(monkeypatch):
         return enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2)
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 50, 4096])
-def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch, chunk):
-    # every scanned class's levels u = 0, 1, ... laid end to end, covered by
-    # its own consecutive tasks of exactly `chunk` combinations (the last
-    # one at most), each combination once and in canonical order
-    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", chunk)
+TASK_CASES = [
+    ("none", _small(n_validators=2, max_votes=6)),
+    ("quorum-half", _small(n_blocks=2, n_validators=2, max_votes=6)),
+    ("disable-e1,disable-e2", _small(n_validators=2, max_votes=8)),
+    ("drop-ancestry", _small(n_validators=2, max_votes=6, max_ffg_votes=3, slot_rule="nonstrict")),
+    ("quorum-half",
+     _small(n_blocks=2, n_validators=3, max_votes=6, slot_mode="free", max_slot=2)),
+    ("none", _small(n_blocks=0, n_validators=3, max_votes=6, graph_filter="m3")),
+]
+
+
+def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch):
+    # one task per scanned class, numbered in canonical order, on the tables
+    # of the class's first unit, over its levels u = 0, 1, ...; a refused
+    # class is the last one planned, and its task holds the levels that fit
     plans = [
         enumerator._plan(bounds, parse_mutation(name), enumerator.MODE_COUNTEREXAMPLE, 0)
         for name, bounds in TASK_CASES
@@ -133,50 +139,42 @@ def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch, chunk):
     plans.append(enumerator._plan(_small(n_blocks=2), Mutation.NONE, justified, 0))
     plans.append(_refused_plan(monkeypatch))
     assert plans[-1].refusal is not None
+    assert max(len(plan.tasks) for plan in plans) > 1
     for plan in plans:
-        assert sorted(plan.tasks) == sorted(plan.reps)
-        next_task = 0
-        for index in sorted(plan.tasks):
-            tasks = plan.tasks[index]
-            assert tasks.start == next_task
-            next_task = tasks.stop
-            n_votes = len(plan.reps[index].votes)
-            levels = [u for owner, u in plan.levels if owner == index]
-            assert levels == list(range(len(levels)))
-            expected = [(u, rank) for u in levels for rank in range(comb(n_votes, u))]
-            got = []
-            for i in tasks:
-                graph_tables, segments = plan.task(i)
-                assert graph_tables is plan.reps[index]
-                sizes = [hi - lo for _, lo, hi in segments]
-                assert min(sizes) > 0
-                assert sum(sizes) == chunk if i < tasks.stop - 1 else 0 < sum(sizes) <= chunk
-                got += [(u, rank) for u, lo, hi in segments for rank in range(lo, hi)]
-            assert got == expected
-        assert next_task == plan.n_tasks
+        last = plan.refusal[0] if plan.refusal else len(plan.keys) - 1
+        firsts = [i for i, key in enumerate(plan.keys[: last + 1]) if plan.keys.index(key) == i]
+        assert sorted([*plan.reps, *plan.vacuous]) == firsts
+        assert [index for index, _ in plan.tasks] == sorted(plan.reps)
+        for i, (index, levels) in enumerate(plan.tasks):
+            graph_tables, task_levels = plan.task(i)
+            assert graph_tables is plan.reps[index] and task_levels is levels
+            n_votes = len(graph_tables.votes)
+            if plan.refusal and plan.refusal[0] == index:
+                assert levels == range(5)
+            else:
+                assert levels == enumerator._distinct_vote_range(plan.bounds, n_votes)
 
 
 def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
-    # with 600-combination tasks, task 1 holds the end of level 3 and the
-    # start of level 4, both with rows to check; a budget that runs out in
-    # level 4 must carry over from level 3 within the task's count, in the
-    # calling process and with a helper, and cut where one-combination
-    # tasks cut
-    bounds = _small(n_blocks=2, n_validators=2, max_votes=8)
+    # a task scans its class's levels in order: a budget that runs out in
+    # level L must carry over from the levels before it within the task's
+    # count, in the calling process and with a helper, and cut where the
+    # levels counted one by one cut
+    bounds = _small(n_validators=2, max_votes=8)
     mutation = parse_mutation("drop-ancestry")
-    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 600)
     plan = enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, 0)
-    before = enumerator._scan_task(plan, *plan.task(0)).checked
-    graph_tables, segments = plan.task(1)
-    assert [u for u, _, _ in segments] == [3, 4]
-    first, second = (enumerator._scan_range(plan, graph_tables, *s).checked for s in segments)
-    assert first > 0 and second > 1
-    budget = before + first + 1
-    with monkeypatch.context() as patch:
-        patch.setattr(enumerator, "_BOUND_CHUNK", 1)
-        expected = _report(bounds, mutation, budget)
+    assert len(plan.tasks) > 1
+    graph_tables, levels = plan.task(0)
+    counts = [enumerator._scan_level(plan, graph_tables, u) for u in levels]
+    level = next(u for u in levels[1:] if counts[u - 1].checked > 0 and counts[u].checked > 1)
+    budget = sum(c.checked for c in counts[:level]) + 1
+    want = sum(counts[:level], enumerator._Counts()) + enumerator._scan_level(
+        plan, graph_tables, level, limit=1
+    )
+    expected = _report(bounds, mutation, budget)
     assert expected.verdict == VERDICT_INCONCLUSIVE and expected.states_checked == budget
-    assert _report(bounds, mutation, budget) == expected
+    assert (expected.states_checked, expected.states_pruned, expected.states_bounded,
+            expected.states_symmetric) == (want.checked, want.pruned, want.bounded, want.symmetric)
     with monkeypatch.context() as patch:
         patch.setattr(enumerator, "_usable_cpus", lambda: 2)
         assert _report(bounds, mutation, budget, jobs=2) == expected
@@ -185,12 +183,11 @@ def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
 
 @pytest.mark.usefixtures("two_cpus")
 def test_falsify_c3_plans_one_task_and_forks_nothing(monkeypatch):
-    # unit 0's 4,048 combinations (levels of 1, 18, 153, 816 and 3,060) fit
-    # one task, so --jobs 2 starts no helper and reports as --jobs 1
+    # unit 0, the fork, is the one scanned class, and its levels u = 0 .. 4
+    # are one task, so --jobs 2 starts no helper and reports as --jobs 1
     mutation = parse_mutation("quorum-half")
     plan = enumerator._plan(C3, mutation, enumerator.MODE_COUNTEREXAMPLE, 0)
-    assert plan.n_tasks == 1
-    assert plan.task(0)[1] == [(0, 0, 1), (1, 0, 18), (2, 0, 153), (3, 0, 816), (4, 0, 3060)]
+    assert plan.tasks == [(0, range(5))]
     expected = _report(C3, mutation)
     assert expected.verdict == VERDICT_COUNTEREXAMPLE
 
@@ -199,6 +196,60 @@ def test_falsify_c3_plans_one_task_and_forks_nothing(monkeypatch):
 
     monkeypatch.setattr(enumerator, "_start_helper", refuse)
     assert _report(C3, mutation, jobs=2) == expected
+
+
+def test_each_scanned_level_is_one_kernel_call(monkeypatch):
+    # at three blocks with 5 FFG votes and checkpoint slots up to 4, every
+    # (class, level) pair that holds an orbit-minimal kept combination is
+    # scanned in exactly one kernel call, and no other pair is scanned
+    bounds = Bounds(n_blocks=3, n_validators=4, max_votes=12, max_ffg_votes=5, max_chkp_slot=4)
+    plans, calls = [], []
+    plan_of, scan_states = enumerator._plan, enumerator.scan_states
+
+    def kept_plan(*args):
+        plans.append(plan_of(*args))
+        return plans[-1]
+
+    def counted(level, projected, *args):
+        calls.append((id(projected._tables), projected._combos.shape[1]))
+        return scan_states(level, projected, *args)
+
+    monkeypatch.setattr(enumerator, "_plan", kept_plan)
+    monkeypatch.setattr(enumerator, "scan_states", counted)
+    assert search(bounds).verdict == VERDICT_HOLDS
+    (plan,) = plans
+    pairs = [
+        (id(graph_tables), u)
+        for graph_tables, levels in map(plan.task, range(len(plan.tasks)))
+        for u in levels
+        if enumerator._kept_combinations(plan, graph_tables, u)[1].any()
+    ]
+    assert len(plan.tasks) == 3 and len(pairs) > len(plan.tasks)
+    assert sorted(calls) == sorted(pairs)
+
+
+def test_a_budget_ends_a_scan_before_its_largest_level(monkeypatch, capsys):
+    # at 2 blocks with 24 votes and 7 FFG votes the row table of u = 7 has
+    # 7.3 M rows; a task stops after the level that takes its checked rows
+    # past the run's budget, so a budget run at --jobs 1 and 2, and an
+    # example search with a budget, never build it
+    build = enumerator.state_table
+
+    def below_u7(u, *args):
+        assert u < 7, "a budget run built the u=7 row table"
+        return build(u, *args)
+
+    monkeypatch.setattr(enumerator, "state_table", below_u7)
+    monkeypatch.setattr(enumerator, "_usable_cpus", lambda: 2)
+    argv = ["search", "--blocks", "2", "--validators", "4", "--max-votes", "24",
+            "--max-ffg", "7", "--max-chkp-slot", "3", "--budget", "1000"]
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["counters"]["states_checked"] == 1000
+    bounds = Bounds(n_blocks=2, n_validators=4, max_votes=24, max_ffg_votes=7, max_chkp_slot=3)
+    with pytest.raises(SearchBudgetExceeded):
+        find_example(bounds, "conflicting-finalized", budget=100)
 
 
 def test_falsify_c3_imports_no_process_or_smt_module():
@@ -353,34 +404,21 @@ def test_vote_count_and_vacuity_match_the_full_build(bounds):
         assert forked, "no forked unit without conflicting checkpoints"
 
 
-# --- reports do not depend on how the plan is cut or run -----------------------
+# --- reports do not depend on how the plan is run -------------------------------
 
-TASK_CASES = [
-    ("none", _small(n_validators=2, max_votes=6)),
-    ("quorum-half", _small(n_blocks=2, n_validators=2, max_votes=6)),
-    ("disable-e1,disable-e2", _small(n_validators=2, max_votes=8)),
-    ("drop-ancestry", _small(n_validators=2, max_votes=6, max_ffg_votes=3, slot_rule="nonstrict")),
-    ("quorum-half",
-     _small(n_blocks=2, n_validators=3, max_votes=6, slot_mode="free", max_slot=2)),
-    ("none", _small(n_blocks=0, n_validators=3, max_votes=6, graph_filter="m3")),
-]
+# the cases whose plans hold more than one task, so --jobs 2 starts a helper
+HELPER_CASES = [case for case in TASK_CASES if case[1].n_blocks == 3 or case[1].slot_mode == "free"]
 
 
 @pytest.mark.usefixtures("two_cpus")
-@pytest.mark.parametrize("mutation_name,bounds", TASK_CASES)
-def test_task_size_leaves_reports_unchanged(monkeypatch, started, mutation_name, bounds):
-    # tasks of 50 combinations split every level into many tasks; neither the
-    # split nor the helpers may change a verdict, counter or counterexample
+@pytest.mark.parametrize("mutation_name,bounds", HELPER_CASES)
+def test_helpers_leave_reports_unchanged(started, mutation_name, bounds):
+    # a helper scanning whole classes ahead of the fold may change no
+    # verdict, counter or counterexample, with or without a budget
     mutation = parse_mutation(mutation_name)
-    whole = _report(bounds, mutation)
-    checked = whole.states_checked
-    with monkeypatch.context() as patch:
-        patch.setattr(enumerator, "_BOUND_CHUNK", 50)
-        for budget in (None, 0, checked // 3, max(checked - 1, 0)):
-            single = _report(bounds, mutation, budget)
-            assert single == _report(bounds, mutation, budget, jobs=2)
-            if budget is None:
-                assert single == whole
+    checked = _report(bounds, mutation).states_checked
+    for budget in (None, 0, checked // 3, max(checked - 1, 0)):
+        assert _report(bounds, mutation, budget, jobs=2) == _report(bounds, mutation, budget)
     assert started
 
 
@@ -422,46 +460,44 @@ def test_budget_cuts_match_across_jobs(started):
     assert started
 
 
-# (bounds, mutation, budget, _BOUND_CHUNK, jobs) -> (states_checked,
-# graphs_checked, states_pruned, states_bounded, states_symmetric) of a cut
-# run: a cut in a later unit of a class, and cuts in a task whose unlimited
-# rows exceed the budget left.  The counts were pinned from a fold that
-# scanned each cut with a row limit in the kernel
+# (bounds, mutation, budget, jobs) -> (states_checked, graphs_checked,
+# states_pruned, states_bounded, states_symmetric) of a cut run: a cut in a
+# later unit of a class, and cuts in a task whose unlimited rows exceed the
+# budget left.  The counts were pinned from a fold that scanned each cut
+# with a row limit in the kernel
 COUNTED_CUTS = [
-    (_small(max_votes=3, max_ffg_votes=3), "drop-ancestry", 33, None, 1,
+    (_small(max_votes=3, max_ffg_votes=3), "drop-ancestry", 33, 1,
      (33, 7, 10545, 9848, 21)),
-    (_small(n_blocks=2, n_validators=2, max_votes=8), "drop-ancestry", 43, 600, 1,
+    (_small(n_blocks=2, n_validators=2, max_votes=8), "drop-ancestry", 43, 1,
      (43, 1, 17063, 17063, 14)),
-    (_small(n_blocks=2, n_validators=2, max_votes=8), "drop-ancestry", 43, 600, 2,
+    (_small(n_blocks=2, n_validators=2, max_votes=8), "drop-ancestry", 43, 2,
      (43, 1, 17063, 17063, 14)),
 ]
 
 
 @pytest.mark.usefixtures("two_cpus")
-@pytest.mark.parametrize("bounds,mutation_name,budget,chunk,jobs,want", COUNTED_CUTS,
+@pytest.mark.parametrize("bounds,mutation_name,budget,jobs,want", COUNTED_CUTS,
                          ids=["later-unit", "over-budget-task-jobs1", "over-budget-task-jobs2"])
 def test_cuts_are_counted_without_a_kernel_call(
-    monkeypatch, bounds, mutation_name, budget, chunk, jobs, want
+    monkeypatch, bounds, mutation_name, budget, jobs, want
 ):
     # the fold counts a cut with the limit: no kernel, projection or
     # row-table call happens then, and the counts equal those of a scan
     # that stops at the budget
-    if chunk is not None:
-        monkeypatch.setattr(enumerator, "_BOUND_CHUNK", chunk)
     counted = []
     scan_task = enumerator._scan_task
 
     def refuse(*args):
         raise AssertionError("a counted cut reached a scan")
 
-    def counting_only(plan, unit, segments, limit=None):
+    def counting_only(plan, graph_tables, levels, limit=None, budget=None):
         if limit is None:
-            return scan_task(plan, unit, segments)
+            return scan_task(plan, graph_tables, levels, budget=budget)
         counted.append(limit)
         with monkeypatch.context() as patch:
             for name in ("scan_states", "project_tables", "state_table"):
                 patch.setattr(enumerator, name, refuse)
-            return scan_task(plan, unit, segments, limit)
+            return scan_task(plan, graph_tables, levels, limit)
 
     monkeypatch.setattr(enumerator, "_scan_task", counting_only)
     report = _report(bounds, parse_mutation(mutation_name), budget, jobs)
@@ -480,11 +516,10 @@ def _holds(state, name):
     return bool(found - {GENESIS_CHECKPOINT})
 
 
-def test_find_example_and_fixpoints_match_the_reference(monkeypatch):
+def test_find_example_and_fixpoints_match_the_reference():
     # the first state of each property and the fixpoint comparison's count,
-    # with levels cut into tasks of 5 combinations, against the reference
-    # enumeration of every state in canonical order, on each of which the
-    # reference fixpoints agree
+    # against the reference enumeration of every state in canonical order,
+    # on each of which the reference fixpoints agree
     bounds = _small(n_blocks=2)
     states = [s for unit in iter_units(bounds) for s in enumerate_states(bounds, unit)]
     for state in states:
@@ -492,7 +527,6 @@ def test_find_example_and_fixpoints_match_the_reference(monkeypatch):
         assert justified_checkpoints(state, universe) == justified_checkpoints_gfp(
             state, universe
         )
-    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 5)
     for name in sorted(PROPERTY_MODES):
         expected = next(s for s in states if _holds(s, name))
         assert find_example(bounds, name) == expected, name
@@ -520,10 +554,11 @@ def test_fixpoint_comparison_counts_without_the_kernel(monkeypatch):
 def test_helpers_are_capped_by_usable_cpus(monkeypatch):
     # --jobs far beyond the host starts min(CPUs, tasks) - 1 helpers and gives
     # the single-process report; the patched start refuses to go past the
-    # cap, so a broken clamp cannot fork more processes than there are CPUs
-    bounds = _small(n_blocks=2, n_validators=2, max_votes=8)
-    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 16)
-    n_tasks = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2).n_tasks
+    # cap, so a broken clamp cannot fork more processes than there are CPUs.
+    # Three blocks plan one task for each of their three conflicting classes
+    bounds = _small(n_validators=2, max_votes=8)
+    n_tasks = len(enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2).tasks)
+    assert n_tasks == 3
     cap = min(len(os.sched_getaffinity(0)), n_tasks) - 1
     starts = []
     start = enumerator._start_helper
@@ -542,15 +577,16 @@ def test_helpers_are_capped_by_usable_cpus(monkeypatch):
 
 
 def test_claims_hold_with_more_processes_than_cores(monkeypatch):
-    # three helpers and the calling process on one-combination tasks race
-    # for the shared claim counter; a lost or repeated claim would change a
-    # count or leave the fold waiting for a task nobody scans
-    bounds = _small(n_blocks=2, n_validators=2, max_votes=8)
-    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 1)
-    expected = _report(bounds, Mutation.NONE)
+    # three helpers and the calling process race for the shared claim
+    # counter over the seven tasks of four blocks; a lost or repeated claim
+    # would change a count or leave the fold waiting for a task nobody scans
+    bounds = _small(n_blocks=4, n_validators=2, max_votes=8)
+    mutation = parse_mutation("drop-ancestry")
+    assert len(enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, 0).tasks) == 7
+    expected = _report(bounds, mutation)
     monkeypatch.setattr(enumerator, "_usable_cpus", lambda: 4)
     for _ in range(2):
-        assert _report(bounds, Mutation.NONE, jobs=4) == expected
+        assert _report(bounds, mutation, jobs=4) == expected
     assert not multiprocessing.active_children()
 
 
@@ -560,9 +596,9 @@ def test_claims_hold_with_more_processes_than_cores(monkeypatch):
     (["--budget", "20"], 3),                         # ends in a budget cut
     ([], 0),                                         # exhausts the space
 ])
-def test_no_helper_outlives_a_run(monkeypatch, capsys, started, argv, code):
-    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 4)
-    base = ["search", "--blocks", "2", "--validators", "2", "--max-votes", "8",
+def test_no_helper_outlives_a_run(capsys, started, argv, code):
+    # three blocks plan three tasks, so --jobs 2 starts a helper
+    base = ["search", "--blocks", "3", "--validators", "2", "--max-votes", "8",
             "--max-ffg", "4", "--max-chkp-slot", "3", "--jobs", "2"]
     assert main(base + argv) == code
     assert started
@@ -571,19 +607,26 @@ def test_no_helper_outlives_a_run(monkeypatch, capsys, started, argv, code):
 
 @pytest.mark.usefixtures("two_cpus")
 def test_a_refusal_past_scanned_levels_ends_the_run(monkeypatch, capsys, started):
-    # with 4-bit vote masks the plan ends at u=5 of the first unit, after
-    # tasks that are scanned (64 combinations each, so there are several);
-    # the fold refuses the run there (exit 2), and the helper, which never
-    # claims past the end, is reaped
-    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 64)
-    plan = _refused_plan(monkeypatch)
-    assert plan.refusal[0] == 0 and plan.levels[-1] == (0, 4) and plan.n_tasks > 1
-    monkeypatch.setattr(tables, "MAX_VOTE_BITS", 4)
-    assert main([
-        "search", "--blocks", "2", "--validators", "2", "--max-votes", "8",
-        "--max-ffg", "6", "--max-chkp-slot", "3", "--jobs", "2",
-    ]) == 2
-    assert "distinct votes exceed" in capsys.readouterr().err
+    # at three blocks the plan scans the classes of units 0 and 1 and ends
+    # at the third scanned class, whose tables are over a planted size
+    # limit; the fold scans the tasks before it, refuses the run there
+    # (exit 2), and the helper, which never claims past the end, is reaped
+    argv = ["search", "--blocks", "3", "--validators", "2", "--max-votes", "8",
+            "--max-ffg", "4", "--max-chkp-slot", "3", "--jobs", "2"]
+    bounds = _small(n_validators=2, max_votes=8)
+    refused = unit_key(list(iter_units(bounds))[4])
+    graph_tables = enumerator._graph_tables
+
+    def limited(bounds, forest, mutation):
+        if unit_key(forest) == refused:
+            raise InputError("planted size limit")
+        return graph_tables(bounds, forest, mutation)
+
+    monkeypatch.setattr(enumerator, "_graph_tables", limited)
+    plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2)
+    assert plan.refusal[0] == 4 and [index for index, _ in plan.tasks] == [0, 1]
+    assert main(argv) == 2
+    assert "planted size limit" in capsys.readouterr().err
     assert started
     assert not multiprocessing.active_children()
 
@@ -593,20 +636,25 @@ def test_a_refusal_past_scanned_levels_ends_the_run(monkeypatch, capsys, started
 def test_a_task_that_raises_exits_internal(monkeypatch, capsys, where):
     # a failure inside a task, in the calling process or in a helper, is an
     # internal failure (exit 4), and no helper is left running.  With the
-    # bound keeping everything, every one-combination task reaches the scan.
+    # bound keeping everything, every task reaches the scan; with "helpers",
+    # the calling process claims no task, so a helper scans the first one.
     caller = os.getpid()
     scan_states = enumerator.scan_states
+    claim = enumerator._Tasks.claim
 
     def failing(*args):
         if where == "everywhere" or os.getpid() != caller:
             raise ZeroDivisionError("planted failure")
         return scan_states(*args)
 
+    def helpers_only(tasks):
+        return claim(tasks) if where == "everywhere" or os.getpid() != caller else None
+
     monkeypatch.setattr(enumerator, "scan_states", failing)
+    monkeypatch.setattr(enumerator._Tasks, "claim", helpers_only)
     monkeypatch.setattr(kernels, "keeps", lambda justified, *_: np.ones(justified.shape, bool))
-    monkeypatch.setattr(enumerator, "_BOUND_CHUNK", 1)
     assert main([
-        "search", "--blocks", "2", "--validators", "2", "--max-votes", "8",
+        "search", "--blocks", "3", "--validators", "2", "--max-votes", "8",
         "--max-ffg", "4", "--max-chkp-slot", "3", "--jobs", "2",
     ]) == 4
     err = capsys.readouterr().err

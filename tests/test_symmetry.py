@@ -3,7 +3,6 @@ search against the unreduced one."""
 
 import itertools
 from dataclasses import replace
-from math import comb
 
 import numpy as np
 import pytest
@@ -167,19 +166,15 @@ def _symmetric_oracle(monkeypatch, bounds, mutation):
         patch.setattr(enumerator, "unit_key", lambda forest: object())
         plan = enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, floor)
     units = []   # (later unit of a class, checked and symmetric rows per combination)
+    levels = dict(plan.tasks)
     for index, cls in enumerate(classes):
         checked, symmetric = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for owner, u in plan.levels:
-            if owner == index:
-                n_rows = state_table(
-                    u, bounds.n_validators, bounds.max_votes, floor, mutation
-                )[0].shape[0]
-                graph_tables = plan.reps[index]
-                _, _, minimal = enumerator._kept_combinations(
-                    plan, graph_tables, u, 0, comb(len(graph_tables.votes), u)
-                )
-                checked.append(np.full(minimal.size, n_rows, dtype=np.int64))
-                symmetric.append(np.where(minimal, 0, n_rows))
+        for u in levels.get(index, ()):
+            rows = state_table(u, bounds.n_validators, bounds.max_votes, floor, mutation)[0]
+            n_rows = rows.shape[0]
+            _, minimal = enumerator._kept_combinations(plan, plan.reps[index], u)
+            checked.append(np.full(minimal.size, n_rows, dtype=np.int64))
+            symmetric.append(np.where(minimal, 0, n_rows))
         units.append((classes.index(cls) < index, np.concatenate(checked),
                       np.concatenate(symmetric)))
     full = search(bounds, mutation)
