@@ -127,10 +127,44 @@ TASK_CASES = [
 ]
 
 
-def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch):
+def _counted_rows(plan, graph_tables, levels, limit):
+    """(checked, checked + pruned, cut) of a task counted with `limit`,
+    walking every combination of its levels in itertools order: a kept
+    combination checks its rows under the signer floor, up to the limit,
+    and every other row of a combination before the stop is pruned."""
+    n_validators, max_votes = plan.bounds.n_validators, plan.bounds.max_votes
+    n_votes = len(graph_tables.votes)
+    checked = covered = 0
+    for u in levels:
+        n_rows = enumerator.state_count(u, n_validators, max_votes, plan.min_signers)
+        total_rows = enumerator.state_count(u, n_validators, max_votes, 0)
+        combos, _ = enumerator._kept_combinations(plan, graph_tables, u)
+        kept = {tuple(int(x) for x in c) for c in combos}
+        left = limit - checked
+        if len(kept) * n_rows <= left:
+            checked += len(kept) * n_rows
+            covered += comb(n_votes, u) * total_rows
+            continue
+        cut_at, part = divmod(left, n_rows)
+        for combo in itertools.combinations(range(n_votes), u):
+            if combo not in kept:
+                covered += total_rows
+            elif cut_at:
+                cut_at -= 1
+                checked += n_rows
+                covered += total_rows
+            else:
+                return checked + part, covered + part + total_rows - n_rows, True
+    return checked, covered, False
+
+
+@pytest.mark.parametrize("limit", [1, 5, 50, 4096])
+def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch, limit):
     # one task per scanned class, numbered in canonical order, on the tables
     # of the class's first unit, over its levels u = 0, 1, ...; a refused
-    # class is the last one planned, and its task holds the levels that fit
+    # class is the last one planned, and its task holds the levels that fit.
+    # A task counted with a limit of `limit` checked rows counts each
+    # combination of its class once, in canonical order, up to that row
     plans = [
         enumerator._plan(bounds, parse_mutation(name), enumerator.MODE_COUNTEREXAMPLE, 0)
         for name, bounds in TASK_CASES
@@ -153,6 +187,10 @@ def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch):
                 assert levels == range(5)
             else:
                 assert levels == enumerator._distinct_vote_range(plan.bounds, n_votes)
+            counts = enumerator._scan_task(plan, graph_tables, levels, limit=limit)
+            want = _counted_rows(plan, graph_tables, levels, limit)
+            assert (counts.checked, counts.checked + counts.pruned, counts.cut) == want
+            assert counts.hit is None
 
 
 def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
