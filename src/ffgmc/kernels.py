@@ -22,12 +22,13 @@ is one pass over the votes, on masks of the votes whose source is justified
 a conflicting finalized pair is a pair test on those masks.
 A decision reads a combination only through its pattern, a few columns of
 its tables (`_patterns`, numbered by `tables.distinct_rows` as the families
-are), so it runs once per (pattern, family) pair.  The pairs are decided in
-pattern-major order, in full batches, each quorum test a gather from the
-level's own family table; a combination is read as soon as its pattern's
-pairs are all decided.  Hits are rare, so only the pairs that hit are kept,
-and only the combinations of a hitting pattern are expanded back to rows,
-each pattern's rows once per call.
+are), so it runs once per (pattern, family) pair.  A call first decides every
+pair, in pattern-major order and in full batches, each quorum test a gather
+from the level's own family table, and only then reads the combinations of
+the hitting patterns, in combination order.  Hits are rare, so only the
+pairs that hit are kept, and only the combinations of a hitting pattern are
+expanded back to rows; a pattern's rows are those of its set of hitting
+families, found once per call for each such set.
 
 `tables.ProjectedTables` computes a column on its first read, so a scan
 builds only what its mode reads: `src_sandwich` and `from_genesis` for
@@ -87,17 +88,17 @@ def scan_states(
     `_decide` reads a combination only through the columns of its pattern
     (`_patterns`), so combinations of one pattern share their verdicts,
     which are decided once per (pattern, family) pair.  Patterns are
-    numbered by first appearance over the call, and the pairs are decided in
-    pattern-major order, in full batches of `_PAIR_BATCH`.  A combination is
-    ready once every pair of its pattern is decided; after each batch the
-    newly ready combinations are read in order, so the first hit is the
-    row-at-a-time one, and a hit ends the scan at most one batch past the
-    pairs it needed.  Only the pairs that hit are kept, per pattern, and a
-    hitting pattern's rows (those of its hitting families) are found once,
-    when its first combination is read.  The slashable-validator count of a
-    counterexample is per row: a validator with vote mask m is slashable iff
-    some vote i of m has partners(c)[i] & m != 0; it is counted for each
-    combination of a hitting pattern, only on those rows, since the
+    numbered by first appearance over the call, and every pair is decided,
+    in pattern-major order, in full batches of `_PAIR_BATCH`, before any
+    combination is read.  Only the pairs that hit are kept.  Then the
+    combinations of the hitting patterns are read in order, so the first hit
+    and the rows scanned are those of a row-at-a-time scan.  With every pair
+    decided, a hitting pattern's rows are those of its set of hitting
+    families, so the rows are found once per such set, and patterns that
+    hit on the same families share them.  The slashable-validator count of
+    a counterexample is per row: a validator with vote mask m is slashable
+    iff some vote i of m has partners(c)[i] & m != 0; it is counted for
+    each combination of a hitting pattern, only on those rows, since the
     slashable pairs are not part of the pattern.
     """
     states, table, index = level
@@ -106,30 +107,32 @@ def scan_states(
         return -1, 0
     n_families = table.shape[0]
     pattern, firsts = _patterns(projected, mode)
-    # (pattern, family) pairs that must be decided before each combination
-    needed = (np.maximum.accumulate(pattern) + 1) * n_families
-    hitting = np.zeros(firsts.size, dtype=bool)
-    families_hit: dict[int, np.ndarray] = {}   # hitting pattern -> its families that hit
-    # a hitting pattern's rows, those of its families that hit, found on its first read
-    rows_of = cache(lambda p: np.flatnonzero(families_hit[p][index]))
-    n_pairs, ready = int(needed[-1]), 0
+    n_pairs, families_of = firsts.size * n_families, {}   # hitting pattern -> its families that hit
     for lo in range(0, n_pairs, _PAIR_BATCH):
         pairs = np.arange(lo, min(lo + _PAIR_BATCH, n_pairs))
         decided = _decide(firsts[pairs // n_families], pairs % n_families, table, projected, mode)
         for pair in pairs[decided].tolist():
             p, f = divmod(pair, n_families)
-            hitting[p] = True
-            families_hit.setdefault(p, np.zeros(n_families, dtype=bool))[f] = True
-        c_lo, ready = ready, int(np.searchsorted(needed, pairs[-1] + 1, side="right"))
-        for c in np.flatnonzero(hitting[pattern[c_lo:ready]]):
-            combo = c_lo + int(c)
-            rows = rows_of(int(pattern[combo]))
-            if mode == MODE_COUNTEREXAMPLE:
-                slashable = _holds_pair(states[rows], projected.partners(combo))
-                rows = rows[3 * slashable.sum(axis=1) < n_validators]
-            if rows.size:
-                hit = combo * n_rows + int(rows[0])
-                return hit, hit + 1
+            families_of.setdefault(p, []).append(f)
+
+    @cache
+    def rows_of_families(families: tuple) -> np.ndarray:
+        hit = np.zeros(n_families, dtype=bool)
+        hit[list(families)] = True
+        return np.flatnonzero(hit[index])
+
+    # a hitting pattern's rows, keyed once per pattern by its hitting families
+    rows_of = cache(lambda p: rows_of_families(tuple(families_of[p])))
+    hitting = np.zeros(firsts.size, dtype=bool)
+    hitting[list(families_of)] = True
+    for combo in np.flatnonzero(hitting[pattern]).tolist():
+        rows = rows_of(int(pattern[combo]))
+        if mode == MODE_COUNTEREXAMPLE:
+            slashable = _holds_pair(states[rows], projected.partners(combo))
+            rows = rows[3 * slashable.sum(axis=1) < n_validators]
+        if rows.size:
+            hit = combo * n_rows + int(rows[0])
+            return hit, hit + 1
     return -1, n_combos * n_rows
 
 
@@ -148,8 +151,10 @@ def keeps(
 
 class KeptCombinations:
     """The vote combinations of one unit that the monotone combination bound
-    keeps under one scan mode, on the levels up to `top` (the unit's last);
-    each level is made on its first read (`level`) and kept.
+    keeps under one scan mode, on the levels up to `top` (the unit's last).
+    The cores are grown once, on first need, and kept; a level is padded
+    from them on each read (`level`), since only a budget recount reads a
+    level twice.
 
     Soundness of the bound.  Every row of a combination U is a vote set
     contained in the unanimity state, in which all N validators cast every
@@ -213,14 +218,6 @@ class KeptCombinations:
                  np.zeros(1, dtype=bool))
         self._frontier = empty
         self._kept_cores = {0: self._select(*empty)}   # size -> (votes, (J, F) masks)
-        self._levels: dict[int, np.ndarray] = {}
-
-    def level(self, u: int) -> np.ndarray:
-        """The kept size-u combinations, a (C, u) array of ascending vote
-        indices in lexicographic order; u is at most `top`."""
-        if u not in self._levels:
-            self._levels[u] = self._pad(u)
-        return self._levels[u]
 
     def _select(self, votes, marks, clash) -> tuple[np.ndarray, np.ndarray]:
         kept = keeps(marks[:, 0], marks[:, 1], clash, self._mode)
@@ -269,10 +266,11 @@ class KeptCombinations:
             batches.append((np.column_stack([votes[core], vote]), grown, grown_clash))
         return tuple(np.concatenate(part) for part in zip(*batches))
 
-    def _pad(self, u: int) -> np.ndarray:
-        """The kept size-u combinations in lexicographic order: each kept
-        core of s <= u votes with every u - s of the votes whose source is
-        outside its J, drawn in ascending order."""
+    def level(self, u: int) -> np.ndarray:
+        """The kept size-u combinations, a (C, u) array of ascending vote
+        indices in lexicographic order, made on each read; u is at most
+        `top`.  They are each kept core of s <= u votes with every u - s of
+        the votes whose source is outside its J, drawn in ascending order."""
         source = self._tables.vote_src
         later = np.arange(source.size)
         parts = [np.zeros((0, u), dtype=np.int64)]

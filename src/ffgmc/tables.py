@@ -167,7 +167,8 @@ class GraphTables:
     def kept(self, mode: int, top: int):
         """The vote combinations the monotone bound keeps under scan mode
         `mode`, on levels up to `top` (`kernels.KeptCombinations`), made on
-        their first read and kept, so each level is generated once per unit."""
+        first read and kept, so the cores are grown once per unit; each
+        level is padded from them when it is read."""
         kept = self._kept.get((mode, top))
         if kept is None:
             from .kernels import KeptCombinations   # the kernels read these tables

@@ -610,9 +610,9 @@ def test_hit_in_a_later_batch_than_its_pattern():
     # differ only in `partners`: votes 2 and 3 make the lone validator
     # slashable in combinations 0 and 1, so only combination 3 is a
     # counterexample.  Combination 2 sandwiches nothing, so it has a pattern
-    # of its own and hits nothing.  With one pair per batch, combination 3
-    # is read only after the batch that decides combination 2's pattern, and
-    # reuses the decision of an earlier batch
+    # of its own and hits nothing.  With one pair per batch, combination 3's
+    # pattern is decided in an earlier batch than combination 2's, and
+    # combination 3 reuses that decision
     k, cp_conflict = 3, [0, 0b100, 0b010]
     sources, fin = [0, 0, 1, 2], [0, 0b0100, 0b1000]
     disagreeing, idle = (sources, [0b010, 0b100, 0, 0], fin), (sources, [0] * 4, fin)
@@ -629,21 +629,33 @@ def test_hit_in_a_later_batch_than_its_pattern():
                     assert first == 3, mutation
 
 
+def swapped(sources, cols, fin, partners):
+    """The combination with its first two votes' sandwich columns swapped:
+    in `test_hit_in_a_later_batch_than_its_pattern`'s combinations, votes 0
+    and 1 then justify checkpoints 2 and 1, so checkpoint 1 (finalized by
+    vote 2) needs a quorum of vote 1 rather than vote 0.  The pattern
+    differs (vote 2's and vote 3's `src_sandwich` trade places), but the
+    disagreeing families are the same: those with a quorum for each vote."""
+    return sources, [cols[1], cols[0], *cols[2:]], fin, partners
+
+
 def test_a_hitting_pattern_is_expanded_once(monkeypatch):
     # the combinations of `test_hit_in_a_later_batch_than_its_pattern` at
-    # N = 2: combinations 0, 1 and 3 share a counterexample pattern, whose
-    # disagreeing row has both validators cast all four votes.  Both are
-    # slashable in 0 and 1, so the scan expands the rows of all three before
-    # its hit in 3, and finds the pattern's rows in one pass over the
-    # level's family index
+    # N = 2, with combination 1 swapped: combinations 0 and 3 share a
+    # counterexample pattern, and combination 1 has another one with the
+    # same disagreeing families, whose row has both validators cast all four
+    # votes.  Both are slashable in 0 and 1, so the scan expands the rows of
+    # all three before its hit in 3, and finds the rows of that one set of
+    # families in one pass over the level's family index
     k, cp_conflict = 3, [0, 0b100, 0b010]
     sources, fin = [0, 0, 1, 2], [0, 0b0100, 0b1000]
     disagreeing, idle = (sources, [0b010, 0b100, 0, 0], fin), (sources, [0] * 4, fin)
     slashable = (*disagreeing, [0, 0, 0b1000, 0b0100])
-    combos = [slashable, slashable, (*idle, [0] * 4), (*disagreeing, [0] * 4)]
+    combos = [slashable, swapped(*slashable), (*idle, [0] * 4), (*disagreeing, [0] * 4)]
     level = state_table(4, 2, 8, 0, Mutation.NONE)
     n_rows = level[0].shape[0]
     assert n_rows > len(combos)
+    assert len(pattern_keys(hand_made_tables(k, combos, cp_conflict), *COUNTEREXAMPLE_KEY)) == 3
     expanded, passes = [], []
     flatnonzero = np.flatnonzero
 
@@ -663,6 +675,25 @@ def test_a_hitting_pattern_is_expanded_once(monkeypatch):
         hit, _ = scan_states(level, projected, 2, MODE_COUNTEREXAMPLE)
         assert hit // n_rows == 3 and expanded == [0, 1, 3], pair_batch
         assert len(passes) == 1, pair_batch
+
+
+def test_hits_are_read_in_combination_order():
+    # pattern 0 (combinations 0 and 2) hits first in the pattern order, but
+    # its first combination makes every validator slashable, so the first
+    # hit is combination 1, of the swapped pattern 1 that hits on the same
+    # families; reading pattern 0's combinations first would report 2
+    k, cp_conflict = 3, [0, 0b100, 0b010]
+    sources, fin = [0, 0, 1, 2], [0, 0b0100, 0b1000]
+    disagreeing = (sources, [0b010, 0b100, 0, 0], fin)
+    clean = (*disagreeing, [0] * 4)
+    combos = [(*disagreeing, [0, 0, 0b1000, 0b0100]), swapped(*clean), clean]
+    assert len(pattern_keys(hand_made_tables(k, combos, cp_conflict), *COUNTEREXAMPLE_KEY)) == 2
+    for n_validators in (1, 2):
+        n_rows = state_count(4, n_validators, 4 * n_validators, 0)
+        for pair_batch in (1, 5, kernels._PAIR_BATCH):
+            first = check_hand_made_scan(k, combos, cp_conflict, n_validators, 4 * n_validators,
+                                         Mutation.NONE, MODE_COUNTEREXAMPLE, pair_batch=pair_batch)
+            assert first // n_rows == 1, (n_validators, pair_batch)
 
 
 def test_patterns_tell_genesis_sourced_votes_apart():
