@@ -26,14 +26,16 @@ kept combinations that are lexicographically minimal in their orbit under
 the unit's automorphisms are scanned.  Rows settled that way count as
 checked (and separately as symmetric), exactly as a scan would count them.
 
-`search` and `find_example` run one scan plan (`_plan`): every unit in
-canonical order, where the first unit of each class is either settled
-whole or one scan task.  A task scans its class's levels (distinct-vote
-counts u = 0, 1, ...) in canonical order, with one kernel call per level
-that holds an orbit-minimal kept combination.  The calling process claims
-and scans tasks itself, and with jobs > 1 forked helpers claim them too;
-results fold in plan order (`_fold`), so every report equals the
-single-process one.
+`search` and `find_example` run one scan plan (`_plan`), built in one walk
+over the units (`_classes`, which `check_lfp_gfp` reads too): the class
+number of every unit in canonical order, and for the first unit of each
+class, either its vote count, when it is settled whole, or one scan task.
+The plan holds no unit's forest beyond a task's tables.  A task scans its
+class's levels (distinct-vote counts u = 0, 1, ...) in canonical order,
+with one kernel call per level that holds an orbit-minimal kept
+combination.  The calling process claims and scans tasks itself, and with
+jobs > 1 forked helpers claim them too; results fold in plan order
+(`_fold`), so every report equals the single-process one.
 """
 
 from __future__ import annotations
@@ -177,44 +179,35 @@ def enumerate_forests(n: int) -> Iterator[BlockForest]:
     """All labelled forests on blocks b1..bn, slots set to depth.
 
     Every block's parent is genesis or another block (a parentless root is
-    identified with a genesis child); assignments are emitted in
-    lexicographic parent-vector order, acyclic ones only.
+    identified with a genesis child); forests are emitted in lexicographic
+    parent-vector order.  Only acyclic vectors are built: blocks are placed
+    in order, and block i takes parent p unless p's chain over the blocks
+    already placed leads back to i.  Depths are read off the finished vector.
     """
     if n < 0:
         raise InputError("forest size must be non-negative")
     names = [f"b{i}" for i in range(1, n + 1)]
-    for parents in itertools.product(range(n + 1), repeat=n):
-        # parents[i] = 0 means genesis, j >= 1 means block b_j
-        if any(parents[i] == i + 1 for i in range(n)):
-            continue
-        depths = _depths_or_none(parents, n)
-        if depths is None:
-            continue
-        yield BlockForest(
-            Block(names[i], depths[i], GENESIS if parents[i] == 0 else names[parents[i] - 1])
-            for i in range(n)
-        )
+    parents = [0] * n   # parents[i] = 0 means genesis, j >= 1 means block b_j
 
+    def depth(i: int) -> int:
+        return 1 if parents[i] == 0 else depth(parents[i] - 1) + 1
 
-def _depths_or_none(parents: tuple[int, ...], n: int) -> Optional[list[int]]:
-    depths: list[Optional[int]] = [None] * n
-    for i in range(n):
-        trail = []
-        cur = i
-        while depths[cur] is None:
-            trail.append(cur)
-            nxt = parents[cur]
-            if nxt == 0:
-                depths[cur] = 1
-                break
-            nxt -= 1
-            if nxt in trail:
-                return None  # cycle
-            cur = nxt
-        for t in reversed(trail):
-            if depths[t] is None:
-                depths[t] = depths[parents[t] - 1] + 1
-    return depths  # type: ignore[return-value]
+    def place(i: int) -> Iterator[BlockForest]:
+        if i == n:
+            yield BlockForest(
+                Block(names[j], depth(j), GENESIS if parents[j] == 0 else names[parents[j] - 1])
+                for j in range(n)
+            )
+            return
+        for p in range(n + 1):
+            j = p - 1
+            while 0 <= j < i:
+                j = parents[j] - 1
+            if j != i:
+                parents[i] = p
+                yield from place(i + 1)
+
+    yield from place(0)
 
 
 def _slot_variants(forest: BlockForest, bounds: Bounds) -> Iterator[BlockForest]:
@@ -245,6 +238,17 @@ def iter_units(bounds: Bounds) -> Iterator[BlockForest]:
         return
     for forest in enumerate_forests(bounds.n_blocks):
         yield from _slot_variants(forest, bounds)
+
+
+def _classes(bounds: Bounds) -> Iterator[tuple[BlockForest, int, bool]]:
+    """(unit, class, first): each unit in canonical order, the number of its
+    isomorphism class (`unit_key`, classes numbered by first appearance) and
+    whether it is the first unit of that class."""
+    numbers: dict[tuple, int] = {}
+    for forest in iter_units(bounds):
+        key = unit_key(forest)
+        first = key not in numbers
+        yield forest, numbers.setdefault(key, len(numbers)), first
 
 
 def _graph_tables(bounds: Bounds, forest: BlockForest, mutation: Mutation) -> GraphTables:
@@ -399,8 +403,9 @@ _VACUITY_MODES = (MODE_COUNTEREXAMPLE, MODE_CONFLICTING_FINALIZED)
 
 @dataclass
 class _Plan:
-    """Every unit of a run in canonical order, and one scan task for the
-    first unit of each isomorphism class that is not settled whole.
+    """The class number of every unit of a run in canonical order, and one
+    scan task for the first unit of each isomorphism class that is not
+    settled whole.  No unit's forest is held: a task's tables hold its own.
 
     A class's first unit is settled whole when it is vacuous (a safety mode
     and no conflicting checkpoint pair) or floor-empty (`tables.state_count`
@@ -408,43 +413,36 @@ class _Plan:
     row and prune every one): its rows are counted from its vote count by
     `tables.state_count`, not scanned.  Of its graph tables only `votes` is
     read, and `cp_conflict` in the safety modes, so no other relation of it
-    is evaluated and no size limit applies to it.  Otherwise its task scans
-    its levels u = 0, 1, ... in canonical order; tasks are numbered in
-    canonical order.  Later units of a class reuse its counts.
+    is evaluated and no size limit applies to it.  Otherwise its task,
+    (first unit, tables, levels), scans its levels u = 0, 1, ... in
+    canonical order; tasks are numbered in canonical order.  Later units of
+    a class reuse its counts.
 
-    The plan ends at the first scanned level whose tables are over a size
+    Planning ends at the first scanned level whose tables are over a size
     limit (`tables.check_level`; `refusal`: that unit and its error).  The
     refused unit's task holds only the levels before it, so a run whose hit
     or budget cut comes first ends as before, and one that reaches it is
-    refused there.
+    refused there.  Every unit is still numbered, but no later class is
+    planned.
     """
 
     bounds: Bounds
     mutation: Mutation
     mode: int
     min_signers: int
-    units: list[BlockForest]
-    keys: list[tuple]
-    reps: dict[int, GraphTables] = field(default_factory=dict)  # first unit of a scanned class
+    classes: list[int] = field(default_factory=list)        # class number of each unit
     vacuous: dict[int, int] = field(default_factory=dict)   # vote count of a settled one
-    tasks: list[tuple[int, range]] = field(default_factory=list)  # (scanned unit, its levels)
+    tasks: list[tuple[int, GraphTables, range]] = field(default_factory=list)
     refusal: Optional[tuple[int, InputError]] = None
-
-    def task(self, i: int) -> tuple[GraphTables, range]:
-        """(tables, levels): task i scans these levels on these tables."""
-        index, levels = self.tasks[i]
-        return self.reps[index], levels
 
 
 def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _Plan:
     """Build the scan plan, up to the first level over a size limit."""
-    units = list(iter_units(bounds))
-    plan = _Plan(bounds, mutation, mode, min_signers, units, [unit_key(f) for f in units])
-    seen = set()
-    for index, (forest, key) in enumerate(zip(units, plan.keys)):
-        if key in seen:
+    plan = _Plan(bounds, mutation, mode, min_signers)
+    for index, (forest, number, first) in enumerate(_classes(bounds)):
+        plan.classes.append(number)
+        if not first or plan.refusal is not None:
             continue
-        seen.add(key)
         try:
             tables = _graph_tables(bounds, forest, mutation)
             n_votes = len(tables.votes)
@@ -454,14 +452,12 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
             ):
                 plan.vacuous[index] = n_votes
                 continue
-            plan.reps[index] = tables
-            plan.tasks.append((index, range(0)))
+            plan.tasks.append((index, tables, range(0)))
             for u in levels:
                 check_level(u, bounds.n_validators, bounds.max_votes, min_signers)
-                plan.tasks[-1] = (index, range(u + 1))
+                plan.tasks[-1] = (index, tables, range(u + 1))
         except InputError as error:
             plan.refusal = (index, error)
-            return plan
     return plan
 
 
@@ -547,7 +543,8 @@ class _Tasks:
             self.shared[1] = min(self.shared[1], i)
 
     def scan(self, i: int) -> _Counts:
-        counts = _scan_task(self.plan, *self.plan.task(i), budget=self.budget)
+        _, tables, levels = self.plan.tasks[i]
+        counts = _scan_task(self.plan, tables, levels, budget=self.budget)
         if counts.hit is not None:
             self.stop(i)
         return counts
@@ -609,14 +606,16 @@ def _fold(
     budget left covers them (no tables are built for it); otherwise it holds
     no hit either, and its class's levels are counted on its own tables,
     whose labelling places the bound's and the orbit filter's combinations.
-    The plan's refusal is raised when the fold reaches it.
+    The plan holds no unit, so that unit's forest is regenerated by walking
+    the units again up to it.  The plan's refusal is raised when the fold
+    reaches it.
     """
     run = _Counts()
-    memo: dict[tuple, tuple[range, _Counts]] = {}   # class key -> (its levels, its counts)
+    memo: dict[int, tuple[range, _Counts]] = {}   # class -> (its levels, its counts)
     task = 0   # the task of the next scanned class
-    for index, key in enumerate(plan.keys):
-        if index in plan.reps:
-            tables, levels = plan.task(task)
+    for index, number in enumerate(plan.classes):
+        if task < len(plan.tasks) and plan.tasks[task][0] == index:
+            _, tables, levels = plan.tasks[task]
             left = None if budget is None else budget - run.checked
             counts = tasks.result(task)
             if left is not None and counts.checked > left:
@@ -626,22 +625,23 @@ def _fold(
             run += counts
             if run.hit is not None or run.cut:
                 return run, index + 1, tables
-            memo[key] = (levels, counts)
+            memo[number] = (levels, counts)
         elif index in plan.vacuous:
             counts = _Counts(pruned=_unit_total_states(plan.bounds, plan.vacuous[index]))
-            memo[key] = (range(0), counts)
+            memo[number] = (range(0), counts)
             run += counts
-        elif key in memo:
-            levels, known = memo[key]
+        elif number in memo:
+            levels, known = memo[number]
             if budget is None or budget - run.checked >= known.checked:
                 run += replace(known, symmetric=known.checked)
                 continue
-            tables = _graph_tables(plan.bounds, plan.units[index], plan.mutation)
+            forest = next(itertools.islice(iter_units(plan.bounds), index, None))
+            tables = _graph_tables(plan.bounds, forest, plan.mutation)
             run += _scan_task(plan, tables, levels, limit=budget - run.checked)
             return run, index + 1, tables
         if plan.refusal is not None and plan.refusal[0] == index:
             raise plan.refusal[1]
-    return run, len(plan.keys), None
+    return run, len(plan.classes), None
 
 
 def _run(
@@ -751,13 +751,12 @@ def check_lfp_gfp(bounds: Bounds, mutation: Mutation = Mutation.NONE) -> Fixpoin
     unit of each isomorphism class, a relabelling of the others.  Every row
     counts as checked, by arithmetic; none is scanned.
     """
-    votes: dict[tuple, int] = {}   # class key -> vote count of its first unit
+    votes: list[int] = []   # vote count of each class's first unit
     checked = 0
-    for forest in iter_units(bounds):
-        key = unit_key(forest)
-        if key not in votes:
+    for forest, number, first in _classes(bounds):
+        if first:
             tables = _graph_tables(bounds, forest, mutation)
             tables.sandwich   # evaluated, so the slot order is checked
-            votes[key] = len(tables.votes)
-        checked += _unit_total_states(bounds, votes[key])
+            votes.append(len(tables.votes))
+        checked += _unit_total_states(bounds, votes[number])
     return FixpointReport(states_checked=checked, mismatch=None)

@@ -105,10 +105,7 @@ def _cases():
 
     def jobs2_tasks(bounds, mutation):
         floor = min_signers_for_quorum(bounds.n_validators) if mutation == Mutation.NONE else 0
-        plan = enumerator._plan(bounds, mutation, MODE_COUNTEREXAMPLE, floor)
-        # a plan of rank-range tasks counts them in `n_tasks`, one of a task
-        # per class lists them in `tasks`
-        return plan.n_tasks if hasattr(plan, "n_tasks") else len(plan.tasks)
+        return len(enumerator._plan(bounds, mutation, MODE_COUNTEREXAMPLE, floor).tasks)
 
     for spec in BOUNDS:
         bounds = Bounds(**spec)

@@ -1,5 +1,7 @@
 """Reference enumeration of the bounded state space, for the tests.
 
+`reference_forests` lists the labelled forests by filtering every parent
+vector, in the order `enumerate_forests` must emit them.
 `enumerate_states` materializes every canonical state of a forest's units,
 one ProtocolState per (combination, row), in the order the search scans
 them; the search itself never builds states this way, and the canonical
@@ -18,8 +20,28 @@ from ffgmc.enumerator import (
     _slot_variants,
     materialize_state,
 )
-from ffgmc.model import BlockForest, ProtocolState
+from ffgmc.model import GENESIS, Block, BlockForest, ProtocolState
 from ffgmc.mutation import Mutation
+
+
+def reference_forests(n: int) -> Iterator[BlockForest]:
+    """Every labelled forest on blocks b1..bn, slots set to depth: each
+    parent vector of `itertools.product` (0 is genesis, j is block b_j), in
+    its lexicographic order, kept iff every block's chain reaches genesis
+    within n steps, that is iff the vector is acyclic."""
+    names = [f"b{i}" for i in range(1, n + 1)]
+    for parents in itertools.product(range(n + 1), repeat=n):
+        depths = []
+        for i in range(1, n + 1):
+            depth, j = 0, i
+            while j and depth <= n:
+                depth, j = depth + 1, parents[j - 1]
+            depths.append(depth)
+        if all(depth <= n for depth in depths):
+            yield BlockForest(
+                Block(names[i], depths[i], GENESIS if parents[i] == 0 else names[parents[i] - 1])
+                for i in range(n)
+            )
 
 
 def canonical_rows(u: int, n_validators: int, max_votes: int) -> list[tuple[int, ...]]:

@@ -34,7 +34,7 @@ from ffgmc.model import (
 from ffgmc.mutation import Mutation, parse_mutation
 from ffgmc.slashing import accountable_safety
 from ffgmc.tables import build_graph_tables, project_tables
-from reference import enumerate_states
+from reference import enumerate_states, reference_forests
 
 
 def brute_force_forests(n):
@@ -81,6 +81,14 @@ def test_forest_slots_are_depths():
                 assert block.slot == 0
             else:
                 assert block.slot == forest.slot_of(block.parent) + 1
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_forests_follow_the_reference_order(n):
+    # the canonical unit order: the acyclic parent vectors in lexicographic
+    # order, each forest's slots equal to its blocks' depths, as filtering
+    # every vector of itertools.product gives them
+    assert list(enumerate_forests(n)) == list(reference_forests(n))
 
 
 def test_state_count_example():

@@ -1,5 +1,6 @@
 """The scan plan: one task per scanned class, helper processes and the in-order fold."""
 
+import gc
 import itertools
 import json
 import multiprocessing
@@ -29,7 +30,13 @@ from ffgmc.enumerator import (
 )
 from ffgmc.finality import finality_view, justified_checkpoints, justified_checkpoints_gfp
 from ffgmc.kernels import rank
-from ffgmc.model import GENESIS_CHECKPOINT, InputError, are_conflicting, checkpoints_of
+from ffgmc.model import (
+    GENESIS_CHECKPOINT,
+    BlockForest,
+    InputError,
+    are_conflicting,
+    checkpoints_of,
+)
 from ffgmc.mutation import Mutation, parse_mutation
 from ffgmc.slashing import disagreement
 from ffgmc.symmetry import unit_key
@@ -91,8 +98,9 @@ def test_ranks_of_a_level_near_int64():
     # and C(210, 12) is about 1e19, yet the plan keeps every level of it
     bounds = Bounds(n_blocks=1, n_validators=1, max_votes=16, max_chkp_slot=12)
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_JUSTIFIED_NONGENESIS, 0)
-    assert plan.refusal is None and plan.tasks == [(0, range(17))]
-    assert len(plan.reps[0].votes) == 210
+    assert plan.refusal is None
+    assert [(index, levels) for index, _, levels in plan.tasks] == [(0, range(17))]
+    assert len(plan.tasks[0][1].votes) == 210
     assert comb(210, 11) < 2**63 < comb(210, 12)
     # the levels on both sides of 2**63 and one of 0.99 * 2**62
     # combinations: their first, their last and random ones, against the
@@ -175,13 +183,14 @@ def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch, limit):
     assert plans[-1].refusal is not None
     assert max(len(plan.tasks) for plan in plans) > 1
     for plan in plans:
-        last = plan.refusal[0] if plan.refusal else len(plan.keys) - 1
-        firsts = [i for i, key in enumerate(plan.keys[: last + 1]) if plan.keys.index(key) == i]
-        assert sorted([*plan.reps, *plan.vacuous]) == firsts
-        assert [index for index, _ in plan.tasks] == sorted(plan.reps)
-        for i, (index, levels) in enumerate(plan.tasks):
-            graph_tables, task_levels = plan.task(i)
-            assert graph_tables is plan.reps[index] and task_levels is levels
+        last = plan.refusal[0] if plan.refusal else len(plan.classes) - 1
+        firsts = [i for i, c in enumerate(plan.classes[: last + 1]) if plan.classes.index(c) == i]
+        scanned = [index for index, _, _ in plan.tasks]
+        assert sorted([*scanned, *plan.vacuous]) == firsts
+        assert scanned == sorted(scanned)
+        units = list(iter_units(plan.bounds))
+        for index, graph_tables, levels in plan.tasks:
+            assert graph_tables.forest == units[index]
             n_votes = len(graph_tables.votes)
             if plan.refusal and plan.refusal[0] == index:
                 assert levels == range(5)
@@ -193,6 +202,25 @@ def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch, limit):
             assert counts.hit is None
 
 
+def _live_forests():
+    gc.collect()
+    return sum(isinstance(obj, BlockForest) for obj in gc.get_objects())
+
+
+def test_the_plan_numbers_units_and_holds_none():
+    # at 5 blocks the plan walks 1,296 units in 20 classes: it keeps each
+    # unit's class number, numbered by first appearance of its key, and no
+    # forest beyond its tasks' tables
+    bounds = _small(n_blocks=5)
+    keys = [unit_key(forest) for forest in iter_units(bounds)]
+    first = list(dict.fromkeys(keys))
+    assert (len(keys), len(first)) == (1296, 20)
+    before = _live_forests()
+    plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 0)
+    assert _live_forests() - before <= len(first) + 2
+    assert plan.classes == [first.index(key) for key in keys]
+
+
 def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
     # a task scans its class's levels in order: a budget that runs out in
     # level L must carry over from the levels before it within the task's
@@ -202,7 +230,7 @@ def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
     mutation = parse_mutation("drop-ancestry")
     plan = enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, 0)
     assert len(plan.tasks) > 1
-    graph_tables, levels = plan.task(0)
+    _, graph_tables, levels = plan.tasks[0]
     counts = [enumerator._scan_level(plan, graph_tables, u) for u in levels]
     level = next(u for u in levels[1:] if counts[u - 1].checked > 0 and counts[u].checked > 1)
     budget = sum(c.checked for c in counts[:level]) + 1
@@ -225,7 +253,7 @@ def test_falsify_c3_plans_one_task_and_forks_nothing(monkeypatch):
     # are one task, so --jobs 2 starts no helper and reports as --jobs 1
     mutation = parse_mutation("quorum-half")
     plan = enumerator._plan(C3, mutation, enumerator.MODE_COUNTEREXAMPLE, 0)
-    assert plan.tasks == [(0, range(5))]
+    assert [(index, levels) for index, _, levels in plan.tasks] == [(0, range(5))]
     expected = _report(C3, mutation)
     assert expected.verdict == VERDICT_COUNTEREXAMPLE
 
@@ -258,7 +286,7 @@ def test_each_scanned_level_is_one_kernel_call(monkeypatch):
     (plan,) = plans
     pairs = [
         (id(graph_tables), u)
-        for graph_tables, levels in map(plan.task, range(len(plan.tasks)))
+        for _, graph_tables, levels in plan.tasks
         for u in levels
         if enumerator._kept_combinations(plan, graph_tables, u)[1].any()
     ]
@@ -425,7 +453,8 @@ def test_vote_count_and_vacuity_match_the_full_build(bounds):
     # vacuous one
     units = list(iter_units(bounds))
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 0)
-    assert len(plan.reps) + len(plan.vacuous) == len(set(plan.keys))
+    reps = {index: graph_tables for index, graph_tables, _ in plan.tasks}
+    assert len(reps) + len(plan.vacuous) == len(set(plan.classes))
     forked = 0
     for index, forest in enumerate(units):
         full = enumerator._graph_tables(bounds, forest, Mutation.NONE)
@@ -436,8 +465,8 @@ def test_vote_count_and_vacuity_match_the_full_build(bounds):
         forked += forks and not conflicting
         if index in plan.vacuous:
             assert not conflicting and plan.vacuous[index] == len(full.votes)
-        elif index in plan.reps:
-            assert conflicting and plan.reps[index].votes == full.votes
+        elif index in reps:
+            assert conflicting and reps[index].votes == full.votes
     if bounds.max_chkp_slot == 2 and bounds.n_blocks == 3:
         assert forked, "no forked unit without conflicting checkpoints"
 
@@ -662,7 +691,7 @@ def test_a_refusal_past_scanned_levels_ends_the_run(monkeypatch, capsys, started
 
     monkeypatch.setattr(enumerator, "_graph_tables", limited)
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2)
-    assert plan.refusal[0] == 4 and [index for index, _ in plan.tasks] == [0, 1]
+    assert plan.refusal[0] == 4 and [index for index, _, _ in plan.tasks] == [0, 1]
     assert main(argv) == 2
     assert "planted size limit" in capsys.readouterr().err
     assert started

@@ -166,13 +166,14 @@ def _symmetric_oracle(monkeypatch, bounds, mutation):
         patch.setattr(enumerator, "unit_key", lambda forest: object())
         plan = enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, floor)
     units = []   # (later unit of a class, checked and symmetric rows per combination)
-    levels = dict(plan.tasks)
+    tasks = {index: (graph_tables, levels) for index, graph_tables, levels in plan.tasks}
     for index, cls in enumerate(classes):
         checked, symmetric = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for u in levels.get(index, ()):
+        graph_tables, levels = tasks.get(index, (None, ()))
+        for u in levels:
             rows = state_table(u, bounds.n_validators, bounds.max_votes, floor, mutation)[0]
             n_rows = rows.shape[0]
-            _, minimal = enumerator._kept_combinations(plan, plan.reps[index], u)
+            _, minimal = enumerator._kept_combinations(plan, graph_tables, u)
             checked.append(np.full(minimal.size, n_rows, dtype=np.int64))
             symmetric.append(np.where(minimal, 0, n_rows))
         units.append((classes.index(cls) < index, np.concatenate(checked),
