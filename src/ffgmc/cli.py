@@ -252,8 +252,9 @@ def cmd_forests(args) -> int:
             listing.append(
                 {b.id: b.parent for b in sorted(forest, key=lambda b: b.id) if b.id != GENESIS}
             )
+        if len(listing) != count:
+            raise RuntimeError(f"listed {len(listing)} forests on {args.n} blocks, not {count}")
         _emit({"n": args.n, "count": count, "forests": listing}, args.out)
-        assert len(listing) == count
     else:
         _emit({"n": args.n, "count": count}, args.out)
     return EXIT_OK
@@ -277,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutation", default="none")
     p.add_argument("--budget", type=int, default=None, help="max states to check")
     p.add_argument("--jobs", type=int, default=1,
-                   help="processes scanning whole classes, one task each "
-                        "(capped at the usable CPUs and the tasks)")
+                   help="helper processes scanning whole classes, each handed one task "
+                        "at a time (capped at the usable CPUs and the tasks; below 2, "
+                        "the calling process scans alone)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 

@@ -33,9 +33,10 @@ class, either its vote count, when it is settled whole, or one scan task.
 The plan holds no unit's forest beyond a task's tables.  A task scans its
 class's levels (distinct-vote counts u = 0, 1, ...) in canonical order,
 with one kernel call per level that holds an orbit-minimal kept
-combination.  The calling process claims and scans tasks itself, and with
-jobs > 1 forked helpers claim them too; results fold in plan order
-(`_fold`), so every report equals the single-process one.
+combination.  With jobs > 1 and more than one task, forked helpers scan
+the tasks, which the calling process hands out one at a time (`_scans`);
+results fold in plan order (`_fold`), so every report equals the
+single-process one.
 """
 
 from __future__ import annotations
@@ -422,8 +423,8 @@ class _Plan:
     limit (`tables.check_level`; `refusal`: that unit and its error).  The
     refused unit's task holds only the levels before it, so a run whose hit
     or budget cut comes first ends as before, and one that reaches it is
-    refused there.  Every unit is still numbered, but no later class is
-    planned.
+    refused there.  `classes` ends at the refused unit: the fold cannot get
+    past it, so no later unit is walked.
     """
 
     bounds: Bounds
@@ -441,7 +442,7 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
     plan = _Plan(bounds, mutation, mode, min_signers)
     for index, (forest, number, first) in enumerate(_classes(bounds)):
         plan.classes.append(number)
-        if not first or plan.refusal is not None:
+        if not first:
             continue
         try:
             tables = _graph_tables(bounds, forest, mutation)
@@ -458,10 +459,8 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
                 plan.tasks[-1] = (index, tables, range(u + 1))
         except InputError as error:
             plan.refusal = (index, error)
+            break
     return plan
-
-
-_NO_STOP = (1 << 63) - 1
 
 
 def _usable_cpus() -> int:
@@ -471,129 +470,90 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _start_helper(ctx, tasks: _Tasks, writer):
-    helper = ctx.Process(target=_help, args=(tasks, writer), daemon=True)
+def _start_helper(ctx, plan: _Plan, budget: Optional[int], pipe):
+    helper = ctx.Process(target=_help, args=(plan, budget, pipe), daemon=True)
     helper.start()
     return helper
 
 
-def _help(tasks: _Tasks, writer) -> None:
-    """A helper process: claim tasks in plan order, send back their counts."""
+def _help(plan: _Plan, budget: Optional[int], pipe) -> None:
+    """A helper process: scan each task whose index arrives, and send back
+    its counts or the traceback of its failure."""
     import traceback
 
-    while True:
-        i = tasks.claim()
-        if i is None:
-            return
+    for i in iter(pipe.recv, None):
+        _, tables, levels = plan.tasks[i]
         try:
-            counts = tasks.scan(i)
+            counts = _scan_task(plan, tables, levels, budget=budget)
         except Exception:
-            writer.send((i, traceback.format_exc()))
-            return
-        writer.send((i, counts))
+            counts = traceback.format_exc()
+        pipe.send(counts)
 
 
-class _Tasks:
-    """The plan's scan tasks, claimed in plan order by the calling process and
-    by forked helpers, and each scanned without the budget, which only
-    `_fold` applies, up to a hit or past the run's `budget` (`_scan_task`).
-    They share the next task to claim and the stop index: the lowest task
-    known to end the run (a hit or a budget cut).  No task past it is
-    claimed; a task that is already running is finished.
+def _scans(plan: _Plan, budget: Optional[int], jobs: int) -> Iterator[_Counts]:
+    """Each scan task's counts, in plan order.  A task is scanned without the
+    budget, which only `_fold` applies, up to a hit or past the run's
+    `budget` (`_scan_task`).
+
+    With min(jobs, usable CPUs, tasks) >= 2 that many forked helpers scan
+    the tasks, and the calling process only hands them out: a helper is sent
+    the next task index whenever it reports, but none past the lowest task
+    known to hit.  A task whose helper exits without a result is lost, and
+    raises when it is reached; closing the generator kills and reaps every
+    helper.  Otherwise the tasks are scanned here, and no process module is
+    loaded.
     """
+    n_helpers = min(jobs, _usable_cpus(), len(plan.tasks))
+    if n_helpers < 2:
+        for _, tables, levels in plan.tasks:
+            yield _scan_task(plan, tables, levels, budget=budget)
+        return
+    import multiprocessing
+    from multiprocessing import connection
 
-    def __init__(self, plan: _Plan, budget: Optional[int]):
-        self.plan, self.budget = plan, budget
-        self.shared, self.lock = [0, _NO_STOP], contextlib.nullcontext()
-        self.done: dict[int, object] = {}   # task -> counts, or a helper's traceback
-        self.helpers: list = []
-        self.readers: list = []             # result pipes of helpers still running
-
-    def fork(self, jobs: int) -> None:
-        """Start min(jobs, usable CPUs, tasks) - 1 helpers, none if one task or less.
-
-        The process modules are imported here, and by `_receive` and
-        `_help`, so a run that starts no helper never loads them."""
-        n_helpers = min(jobs, _usable_cpus(), len(self.plan.tasks)) - 1
-        if n_helpers < 1:
-            return
-        import mmap
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        shared = memoryview(mmap.mmap(-1, 16)).cast("q")   # anonymous, so inherited
-        shared[0], shared[1] = self.shared
-        self.shared, self.lock = shared, ctx.Lock()
+    ctx = multiprocessing.get_context("fork")
+    helpers, idle, running = [], [], {}   # running: pipe -> its helper's task
+    done: dict[int, object] = {}          # task -> counts, a traceback, or None if lost
+    sent, end = 0, len(plan.tasks)        # tasks handed out; tasks up to the first hit
+    try:
         for _ in range(n_helpers):
-            reader, writer = ctx.Pipe(duplex=False)
-            self.readers.append(reader)
-            self.helpers.append(_start_helper(ctx, self, writer))
-            writer.close()
-
-    def claim(self) -> Optional[int]:
-        with self.lock:
-            i = self.shared[0]
-            if i >= len(self.plan.tasks) or i > self.shared[1]:
-                return None
-            self.shared[0] = i + 1
-        return i
-
-    def stop(self, i: int) -> None:
-        with self.lock:
-            self.shared[1] = min(self.shared[1], i)
-
-    def scan(self, i: int) -> _Counts:
-        _, tables, levels = self.plan.tasks[i]
-        counts = _scan_task(self.plan, tables, levels, budget=self.budget)
-        if counts.hit is not None:
-            self.stop(i)
-        return counts
-
-    def result(self, i: int) -> _Counts:
-        """Task i's counts; tasks are claimed and scanned here until it is done."""
-        while i not in self.done:
-            self._receive(0)
-            if i in self.done:
-                break
-            j = self.claim()
-            if j is not None:
-                self.done[j] = self.scan(j)
-            elif self.readers:
-                self._receive(None)
-            else:
+            pipe, theirs = ctx.Pipe()
+            helpers.append(_start_helper(ctx, plan, budget, theirs))
+            theirs.close()
+            idle.append(pipe)
+        for i in range(len(plan.tasks)):
+            while i not in done:
+                while idle and sent < end:
+                    pipe = idle.pop()
+                    with contextlib.suppress(OSError):   # a helper gone is seen at recv
+                        pipe.send(sent)
+                    running[pipe], sent = sent, sent + 1
+                for pipe in connection.wait(running):
+                    task = running.pop(pipe)
+                    try:
+                        done[task] = pipe.recv()
+                        idle.append(pipe)
+                    except (EOFError, OSError):
+                        done[task] = None
+                        pipe.close()
+                    if isinstance(done[task], _Counts) and done[task].hit is not None:
+                        end = min(end, task + 1)
+            counts = done.pop(i)
+            if counts is None:
                 raise RuntimeError(f"scan task {i} was lost: its helper exited without a result")
-        counts = self.done.pop(i)
-        if isinstance(counts, str):
-            raise RuntimeError(f"scan task {i} failed in a helper process:\n{counts}")
-        return counts
-
-    def _receive(self, timeout: Optional[float]) -> None:
-        if not self.readers:
-            return
-        from multiprocessing import connection
-
-        for reader in connection.wait(self.readers, timeout):
-            try:
-                i, counts = reader.recv()
-            except EOFError:
-                self.readers.remove(reader)
-                reader.close()
-            else:
-                self.done[i] = counts
-
-    def close(self) -> None:
-        """Stop and reap the helpers; the task each was running is abandoned."""
-        for helper in self.helpers:
+            if isinstance(counts, str):
+                raise RuntimeError(f"scan task {i} failed in a helper process:\n{counts}")
+            yield counts
+    finally:
+        for helper in helpers:
             helper.kill()
-        for helper in self.helpers:
             helper.join()
-        for reader in self.readers:
-            reader.close()
-        self.helpers, self.readers = [], []
+        for pipe in idle + list(running):
+            pipe.close()
 
 
 def _fold(
-    plan: _Plan, tasks: _Tasks, budget: Optional[int]
+    plan: _Plan, scans: Iterator[_Counts], budget: Optional[int]
 ) -> tuple[_Counts, int, Optional[GraphTables]]:
     """Fold the plan in canonical order, stopping at the first hit or budget cut.
 
@@ -608,7 +568,8 @@ def _fold(
     whose labelling places the bound's and the orbit filter's combinations.
     The plan holds no unit, so that unit's forest is regenerated by walking
     the units again up to it.  The plan's refusal is raised when the fold
-    reaches it.
+    gets past its last unit, the refused one.  `scans` yields the tasks'
+    counts in plan order (`_scans`).
     """
     run = _Counts()
     memo: dict[int, tuple[range, _Counts]] = {}   # class -> (its levels, its counts)
@@ -617,9 +578,8 @@ def _fold(
         if task < len(plan.tasks) and plan.tasks[task][0] == index:
             _, tables, levels = plan.tasks[task]
             left = None if budget is None else budget - run.checked
-            counts = tasks.result(task)
+            counts = next(scans)
             if left is not None and counts.checked > left:
-                tasks.stop(task)
                 counts = _scan_task(plan, tables, levels, limit=left)
             task += 1
             run += counts
@@ -639,8 +599,8 @@ def _fold(
             tables = _graph_tables(plan.bounds, forest, plan.mutation)
             run += _scan_task(plan, tables, levels, limit=budget - run.checked)
             return run, index + 1, tables
-        if plan.refusal is not None and plan.refusal[0] == index:
-            raise plan.refusal[1]
+    if plan.refusal is not None:
+        raise plan.refusal[1]
     return run, len(plan.classes), None
 
 
@@ -652,18 +612,18 @@ def _run(
     budget: Optional[int],
     jobs: int,
 ) -> tuple[_Counts, int, Optional[GraphTables]]:
-    """Plan the run, then fold it with the calling process and jobs - 1 helpers."""
+    """Plan the run, then fold it, with its tasks scanned by up to `jobs`
+    helper processes (`_scans`)."""
     if budget is not None and budget < 0:
         raise InputError("budget must be non-negative")
     if jobs < 1:
         raise InputError("jobs must be at least 1")
     plan = _plan(bounds, mutation, mode, min_signers)
-    tasks = _Tasks(plan, budget)
+    scans = _scans(plan, budget, jobs)
     try:
-        tasks.fork(jobs)
-        return _fold(plan, tasks, budget)
+        return _fold(plan, scans, budget)
     finally:
-        tasks.close()
+        scans.close()
 
 
 def _disagrees(what: str) -> RuntimeError:

@@ -462,6 +462,15 @@ def test_cmd_forests(capsys):
     assert report["count"] == 125 and len(report["forests"]) == 125
 
 
+def test_a_forest_listing_short_of_the_count_exits_internal(monkeypatch, capsys):
+    # a listing that disagrees with the forest count is an internal failure
+    # (exit 4) with no listing written, under `python -O` too
+    monkeypatch.setattr(cli, "enumerate_forests", lambda n: iter([]))
+    assert main(["forests", "--n", "2", "--list"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "listed 0 forests on 2 blocks, not 3" in err
+
+
 @pytest.mark.parametrize("argv,work", [
     (["forests", "--n", "1"], "forest_count"),
     (["search", "--blocks", "1", "--validators", "2", "--max-votes", "2"], "search"),

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from math import comb
 from pathlib import Path
@@ -221,10 +222,25 @@ def test_the_plan_numbers_units_and_holds_none():
     assert plan.classes == [first.index(key) for key in keys]
 
 
+def test_a_refusal_at_the_first_unit_ends_the_walk(monkeypatch, capsys):
+    # at 5 blocks a planted size limit refuses unit 0: the plan stops
+    # walking there, so it numbers that one unit, not all 1,296, and the
+    # run is refused (exit 2)
+    def refused(*args):
+        raise InputError("planted size limit")
+
+    monkeypatch.setattr(enumerator, "_graph_tables", refused)
+    plan = enumerator._plan(_small(n_blocks=5), Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 0)
+    assert plan.refusal[0] == 0 and len(plan.classes) == 1 and not plan.tasks
+    assert main(["search", "--blocks", "5", "--validators", "1", "--max-votes", "4",
+                 "--max-ffg", "4", "--max-chkp-slot", "3"]) == 2
+    assert "planted size limit" in capsys.readouterr().err
+
+
 def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
     # a task scans its class's levels in order: a budget that runs out in
     # level L must carry over from the levels before it within the task's
-    # count, in the calling process and with a helper, and cut where the
+    # count, in the calling process and in helpers, and cut where the
     # levels counted one by one cut
     bounds = _small(n_validators=2, max_votes=8)
     mutation = parse_mutation("drop-ancestry")
@@ -619,14 +635,16 @@ def test_fixpoint_comparison_counts_without_the_kernel(monkeypatch):
 # --- helper processes ----------------------------------------------------------
 
 def test_helpers_are_capped_by_usable_cpus(monkeypatch):
-    # --jobs far beyond the host starts min(CPUs, tasks) - 1 helpers and gives
-    # the single-process report; the patched start refuses to go past the
-    # cap, so a broken clamp cannot fork more processes than there are CPUs.
-    # Three blocks plan one task for each of their three conflicting classes
+    # --jobs far beyond the host starts min(CPUs, tasks) helpers, none if that
+    # is below 2, and gives the single-process report; the patched start
+    # refuses to go past the cap, so a broken clamp cannot fork more
+    # processes than there are CPUs.  Three blocks plan one task for each of
+    # their three conflicting classes
     bounds = _small(n_validators=2, max_votes=8)
     n_tasks = len(enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2).tasks)
     assert n_tasks == 3
-    cap = min(len(os.sched_getaffinity(0)), n_tasks) - 1
+    cap = min(len(os.sched_getaffinity(0)), n_tasks)
+    cap = cap if cap >= 2 else 0
     starts = []
     start = enumerator._start_helper
 
@@ -644,9 +662,9 @@ def test_helpers_are_capped_by_usable_cpus(monkeypatch):
 
 
 def test_claims_hold_with_more_processes_than_cores(monkeypatch):
-    # three helpers and the calling process race for the shared claim
-    # counter over the seven tasks of four blocks; a lost or repeated claim
-    # would change a count or leave the fold waiting for a task nobody scans
+    # four helpers on a two-CPU host take the seven tasks of four blocks as
+    # the calling process hands them out; a lost or repeated task would
+    # change a count or leave the fold waiting for a task nobody scans
     bounds = _small(n_blocks=4, n_validators=2, max_votes=8)
     mutation = parse_mutation("drop-ancestry")
     assert len(enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, 0).tasks) == 7
@@ -677,7 +695,7 @@ def test_a_refusal_past_scanned_levels_ends_the_run(monkeypatch, capsys, started
     # at three blocks the plan scans the classes of units 0 and 1 and ends
     # at the third scanned class, whose tables are over a planted size
     # limit; the fold scans the tasks before it, refuses the run there
-    # (exit 2), and the helper, which never claims past the end, is reaped
+    # (exit 2), and the helpers, handed no task past the end, are reaped
     argv = ["search", "--blocks", "3", "--validators", "2", "--max-votes", "8",
             "--max-ffg", "4", "--max-chkp-slot", "3", "--jobs", "2"]
     bounds = _small(n_validators=2, max_votes=8)
@@ -703,27 +721,78 @@ def test_a_refusal_past_scanned_levels_ends_the_run(monkeypatch, capsys, started
 def test_a_task_that_raises_exits_internal(monkeypatch, capsys, where):
     # a failure inside a task, in the calling process or in a helper, is an
     # internal failure (exit 4), and no helper is left running.  With the
-    # bound keeping everything, every task reaches the scan; with "helpers",
-    # the calling process claims no task, so a helper scans the first one.
+    # bound keeping everything, every task reaches the scan.  "everywhere"
+    # runs at --jobs 1, so the calling process scans and fails; "helpers"
+    # fails only outside the calling process, at --jobs 2, where it hands
+    # every task to a helper.
     caller = os.getpid()
     scan_states = enumerator.scan_states
-    claim = enumerator._Tasks.claim
 
     def failing(*args):
         if where == "everywhere" or os.getpid() != caller:
             raise ZeroDivisionError("planted failure")
         return scan_states(*args)
 
-    def helpers_only(tasks):
-        return claim(tasks) if where == "everywhere" or os.getpid() != caller else None
-
     monkeypatch.setattr(enumerator, "scan_states", failing)
-    monkeypatch.setattr(enumerator._Tasks, "claim", helpers_only)
     monkeypatch.setattr(kernels, "keeps", lambda justified, *_: np.ones(justified.shape, bool))
+    assert main([
+        "search", "--blocks", "3", "--validators", "2", "--max-votes", "8",
+        "--max-ffg", "4", "--max-chkp-slot", "3",
+        "--jobs", "1" if where == "everywhere" else "2",
+    ]) == 4
+    err = capsys.readouterr().err
+    assert "planted failure" in err
+    if where == "helpers":
+        assert "failed in a helper process" in err
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_no_task_past_a_known_hit_is_handed_out(monkeypatch, tmp_path):
+    # two helpers take tasks 0 and 1 of three; a planted task 1 hits at
+    # once while task 0 still scans, so the helper that reported the hit
+    # is handed no task 2, and the fold gets both counts in plan order
+    bounds = _small(n_validators=2, max_votes=8)
+    plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2)
+    assert len(plan.tasks) == 3
+    log = tmp_path / "scanned"
+
+    def planted(plan, graph_tables, levels, limit=None, budget=None):
+        i = next(i for i, (_, tables, _) in enumerate(plan.tasks) if tables is graph_tables)
+        with open(log, "a") as out:
+            out.write(f"{i}\n")
+        if i == 0:
+            time.sleep(1)
+        return enumerator._Counts(hit=((), ()) if i == 1 else None)
+
+    monkeypatch.setattr(enumerator, "_scan_task", planted)
+    scans = enumerator._scans(plan, None, 2)
+    assert [counts.hit for counts in itertools.islice(scans, 2)] == [None, ((), ())]
+    scans.close()
+    assert sorted(log.read_text().split()) == ["0", "1"]
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_a_helper_that_dies_loses_its_task(monkeypatch, capsys, started):
+    # a helper that exits without sending a result loses its task: the fold
+    # raises that when it reaches the task (exit 4) instead of waiting for
+    # it, and every helper is reaped
+    caller = os.getpid()
+    scan_task = enumerator._scan_task
+
+    def dying(*args, **kw):
+        if os.getpid() != caller:
+            os._exit(1)
+        return scan_task(*args, **kw)
+
+    monkeypatch.setattr(enumerator, "_scan_task", dying)
+    start = time.perf_counter()
     assert main([
         "search", "--blocks", "3", "--validators", "2", "--max-votes", "8",
         "--max-ffg", "4", "--max-chkp-slot", "3", "--jobs", "2",
     ]) == 4
-    err = capsys.readouterr().err
-    assert "planted failure" in err
+    assert time.perf_counter() - start < 30
+    assert "was lost" in capsys.readouterr().err
+    assert started
     assert not multiprocessing.active_children()
