@@ -14,10 +14,10 @@ whose forest has no conflicting block pair is skipped whole in safety
 searches, where the property holds vacuously, and so is one none of whose
 levels has a row under the signer floor.  Within a unit, the monotone
 combination bound keeps only the distinct-vote combinations whose unanimity
-state can hit (`kernels.KeptCombinations`, which generates them level by
-level from reachable cores); only those are projected and scanned, in the
-same canonical order.  Rows of the others count as pruned, so checked +
-pruned always covers the whole space.
+state can hit (`kernels.kept_levels`, which a scan task reads level by
+level as it grows reachable cores); only those are projected and scanned,
+in the same canonical order.  Rows of the others count as pruned, so
+checked + pruned always covers the whole space.
 
 Block relabelling is exploited at two levels (`ffgmc.symmetry`, which also
 gives the soundness argument): only the first unit of each isomorphism
@@ -57,6 +57,7 @@ from .kernels import (
     MODE_COUNTEREXAMPLE,
     MODE_FINALIZED_NONGENESIS,
     MODE_JUSTIFIED_NONGENESIS,
+    kept_levels,
     rank,
     scan_states,
 )
@@ -296,22 +297,15 @@ class _Counts:
         )
 
 
-def _kept_combinations(plan: _Plan, tables: GraphTables, u: int) -> tuple[np.ndarray, np.ndarray]:
-    """(combinations, minimal): the size-u vote combinations that the
-    monotone bound keeps (`GraphTables.kept`, up to the unit's last level),
-    in canonical order, and which of them are lexicographically minimal in
-    their orbit under the unit's automorphisms, the only ones scanned.  The
-    orbit filter runs after the bound, which is relabelling-invariant.
-    """
-    top = _distinct_vote_range(plan.bounds, len(tables.votes))[-1]
-    combos = tables.kept(plan.mode, top).level(u)
-    minimal = orbit_minimal(combos, tables.perms) if len(combos) else np.zeros(0, dtype=bool)
-    return combos, minimal
-
-
-def _scan_level(plan: _Plan, tables: GraphTables, u: int, limit: Optional[int] = None) -> _Counts:
-    """Scan the size-u combinations of a unit in order, all kept and
-    orbit-minimal ones in one kernel call.
+def _scan_level(
+    plan: _Plan, tables: GraphTables, combos: np.ndarray, limit: Optional[int] = None
+) -> _Counts:
+    """Scan one level of a unit in order: its size-u vote combinations, of
+    which the monotone bound keeps `combos` (`kernels.kept_levels`), in
+    canonical order.  Only the kept ones that are lexicographically minimal
+    in their orbit under the unit's automorphisms are scanned, all in one
+    kernel call; the orbit filter runs after the bound, which is
+    relabelling-invariant.
 
     Rows are counted by `state_count`; the level's `state_table` is built
     only for that kernel call.  With a `limit` (the budget left), the level
@@ -327,12 +321,13 @@ def _scan_level(plan: _Plan, tables: GraphTables, u: int, limit: Optional[int] =
     of the one it stops in (`kernels.rank`).
     """
     n_validators, max_votes = plan.bounds.n_validators, plan.bounds.max_votes
+    u = combos.shape[1]
     n_rows = state_count(u, n_validators, max_votes, plan.min_signers)
     total_rows = state_count(u, n_validators, max_votes, 0)
     n_combos = comb(len(tables.votes), u)
-    combos, minimal = _kept_combinations(plan, tables, u)
     if not len(combos):
         return _Counts(pruned=n_combos * total_rows, bounded=n_combos * n_rows)
+    minimal = orbit_minimal(combos, tables.perms)
     # stop and scanned count the rows of every kept combination in scan order;
     # only the minimal combinations (`scan`) reach the kernel
     rows = len(combos) * n_rows
@@ -371,15 +366,18 @@ def _scan_task(
     limit: Optional[int] = None,
     budget: Optional[int] = None,
 ) -> _Counts:
-    """Scan, or with a `limit` count, a class's `levels` in order, as
-    `_scan_level` does one: the limit left carries from level to level, and
-    the task ends at a hit or a budget cut.  A scan also ends after the
+    """Scan, or with a `limit` count, a class's `levels` u = 0, 1, ... in
+    order, as `_scan_level` does one, each on the kept combinations that
+    `kernels.kept_levels` grows for it when it is reached, so the cores
+    last only as long as the task, and a level's combinations only as long
+    as its `_scan_level` call: the limit left carries from level to level,
+    and the task ends at a hit or a budget cut.  A scan also ends after the
     level that takes its checked rows past the run's `budget`: the run is
     cut within those levels, where the fold counts the cut with a limit."""
-    total = _Counts()
-    for u in levels:
+    total, kept = _Counts(), kept_levels(tables, plan.mode, len(levels) - 1)
+    for _ in levels:
         left = None if limit is None else limit - total.checked
-        total += _scan_level(plan, tables, u, left)
+        total += _scan_level(plan, tables, next(kept), left)
         if total.hit is not None or total.cut or (budget is not None and total.checked > budget):
             break
     return total

@@ -7,9 +7,9 @@ justification dependency well-founded, so the two fixpoints coincide
 (`kernels._eligible`); tests compare them by brute force.
 
 This reference iterates to the fixpoint.  The kernel reaches it in one pass
-over a combination's votes, and the monotone bound
-(`kernels.KeptCombinations`) one vote at a time as it grows reachable cores,
-both in the slot order that `tables.GraphTables.sandwich` checks.
+over a combination's votes, and the monotone bound (`kernels.kept_levels`)
+one vote at a time as it grows reachable cores, both in the slot order that
+`tables.GraphTables.sandwich` checks.
 """
 
 from __future__ import annotations

@@ -38,10 +38,11 @@ combination (`ProjectedTables.partners`) are evaluated only when a
 counterexample scan expands that combination's rows.
 
 Only combinations that may hold a hit reach a scan (the monotone
-combination bound): `KeptCombinations` generates each level's kept
-combinations from the reachable cores of a unit's votes, in lexicographic
-order, so no other combination is listed or tested; `rank` places one of
-them among all the combinations of its size, exactly at any size.
+combination bound): `kept_levels` yields a unit's kept combinations one
+level at a time, in lexicographic order, growing the reachable cores of
+its votes only as far as the level read, so no other combination is listed
+or tested; `rank` places one of them among all the combinations of its
+size, exactly at any size.
 
 Nothing here takes a mutation: the graph tables were built for one
 (`tables.build_graph_tables`), and the quorum families carry its quorum rule.
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb
+from typing import Iterator
 
 import numpy as np
 
@@ -141,7 +143,7 @@ def keeps(
 ) -> np.ndarray:
     """The monotone bound's test of `mode` on reachable cores, from their
     justified and finalized checkpoint masks (bit 0 is genesis) and whether
-    their finalized set holds a conflicting pair (see `KeptCombinations`)."""
+    their finalized set holds a conflicting pair (see `kept_levels`)."""
     if mode == MODE_JUSTIFIED_NONGENESIS:
         return justified != 1
     if mode == MODE_FINALIZED_NONGENESIS:
@@ -149,12 +151,13 @@ def keeps(
     return clash
 
 
-class KeptCombinations:
+def kept_levels(tables: GraphTables, mode: int, top: int) -> Iterator[np.ndarray]:
     """The vote combinations of one unit that the monotone combination bound
-    keeps under one scan mode, on the levels up to `top` (the unit's last).
-    The cores are grown once, on first need, and kept; a level is padded
-    from them on each read (`level`), since only a budget recount reads a
-    level twice.
+    keeps under one scan mode, level by level: for u = 0 .. `top`, the kept
+    size-u combinations, a (C, u) array of ascending vote indices in
+    lexicographic order.  The cores of u votes are grown when level u is
+    read, so a reader that stops at level u grows no larger core, and they
+    are dropped with the generator.
 
     Soundness of the bound.  Every row of a combination U is a vote set
     contained in the unanimity state, in which all N validators cast every
@@ -190,106 +193,85 @@ class KeptCombinations:
     ascending vote order a core's prefixes are cores.  So the cores of s + 1
     votes are those of s votes, each extended by a later vote whose source
     is in its J, and J, F and the clash flag carry over on int64 checkpoint
-    masks: the vote adds its sandwich mask to J and, if it is finalizing,
-    its source to F; a new conflicting pair in F has that source as one
-    member (conflict is symmetric, and genesis conflicts with nothing).
-    Every core of fewer than `top` votes is held, to grow the next size;
-    those of `top` votes are grown in batches, and only the kept ones held.
+    masks (`_grow`).  Every core of fewer than `top` votes is held until the
+    next size is grown from it; those of `top` votes are grown in batches,
+    and only the kept ones held.
 
     Padding.  A size-u combination U splits uniquely into its core G and
     u - |G| padding votes, whose sources lie outside J(G); G plus any such
     votes has core G.  So a level's kept combinations are the kept cores of
-    at most u votes, each padded in every way.  They are returned in
+    at most u votes, each padded in every way (`_padded`), and the kept
+    cores of every size read so far are held for that.  They are yielded in
     lexicographic order, the canonical one; a combination's rank in it is
     `rank`, which the enumerator needs only where a scan stops.
     """
+    source = tables.vote_src
+    bits = np.int64(1) << np.arange(tables.sandwich.shape[0], dtype=np.int64)
+    # what each vote adds to a core's (J, F), and the checkpoints its
+    # finalized source conflicts with
+    adds = np.column_stack([bits @ tables.sandwich, np.where(tables.finalizing, bits[source], 0)])
+    clashes = np.where(tables.finalizing, tables.cp_conflict[source], 0)
+    # every core of one size: (votes, (J, F) masks, clash); at first the empty core
+    cores = (np.zeros((1, 0), np.int64), np.ones((1, 2), np.int64), np.zeros(1, bool))
+    kept = []   # (votes, J masks) of the kept cores of each size read so far
+    for u in range(top + 1):
+        if u:
+            cores = _grow(cores, adds, clashes, source, mode if u == top else None)
+        votes, marks, clash = cores
+        if u < top or not u:   # cores of `top` > 0 votes were grown kept-only
+            held = keeps(marks[:, 0], marks[:, 1], clash, mode)
+            votes, marks = votes[held], marks[held]
+        kept.append((votes, marks[:, 0]))
+        yield _padded(kept, source)
 
-    def __init__(self, tables: GraphTables, mode: int, top: int):
-        self._tables, self._mode, self._top = tables, mode, top
-        source = tables.vote_src
-        bits = np.int64(1) << np.arange(tables.sandwich.shape[0], dtype=np.int64)[:, None]
-        finalizes = np.where(tables.finalizing, np.int64(1) << source, 0)
-        # what each vote adds to a core's (J, F), and the checkpoints its
-        # finalized source conflicts with
-        self._adds = np.column_stack([(tables.sandwich * bits).sum(axis=0), finalizes])
-        self._clashes = np.where(tables.finalizing, tables.cp_conflict[source], 0)
-        # every core of one size: (votes, (J, F) masks, clash); at first the empty core
-        empty = (np.zeros((1, 0), dtype=np.int64), np.ones((1, 2), dtype=np.int64),
-                 np.zeros(1, dtype=bool))
-        self._frontier = empty
-        self._kept_cores = {0: self._select(*empty)}   # size -> (votes, (J, F) masks)
 
-    def _select(self, votes, marks, clash) -> tuple[np.ndarray, np.ndarray]:
-        kept = keeps(marks[:, 0], marks[:, 1], clash, self._mode)
-        return votes[kept], marks[kept]
+def _grow(cores, adds, clashes, source, mode) -> tuple[np.ndarray, ...]:
+    """(votes, (J, F) masks, clash) of the cores of one vote more than
+    `cores`: each extended by each later vote whose source is in its J, with
+    J, F and each vote's `adds` ORed in; the vote's source joins a
+    conflicting pair of F iff F meets its `clashes` (conflict is symmetric,
+    and genesis conflicts with nothing).  With a `mode`, only the cores it
+    keeps.  `cores` is read in batches of about `_BATCH_ENTRIES` (core,
+    vote) pairs, each filtered as it is grown."""
+    votes, marks, clash = cores
+    later = np.arange(source.size)
+    step = max(1, _BATCH_ENTRIES // source.size)
+    batches = []
+    for lo in range(0, max(votes.shape[0], 1), step):
+        after = votes[lo : lo + step, -1:] if votes.shape[1] else -1
+        core, vote = np.nonzero((marks[lo : lo + step, :1] >> source) & (later > after))
+        core += lo
+        grown = marks[core] | adds[vote]
+        grown_clash = clash[core] | ((clashes[vote] & grown[:, 1]) != 0)
+        if mode is not None:
+            held = keeps(grown[:, 0], grown[:, 1], grown_clash, mode)
+            core, vote, grown, grown_clash = core[held], vote[held], grown[held], grown_clash[held]
+        batches.append((np.column_stack([votes[core], vote]), grown, grown_clash))
+    return tuple(np.concatenate(part) for part in zip(*batches))
 
-    def _cores(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """(votes, (J, F) masks) of the kept cores of s votes.
 
-        The frontier holds every core of one size, to grow the next.  A size
-        below `top` is grown whole and becomes the frontier; `top` keeps only
-        its kept cores, and the frontier is dropped then.
-        """
-        while s not in self._kept_cores:
-            size = self._frontier[0].shape[1] + 1
-            grown = self._grow(whole=size < self._top)
-            if size < self._top:
-                self._frontier = grown
-                grown = self._select(*grown)
-            else:
-                self._frontier = None
-            self._kept_cores[size] = grown[:2]
-        return self._kept_cores[s]
-
-    def _grow(self, whole: bool) -> tuple[np.ndarray, ...]:
-        """(votes, (J, F) masks, clash) of the cores of one vote more than the
-        frontier's, every one if `whole`, else the kept ones: each frontier
-        core extended by each later vote whose source is in its J, with J, F
-        and the clash flag carried.  The frontier is read in batches of about
-        `_BATCH_ENTRIES` (core, vote) pairs, each filtered as it is grown."""
-        votes, marks, clash = self._frontier
-        source = self._tables.vote_src
-        later = np.arange(source.size)
-        step = max(1, _BATCH_ENTRIES // source.size)
-        batches = []
-        for lo in range(0, max(votes.shape[0], 1), step):
-            after = votes[lo : lo + step, -1:] if votes.shape[1] else -1
-            core, vote = np.nonzero((marks[lo : lo + step, :1] >> source) & (later > after))
-            core += lo
-            grown = marks[core] | self._adds[vote]
-            grown_clash = clash[core] | ((self._clashes[vote] & grown[:, 1]) != 0)
-            if not whole:
-                kept = keeps(grown[:, 0], grown[:, 1], grown_clash, self._mode)
-                core, vote, grown, grown_clash = (
-                    part[kept] for part in (core, vote, grown, grown_clash)
-                )
-            batches.append((np.column_stack([votes[core], vote]), grown, grown_clash))
-        return tuple(np.concatenate(part) for part in zip(*batches))
-
-    def level(self, u: int) -> np.ndarray:
-        """The kept size-u combinations, a (C, u) array of ascending vote
-        indices in lexicographic order, made on each read; u is at most
-        `top`.  They are each kept core of s <= u votes with every u - s of
-        the votes whose source is outside its J, drawn in ascending order."""
-        source = self._tables.vote_src
-        later = np.arange(source.size)
-        parts = [np.zeros((0, u), dtype=np.int64)]
-        for s in range(u + 1):
-            votes, marks = self._cores(s)
-            if not votes.shape[0]:
-                continue
-            if s < u:
-                unreachable = ((marks[:, :1] >> source) & 1) == 0                     # (G, M)
-                core, padding = np.arange(votes.shape[0]), np.zeros((votes.shape[0], 0), np.int64)
-                for _ in range(u - s):
-                    after = padding[:, -1:] if padding.shape[1] else -1
-                    row, vote = np.nonzero(unreachable[core] & (later > after))
-                    core, padding = core[row], np.column_stack([padding[row], vote])
-                votes = np.sort(np.hstack([votes[core], padding]), axis=1)
-            parts.append(votes)
-        combos = np.concatenate(parts)
-        # lexsort's last key is its first: column 0 leads; u = 0 has no key to sort by
-        return combos[np.lexsort(combos.T[::-1])] if u else combos
+def _padded(kept, source: np.ndarray) -> np.ndarray:
+    """The level of `kept`'s last size u: each kept core of s <= u votes,
+    (votes, J mask), with every u - s of the votes whose source is outside
+    its J, drawn in ascending order, sorted into lexicographic order."""
+    u = len(kept) - 1
+    later = np.arange(source.size)
+    parts = [np.zeros((0, u), dtype=np.int64)]
+    for votes, reach in kept:
+        if not votes.shape[0]:
+            continue
+        if votes.shape[1] < u:
+            unreachable = ((reach[:, None] >> source) & 1) == 0                     # (G, M)
+            core, padding = np.arange(votes.shape[0]), np.zeros((votes.shape[0], 0), np.int64)
+            for _ in range(u - votes.shape[1]):
+                after = padding[:, -1:] if padding.shape[1] else -1
+                row, vote = np.nonzero(unreachable[core] & (later > after))
+                core, padding = core[row], np.column_stack([padding[row], vote])
+            votes = np.sort(np.hstack([votes[core], padding]), axis=1)
+        parts.append(votes)
+    combos = np.concatenate(parts)
+    # lexsort's last key is its first: column 0 leads; u = 0 has no key to sort by
+    return combos[np.lexsort(combos.T[::-1])] if u else combos
 
 
 def rank(combo, m: int) -> int:

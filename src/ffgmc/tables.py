@@ -76,10 +76,10 @@ class GraphTables:
     read and kept, so a unit pays only for what its readers read: the scan
     plan reads `votes` of every class, and `cp_conflict` too in the safety
     modes, where a unit with no conflicting checkpoint pair is vacuous; only
-    a scanned class reads the rest, and the vote combinations that the
-    monotone bound keeps under its scan mode (`kept`).  `checkpoints`
-    refuses a universe over `MAX_CHECKPOINT_BITS` on its first read, which
-    is the plan's.
+    a scanned class reads the rest, on which its scan task grows the vote
+    combinations that the monotone bound keeps (`kernels.kept_levels`),
+    held by the task alone.  `checkpoints` refuses a universe over
+    `MAX_CHECKPOINT_BITS` on its first read, which is the plan's.
     """
 
     def __init__(
@@ -87,15 +87,23 @@ class GraphTables:
     ):
         self.forest, self.mutation, self._max_chkp_slot = forest, mutation, max_chkp_slot
         self._probe = ProtocolState(forest, 1, frozenset(), slot_rule)   # read by the predicates
-        self._kept: dict = {}   # (scan mode, top level) -> its kept combinations, made by `kept`
 
     @cached_property
     def checkpoints(self) -> tuple[Checkpoint, ...]:
-        """The K checkpoints under `max_chkp_slot`, genesis first."""
-        cps = tuple(checkpoints_of(self._probe, self._max_chkp_slot))
+        """The K checkpoints under `max_chkp_slot`, genesis first.
+
+        The universe only grows with its cap, so it is listed first at a cap
+        of at most `MAX_CHECKPOINT_BITS`: one over the limit there is refused
+        before a larger cap is listed, with its size as a lower bound.
+        """
+        cap = self._max_chkp_slot
+        cps = tuple(checkpoints_of(self._probe, min(cap, MAX_CHECKPOINT_BITS)))
+        if len(cps) <= MAX_CHECKPOINT_BITS < cap:
+            cps = tuple(checkpoints_of(self._probe, cap))
         if len(cps) > MAX_CHECKPOINT_BITS:
+            at_least = "at least " if cap > MAX_CHECKPOINT_BITS else ""
             raise InputError(
-                f"checkpoint universe of size {len(cps)} exceeds the kernel limit "
+                f"checkpoint universe of size {at_least}{len(cps)} exceeds the kernel limit "
                 f"{MAX_CHECKPOINT_BITS}; lower max_chkp_slot or n_blocks"
             )
         return cps
@@ -163,18 +171,6 @@ class GraphTables:
             move = lambda cp: Checkpoint(image[cp.block], cp.c, cp.p)
             perms.append([index[FfgVote(move(v.source), move(v.target))] for v in self.votes])
         return np.array(perms, dtype=np.int64).reshape(len(perms), len(self.votes))
-
-    def kept(self, mode: int, top: int):
-        """The vote combinations the monotone bound keeps under scan mode
-        `mode`, on levels up to `top` (`kernels.KeptCombinations`), made on
-        first read and kept, so the cores are grown once per unit; each
-        level is padded from them when it is read."""
-        kept = self._kept.get((mode, top))
-        if kept is None:
-            from .kernels import KeptCombinations   # the kernels read these tables
-
-            kept = self._kept[mode, top] = KeptCombinations(self, mode, top)
-        return kept
 
 
 def build_graph_tables(

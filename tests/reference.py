@@ -6,12 +6,16 @@ vector, in the order `enumerate_forests` must emit them.
 one ProtocolState per (combination, row), in the order the search scans
 them; the search itself never builds states this way, and the canonical
 rows are built here, not read from the kernel's row table.
+`kept_combinations` reads one level of a unit's kept combinations, with
+their orbit filter, as a scan task reaches it.
 """
 
 import itertools
 import operator
 from functools import reduce
 from typing import Iterator
+
+import numpy as np
 
 from ffgmc.enumerator import (
     Bounds,
@@ -20,8 +24,10 @@ from ffgmc.enumerator import (
     _slot_variants,
     materialize_state,
 )
+from ffgmc.kernels import kept_levels
 from ffgmc.model import GENESIS, Block, BlockForest, ProtocolState
 from ffgmc.mutation import Mutation
+from ffgmc.symmetry import orbit_minimal
 
 
 def reference_forests(n: int) -> Iterator[BlockForest]:
@@ -64,3 +70,14 @@ def enumerate_states(bounds: Bounds, forest: BlockForest) -> Iterator[ProtocolSt
             for combo in itertools.combinations(range(len(tables.votes)), u):
                 for row in rows:
                     yield materialize_state(bounds, tables, combo, row)
+
+
+def kept_combinations(plan, graph_tables, u: int) -> tuple[np.ndarray, np.ndarray]:
+    """(combinations, minimal): the size-u vote combinations of a unit that
+    the monotone bound keeps under the plan's scan mode, in canonical order
+    (the last level of `kernels.kept_levels` up to u), and which of them are
+    lexicographically minimal in their orbit under the unit's automorphisms,
+    the only ones `enumerator._scan_level` scans."""
+    *_, combos = kept_levels(graph_tables, plan.mode, u)
+    minimal = orbit_minimal(combos, graph_tables.perms) if len(combos) else np.zeros(0, dtype=bool)
+    return combos, minimal

@@ -225,6 +225,23 @@ def test_size_limits_refuse_before_any_scan(monkeypatch, capsys, flags, limit, m
     assert message in err and "Traceback" not in err
 
 
+def test_an_over_limit_checkpoint_universe_is_refused_before_it_is_listed(monkeypatch, capsys):
+    # the universe only grows with its cap, so a cap of 10^8 checkpoint
+    # slots is refused at a cap of 63, where genesis and b1 have 64 + 62
+    # checkpoints, a lower bound of its size; no larger cap is listed
+    listed = tables.checkpoints_of
+
+    def capped(state, max_c):
+        if max_c > 64:
+            raise AssertionError(f"checkpoints listed up to slot {max_c}")
+        return listed(state, max_c)
+
+    monkeypatch.setattr(tables, "checkpoints_of", capped)
+    assert main(["search", "--blocks", "1", "--max-chkp-slot", "100000000"]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint universe of size at least 126" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,code", [
     (["search", "--mutation", "quorum-half"], 1),        # hit at u=4
     (["search", "--budget", "1000", "--jobs", "2"], 3),  # budget cut at u=4
@@ -286,7 +303,7 @@ def test_a_vacuous_class_is_counted_at_any_size(monkeypatch, capsys):
 ])
 def test_a_class_empty_under_the_signer_floor_is_counted(monkeypatch, capsys, flags, graphs, pruned):
     # settled like a vacuous class: no combination is bounded, no table built
-    for name in ("_kept_combinations", "state_table", "scan_states"):
+    for name in ("kept_levels", "state_table", "scan_states"):
         monkeypatch.setattr(enumerator, name, None)
     assert main(["search", "--max-ffg", "4", *flags]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -420,6 +420,28 @@ def test_run_arguments_validated():
 
 # --- the monotone combination bound against the unreduced space -----------
 
+@pytest.mark.parametrize("property_name,largest", [
+    ("justified-nongenesis", 1),    # hits with one distinct vote
+    ("finalized-nongenesis", 2),
+    ("conflicting-finalized", 4),   # the top level
+])
+def test_a_scan_grows_no_core_past_the_level_it_stops_at(monkeypatch, property_name, largest):
+    # at 2 blocks (N=4, 12 votes, 4 FFG votes, checkpoint slots up to 3) the
+    # cores are grown one size per level read, so a search that stops at
+    # level u grows no core of more than u votes
+    grow, sizes = kernels._grow, []
+
+    def recorded(*args):
+        grown = grow(*args)
+        sizes.append(grown[0].shape[1])
+        return grown
+
+    monkeypatch.setattr(kernels, "_grow", recorded)
+    bounds = Bounds(n_blocks=2, n_validators=4, max_votes=12, max_ffg_votes=4, max_chkp_slot=3)
+    assert find_example(bounds, property_name) is not None
+    assert max(sizes) == largest
+
+
 def _keep_every_core(justified, finalized, clash, mode):
     return np.ones(justified.shape, dtype=bool)
 

@@ -25,6 +25,7 @@ from ffgmc.kernels import (
     MODE_COUNTEREXAMPLE,
     MODE_FINALIZED_NONGENESIS,
     MODE_JUSTIFIED_NONGENESIS,
+    kept_levels,
     scan_states,
 )
 from ffgmc.catalog import catalog_forest, catalog_ids
@@ -83,11 +84,12 @@ def all_combinations(m, u):
 
 
 def kept_level(tables, every, mode):
-    """The kept combinations of `tables.kept` at the level of `every` (its
-    `all_combinations`) as a mask over it, once they are checked to be rows
-    of `every` in its order: read as base-M numbers, both are ascending."""
+    """The kept combinations at the level of `every` (its `all_combinations`),
+    the last level `kept_levels` yields up to there, as a mask over it, once
+    they are checked to be rows of `every` in its order: read as base-M
+    numbers, both are ascending."""
     u = every.shape[1]
-    combos = tables.kept(mode, u).level(u)
+    *_, combos = kept_levels(tables, mode, u)
     digits = len(tables.votes) ** np.arange(u - 1, -1, -1, dtype=np.int64)
     positions = np.searchsorted(every @ digits, combos @ digits)
     assert (np.diff(positions) > 0).all(), (mode, u)

@@ -42,7 +42,7 @@ from ffgmc.mutation import Mutation, parse_mutation
 from ffgmc.slashing import disagreement
 from ffgmc.symmetry import unit_key
 from parity import BOUNDS as PARITY_BOUNDS
-from reference import enumerate_states
+from reference import enumerate_states, kept_combinations
 
 # the falsify-c3 benchmark workload: criterion-3 bounds under quorum-half
 C3 = Bounds(n_blocks=2, n_validators=4, max_votes=12, max_ffg_votes=4, max_chkp_slot=3)
@@ -147,7 +147,7 @@ def _counted_rows(plan, graph_tables, levels, limit):
     for u in levels:
         n_rows = enumerator.state_count(u, n_validators, max_votes, plan.min_signers)
         total_rows = enumerator.state_count(u, n_validators, max_votes, 0)
-        combos, _ = enumerator._kept_combinations(plan, graph_tables, u)
+        combos, _ = kept_combinations(plan, graph_tables, u)
         kept = {tuple(int(x) for x in c) for c in combos}
         left = limit - checked
         if len(kept) * n_rows <= left:
@@ -247,11 +247,12 @@ def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
     plan = enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, 0)
     assert len(plan.tasks) > 1
     _, graph_tables, levels = plan.tasks[0]
-    counts = [enumerator._scan_level(plan, graph_tables, u) for u in levels]
+    combos = [kept_combinations(plan, graph_tables, u)[0] for u in levels]
+    counts = [enumerator._scan_level(plan, graph_tables, combos[u]) for u in levels]
     level = next(u for u in levels[1:] if counts[u - 1].checked > 0 and counts[u].checked > 1)
     budget = sum(c.checked for c in counts[:level]) + 1
     want = sum(counts[:level], enumerator._Counts()) + enumerator._scan_level(
-        plan, graph_tables, level, limit=1
+        plan, graph_tables, combos[level], limit=1
     )
     expected = _report(bounds, mutation, budget)
     assert expected.verdict == VERDICT_INCONCLUSIVE and expected.states_checked == budget
@@ -304,7 +305,7 @@ def test_each_scanned_level_is_one_kernel_call(monkeypatch):
         (id(graph_tables), u)
         for _, graph_tables, levels in plan.tasks
         for u in levels
-        if enumerator._kept_combinations(plan, graph_tables, u)[1].any()
+        if kept_combinations(plan, graph_tables, u)[1].any()
     ]
     assert len(plan.tasks) == 3 and len(pairs) > len(plan.tasks)
     assert sorted(calls) == sorted(pairs)

@@ -24,6 +24,7 @@ from ffgmc.model import GENESIS, Block, BlockForest
 from ffgmc.mutation import Mutation, parse_mutation
 from ffgmc.symmetry import automorphisms, orbit_minimal, unit_key
 from ffgmc.tables import build_graph_tables, min_signers_for_quorum, state_table
+from reference import kept_combinations
 
 
 def _slot_preserving_bijections(f, g):
@@ -173,7 +174,7 @@ def _symmetric_oracle(monkeypatch, bounds, mutation):
         for u in levels:
             rows = state_table(u, bounds.n_validators, bounds.max_votes, floor, mutation)[0]
             n_rows = rows.shape[0]
-            _, minimal = enumerator._kept_combinations(plan, graph_tables, u)
+            _, minimal = kept_combinations(plan, graph_tables, u)
             checked.append(np.full(minimal.size, n_rows, dtype=np.int64))
             symmetric.append(np.where(minimal, 0, n_rows))
         units.append((classes.index(cls) < index, np.concatenate(checked),
