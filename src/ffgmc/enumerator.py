@@ -29,14 +29,15 @@ checked (and separately as symmetric), exactly as a scan would count them.
 `search` and `find_example` run one scan plan (`_plan`), built in one walk
 over the units (`_classes`, which `check_lfp_gfp` reads too): the class
 number of every unit in canonical order, and for the first unit of each
-class, either its vote count, when it is settled whole, or one scan task.
-The plan holds no unit's forest beyond a task's tables.  A task scans its
-class's levels (distinct-vote counts u = 0, 1, ...) in canonical order,
-with one kernel call per level that holds an orbit-minimal kept
-combination.  With jobs > 1 and more than one task, forked helpers scan
-the tasks, which the calling process hands out one at a time (`_scans`);
-results fold in plan order (`_fold`), so every report equals the
-single-process one.
+class, either its counts, when the class is settled without a scan, or one
+scan task.  The plan holds no unit's forest beyond a task's tables.  A task
+scans its class's levels (distinct-vote counts u = 0, 1, ...) in canonical
+order, with one kernel call per level that holds an orbit-minimal kept
+combination, and returns a hit as its state.  With jobs > 1 and more than
+one task, forked helpers scan the tasks, which the calling process hands
+out one at a time (`_scans`); the fold (`_fold`) only counts, over the
+settled classes' and the tasks' counts in plan order, so every report
+equals the single-process one.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -253,15 +254,6 @@ def _classes(bounds: Bounds) -> Iterator[tuple[BlockForest, int, bool]]:
         yield forest, numbers.setdefault(key, len(numbers)), first
 
 
-def _graph_tables(bounds: Bounds, forest: BlockForest, mutation: Mutation) -> GraphTables:
-    """A unit's graph tables, over the checkpoints up to `max_chkp_slot`, or
-    for a catalog graph with no such cap, up to one past its last slot."""
-    chkp = bounds.max_chkp_slot
-    if chkp is None:
-        chkp = max(b.slot for b in forest) + 1
-    return build_graph_tables(forest, bounds.slot_rule, chkp, mutation)
-
-
 def _distinct_vote_range(bounds: Bounds, n_votes: int) -> range:
     return range(0, min(bounds.max_ffg_votes, n_votes, bounds.max_votes) + 1)
 
@@ -276,15 +268,15 @@ def _unit_total_states(bounds: Bounds, n_votes: int) -> int:
 
 @dataclass(frozen=True)
 class _Counts:
-    """Rows of one scan task, a settled unit or a whole run, up to its hit or
-    budget cut; a sum takes its hit and cut from the right operand."""
+    """Rows of one scan task, a unit of a settled class or a whole run, up to
+    its hit or budget cut; a sum takes its hit and cut from the right operand."""
 
     checked: int = 0
     pruned: int = 0      # rows not scanned, bounded ones included
     bounded: int = 0     # rows of combinations the monotone bound dropped
     symmetric: int = 0   # checked rows settled by symmetry rather than scanned
-    hit: Optional[tuple] = None  # (combo, row masks)
-    cut: bool = False            # the budget ran out inside
+    hit: Optional[ProtocolState] = None   # the state of its hit row
+    cut: bool = False                     # the budget ran out inside
 
     def __add__(self, other: _Counts) -> _Counts:
         return _Counts(
@@ -315,10 +307,11 @@ def _scan_level(
     level: after `stop` checked rows it stops in kept combination `cut_at`
     after `part` rows, and the scanned rows are those of the minimal
     combinations before it, plus `part` if it is minimal itself.  A hit at
-    kept row h stops at h, and the hit row is checked and scanned too; a
-    budget cut stops at `limit`, and a whole level after its last row.  The
-    combinations the bound dropped before a stop are counted from the rank
-    of the one it stops in (`kernels.rank`).
+    kept row h stops at h, and the hit row is checked and scanned too, and
+    returned as its state (`materialize_state`); a budget cut stops at
+    `limit`, and a whole level after its last row.  The combinations the
+    bound dropped before a stop are counted from the rank of the one it
+    stops in (`kernels.rank`).
     """
     n_validators, max_votes = plan.bounds.n_validators, plan.bounds.max_votes
     u = combos.shape[1]
@@ -339,8 +332,9 @@ def _scan_level(
         scan_hit, _ = scan_states(level, projected, n_validators, plan.mode)
         if scan_hit >= 0:
             stop = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
-            found = (tuple(int(x) for x in combos[stop // n_rows]),
-                     tuple(int(x) for x in level[0][stop % n_rows]))
+            found = materialize_state(
+                plan.bounds, tables, combos[stop // n_rows], level[0][stop % n_rows]
+            )
     hit = found is not None
     checked = stop + hit
     cut_at, part = divmod(stop, n_rows) if n_rows else (0, 0)
@@ -384,7 +378,7 @@ def _scan_task(
 
 
 def materialize_state(
-    bounds: Bounds, tables: GraphTables, combo: tuple[int, ...], masks: tuple[int, ...]
+    bounds: Bounds, tables: GraphTables, combo: Sequence[int], masks: Sequence[int]
 ) -> ProtocolState:
     """Rebuild the ProtocolState for one canonical assignment row."""
     votes = []
@@ -402,35 +396,37 @@ _VACUITY_MODES = (MODE_COUNTEREXAMPLE, MODE_CONFLICTING_FINALIZED)
 
 @dataclass
 class _Plan:
-    """The class number of every unit of a run in canonical order, and one
-    scan task for the first unit of each isomorphism class that is not
-    settled whole.  No unit's forest is held: a task's tables hold its own.
+    """The class number of every unit of a run in canonical order, the
+    counts of each settled class, and one scan task for the first unit of
+    each other isomorphism class.  No unit's forest is held: a task's tables
+    hold its own.
 
-    A class's first unit is settled whole when it is vacuous (a safety mode
-    and no conflicting checkpoint pair) or floor-empty (`tables.state_count`
-    is 0 at every level under the signer floor, so a scan would check no
-    row and prune every one): its rows are counted from its vote count by
+    A class is settled when its first unit is vacuous (a safety mode and no
+    conflicting checkpoint pair) or floor-empty (`tables.state_count` is 0
+    at every level under the signer floor, so a scan would check no row and
+    prune every one): `settled` maps its number to the counts of one of its
+    units, every row pruned, counted from its vote count by
     `tables.state_count`, not scanned.  Of its graph tables only `votes` is
     read, and `cp_conflict` in the safety modes, so no other relation of it
-    is evaluated and no size limit applies to it.  Otherwise its task,
-    (first unit, tables, levels), scans its levels u = 0, 1, ... in
-    canonical order; tasks are numbered in canonical order.  Later units of
-    a class reuse its counts.
+    is evaluated and only the checkpoint limit applies to it.  Otherwise its
+    task, (first unit, tables, levels), scans its levels u = 0, 1, ... in
+    canonical order; tasks are numbered in canonical order.
 
     Planning ends at the first scanned level whose tables are over a size
     limit (`tables.check_level`; `refusal`: that unit and its error).  The
-    refused unit's task holds only the levels before it, so a run whose hit
-    or budget cut comes first ends as before, and one that reaches it is
-    refused there.  `classes` ends at the refused unit: the fold cannot get
-    past it, so no later unit is walked.
+    refused unit's task holds only the levels before it, and one refused at
+    its checkpoints has no task, so a run whose hit or budget cut comes
+    first ends as before, and one that reaches it is refused there.
+    `classes` ends at the refused unit: the fold cannot get past it, so no
+    later unit is walked.
     """
 
     bounds: Bounds
     mutation: Mutation
     mode: int
     min_signers: int
-    classes: list[int] = field(default_factory=list)        # class number of each unit
-    vacuous: dict[int, int] = field(default_factory=dict)   # vote count of a settled one
+    classes: list[int] = field(default_factory=list)           # class number of each unit
+    settled: dict[int, _Counts] = field(default_factory=dict)  # class -> counts of a unit
     tasks: list[tuple[int, GraphTables, range]] = field(default_factory=list)
     refusal: Optional[tuple[int, InputError]] = None
 
@@ -443,13 +439,13 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
         if not first:
             continue
         try:
-            tables = _graph_tables(bounds, forest, mutation)
+            tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot, mutation)
             n_votes = len(tables.votes)
             levels = _distinct_vote_range(bounds, n_votes)
             if (mode in _VACUITY_MODES and not tables.cp_conflict.any()) or not any(
                 state_count(u, bounds.n_validators, bounds.max_votes, min_signers) for u in levels
             ):
-                plan.vacuous[index] = n_votes
+                plan.settled[number] = _Counts(pruned=_unit_total_states(bounds, n_votes))
                 continue
             plan.tasks.append((index, tables, range(0)))
             for u in levels:
@@ -476,7 +472,7 @@ def _start_helper(ctx, plan: _Plan, budget: Optional[int], pipe):
 
 def _help(plan: _Plan, budget: Optional[int], pipe) -> None:
     """A helper process: scan each task whose index arrives, and send back
-    its counts or the traceback of its failure."""
+    its counts, a hit as its state, or the traceback of its failure."""
     import traceback
 
     for i in iter(pipe.recv, None):
@@ -550,72 +546,65 @@ def _scans(plan: _Plan, budget: Optional[int], jobs: int) -> Iterator[_Counts]:
             pipe.close()
 
 
-def _fold(
-    plan: _Plan, scans: Iterator[_Counts], budget: Optional[int]
-) -> tuple[_Counts, int, Optional[GraphTables]]:
+def _fold(plan: _Plan, scans: Iterator[_Counts], budget: Optional[int]) -> tuple[_Counts, int]:
     """Fold the plan in canonical order, stopping at the first hit or budget cut.
 
-    Returns the counts up to there, the number of units visited and the
-    graph tables of the hit's unit.  The budget is applied here only, by
-    counting: a task whose checked rows exceed the budget left holds no hit
-    before the cut (its hit, if any, is its last checked row), so its cut is
-    counted with `_scan_level`'s limit, on the row a sequential scan would
-    stop at.  A later unit of a class reuses the class's counts when the
-    budget left covers them (no tables are built for it); otherwise it holds
-    no hit either, and its class's levels are counted on its own tables,
-    whose labelling places the bound's and the orbit filter's combinations.
-    The plan holds no unit, so that unit's forest is regenerated by walking
-    the units again up to it.  The plan's refusal is raised when the fold
-    gets past its last unit, the refused one.  `scans` yields the tasks'
-    counts in plan order (`_scans`).
+    Returns the counts up to there and the number of units visited.  Only
+    counting happens here: a unit whose class is known (settled, or scanned
+    at an earlier unit) reuses its counts, and the first unit of any other
+    class takes the next task's counts from `scans`, which yields them in
+    plan order (`_scans`).  The budget is applied here only, by counting: a
+    task whose checked rows exceed the budget left holds no hit before the
+    cut (its hit, if any, is its last checked row), so its cut is counted
+    with `_scan_level`'s limit, on the row a sequential scan would stop at.
+    A later unit of a class whose counts the budget left does not cover
+    holds no hit either, and its class's levels are counted on its own
+    tables, whose labelling places the bound's and the orbit filter's
+    combinations.  The plan holds no unit, so that unit's forest is
+    regenerated by walking the units again up to it.  The plan's refusal
+    is raised when the fold gets past the units before the refused one: at
+    the end of its task, or at once when it has none.
     """
-    run = _Counts()
-    memo: dict[int, tuple[range, _Counts]] = {}   # class -> (its levels, its counts)
-    task = 0   # the task of the next scanned class
+    run, memo, tasks = _Counts(), dict(plan.settled), iter(plan.tasks)   # memo: class -> counts
+    bounds, mutation = plan.bounds, plan.mutation
     for index, number in enumerate(plan.classes):
-        if task < len(plan.tasks) and plan.tasks[task][0] == index:
-            _, tables, levels = plan.tasks[task]
-            left = None if budget is None else budget - run.checked
-            counts = next(scans)
-            if left is not None and counts.checked > left:
-                counts = _scan_task(plan, tables, levels, limit=left)
-            task += 1
-            run += counts
-            if run.hit is not None or run.cut:
-                return run, index + 1, tables
-            memo[number] = (levels, counts)
-        elif index in plan.vacuous:
-            counts = _Counts(pruned=_unit_total_states(plan.bounds, plan.vacuous[index]))
-            memo[number] = (range(0), counts)
-            run += counts
-        elif number in memo:
-            levels, known = memo[number]
-            if budget is None or budget - run.checked >= known.checked:
+        left = None if budget is None else budget - run.checked
+        if number in memo:
+            known = memo[number]
+            if left is None or left >= known.checked:
                 run += replace(known, symmetric=known.checked)
                 continue
-            forest = next(itertools.islice(iter_units(plan.bounds), index, None))
-            tables = _graph_tables(plan.bounds, forest, plan.mutation)
-            run += _scan_task(plan, tables, levels, limit=budget - run.checked)
-            return run, index + 1, tables
+            forest = next(itertools.islice(iter_units(bounds), index, None))
+            tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot, mutation)
+            levels = _distinct_vote_range(bounds, len(tables.votes))
+            return run + _scan_task(plan, tables, levels, limit=left), index + 1
+        task = next(tasks, None)
+        if task is None:   # the refused unit, refused before it had a task
+            break
+        _, tables, levels = task
+        counts = next(scans)
+        if left is not None and counts.checked > left:
+            counts = _scan_task(plan, tables, levels, limit=left)
+        run += counts
+        if run.hit is not None or run.cut:
+            return run, index + 1
+        memo[number] = counts
     if plan.refusal is not None:
         raise plan.refusal[1]
-    return run, len(plan.classes), None
+    return run, len(plan.classes)
 
 
 def _run(
-    bounds: Bounds,
-    mutation: Mutation,
-    mode: int,
-    min_signers: int,
-    budget: Optional[int],
-    jobs: int,
-) -> tuple[_Counts, int, Optional[GraphTables]]:
-    """Plan the run, then fold it, with its tasks scanned by up to `jobs`
-    helper processes (`_scans`)."""
+    bounds: Bounds, mutation: Mutation, mode: int, budget: Optional[int], jobs: int
+) -> tuple[_Counts, int]:
+    """Plan the run, with the signer floor of an unmutated quorum
+    (`tables.min_signers_for_quorum`), then fold it, with its tasks scanned
+    by up to `jobs` helper processes (`_scans`)."""
     if budget is not None and budget < 0:
         raise InputError("budget must be non-negative")
     if jobs < 1:
         raise InputError("jobs must be at least 1")
+    min_signers = min_signers_for_quorum(bounds.n_validators) if mutation == Mutation.NONE else 0
     plan = _plan(bounds, mutation, mode, min_signers)
     scans = _scans(plan, budget, jobs)
     try:
@@ -636,16 +625,14 @@ def search(
 ) -> SearchReport:
     """Exhaust the bounded space or stop at the first (canonical) counterexample."""
     start = time.perf_counter()
-    min_signers = min_signers_for_quorum(bounds.n_validators) if mutation == Mutation.NONE else 0
-    run, graphs, tables = _run(bounds, mutation, MODE_COUNTEREXAMPLE, min_signers, budget, jobs)
+    run, graphs = _run(bounds, mutation, MODE_COUNTEREXAMPLE, budget, jobs)
     wall = time.perf_counter() - start
     counterexample = None
     if run.hit is not None:
-        state = materialize_state(bounds, tables, *run.hit)
-        safety = accountable_safety(state, mutation)
+        safety = accountable_safety(run.hit, mutation)
         if safety.holds:
             raise _disagrees("counterexample")
-        counterexample = Counterexample(state, safety, graphs - 1)
+        counterexample = Counterexample(run.hit, safety, graphs - 1)
         verdict = VERDICT_COUNTEREXAMPLE
     else:
         verdict = VERDICT_INCONCLUSIVE if run.cut else VERDICT_HOLDS
@@ -677,22 +664,20 @@ def find_example(
         raise InputError(
             f"unknown property {property_name!r}; choose from {', '.join(PROPERTY_MODES)}"
         ) from None
-    min_signers = min_signers_for_quorum(bounds.n_validators)
-    run, _, tables = _run(bounds, Mutation.NONE, mode, min_signers, budget, jobs=1)
+    run, _ = _run(bounds, Mutation.NONE, mode, budget, jobs=1)
     if run.cut:
         raise SearchBudgetExceeded(run.checked)
     if run.hit is None:
         return None
-    state = materialize_state(bounds, tables, *run.hit)
-    view = finality_view(state)
+    view = finality_view(run.hit)
     if mode == MODE_CONFLICTING_FINALIZED:
-        holds = disagreement(state, view)
+        holds = disagreement(run.hit, view)
     else:
         found = view.finalized if mode == MODE_FINALIZED_NONGENESIS else view.justified
         holds = bool(found - {GENESIS_CHECKPOINT})
     if not holds:
         raise _disagrees("example")
-    return state
+    return run.hit
 
 
 @dataclass(frozen=True)
@@ -713,7 +698,7 @@ def check_lfp_gfp(bounds: Bounds, mutation: Mutation = Mutation.NONE) -> Fixpoin
     checked = 0
     for forest, number, first in _classes(bounds):
         if first:
-            tables = _graph_tables(bounds, forest, mutation)
+            tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot, mutation)
             tables.sandwich   # evaluated, so the slot order is checked
             votes.append(len(tables.votes))
         checked += _unit_total_states(bounds, votes[number])

@@ -24,8 +24,8 @@ from .model import (
     FfgVote,
     ProtocolState,
     _cp_sort_key,
-    checkpoints_of,
     is_ancestor,
+    is_valid_checkpoint,
     is_valid_ffg_vote,
 )
 from .mutation import Mutation, quorum_met
@@ -139,9 +139,20 @@ def is_finalized(
 
 
 def default_universe(state: ProtocolState) -> list[Checkpoint]:
-    """Candidate checkpoints up to one slot past the highest vote target."""
-    max_target = max((sv.vote.target.c for sv in state.votes), default=0)
-    return checkpoints_of(state, max_target + 1)
+    """Genesis, every vote's endpoints, and each block's valid checkpoint at
+    each vote's target slot, in (c, p, block) order.
+
+    A vote supports only checkpoints at its target slot (`supports`) and no
+    quorum is empty, so no other valid checkpoint is ever justified, nor,
+    short of genesis, finalized: the valid checkpoints of every slot up to
+    the highest target, with the endpoints (`model.checkpoints_of`), give
+    the same view.
+    """
+    targets = {sv.vote.target.c for sv in state.votes}
+    ends = {cp for sv in state.votes for cp in (sv.vote.source, sv.vote.target)}
+    at_targets = (Checkpoint(b.id, c, b.slot) for b in state.forest for c in targets)
+    found = {GENESIS_CHECKPOINT, *ends, *(cp for cp in at_targets if is_valid_checkpoint(state, cp))}
+    return sorted(found, key=_cp_sort_key)
 
 
 def finality_view(

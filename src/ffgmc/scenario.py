@@ -78,6 +78,8 @@ def parse_scenario(doc: Any) -> ProtocolState:
                 raise InputError(f"{path}.{end}: expected an object")
             block_id = _expect(cp_doc.get("block"), str, f"{path}.{end}.block")
             c = _expect(cp_doc.get("c"), int, f"{path}.{end}.c")
+            if c < 0:
+                raise InputError(f"{path}.{end}.c: expected a non-negative slot, got {c}")
             if block_id not in forest:
                 raise InputError(f"{path}.{end}.block: unknown block {block_id!r}")
             endpoints.append(Checkpoint(block_id, c, forest.slot_of(block_id)))

@@ -12,7 +12,7 @@ mutation flag, so the fast path has no copy of the rules to drift from the
 reference, and which relation is evaluated when is decided here alone.
 
 A level (one distinct-vote count u) has its rows counted by arithmetic
-(`state_count`), which is all the plan, the vacuous units and the budget
+(`state_count`), which is all the plan, the settled classes and the budget
 count need.  Its row table and quorum families (`state_table`), the
 kernel's inputs, are built only where a kernel call scans the level, and
 `check_level` refuses a scanned level over a size limit before that.  The
@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 from math import comb
+from typing import Optional
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from .symmetry import automorphisms
 MAX_CHECKPOINT_BITS = 63
 MAX_VOTE_BITS = 16
 MAX_STATE_ROWS = 20_000_000
-MAX_FAMILY_KEY_BYTES = 1 << 28
+MAX_ROW_TABLE_BYTES = 1 << 30
 _BATCH_ENTRIES = 1 << 15   # (row, vote subset) or (core, vote) entries per batch
 
 
@@ -174,9 +175,14 @@ class GraphTables:
 
 
 def build_graph_tables(
-    forest: BlockForest, slot_rule: str, max_chkp_slot: int, mutation: Mutation = Mutation.NONE
+    forest: BlockForest, slot_rule: str, max_chkp_slot: Optional[int],
+    mutation: Mutation = Mutation.NONE,
 ) -> GraphTables:
-    """The relations of one unit, none of them evaluated yet."""
+    """The relations of one unit, none of them evaluated yet, over the
+    checkpoints up to `max_chkp_slot`, or with None (a catalog graph's
+    bounds) up to one slot past the unit's last block slot."""
+    if max_chkp_slot is None:
+        max_chkp_slot = max(b.slot for b in forest) + 1
     return GraphTables(forest, slot_rule, max_chkp_slot, mutation)
 
 
@@ -250,8 +256,8 @@ class ProjectedTables:
 
 
 def project_tables(tables: GraphTables, combos: np.ndarray) -> ProjectedTables:
-    """Project the tables onto each row of `combos`, a (C, u) array of vote indices."""
-    _check_vote_bits(combos.shape[1])
+    """Project the tables onto each row of `combos`, a (C, u) array of vote
+    indices; the plan has refused any u over `MAX_VOTE_BITS` (`check_level`)."""
     return ProjectedTables(tables, combos)
 
 
@@ -447,15 +453,17 @@ def _multisets(s: int, n_validators: int, max_votes: int, min_signers: int) -> i
 def check_level(u: int, n_validators: int, max_votes: int, min_signers: int) -> None:
     """Refuse a scanned distinct-vote count u whose tables cannot be built, before they are.
 
-    Its row table (`state_table`) is estimated at the C(2**u + N - 1, N)
-    multisets of N subsets of u votes (`MAX_STATE_ROWS`): the build never
-    holds more, since its prefixes of n validators number at most
-    C(2**u + n - 1, n).  The estimate, not the exact count, also caps what
-    the rows lead to before they exist: the kernel's family table grows with
-    the number of distinct quorum families, known only once the rows are
-    built.  Its vote masks (`project_tables`) take u bits, and its
-    quorum-family keys one per row (`MAX_FAMILY_KEY_BYTES`), on the exact
-    row count.
+    Its rows are estimated at the C(2**u + N - 1, N) multisets of N subsets
+    of u votes (`MAX_STATE_ROWS`): the row build never holds more prefixes,
+    since those of n validators number at most C(2**u + n - 1, n).  The
+    estimate, not the exact count, also caps what the rows lead to before
+    they exist: the kernel's family table grows with the number of distinct
+    quorum families, known only once the rows are built, and the family
+    keys, 8 bytes per row up to u = 6 and few rows above, stay under 160 MB.
+    Its vote masks (`project_tables`) take u bits (`MAX_VOTE_BITS`).  Its
+    row table (`state_table`), N int64 entries per row, is sized on the
+    exact row count (`MAX_ROW_TABLE_BYTES`): the estimate caps rows, not
+    their width, which grows with N.
     """
     estimate = comb(2**u + n_validators - 1, n_validators)
     if estimate > MAX_STATE_ROWS:
@@ -463,21 +471,16 @@ def check_level(u: int, n_validators: int, max_votes: int, min_signers: int) -> 
             f"state table for u={u}, N={n_validators} would have ~{estimate} rows; "
             "lower max_ffg_votes or n_validators"
         )
-    _check_vote_bits(u)
-    n_rows = state_count(u, n_validators, max_votes, min_signers)
-    n_bytes = n_rows * 8 * -(-2**u // 64)
-    if n_bytes > MAX_FAMILY_KEY_BYTES:
-        raise InputError(
-            f"quorum families for u={u}, N={n_validators} would take "
-            f"{n_bytes >> 20} MiB; lower max_ffg_votes or n_validators"
-        )
-
-
-def _check_vote_bits(u: int) -> None:
     if u > MAX_VOTE_BITS:
         raise InputError(
             f"{u} distinct votes exceed the kernel limit {MAX_VOTE_BITS}; "
             "lower max_ffg_votes"
+        )
+    n_bytes = state_count(u, n_validators, max_votes, min_signers) * n_validators * 8
+    if n_bytes > MAX_ROW_TABLE_BYTES:
+        raise InputError(
+            f"state table for u={u}, N={n_validators} would take "
+            f"{n_bytes >> 20} MiB; lower max_ffg_votes or n_validators"
         )
 
 

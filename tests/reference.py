@@ -20,14 +20,13 @@ import numpy as np
 from ffgmc.enumerator import (
     Bounds,
     _distinct_vote_range,
-    _graph_tables,
     _slot_variants,
     materialize_state,
 )
 from ffgmc.kernels import kept_levels
 from ffgmc.model import GENESIS, Block, BlockForest, ProtocolState
-from ffgmc.mutation import Mutation
 from ffgmc.symmetry import orbit_minimal
+from ffgmc.tables import build_graph_tables
 
 
 def reference_forests(n: int) -> Iterator[BlockForest]:
@@ -64,7 +63,7 @@ def canonical_rows(u: int, n_validators: int, max_votes: int) -> list[tuple[int,
 def enumerate_states(bounds: Bounds, forest: BlockForest) -> Iterator[ProtocolState]:
     """All states over `forest` within bounds, in canonical scan order."""
     for slotted in _slot_variants(forest, bounds):
-        tables = _graph_tables(bounds, slotted, Mutation.NONE)
+        tables = build_graph_tables(slotted, bounds.slot_rule, bounds.max_chkp_slot)
         for u in _distinct_vote_range(bounds, len(tables.votes)):
             rows = canonical_rows(u, bounds.n_validators, bounds.max_votes)
             for combo in itertools.combinations(range(len(tables.votes)), u):

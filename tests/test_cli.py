@@ -80,6 +80,16 @@ def test_scenario_positioned_errors():
         parse_scenario(
             {"n_validators": 2, "blocks": [{"id": "genesis", "slot": 3, "parent": None}], "votes": []}
         )
+    with pytest.raises(InputError, match=r"votes\[0\]\.target\.c: expected a non-negative slot"):
+        parse_scenario(
+            {
+                "n_validators": 2,
+                "blocks": [],
+                "votes": [
+                    {"validator": 0, "source": {"block": "genesis", "c": 0}, "target": {"block": "genesis", "c": -3}}
+                ],
+            }
+        )
 
 
 def test_explicit_genesis_row_accepted():
@@ -109,6 +119,22 @@ def test_cmd_check_exit_codes(tmp_path, capsys):
     broken.write_text("{not json")
     assert main(["check", str(broken)]) == 2
     assert main(["check", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cmd_check_lists_only_the_target_slots(tmp_path, capsys):
+    # one vote from genesis to (b1, c=10^9): the universe a verdict reads
+    # holds the checkpoints at that slot, not every slot up to it, and one
+    # of four validators justifies nothing.  A negative slot is refused
+    vote = {"validator": 0, "source": {"block": "genesis", "c": 0},
+            "target": {"block": "b1", "c": 10**9}}
+    doc = {"n_validators": 4, "blocks": [{"id": "b1", "slot": 1, "parent": "genesis"}],
+           "votes": [vote]}
+    assert main(["check", _write(tmp_path, doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["justified"] == report["finalized"] == [{"block": "genesis", "c": 0, "p": 0}]
+    vote["source"]["c"] = -1
+    assert main(["check", _write(tmp_path, doc)]) == 2
+    assert "votes[0].source.c" in capsys.readouterr().err
 
 
 def test_cmd_check_empty_votes(tmp_path, capsys):
@@ -199,16 +225,17 @@ SIZE_LIMITS = [
     # ~22.5 M rows, and with 24 votes it has 1,243 rows under the signer
     # floor of 23; the other limits are lowered to fail at u=4 of the first
     # unit, the fork, whose levels below 4 the monotone bound drops whole
+    # (its row table at u=3 takes 225 rows x 4 x 8 bytes, at u=4 2,637 rows)
     (["--validators", "34", "--max-votes", "24"], None, "state table"),
     ([], ("MAX_STATE_ROWS", 1000), "state table"),
-    ([], ("MAX_FAMILY_KEY_BYTES", 1 << 12), "quorum families"),
+    ([], ("MAX_ROW_TABLE_BYTES", 1 << 16), "would take"),
     ([], ("MAX_VOTE_BITS", 3), "distinct votes exceed"),
     (["--max-chkp-slot", "40"], None, "checkpoint universe"),
 ]
 
 
 @pytest.mark.parametrize("flags,limit,message", SIZE_LIMITS,
-                         ids=["rows", "rows-scanned", "family-keys", "vote-bits",
+                         ids=["rows", "rows-scanned", "row-table", "vote-bits",
                               "checkpoint-bits"])
 def test_size_limits_refuse_before_any_scan(monkeypatch, capsys, flags, limit, message):
     def refuse(*args, **kwargs):
@@ -263,15 +290,16 @@ def test_a_run_that_ends_before_an_oversized_level_is_not_refused(capsys, argv, 
 
 
 def test_size_limits_count_rows_before_refusing(monkeypatch, capsys):
-    # the family keys are sized on the exact row count: the rows of u=4 at
-    # N=4 left after the signer floor fit the limit exactly, so the run goes on
+    # the row table is sized on the exact row count: the rows of u=4 at N=4
+    # left after the signer floor, 4 int64 entries each, fit the limit
+    # exactly, so the run goes on
     argv = ["search", "--blocks", "2", "--validators", "4", "--max-votes", "12",
             "--max-ffg", "4", "--max-chkp-slot", "3"]
     assert main(argv) == 0
     expected = json.loads(capsys.readouterr().out)["counters"]
     rows = tables.state_table(4, 4, 12, 3, Mutation.NONE)[0].shape[0]
     assert rows < 3876   # multisets of 4 subsets of 4 votes, the size estimate
-    monkeypatch.setattr(tables, "MAX_FAMILY_KEY_BYTES", rows * 8)
+    monkeypatch.setattr(tables, "MAX_ROW_TABLE_BYTES", rows * 4 * 8)
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["counters"] == expected
 
@@ -539,7 +567,7 @@ def test_tables_out_of_slot_order_are_an_internal_error(monkeypatch, capsys):
     # the fixpoint comparison, in a search at one or two jobs and in the CLI
     bounds = enumerator.Bounds(n_blocks=2, n_validators=2, max_votes=4)
     fork = next(enumerator.iter_units(bounds))
-    victim = enumerator._graph_tables(bounds, fork, Mutation.NONE).votes[-1]
+    victim = tables.build_graph_tables(fork, bounds.slot_rule, bounds.max_chkp_slot).votes[-1]
     supports = tables.supports
     monkeypatch.setattr(
         tables, "supports",

@@ -6,6 +6,9 @@ straight from the vote tuples, independent of the library's filtering order.
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
+from ffgmc.enumerator import Bounds, iter_units
 from ffgmc.finality import (
     default_universe,
     finality_view,
@@ -234,13 +237,62 @@ def test_finalized_nongenesis_state():
 
 
 def test_universe_bound_insensitivity():
-    # enlarging the candidate bound beyond the vote targets changes nothing
+    # enlarging the candidate bound beyond the vote targets changes nothing,
+    # and the default universe, genesis plus the vote's endpoints plus the
+    # valid checkpoints at its target slot, gives the same view
     state = three_vote_state()
     small = finality_view(state, checkpoints_of(state, 2))
     big = finality_view(state, checkpoints_of(state, 5))
     assert small.justified == big.justified
     assert small.finalized == big.finalized
-    assert default_universe(state) == checkpoints_of(state, 2)
+    assert default_universe(state) == [GC, Checkpoint(GENESIS, 1, 0), C1, Checkpoint("b2", 1, 1)]
+    assert finality_view(state) == small
+
+
+# forests of 1-3 blocks, with block slots up to 2
+SMALL_FORESTS = [
+    forest for n in (1, 2, 3) for forest in iter_units(
+        Bounds(n_blocks=n, n_validators=1, max_votes=0, slot_mode="free", max_slot=2)
+    )
+]
+
+
+@st.composite
+def small_states(draw):
+    """A state over a small forest with a few votes, each signed by a set of
+    validators, often all of them.  A vote's source is often genesis or an
+    earlier vote's target, and its target often one or two slots above, so
+    chains of justification form; endpoints may be invalid (c <= p, or p
+    off the block's slot), and votes may run backwards or across a fork."""
+    forest = draw(st.sampled_from(SMALL_FORESTS))
+    n_validators = draw(st.integers(1, 4))
+
+    def checkpoint(low, high):
+        block = draw(st.sampled_from(forest.ids()))
+        off = draw(st.sampled_from([0, 0, 0, 1]))
+        return Checkpoint(block, draw(st.integers(low, high)), forest.slot_of(block) + off)
+
+    votes, sources = set(), [GC]
+    everyone = st.just(frozenset(range(n_validators)))
+    for _ in range(draw(st.integers(0, 5))):
+        source = draw(st.sampled_from(sources)) if draw(st.booleans()) else checkpoint(0, 4)
+        low = source.c + 1 if draw(st.booleans()) else 0
+        vote = FfgVote(source, checkpoint(low, low + 2))
+        sources.append(vote.target)
+        signers = draw(everyone | st.sets(st.integers(0, n_validators - 1), min_size=1))
+        votes.update(SignedVote(vote, v) for v in signers)
+    slot_rule = draw(st.sampled_from(["strict", "nonstrict"]))
+    return ProtocolState(forest, n_validators, frozenset(votes), slot_rule)
+
+
+@settings(max_examples=500)
+@given(small_states(), st.sampled_from([Mutation(flags) for flags in range(16)]))
+def test_the_default_universe_gives_the_view_of_every_slot_up_to_the_targets(state, mutation):
+    # every valid checkpoint up to one slot past the highest target, the
+    # universe the default once was, justifies and finalizes the same
+    max_target = max((sv.vote.target.c for sv in state.votes), default=0)
+    every = checkpoints_of(state, max_target + 1)
+    assert finality_view(state, None, mutation) == finality_view(state, every, mutation)
 
 
 def test_finalization_target_ancestry_reading_equivalent():

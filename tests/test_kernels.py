@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ffgmc import enumerator
 from ffgmc.enumerator import Bounds, iter_units, materialize_state
 from ffgmc.finality import finality_view
 import ffgmc.tables
@@ -36,8 +35,10 @@ from ffgmc.finality import finalizes, supports
 from ffgmc.mutation import Mutation, parse_mutation, quorum_met
 from ffgmc.slashing import accountable_safety, disagreement, slash_kind
 from ffgmc.tables import (
+    MAX_STATE_ROWS,
     MAX_VOTE_BITS,
     build_graph_tables,
+    check_level,
     distinct_rows,
     min_signers_for_quorum,
     project_tables,
@@ -922,14 +923,44 @@ def test_quorum_bits_match_a_loop_over_vote_positions(u):
     assert got.tolist() == want
 
 
-def test_quorum_families_refuse_an_oversized_table(monkeypatch):
-    # 71 rows at u=3, N=3 need one 8-byte key each
-    monkeypatch.setattr("ffgmc.tables.MAX_FAMILY_KEY_BYTES", 70 * 8)
+def test_state_table_refuses_an_oversized_row_table(monkeypatch):
+    # 71 rows at u=3, N=3 take 3 int64 entries each: 1,704 bytes
+    monkeypatch.setattr("ffgmc.tables.MAX_ROW_TABLE_BYTES", 71 * 3 * 8 - 1)
     state_table.cache_clear()
-    with pytest.raises(InputError, match="quorum families"):
+    with pytest.raises(InputError, match="state table for u=3, N=3 would take"):
         state_table(3, 3, 9, 0, Mutation.NONE)
-    monkeypatch.setattr("ffgmc.tables.MAX_FAMILY_KEY_BYTES", 71 * 8)
-    assert state_table(3, 3, 9, 0, Mutation.NONE)[2].shape == (71,)
+    monkeypatch.setattr("ffgmc.tables.MAX_ROW_TABLE_BYTES", 71 * 3 * 8)
+    rows, _, index = state_table(3, 3, 9, 0, Mutation.NONE)
+    assert rows.nbytes == 1704 and index.shape == (71,)
+
+
+def test_the_row_table_limit_refuses_wide_rows():
+    # two votes among N validators, at most 2N votes and the signer floor:
+    # u=2 has a 1,010 MiB row table at N=182 and a 1,040 MiB one at N=183,
+    # each far under the row estimate (C(N + 3, N) rows)
+    for n, fits in ((182, True), (183, False)):
+        args = (2, n, 2 * n, min_signers_for_quorum(n))
+        assert comb(4 + n - 1, n) <= MAX_STATE_ROWS
+        if fits:
+            check_level(*args)
+        else:
+            with pytest.raises(InputError, match="would take 1040 MiB"):
+                check_level(*args)
+
+
+def test_the_row_estimate_caps_the_family_keys():
+    # a level's quorum-family keys take ceil(2**u / 64) 8-byte words per
+    # row.  Up to u = 6 that is one word per row, and the rows are at most
+    # the estimate; above, every level the estimate admits has few enough
+    # rows (the most, u=12 at N=2, 265,721 rows of 512 bytes).  So the keys
+    # never pass 8 bytes per estimated row at the limit, 160 MB, under the
+    # 256 MiB the keys were once checked against: that check could not fire
+    assert 8 * MAX_STATE_ROWS <= 1 << 28
+    for u in range(7, MAX_VOTE_BITS + 1):
+        n = 1
+        while comb(2**u + n - 1, n) <= MAX_STATE_ROWS:
+            assert state_count(u, n, u * n, 0) * 8 * 2 ** (u - 6) <= 8 * MAX_STATE_ROWS
+            n += 1
 
 
 # Graph units for the differential test: depth and free slot modes on up to
@@ -1116,7 +1147,7 @@ def test_votes_justify_only_later_sources(mutation):
     # vote whose source is k
     sandwiching = 0
     for bounds, forest in _bound_test_units():
-        tables = enumerator._graph_tables(bounds, forest, mutation)
+        tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot, mutation)
         slots = [cp.c for cp in tables.checkpoints]
         assert slots == sorted(slots)
         assert (np.diff(tables.vote_src) >= 0).all()

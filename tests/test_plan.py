@@ -187,7 +187,8 @@ def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch, limit):
         last = plan.refusal[0] if plan.refusal else len(plan.classes) - 1
         firsts = [i for i, c in enumerate(plan.classes[: last + 1]) if plan.classes.index(c) == i]
         scanned = [index for index, _, _ in plan.tasks]
-        assert sorted([*scanned, *plan.vacuous]) == firsts
+        settled = [plan.classes.index(number) for number in plan.settled]
+        assert sorted([*scanned, *settled]) == firsts
         assert scanned == sorted(scanned)
         units = list(iter_units(plan.bounds))
         for index, graph_tables, levels in plan.tasks:
@@ -229,7 +230,7 @@ def test_a_refusal_at_the_first_unit_ends_the_walk(monkeypatch, capsys):
     def refused(*args):
         raise InputError("planted size limit")
 
-    monkeypatch.setattr(enumerator, "_graph_tables", refused)
+    monkeypatch.setattr(enumerator, "build_graph_tables", refused)
     plan = enumerator._plan(_small(n_blocks=5), Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 0)
     assert plan.refusal[0] == 0 and len(plan.classes) == 1 and not plan.tasks
     assert main(["search", "--blocks", "5", "--validators", "1", "--max-votes", "4",
@@ -466,22 +467,24 @@ VACUITY_BOUNDS = [Bounds(**spec) for spec in PARITY_BOUNDS] + [
 def test_vote_count_and_vacuity_match_the_full_build(bounds):
     # the plan's vote counts and vacuity against tables built apart and
     # `are_conflicting` on the checkpoints' blocks for every unit; the plan
-    # keeps the tables of a conflicting class and only the vote count of a
-    # vacuous one
+    # keeps the tables of a conflicting class and only the counts of a
+    # vacuous one, read from its vote count
     units = list(iter_units(bounds))
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 0)
     reps = {index: graph_tables for index, graph_tables, _ in plan.tasks}
-    assert len(reps) + len(plan.vacuous) == len(set(plan.classes))
+    settled = {plan.classes.index(number): counts for number, counts in plan.settled.items()}
+    assert len(reps) + len(settled) == len(set(plan.classes))
     forked = 0
     for index, forest in enumerate(units):
-        full = enumerator._graph_tables(bounds, forest, Mutation.NONE)
+        full = tables.build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
         blocks = {cp.block for cp in full.checkpoints}
         conflicting = any(are_conflicting(forest, a, b) for a in blocks for b in blocks)
         assert bool(full.cp_conflict.any()) == conflicting
         forks = any(are_conflicting(forest, a, b) for a in forest.blocks for b in forest.blocks)
         forked += forks and not conflicting
-        if index in plan.vacuous:
-            assert not conflicting and plan.vacuous[index] == len(full.votes)
+        if index in settled:
+            pruned = enumerator._unit_total_states(bounds, len(full.votes))
+            assert not conflicting and settled[index] == enumerator._Counts(pruned=pruned)
         elif index in reps:
             assert conflicting and reps[index].votes == full.votes
     if bounds.max_chkp_slot == 2 and bounds.n_blocks == 3:
@@ -701,14 +704,14 @@ def test_a_refusal_past_scanned_levels_ends_the_run(monkeypatch, capsys, started
             "--max-ffg", "4", "--max-chkp-slot", "3", "--jobs", "2"]
     bounds = _small(n_validators=2, max_votes=8)
     refused = unit_key(list(iter_units(bounds))[4])
-    graph_tables = enumerator._graph_tables
+    graph_tables = enumerator.build_graph_tables
 
-    def limited(bounds, forest, mutation):
+    def limited(forest, *args):
         if unit_key(forest) == refused:
             raise InputError("planted size limit")
-        return graph_tables(bounds, forest, mutation)
+        return graph_tables(forest, *args)
 
-    monkeypatch.setattr(enumerator, "_graph_tables", limited)
+    monkeypatch.setattr(enumerator, "build_graph_tables", limited)
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2)
     assert plan.refusal[0] == 4 and [index for index, _, _ in plan.tasks] == [0, 1]
     assert main(argv) == 2
