@@ -37,7 +37,9 @@ combination, and returns a hit as its state.  With jobs > 1 and more than
 one task, forked helpers scan the tasks, which the calling process hands
 out one at a time (`_scans`); the fold (`_fold`) only counts, over the
 settled classes' and the tasks' counts in plan order, so every report
-equals the single-process one.
+equals the single-process one.  The run's budget is read from the plan
+where it is used: a task scans at most one level past it, and only the
+fold cuts the run.
 """
 
 from __future__ import annotations
@@ -318,8 +320,6 @@ def _scan_level(
     n_rows = state_count(u, n_validators, max_votes, plan.min_signers)
     total_rows = state_count(u, n_validators, max_votes, 0)
     n_combos = comb(len(tables.votes), u)
-    if not len(combos):
-        return _Counts(pruned=n_combos * total_rows, bounded=n_combos * n_rows)
     minimal = orbit_minimal(combos, tables.perms)
     # stop and scanned count the rows of every kept combination in scan order;
     # only the minimal combinations (`scan`) reach the kernel
@@ -329,7 +329,7 @@ def _scan_level(
         scan = np.flatnonzero(minimal)
         level = state_table(u, n_validators, max_votes, plan.min_signers, plan.mutation)
         projected = project_tables(tables, combos[scan])
-        scan_hit, _ = scan_states(level, projected, n_validators, plan.mode)
+        scan_hit, _ = scan_states(level, projected, plan.mode)
         if scan_hit >= 0:
             stop = int(scan[scan_hit // n_rows]) * n_rows + scan_hit % n_rows
             found = materialize_state(
@@ -354,11 +354,7 @@ def _scan_level(
 
 
 def _scan_task(
-    plan: _Plan,
-    tables: GraphTables,
-    levels: range,
-    limit: Optional[int] = None,
-    budget: Optional[int] = None,
+    plan: _Plan, tables: GraphTables, levels: range, limit: Optional[int] = None
 ) -> _Counts:
     """Scan, or with a `limit` count, a class's `levels` u = 0, 1, ... in
     order, as `_scan_level` does one, each on the kept combinations that
@@ -366,13 +362,15 @@ def _scan_task(
     last only as long as the task, and a level's combinations only as long
     as its `_scan_level` call: the limit left carries from level to level,
     and the task ends at a hit or a budget cut.  A scan also ends after the
-    level that takes its checked rows past the run's `budget`: the run is
-    cut within those levels, where the fold counts the cut with a limit."""
+    level that takes its checked rows past the run's budget (`_Plan`): the
+    run is cut within those levels, where the fold counts the cut with a
+    limit."""
     total, kept = _Counts(), kept_levels(tables, plan.mode, len(levels) - 1)
     for _ in levels:
         left = None if limit is None else limit - total.checked
         total += _scan_level(plan, tables, next(kept), left)
-        if total.hit is not None or total.cut or (budget is not None and total.checked > budget):
+        past = plan.budget is not None and total.checked > plan.budget
+        if total.hit is not None or total.cut or past:
             break
     return total
 
@@ -410,7 +408,9 @@ class _Plan:
     read, and `cp_conflict` in the safety modes, so no other relation of it
     is evaluated and only the checkpoint limit applies to it.  Otherwise its
     task, (first unit, tables, levels), scans its levels u = 0, 1, ... in
-    canonical order; tasks are numbered in canonical order.
+    canonical order; tasks are numbered in canonical order.  `budget`, the
+    run's, is read where a scan ends (`_scan_task`) and a cut is counted
+    (`_fold`).
 
     Planning ends at the first scanned level whose tables are over a size
     limit (`tables.check_level`; `refusal`: that unit and its error).  The
@@ -425,6 +425,7 @@ class _Plan:
     mutation: Mutation
     mode: int
     min_signers: int
+    budget: Optional[int] = None
     classes: list[int] = field(default_factory=list)           # class number of each unit
     settled: dict[int, _Counts] = field(default_factory=dict)  # class -> counts of a unit
     tasks: list[tuple[int, GraphTables, range]] = field(default_factory=list)
@@ -432,7 +433,8 @@ class _Plan:
 
 
 def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _Plan:
-    """Build the scan plan, up to the first level over a size limit."""
+    """Build the scan plan, up to the first level over a size limit.
+    Planning reads no budget: `_run` sets the plan's."""
     plan = _Plan(bounds, mutation, mode, min_signers)
     for index, (forest, number, first) in enumerate(_classes(bounds)):
         plan.classes.append(number)
@@ -464,13 +466,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _start_helper(ctx, plan: _Plan, budget: Optional[int], pipe):
-    helper = ctx.Process(target=_help, args=(plan, budget, pipe), daemon=True)
+def _start_helper(ctx, plan: _Plan, pipe):
+    helper = ctx.Process(target=_help, args=(plan, pipe), daemon=True)
     helper.start()
     return helper
 
 
-def _help(plan: _Plan, budget: Optional[int], pipe) -> None:
+def _help(plan: _Plan, pipe) -> None:
     """A helper process: scan each task whose index arrives, and send back
     its counts, a hit as its state, or the traceback of its failure."""
     import traceback
@@ -478,16 +480,16 @@ def _help(plan: _Plan, budget: Optional[int], pipe) -> None:
     for i in iter(pipe.recv, None):
         _, tables, levels = plan.tasks[i]
         try:
-            counts = _scan_task(plan, tables, levels, budget=budget)
+            counts = _scan_task(plan, tables, levels)
         except Exception:
             counts = traceback.format_exc()
         pipe.send(counts)
 
 
-def _scans(plan: _Plan, budget: Optional[int], jobs: int) -> Iterator[_Counts]:
+def _scans(plan: _Plan, jobs: int) -> Iterator[_Counts]:
     """Each scan task's counts, in plan order.  A task is scanned without the
     budget, which only `_fold` applies, up to a hit or past the run's
-    `budget` (`_scan_task`).
+    budget (`_scan_task`).
 
     With min(jobs, usable CPUs, tasks) >= 2 that many forked helpers scan
     the tasks, and the calling process only hands them out: a helper is sent
@@ -500,7 +502,7 @@ def _scans(plan: _Plan, budget: Optional[int], jobs: int) -> Iterator[_Counts]:
     n_helpers = min(jobs, _usable_cpus(), len(plan.tasks))
     if n_helpers < 2:
         for _, tables, levels in plan.tasks:
-            yield _scan_task(plan, tables, levels, budget=budget)
+            yield _scan_task(plan, tables, levels)
         return
     import multiprocessing
     from multiprocessing import connection
@@ -512,7 +514,7 @@ def _scans(plan: _Plan, budget: Optional[int], jobs: int) -> Iterator[_Counts]:
     try:
         for _ in range(n_helpers):
             pipe, theirs = ctx.Pipe()
-            helpers.append(_start_helper(ctx, plan, budget, theirs))
+            helpers.append(_start_helper(ctx, plan, theirs))
             theirs.close()
             idle.append(pipe)
         for i in range(len(plan.tasks)):
@@ -546,27 +548,27 @@ def _scans(plan: _Plan, budget: Optional[int], jobs: int) -> Iterator[_Counts]:
             pipe.close()
 
 
-def _fold(plan: _Plan, scans: Iterator[_Counts], budget: Optional[int]) -> tuple[_Counts, int]:
+def _fold(plan: _Plan, scans: Iterator[_Counts]) -> tuple[_Counts, int]:
     """Fold the plan in canonical order, stopping at the first hit or budget cut.
 
     Returns the counts up to there and the number of units visited.  Only
     counting happens here: a unit whose class is known (settled, or scanned
     at an earlier unit) reuses its counts, and the first unit of any other
     class takes the next task's counts from `scans`, which yields them in
-    plan order (`_scans`).  The budget is applied here only, by counting: a
-    task whose checked rows exceed the budget left holds no hit before the
-    cut (its hit, if any, is its last checked row), so its cut is counted
-    with `_scan_level`'s limit, on the row a sequential scan would stop at.
-    A later unit of a class whose counts the budget left does not cover
-    holds no hit either, and its class's levels are counted on its own
-    tables, whose labelling places the bound's and the orbit filter's
+    plan order (`_scans`).  The plan's budget is applied here only, by
+    counting: a task whose checked rows exceed the budget left holds no hit
+    before the cut (its hit, if any, is its last checked row), so its cut is
+    counted with `_scan_level`'s limit, on the row a sequential scan would
+    stop at.  A later unit of a class whose counts the budget left does not
+    cover holds no hit either, and its class's levels are counted on its
+    own tables, whose labelling places the bound's and the orbit filter's
     combinations.  The plan holds no unit, so that unit's forest is
     regenerated by walking the units again up to it.  The plan's refusal
     is raised when the fold gets past the units before the refused one: at
     the end of its task, or at once when it has none.
     """
     run, memo, tasks = _Counts(), dict(plan.settled), iter(plan.tasks)   # memo: class -> counts
-    bounds, mutation = plan.bounds, plan.mutation
+    bounds, mutation, budget = plan.bounds, plan.mutation, plan.budget
     for index, number in enumerate(plan.classes):
         left = None if budget is None else budget - run.checked
         if number in memo:
@@ -598,17 +600,17 @@ def _run(
     bounds: Bounds, mutation: Mutation, mode: int, budget: Optional[int], jobs: int
 ) -> tuple[_Counts, int]:
     """Plan the run, with the signer floor of an unmutated quorum
-    (`tables.min_signers_for_quorum`), then fold it, with its tasks scanned
-    by up to `jobs` helper processes (`_scans`)."""
+    (`tables.min_signers_for_quorum`) and the run's budget, then fold it,
+    with its tasks scanned by up to `jobs` helper processes (`_scans`)."""
     if budget is not None and budget < 0:
         raise InputError("budget must be non-negative")
     if jobs < 1:
         raise InputError("jobs must be at least 1")
     min_signers = min_signers_for_quorum(bounds.n_validators) if mutation == Mutation.NONE else 0
-    plan = _plan(bounds, mutation, mode, min_signers)
-    scans = _scans(plan, budget, jobs)
+    plan = replace(_plan(bounds, mutation, mode, min_signers), budget=budget)
+    scans = _scans(plan, jobs)
     try:
-        return _fold(plan, scans, budget)
+        return _fold(plan, scans)
     finally:
         scans.close()
 

@@ -56,6 +56,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .slashing import one_third_slashable
 from .tables import _BATCH_ENTRIES, GraphTables, ProjectedTables, distinct_rows
 
 MODE_COUNTEREXAMPLE = 0        # disagreement with under-threshold slashing
@@ -72,17 +73,14 @@ def backend_name() -> str:
 
 
 def scan_states(
-    level: tuple[np.ndarray, np.ndarray, np.ndarray],
-    projected: ProjectedTables,
-    n_validators: int,
-    mode: int,
+    level: tuple[np.ndarray, np.ndarray, np.ndarray], projected: ProjectedTables, mode: int
 ) -> tuple[int, int]:
     """Scan every (combination, row) in order; return (first hit or -1, rows scanned).
 
     `level` is the `tables.state_table` of one distinct-vote count u: the
     (S, N) rows, the (D, 2**u) table of their quorum families and the (S,)
-    family index of each row.  `projected` holds the tables of C
-    combinations of u votes.  The hit is the flat index
+    family index of each row; N is read from the rows.  `projected` holds
+    the tables of C combinations of u votes.  The hit is the flat index
     c * S + r of row r of combination c.
 
     Soundness.  Every mode reads a row only through q(X) for vote sets X, so
@@ -101,7 +99,8 @@ def scan_states(
     a counterexample is per row: a validator with vote mask m is slashable
     iff some vote i of m has partners(c)[i] & m != 0; it is counted for
     each combination of a hitting pattern, only on those rows, since the
-    slashable pairs are not part of the pattern.
+    slashable pairs are not part of the pattern, and a row whose count
+    reaches a third of N (`slashing.one_third_slashable`) is no hit.
     """
     states, table, index = level
     n_rows, n_combos = states.shape[0], projected.from_genesis.shape[0]
@@ -131,7 +130,7 @@ def scan_states(
         rows = rows_of(int(pattern[combo]))
         if mode == MODE_COUNTEREXAMPLE:
             slashable = _holds_pair(states[rows], projected.partners(combo))
-            rows = rows[3 * slashable.sum(axis=1) < n_validators]
+            rows = rows[~one_third_slashable(slashable.sum(axis=1), states.shape[1])]
         if rows.size:
             hit = combo * n_rows + int(rows[0])
             return hit, hit + 1

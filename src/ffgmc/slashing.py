@@ -98,14 +98,23 @@ def disagreement(state: ProtocolState, view: FinalityView) -> bool:
     return False
 
 
+def one_third_slashable(count, n_validators: int):
+    """Accountability threshold in exact integer arithmetic: 3k >= N.
+
+    `count` is an int, or an integer array tested elementwise.
+    """
+    return 3 * count >= n_validators
+
+
 def accountable_safety(
     state: ProtocolState, mutation: Mutation = Mutation.NONE
 ) -> SafetyVerdict:
-    """Verdict for a single state: no disagreement, or >= n/3 slashable validators."""
+    """Verdict for a single state: no disagreement, or >= n/3 slashable validators
+    (`one_third_slashable`)."""
     view = finality_view(state, mutation=mutation)
     conflict = disagreement(state, view)
     slashable, evidence = slashable_validators(state, mutation)
-    holds = (not conflict) or 3 * len(slashable) >= state.n_validators
+    holds = (not conflict) or one_third_slashable(len(slashable), state.n_validators)
     return SafetyVerdict(
         disagreement=conflict,
         slashable=slashable,

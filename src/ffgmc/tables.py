@@ -7,9 +7,11 @@ sandwich clause (`finality.supports`), the finalizing link
 (`finality.finalizes`) and the unit's automorphisms (`symmetry`); slashable
 pairs (`slashing.slash_kind`) are evaluated per combination, by
 `ProjectedTables.partners`.  The quorum rule enters through
-`mutation.quorum_met` in `state_table`.  Nothing downstream reads a
-mutation flag, so the fast path has no copy of the rules to drift from the
-reference, and which relation is evaluated when is decided here alone.
+`mutation.quorum_met`, as the least count that meets it
+(`min_signers_for_quorum`), against which `state_table` tests its counts.
+Nothing downstream reads a mutation flag, so the fast path has no copy of
+the rules to drift from the reference, and which relation is evaluated
+when is decided here alone.
 
 A level (one distinct-vote count u) has its rows counted by arithmetic
 (`state_count`), which is all the plan, the settled classes and the budget
@@ -18,9 +20,10 @@ kernel's inputs, are built only where a kernel call scans the level, and
 `check_level` refuses a scanned level over a size limit before that.  The
 rows are grown one validator at a time from canonical prefixes, so no
 multiset outside the level is built, and a row's quorum counts are sums of
-rows of one (2**u, 2**u) table, one gather per validator.  `distinct_rows`
-numbers integer keys by first appearance, once for a level's quorum families
-and once per scan for the kernel's vote patterns.
+rows of one (2**u, 2**u) bool table, one gather per validator, in the
+smallest unsigned dtype that holds N.  `distinct_rows` numbers integer keys
+by first appearance, once for a level's quorum families and once per scan
+for the kernel's vote patterns.
 
 Bit conventions: checkpoints of one graph are indexed 0..K-1 in (c, p, block)
 order with the genesis checkpoint at index 0, and a checkpoint set is an int64
@@ -287,19 +290,22 @@ def state_table(
     The quorum family of a row (m_1, ..., m_N) is the test
     q(X) = quorum_met(|{v : m_v & X != 0}|, N, mutation) for every vote
     subset X in [0, 2**u); the counts are sums of rows of the (2**u, 2**u)
-    table meets[m, X] = (m & X != 0), in the smallest signed dtype that
-    holds the 3N of the quorum test.  `families` is the (D, 2**u) bool
-    table of the distinct families, numbered by their first row, and
-    `index` the (S,) family index of each row.  Rows are keyed by their
-    family packed into uint64 words (`distinct_rows`), so deduplication
-    compares machine words rather than bool rows.  A level over a size
-    limit (`check_level`) is refused rather than built.
+    table meets[m, X] = (m & X != 0), in the smallest unsigned dtype that
+    holds N.  `quorum_met` is a threshold in the count, so q(X) tests the
+    count against the least one that meets it (`min_signers_for_quorum`).
+    `families` is the (D, 2**u) bool table of the distinct families,
+    numbered by their first row, and `index` the (S,) family index of each
+    row.  Rows are keyed by their family packed into uint64 words
+    (`distinct_rows`), so deduplication compares machine words rather than
+    bool rows.  A level over a size limit (`check_level`) is refused rather
+    than built.
     """
     check_level(u, n_validators, max_votes, min_signers)
     n_subsets = 2**u
     rows = _canonical_rows(u, n_validators, max_votes, min_signers)
     meets = _meets(u)
-    dtype = np.min_scalar_type(-3 * n_validators)
+    dtype = np.min_scalar_type(n_validators)
+    quorum = min_signers_for_quorum(n_validators, mutation)
     n_words = -(-n_subsets // 64)
     keys = np.zeros((rows.shape[0], 8 * n_words), dtype=np.uint8)
     step = max(1, _BATCH_ENTRIES // n_subsets)
@@ -308,8 +314,7 @@ def state_table(
         counts = np.zeros((block.shape[0], n_subsets), dtype=dtype)
         for v in range(n_validators):
             counts += meets[block[:, v]]
-        met = quorum_met(counts, n_validators, mutation)
-        packed = np.packbits(met, axis=1, bitorder="little")
+        packed = np.packbits(counts >= quorum, axis=1, bitorder="little")
         keys[lo : lo + step, : packed.shape[1]] = packed
     index, first = distinct_rows(keys.view(np.uint64))
     families = np.unpackbits(
@@ -400,12 +405,17 @@ def _canonical_rows(u: int, n_validators: int, max_votes: int, min_signers: int)
     return rows
 
 
-@lru_cache(maxsize=None)
 def _meets(u: int) -> np.ndarray:
-    """The (2**u, 2**u) bool table meets[m, X] = (m & X != 0)."""
-    subsets = np.arange(2**u, dtype=np.int64)
-    meets = (subsets[:, None] & subsets) != 0
-    meets.flags.writeable = False
+    """The (2**u, 2**u) bool table meets[m, X] = (m & X != 0), built in
+    place one vote at a time, so nothing wider than the table is held: with
+    vote k added, m & X != 0 iff the lower votes meet, unless both m and X
+    hold vote k, when they always do.  It is not kept: each `state_table`
+    miss builds its own, in time linear in its size, so a run holds at most
+    the one of the level it builds."""
+    meets = np.zeros((2**u, 2**u), dtype=bool)
+    for h in [1 << k for k in range(u)]:   # vote k is bit h: masks h .. 2h - 1 hold it
+        meets[:h, h : 2 * h] = meets[h : 2 * h, :h] = meets[:h, :h]
+        meets[h : 2 * h, h : 2 * h] = True
     return meets
 
 
@@ -461,9 +471,11 @@ def check_level(u: int, n_validators: int, max_votes: int, min_signers: int) -> 
     quorum families, known only once the rows are built, and the family
     keys, 8 bytes per row up to u = 6 and few rows above, stay under 160 MB.
     Its vote masks (`project_tables`) take u bits (`MAX_VOTE_BITS`).  Its
-    row table (`state_table`), N int64 entries per row, is sized on the
-    exact row count (`MAX_ROW_TABLE_BYTES`): the estimate caps rows, not
-    their width, which grows with N.
+    meets table (`_meets`), 4**u bytes, and its row table (`state_table`),
+    N int64 entries per row, sized on the exact row count, are each held to
+    `MAX_ROW_TABLE_BYTES`: the estimate caps rows, not their width, which
+    grows with N, nor the meets table, which a level of one row at N = 1
+    still needs whole.
     """
     estimate = comb(2**u + n_validators - 1, n_validators)
     if estimate > MAX_STATE_ROWS:
@@ -476,7 +488,8 @@ def check_level(u: int, n_validators: int, max_votes: int, min_signers: int) -> 
             f"{u} distinct votes exceed the kernel limit {MAX_VOTE_BITS}; "
             "lower max_ffg_votes"
         )
-    n_bytes = state_count(u, n_validators, max_votes, min_signers) * n_validators * 8
+    # the larger of its meets table and its row table
+    n_bytes = max(4**u, state_count(u, n_validators, max_votes, min_signers) * n_validators * 8)
     if n_bytes > MAX_ROW_TABLE_BYTES:
         raise InputError(
             f"state table for u={u}, N={n_validators} would take "
@@ -484,6 +497,7 @@ def check_level(u: int, n_validators: int, max_votes: int, min_signers: int) -> 
         )
 
 
-def min_signers_for_quorum(n_validators: int) -> int:
-    """Fewest distinct senders any unmutated quorum needs: the least k with quorum_met."""
-    return next(k for k in range(n_validators + 1) if quorum_met(k, n_validators))
+def min_signers_for_quorum(n_validators: int, mutation: Mutation = Mutation.NONE) -> int:
+    """Fewest distinct senders a quorum needs under `mutation`: the least k
+    with quorum_met; unmutated, it is the signer floor."""
+    return next(k for k in range(n_validators + 1) if quorum_met(k, n_validators, mutation))

@@ -7,6 +7,7 @@ equal the reference's, for every scan mode.
 """
 
 import itertools
+import tracemalloc
 from math import comb
 from types import SimpleNamespace
 from unittest import mock
@@ -131,13 +132,13 @@ def test_kernel_first_hits_match_reference(mutation):
             for mode in ALL_MODES:
                 if first[mode] == -1 and expected[mode] != -1:
                     first[mode] = c * n_rows + expected[mode]
-                hit, scanned = scan_states(level, projected, bounds.n_validators, mode)
+                hit, scanned = scan_states(level, projected, mode)
                 assert hit == expected[mode], (mode, combo)
                 want = n_rows if expected[mode] == -1 else expected[mode] + 1
                 assert scanned == want
         projected = project_tables(tables, combos)
         for mode in ALL_MODES:
-            hit, scanned = scan_states(level, projected, bounds.n_validators, mode)
+            hit, scanned = scan_states(level, projected, mode)
             assert hit == first[mode], (mode, u)
             assert scanned == (len(combos) * n_rows if first[mode] == -1 else first[mode] + 1)
     assert checked_states > 400
@@ -178,7 +179,51 @@ def test_counterexample_hits_match_reference(mutation):
     projected = project_tables(tables, combos)
     for mode, first in expected.items():
         want = (first, first + 1) if first >= 0 else (-1, len(combos) * rows.shape[0])
-        assert scan_states(level, projected, 3, mode) == want, mode
+        assert scan_states(level, projected, mode) == want, mode
+
+
+def counterexample_rows(level, projected):
+    """The rows of `level` that the kernel reports as counterexamples in
+    `projected`'s one combination: each next hit, scanning past the last."""
+    rows, families, index = level
+    hits, start = [], 0
+    while True:
+        hit, _ = scan_states((rows[start:], families, index[start:]), projected,
+                             MODE_COUNTEREXAMPLE)
+        if hit < 0:
+            return hits
+        hits.append(start + hit)
+        start += hit + 1
+
+
+@pytest.mark.parametrize("n_validators,mutation,max_votes,floor", [
+    (3, Mutation.NONE, 8, 0),
+    (6, Mutation.QUORUM_HALF, 12, 6),
+], ids=["N=3", "N=6-quorum-half"])
+def test_a_third_slashable_is_no_counterexample(n_validators, mutation, max_votes, floor):
+    # the four votes that finalize both branches of the fork, the one
+    # combination of four the bound keeps: on every row of the level the
+    # kernel's counterexample verdict is accountable_safety's, and some
+    # rows finalize both branches with exactly N/3 validators slashable,
+    # which is no hit (3 * N/3 >= N); at N=6 under quorum-half others,
+    # with fewer, are
+    bounds = Bounds(n_blocks=2, n_validators=n_validators, max_votes=max_votes,
+                    max_chkp_slot=2, slot_rule="nonstrict")
+    forest = BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)])
+    tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot, mutation)
+    *_, (combo,) = kept_levels(tables, MODE_COUNTEREXAMPLE, 4)
+    level = state_table(4, n_validators, max_votes, floor, mutation)
+    want, boundary = [], []
+    for r, row in enumerate(level[0].tolist()):
+        safety = accountable_safety(materialize_state(bounds, tables, combo.tolist(), row),
+                                    mutation)
+        if not safety.holds:
+            want.append(r)
+        if safety.disagreement and 3 * len(safety.slashable) == n_validators:
+            boundary.append(r)
+    assert counterexample_rows(level, project_tables(tables, combo[None])) == want
+    assert boundary and not set(boundary) & set(want)
+    assert bool(want) == (mutation == Mutation.QUORUM_HALF)
 
 
 @pytest.mark.parametrize("mutation", ALL_MUTATIONS, ids=lambda m: m.label())
@@ -324,7 +369,7 @@ def test_a_scan_computes_only_the_columns_it_reads(
     level = state_table(u, n_validators, 2 * n_validators, 0, mutation)
     projected = project_tables(tables, all_combinations(len(tables.votes), u))
     assert not projected.__dict__.keys() & set(COLUMNS)
-    hit, _ = scan_states(level, projected, n_validators, mode)
+    hit, _ = scan_states(level, projected, mode)
     assert (hit >= 0) == hits
     assert projected.__dict__.keys() & set(COLUMNS) == read
     assert bool(pairs) == (hits and mode == MODE_COUNTEREXAMPLE)
@@ -446,7 +491,7 @@ def check_hand_made_scans(k, combos, cp_conflict, n_validators, max_votes, mutat
     for mode in modes:
         expected = first.setdefault(mode, -1)
         with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch or kernels._PAIR_BATCH):
-            got = scan_states(level, projected, n_validators, mode)
+            got = scan_states(level, projected, mode)
         assert got == (expected, expected + 1 if expected >= 0 else total), (mode, pair_batch)
     return first
 
@@ -577,12 +622,12 @@ def pattern_keys(projected, *names):
 COUNTEREXAMPLE_KEY = ("src_sandwich", "from_genesis", "src_fin", "clashes")
 
 
-def scan_per_combination(k, combos, cp_conflict, level, n_validators, mode):
+def scan_per_combination(k, combos, cp_conflict, level, mode):
     """What one scan over `combos` must report, from one scan call per combination."""
     n_rows = level[0].shape[0]
     for c, combo in enumerate(combos):
         projected = hand_made_tables(k, [combo], cp_conflict)
-        hit, _ = scan_states(level, projected, n_validators, mode)
+        hit, _ = scan_states(level, projected, mode)
         if hit >= 0:
             return c * n_rows + hit, c * n_rows + hit + 1
     return -1, len(combos) * n_rows
@@ -599,10 +644,10 @@ def test_one_scan_equals_one_scan_per_combination(seed):
     mutation = Mutation.QUORUM_HALF if seed % 2 else Mutation.NONE
     level = state_table(u, n_validators, u * n_validators, 0, mutation)
     for mode in ALL_MODES:
-        want = scan_per_combination(k, combos, cp_conflict, level, n_validators, mode)
+        want = scan_per_combination(k, combos, cp_conflict, level, mode)
         for pair_batch in (1, 5, kernels._PAIR_BATCH):
             with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch):
-                got = scan_states(level, projected, n_validators, mode)
+                got = scan_states(level, projected, mode)
             assert got == want, (mode, pair_batch)
 
 
@@ -675,7 +720,7 @@ def test_a_hitting_pattern_is_expanded_once(monkeypatch):
         expanded.clear()
         passes.clear()
         monkeypatch.setattr(kernels, "_PAIR_BATCH", pair_batch)
-        hit, _ = scan_states(level, projected, 2, MODE_COUNTEREXAMPLE)
+        hit, _ = scan_states(level, projected, MODE_COUNTEREXAMPLE)
         assert hit // n_rows == 3 and expanded == [0, 1, 3], pair_batch
         assert len(passes) == 1, pair_batch
 
@@ -755,7 +800,7 @@ def test_fixpoints_run_once_per_pattern(monkeypatch):
         decided.clear()
         batches.clear()
         monkeypatch.setattr(kernels, "_PAIR_BATCH", pair_batch)
-        assert scan_states(level, projected, n_validators, MODE_COUNTEREXAMPLE) == (
+        assert scan_states(level, projected, MODE_COUNTEREXAMPLE) == (
             -1, len(combos) * rows.shape[0])
         assert len(decided) == len(set(decided)) == n_pairs
         assert len(batches) == -(-n_pairs // pair_batch), pair_batch
@@ -789,11 +834,10 @@ def test_keys_that_differ_only_in_finalizing_links_or_clashes():
             for mode in ALL_MODES:
                 first = check_hand_made_scan(k, combos, cp_conflict, n_validators,
                                              4 * n_validators, mutation, mode)
-                want = scan_per_combination(k, combos, cp_conflict, level,
-                                            n_validators, mode)
+                want = scan_per_combination(k, combos, cp_conflict, level, mode)
                 for pair_batch in (1, 5, kernels._PAIR_BATCH):
                     with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch):
-                        got = scan_states(level, projected, n_validators, mode)
+                        got = scan_states(level, projected, mode)
                     assert got == want, (mode, pair_batch)
                 if mode == MODE_CONFLICTING_FINALIZED:
                     # only the variant with both links on conflicting checkpoints
@@ -806,11 +850,11 @@ def test_empty_scan():
     projected = project_tables(tables, np.zeros((1, 0), dtype=np.int64))
     no_rows = (np.zeros((0, 3), dtype=np.int64), np.zeros((0, 1), dtype=bool),
                np.zeros(0, dtype=np.intp))
-    assert scan_states(no_rows, projected, 3, MODE_COUNTEREXAMPLE) == (-1, 0)
+    assert scan_states(no_rows, projected, MODE_COUNTEREXAMPLE) == (-1, 0)
     level = state_table(0, 3, 4, 0, Mutation.NONE)
     none = project_tables(tables, np.zeros((0, 0), dtype=np.int64))
     for mode in ALL_MODES:
-        assert scan_states(level, none, 3, mode) == (-1, 0)
+        assert scan_states(level, none, mode) == (-1, 0)
 
 
 HALF, DROP = Mutation.QUORUM_HALF, Mutation.DROP_ANCESTRY
@@ -891,6 +935,19 @@ def test_row_table_is_the_reference_rows_under_the_floor(u, mutation):
 
 
 @pytest.mark.parametrize("mutation", [Mutation.NONE, HALF], ids=["two-thirds", "half"])
+@pytest.mark.parametrize("n_validators", [42, 43, 255, 256])
+def test_quorum_families_at_the_count_dtype_boundaries(n_validators, mutation):
+    # the counts are held in the smallest unsigned dtype of N, which leaves
+    # uint8 at N=256, and a count tested as 3 * count would leave int8 at
+    # N=43: at u=1 the counts of each row for X = {} and X = {vote 0} reach
+    # N, and the families are quorum_met on them
+    rows, families, index = state_table(1, n_validators, n_validators, 0, mutation)
+    counts = np.stack([((rows & x) != 0).sum(axis=1) for x in range(2)], axis=1)
+    assert rows.shape[0] <= n_validators and counts.max() == n_validators
+    assert np.array_equal(families[index], quorum_met(counts, n_validators, mutation))
+
+
+@pytest.mark.parametrize("mutation", [Mutation.NONE, HALF], ids=["two-thirds", "half"])
 def test_quorum_families_count_past_int16(mutation):
     # 11,000 validators, of whom at least 10,996 sign: 3 * count passes
     # 32,767, so the two-thirds test on an int16 count would wrap
@@ -946,6 +1003,31 @@ def test_the_row_table_limit_refuses_wide_rows():
         else:
             with pytest.raises(InputError, match="would take 1040 MiB"):
                 check_level(*args)
+
+
+def test_the_meets_table_limit_refuses_one_validator_at_16_votes():
+    # at N=1 a level has one row, so only its (2**u, 2**u) meets table
+    # grows: 1 GiB at u=15, within the limit, and 4 GiB at u=16
+    assert state_count(16, 1, 16, 1) == 1
+    check_level(15, 1, 16, 1)
+    with pytest.raises(InputError, match="would take 4096 MiB"):
+        check_level(16, 1, 16, 1)
+
+
+def test_the_meets_table_is_built_without_a_wider_array():
+    # the table against an int64 outer product, 8 bytes an entry; its own
+    # build holds the table and at most a quarter of it (a block copied
+    # between overlapping views of the table)
+    for u in range(9):
+        subsets = np.arange(2**u)
+        assert np.array_equal(ffgmc.tables._meets(u), (subsets[:, None] & subsets) != 0)
+    tracemalloc.start()
+    try:
+        meets = ffgmc.tables._meets(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert meets.nbytes == 4**11 and peak < 1.5 * meets.nbytes
 
 
 def test_the_row_estimate_caps_the_family_keys():
@@ -1010,7 +1092,7 @@ def test_scan_matches_row_by_row_reference(data):
             break
     projected = project_tables(tables, combos)
     with mock.patch.object(kernels, "_PAIR_BATCH", pair_batch):
-        got = scan_states(level, projected, n_validators, mode)
+        got = scan_states(level, projected, mode)
     assert got == (expected, scanned)
 
 
@@ -1069,7 +1151,7 @@ def test_bound_matches_unanimity_state(
             for mode in ALL_MODES:
                 assert keep[mode][i] == reference[mode], (mode, combo)
                 scan_mode = MODE_CONFLICTING_FINALIZED if mode == MODE_COUNTEREXAMPLE else mode
-                hit, _ = scan_states(level, projected, n_validators, scan_mode)
+                hit, _ = scan_states(level, projected, scan_mode)
                 assert keep[mode][i] == (hit == 0), (mode, combo)
                 kept[mode] += bool(keep[mode][i])
     assert kept[MODE_FINALIZED_NONGENESIS] > 0
@@ -1201,6 +1283,6 @@ def test_bound_matches_finality_on_two_step_chains():
                 # not the counterexample mode: a lone validator may be slashable
                 for mode in (MODE_FINALIZED_NONGENESIS, MODE_JUSTIFIED_NONGENESIS,
                              MODE_CONFLICTING_FINALIZED):
-                    hit, _ = scan_states(level, projected, 1, mode)
+                    hit, _ = scan_states(level, projected, mode)
                     assert (hit == 0) == want[mode], (mode, combo)
     assert two_step > 0

@@ -96,11 +96,12 @@ def _rank(combo, m):
 def test_ranks_of_a_level_near_int64():
     # ranks are Python integers, so a scanned level may hold more than 2**63
     # combinations: one block with checkpoint slots up to 12 has 210 votes,
-    # and C(210, 12) is about 1e19, yet the plan keeps every level of it
-    bounds = Bounds(n_blocks=1, n_validators=1, max_votes=16, max_chkp_slot=12)
+    # and C(210, 12) is about 1e19, yet the plan keeps every level of it up
+    # to u=15, the last whose 4**u-byte meets table is within the limit
+    bounds = Bounds(n_blocks=1, n_validators=1, max_votes=15, max_chkp_slot=12)
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_JUSTIFIED_NONGENESIS, 0)
     assert plan.refusal is None
-    assert [(index, levels) for index, _, levels in plan.tasks] == [(0, range(17))]
+    assert [(index, levels) for index, _, levels in plan.tasks] == [(0, range(16))]
     assert len(plan.tasks[0][1].votes) == 210
     assert comb(210, 11) < 2**63 < comb(210, 12)
     # the levels on both sides of 2**63 and one of 0.99 * 2**62
@@ -577,9 +578,9 @@ def test_cuts_are_counted_without_a_kernel_call(
     def refuse(*args):
         raise AssertionError("a counted cut reached a scan")
 
-    def counting_only(plan, graph_tables, levels, limit=None, budget=None):
+    def counting_only(plan, graph_tables, levels, limit=None):
         if limit is None:
-            return scan_task(plan, graph_tables, levels, budget=budget)
+            return scan_task(plan, graph_tables, levels)
         counted.append(limit)
         with monkeypatch.context() as patch:
             for name in ("scan_states", "project_tables", "state_table"):
@@ -761,7 +762,7 @@ def test_no_task_past_a_known_hit_is_handed_out(monkeypatch, tmp_path):
     assert len(plan.tasks) == 3
     log = tmp_path / "scanned"
 
-    def planted(plan, graph_tables, levels, limit=None, budget=None):
+    def planted(plan, graph_tables, levels, limit=None):
         i = next(i for i, (_, tables, _) in enumerate(plan.tasks) if tables is graph_tables)
         with open(log, "a") as out:
             out.write(f"{i}\n")
@@ -770,7 +771,7 @@ def test_no_task_past_a_known_hit_is_handed_out(monkeypatch, tmp_path):
         return enumerator._Counts(hit=((), ()) if i == 1 else None)
 
     monkeypatch.setattr(enumerator, "_scan_task", planted)
-    scans = enumerator._scans(plan, None, 2)
+    scans = enumerator._scans(plan, 2)
     assert [counts.hit for counts in itertools.islice(scans, 2)] == [None, ((), ())]
     scans.close()
     assert sorted(log.read_text().split()) == ["0", "1"]
