@@ -44,6 +44,7 @@ from .smt import (
     QUERY_NO_ACCOUNTABLE_SAFETY,
     SAT,
     UNSAT,
+    SmtInstance,
     emit_smt,
     run_solver,
 )
@@ -87,13 +88,23 @@ def _bounds_from_args(args) -> Bounds:
     )
 
 
-def _smt_bounds(args) -> Bounds:
-    """Bounds of an SMT instance, which encodes every forest of --blocks
-    blocks and has no catalog-graph form."""
+def _add_smt_flags(parser: argparse.ArgumentParser) -> None:
+    _add_bounds_flags(parser)
+    parser.add_argument("--smt-checkpoints", type=int, default=None,
+                        help="checkpoint atom count for emitted SMT instances")
+    parser.add_argument("--query", choices=QUERIES, default=QUERY_NO_ACCOUNTABLE_SAFETY)
+    parser.add_argument("--mutation", default="none")
+
+
+def _smt_instance(args) -> SmtInstance:
+    """The SMT instance of the bounds, which encodes every forest of
+    --blocks blocks and has no catalog-graph form."""
     if args.graph is not None:
         raise InputError(f"{args.command} encodes every forest of --blocks blocks; "
                          "it takes no --graph")
-    return _bounds_from_args(args)
+    return emit_smt(
+        _bounds_from_args(args), args.query, parse_mutation(args.mutation), args.smt_checkpoints
+    )
 
 
 def _check_out(out: Optional[str]) -> None:
@@ -215,8 +226,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_emit_smt(args) -> int:
-    bounds = _smt_bounds(args)
-    instance = emit_smt(bounds, args.query, parse_mutation(args.mutation), args.smt_checkpoints)
+    instance = _smt_instance(args)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(instance.text)
@@ -228,8 +238,7 @@ def cmd_emit_smt(args) -> int:
 def cmd_solve(args) -> int:
     if args.timeout is not None and not (math.isfinite(args.timeout) and args.timeout > 0):
         raise InputError(f"--timeout must be a positive number of seconds, not {args.timeout}")
-    bounds = _smt_bounds(args)
-    instance = emit_smt(bounds, args.query, parse_mutation(args.mutation), args.smt_checkpoints)
+    instance = _smt_instance(args)
     result = run_solver(instance, args.solver_cmd, args.timeout)
     doc = {"status": result.status, "query": instance.query}
     if result.detail:
@@ -292,20 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("emit-smt", help="emit an SMT-LIB 2 instance for the bounds")
-    _add_bounds_flags(p)
-    p.add_argument("--smt-checkpoints", type=int, default=None,
-                   help="checkpoint atom count for emitted SMT instances")
-    p.add_argument("--query", choices=QUERIES, default=QUERY_NO_ACCOUNTABLE_SAFETY)
-    p.add_argument("--mutation", default="none")
+    _add_smt_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_emit_smt)
 
     p = sub.add_parser("solve", help="emit an instance and run an external solver on it")
-    _add_bounds_flags(p)
-    p.add_argument("--smt-checkpoints", type=int, default=None,
-                   help="checkpoint atom count for emitted SMT instances")
-    p.add_argument("--query", choices=QUERIES, default=QUERY_NO_ACCOUNTABLE_SAFETY)
-    p.add_argument("--mutation", default="none")
+    _add_smt_flags(p)
     p.add_argument("--solver-cmd", default=None,
                    help="solver command template; {file} expands to the instance path "
                         "(default: the FFGMC_SOLVER environment variable)")

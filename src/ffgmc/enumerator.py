@@ -166,7 +166,9 @@ class SearchReport:
     graphs_checked: int
     states_pruned: int
     states_bounded: int   # part of states_pruned dropped by the monotone bound
-    states_symmetric: int  # part of states_checked settled by symmetry, not scanned
+    # part of states_checked settled by symmetry, not scanned: every checked
+    # row of a later unit of a class among them, up to a budget cut in it
+    states_symmetric: int
     wall_time: float
     budget: Optional[int] = None
 
@@ -407,18 +409,18 @@ class _Plan:
     `tables.state_count`, not scanned.  Of its graph tables only `votes` is
     read, and `cp_conflict` in the safety modes, so no other relation of it
     is evaluated and only the checkpoint limit applies to it.  Otherwise its
-    task, (first unit, tables, levels), scans its levels u = 0, 1, ... in
-    canonical order; tasks are numbered in canonical order.  `budget`, the
+    task, (tables of its first unit, levels), scans its levels u = 0, 1, ...
+    in canonical order, and tasks are in canonical order.  `budget`, the
     run's, is read where a scan ends (`_scan_task`) and a cut is counted
     (`_fold`).
 
     Planning ends at the first scanned level whose tables are over a size
-    limit (`tables.check_level`; `refusal`: that unit and its error).  The
-    refused unit's task holds only the levels before it, and one refused at
-    its checkpoints has no task, so a run whose hit or budget cut comes
-    first ends as before, and one that reaches it is refused there.
-    `classes` ends at the refused unit: the fold cannot get past it, so no
-    later unit is walked.
+    limit (`tables.check_level`; `refusal`: its error), so the refused unit
+    is the last one in `classes`: the fold cannot get past it, and no later
+    unit is walked.  Its task holds only the levels before the refused one,
+    and a unit refused at its checkpoints has no task, so a run whose hit or
+    budget cut comes first ends as before, and one that reaches it is
+    refused there.
     """
 
     bounds: Bounds
@@ -428,15 +430,15 @@ class _Plan:
     budget: Optional[int] = None
     classes: list[int] = field(default_factory=list)           # class number of each unit
     settled: dict[int, _Counts] = field(default_factory=dict)  # class -> counts of a unit
-    tasks: list[tuple[int, GraphTables, range]] = field(default_factory=list)
-    refusal: Optional[tuple[int, InputError]] = None
+    tasks: list[tuple[GraphTables, range]] = field(default_factory=list)
+    refusal: Optional[InputError] = None
 
 
 def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _Plan:
     """Build the scan plan, up to the first level over a size limit.
     Planning reads no budget: `_run` sets the plan's."""
     plan = _Plan(bounds, mutation, mode, min_signers)
-    for index, (forest, number, first) in enumerate(_classes(bounds)):
+    for forest, number, first in _classes(bounds):
         plan.classes.append(number)
         if not first:
             continue
@@ -449,12 +451,12 @@ def _plan(bounds: Bounds, mutation: Mutation, mode: int, min_signers: int) -> _P
             ):
                 plan.settled[number] = _Counts(pruned=_unit_total_states(bounds, n_votes))
                 continue
-            plan.tasks.append((index, tables, range(0)))
+            plan.tasks.append((tables, range(0)))
             for u in levels:
                 check_level(u, bounds.n_validators, bounds.max_votes, min_signers)
-                plan.tasks[-1] = (index, tables, range(u + 1))
+                plan.tasks[-1] = (tables, range(u + 1))
         except InputError as error:
-            plan.refusal = (index, error)
+            plan.refusal = error
             break
     return plan
 
@@ -478,9 +480,8 @@ def _help(plan: _Plan, pipe) -> None:
     import traceback
 
     for i in iter(pipe.recv, None):
-        _, tables, levels = plan.tasks[i]
         try:
-            counts = _scan_task(plan, tables, levels)
+            counts = _scan_task(plan, *plan.tasks[i])
         except Exception:
             counts = traceback.format_exc()
         pipe.send(counts)
@@ -501,7 +502,7 @@ def _scans(plan: _Plan, jobs: int) -> Iterator[_Counts]:
     """
     n_helpers = min(jobs, _usable_cpus(), len(plan.tasks))
     if n_helpers < 2:
-        for _, tables, levels in plan.tasks:
+        for tables, levels in plan.tasks:
             yield _scan_task(plan, tables, levels)
         return
     import multiprocessing
@@ -552,47 +553,48 @@ def _fold(plan: _Plan, scans: Iterator[_Counts]) -> tuple[_Counts, int]:
     """Fold the plan in canonical order, stopping at the first hit or budget cut.
 
     Returns the counts up to there and the number of units visited.  Only
-    counting happens here: a unit whose class is known (settled, or scanned
-    at an earlier unit) reuses its counts, and the first unit of any other
-    class takes the next task's counts from `scans`, which yields them in
-    plan order (`_scans`).  The plan's budget is applied here only, by
-    counting: a task whose checked rows exceed the budget left holds no hit
-    before the cut (its hit, if any, is its last checked row), so its cut is
-    counted with `_scan_level`'s limit, on the row a sequential scan would
-    stop at.  A later unit of a class whose counts the budget left does not
-    cover holds no hit either, and its class's levels are counted on its
-    own tables, whose labelling places the bound's and the orbit filter's
-    combinations.  The plan holds no unit, so that unit's forest is
-    regenerated by walking the units again up to it.  The plan's refusal
-    is raised when the fold gets past the units before the refused one: at
-    the end of its task, or at once when it has none.
+    counting happens here, in one body for every unit: a unit whose class is
+    known (settled, or scanned at an earlier unit) reuses its counts, every
+    checked row of a later unit settled by symmetry, and the first unit of
+    any other class takes the next task's counts from `scans`, which yields
+    them in plan order (`_scans`).  The plan's budget is applied here only,
+    on one path: a unit whose checked rows exceed the budget left holds no
+    hit before the cut (a task's hit, if any, is its last checked row, and
+    a known class has none), so its cut is counted by `_scan_task` with that
+    limit, on the row a sequential scan would stop at, and on the unit's own
+    tables, whose labelling places the bound's and the orbit filter's
+    combinations.  The plan holds no later unit, so its forest is
+    regenerated by walking the units again up to it, and the rows of its
+    cut, like those of a whole later unit, count as symmetric.  The plan's
+    refusal is raised when the fold gets past the units before the refused
+    one: at the end of its task, or at once when it has none.
     """
     run, memo, tasks = _Counts(), dict(plan.settled), iter(plan.tasks)   # memo: class -> counts
-    bounds, mutation, budget = plan.bounds, plan.mutation, plan.budget
     for index, number in enumerate(plan.classes):
-        left = None if budget is None else budget - run.checked
-        if number in memo:
-            known = memo[number]
-            if left is None or left >= known.checked:
-                run += replace(known, symmetric=known.checked)
-                continue
-            forest = next(itertools.islice(iter_units(bounds), index, None))
-            tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot, mutation)
-            levels = _distinct_vote_range(bounds, len(tables.votes))
-            return run + _scan_task(plan, tables, levels, limit=left), index + 1
-        task = next(tasks, None)
-        if task is None:   # the refused unit, refused before it had a task
-            break
-        _, tables, levels = task
-        counts = next(scans)
+        later = number in memo   # or the first unit of a settled class, which checks no row
+        if later:
+            counts = replace(memo[number], symmetric=memo[number].checked)
+        else:
+            task = next(tasks, None)
+            if task is None:   # the refused unit, refused before it had a task
+                break
+            counts = next(scans)
+        left = None if plan.budget is None else plan.budget - run.checked
         if left is not None and counts.checked > left:
-            counts = _scan_task(plan, tables, levels, limit=left)
+            if later:
+                forest = next(itertools.islice(iter_units(plan.bounds), index, None))
+                tables = build_graph_tables(
+                    forest, plan.bounds.slot_rule, plan.bounds.max_chkp_slot, plan.mutation
+                )
+                task = tables, _distinct_vote_range(plan.bounds, len(tables.votes))
+            cut = _scan_task(plan, *task, limit=left)
+            return run + (replace(cut, symmetric=cut.checked) if later else cut), index + 1
         run += counts
-        if run.hit is not None or run.cut:
+        if run.hit is not None:
             return run, index + 1
-        memo[number] = counts
+        memo.setdefault(number, counts)
     if plan.refusal is not None:
-        raise plan.refusal[1]
+        raise plan.refusal
     return run, len(plan.classes)
 
 

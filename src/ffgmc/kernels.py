@@ -97,10 +97,12 @@ def scan_states(
     families, so the rows are found once per such set, and patterns that
     hit on the same families share them.  The slashable-validator count of
     a counterexample is per row: a validator with vote mask m is slashable
-    iff some vote i of m has partners(c)[i] & m != 0; it is counted for
-    each combination of a hitting pattern, only on those rows, since the
-    slashable pairs are not part of the pattern, and a row whose count
-    reaches a third of N (`slashing.one_third_slashable`) is no hit.
+    iff some vote i of m has partners(c)[i] & m != 0.  Since the slashable
+    pairs are not part of the pattern, that test is tabled for each
+    combination of a hitting pattern, once over all 2**u masks (its dirty
+    masks), and a row's count is a gather from that table, only on the
+    hitting rows; a row whose count reaches a third of N
+    (`slashing.one_third_slashable`) is no hit.
     """
     states, table, index = level
     n_rows, n_combos = states.shape[0], projected.from_genesis.shape[0]
@@ -129,8 +131,8 @@ def scan_states(
     for combo in np.flatnonzero(hitting[pattern]).tolist():
         rows = rows_of(int(pattern[combo]))
         if mode == MODE_COUNTEREXAMPLE:
-            slashable = _holds_pair(states[rows], projected.partners(combo))
-            rows = rows[~one_third_slashable(slashable.sum(axis=1), states.shape[1])]
+            dirty = _holds_pair(np.arange(table.shape[1]), projected.partners(combo))
+            rows = rows[~one_third_slashable(dirty[states[rows]].sum(axis=1), states.shape[1])]
         if rows.size:
             hit = combo * n_rows + int(rows[0])
             return hit, hit + 1

@@ -100,9 +100,10 @@ def test_ranks_of_a_level_near_int64():
     # to u=15, the last whose 4**u-byte meets table is within the limit
     bounds = Bounds(n_blocks=1, n_validators=1, max_votes=15, max_chkp_slot=12)
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_JUSTIFIED_NONGENESIS, 0)
+    units = list(iter_units(bounds))
     assert plan.refusal is None
-    assert [(index, levels) for index, _, levels in plan.tasks] == [(0, range(16))]
-    assert len(plan.tasks[0][1].votes) == 210
+    assert [(units.index(t.forest), levels) for t, levels in plan.tasks] == [(0, range(16))]
+    assert len(plan.tasks[0][0].votes) == 210
     assert comb(210, 11) < 2**63 < comb(210, 12)
     # the levels on both sides of 2**63 and one of 0.99 * 2**62
     # combinations: their first, their last and random ones, against the
@@ -185,17 +186,17 @@ def test_tasks_tile_each_class_once_in_canonical_order(monkeypatch, limit):
     assert plans[-1].refusal is not None
     assert max(len(plan.tasks) for plan in plans) > 1
     for plan in plans:
-        last = plan.refusal[0] if plan.refusal else len(plan.classes) - 1
-        firsts = [i for i, c in enumerate(plan.classes[: last + 1]) if plan.classes.index(c) == i]
-        scanned = [index for index, _, _ in plan.tasks]
+        last = len(plan.classes) - 1   # the refused unit, if any
+        firsts = [i for i, c in enumerate(plan.classes) if plan.classes.index(c) == i]
+        units = list(iter_units(plan.bounds))
+        scanned = [units.index(graph_tables.forest) for graph_tables, _ in plan.tasks]
         settled = [plan.classes.index(number) for number in plan.settled]
         assert sorted([*scanned, *settled]) == firsts
         assert scanned == sorted(scanned)
-        units = list(iter_units(plan.bounds))
-        for index, graph_tables, levels in plan.tasks:
+        for index, (graph_tables, levels) in zip(scanned, plan.tasks):
             assert graph_tables.forest == units[index]
             n_votes = len(graph_tables.votes)
-            if plan.refusal and plan.refusal[0] == index:
+            if plan.refusal and index == last:
                 assert levels == range(5)
             else:
                 assert levels == enumerator._distinct_vote_range(plan.bounds, n_votes)
@@ -233,7 +234,8 @@ def test_a_refusal_at_the_first_unit_ends_the_walk(monkeypatch, capsys):
 
     monkeypatch.setattr(enumerator, "build_graph_tables", refused)
     plan = enumerator._plan(_small(n_blocks=5), Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 0)
-    assert plan.refusal[0] == 0 and len(plan.classes) == 1 and not plan.tasks
+    assert str(plan.refusal) == "planted size limit"
+    assert len(plan.classes) - 1 == 0 and not plan.tasks
     assert main(["search", "--blocks", "5", "--validators", "1", "--max-votes", "4",
                  "--max-ffg", "4", "--max-chkp-slot", "3"]) == 2
     assert "planted size limit" in capsys.readouterr().err
@@ -248,7 +250,7 @@ def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
     mutation = parse_mutation("drop-ancestry")
     plan = enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, 0)
     assert len(plan.tasks) > 1
-    _, graph_tables, levels = plan.tasks[0]
+    graph_tables, levels = plan.tasks[0]
     combos = [kept_combinations(plan, graph_tables, u)[0] for u in levels]
     counts = [enumerator._scan_level(plan, graph_tables, combos[u]) for u in levels]
     level = next(u for u in levels[1:] if counts[u - 1].checked > 0 and counts[u].checked > 1)
@@ -272,7 +274,8 @@ def test_falsify_c3_plans_one_task_and_forks_nothing(monkeypatch):
     # are one task, so --jobs 2 starts no helper and reports as --jobs 1
     mutation = parse_mutation("quorum-half")
     plan = enumerator._plan(C3, mutation, enumerator.MODE_COUNTEREXAMPLE, 0)
-    assert [(index, levels) for index, _, levels in plan.tasks] == [(0, range(5))]
+    units = list(iter_units(C3))
+    assert [(units.index(t.forest), levels) for t, levels in plan.tasks] == [(0, range(5))]
     expected = _report(C3, mutation)
     assert expected.verdict == VERDICT_COUNTEREXAMPLE
 
@@ -305,7 +308,7 @@ def test_each_scanned_level_is_one_kernel_call(monkeypatch):
     (plan,) = plans
     pairs = [
         (id(graph_tables), u)
-        for _, graph_tables, levels in plan.tasks
+        for graph_tables, levels in plan.tasks
         for u in levels
         if kept_combinations(plan, graph_tables, u)[1].any()
     ]
@@ -472,7 +475,7 @@ def test_vote_count_and_vacuity_match_the_full_build(bounds):
     # vacuous one, read from its vote count
     units = list(iter_units(bounds))
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 0)
-    reps = {index: graph_tables for index, graph_tables, _ in plan.tasks}
+    reps = {units.index(graph_tables.forest): graph_tables for graph_tables, _ in plan.tasks}
     settled = {plan.classes.index(number): counts for number, counts in plan.settled.items()}
     assert len(reps) + len(settled) == len(set(plan.classes))
     forked = 0
@@ -551,11 +554,17 @@ def test_budget_cuts_match_across_jobs(started):
 # (bounds, mutation, budget, jobs) -> (states_checked, graphs_checked,
 # states_pruned, states_bounded, states_symmetric) of a cut run: a cut in a
 # later unit of a class, and cuts in a task whose unlimited rows exceed the
-# budget left.  The counts were pinned from a fold that scanned each cut
-# with a row limit in the kernel
+# budget left.  The checked, pruned and bounded rows equal those of a scan
+# that stops at the budget; every checked row of a later unit before its
+# cut is settled by symmetry: 24 symmetric rows are the 21 of the units
+# before it and its own 3.  At checkpoint slots up to 4, unit 2, a later
+# unit of class 1, begins at checked row 324, where 152 rows are symmetric,
+# and a budget of 340 adds its first 16 rows
 COUNTED_CUTS = [
     (_small(max_votes=3, max_ffg_votes=3), "drop-ancestry", 33, 1,
-     (33, 7, 10545, 9848, 21)),
+     (33, 7, 10545, 9848, 24)),
+    (_small(n_validators=2, max_votes=3, max_ffg_votes=3, max_chkp_slot=4), "drop-ancestry",
+     340, 1, (340, 3, 136555, 136555, 168)),
     (_small(n_blocks=2, n_validators=2, max_votes=8), "drop-ancestry", 43, 1,
      (43, 1, 17063, 17063, 14)),
     (_small(n_blocks=2, n_validators=2, max_votes=8), "drop-ancestry", 43, 2,
@@ -565,7 +574,8 @@ COUNTED_CUTS = [
 
 @pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize("bounds,mutation_name,budget,jobs,want", COUNTED_CUTS,
-                         ids=["later-unit", "over-budget-task-jobs1", "over-budget-task-jobs2"])
+                         ids=["later-unit", "later-unit-at-its-16th-row", "over-budget-task-jobs1",
+                              "over-budget-task-jobs2"])
 def test_cuts_are_counted_without_a_kernel_call(
     monkeypatch, bounds, mutation_name, budget, jobs, want
 ):
@@ -704,7 +714,8 @@ def test_a_refusal_past_scanned_levels_ends_the_run(monkeypatch, capsys, started
     argv = ["search", "--blocks", "3", "--validators", "2", "--max-votes", "8",
             "--max-ffg", "4", "--max-chkp-slot", "3", "--jobs", "2"]
     bounds = _small(n_validators=2, max_votes=8)
-    refused = unit_key(list(iter_units(bounds))[4])
+    units = list(iter_units(bounds))
+    refused = unit_key(units[4])
     graph_tables = enumerator.build_graph_tables
 
     def limited(forest, *args):
@@ -714,7 +725,8 @@ def test_a_refusal_past_scanned_levels_ends_the_run(monkeypatch, capsys, started
 
     monkeypatch.setattr(enumerator, "build_graph_tables", limited)
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2)
-    assert plan.refusal[0] == 4 and [index for index, _, _ in plan.tasks] == [0, 1]
+    assert str(plan.refusal) == "planted size limit" and len(plan.classes) - 1 == 4
+    assert [units.index(t.forest) for t, _ in plan.tasks] == [0, 1]
     assert main(argv) == 2
     assert "planted size limit" in capsys.readouterr().err
     assert started
@@ -763,7 +775,7 @@ def test_no_task_past_a_known_hit_is_handed_out(monkeypatch, tmp_path):
     log = tmp_path / "scanned"
 
     def planted(plan, graph_tables, levels, limit=None):
-        i = next(i for i, (_, tables, _) in enumerate(plan.tasks) if tables is graph_tables)
+        i = next(i for i, (tables, _) in enumerate(plan.tasks) if tables is graph_tables)
         with open(log, "a") as out:
             out.write(f"{i}\n")
         if i == 0:

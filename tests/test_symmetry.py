@@ -157,17 +157,19 @@ def _symmetric_oracle(monkeypatch, bounds, mutation):
     unless the combination is orbit-minimal.
 
     A budget that covers the run without a budget reports as it does.
-    Otherwise no hit lies before the cut: a later unit of a class that fits
-    the budget left is symmetric whole, and the unit the budget cuts counts
-    its own combinations, the cut one adding its rows up to the cut only if
-    it is not scanned."""
-    classes = [unit_key(f) for f in iter_units(bounds)]
+    Otherwise no hit lies before the cut: a later unit of a class is
+    symmetric up to the budget left, whole if it fits, and a first unit
+    that the budget cuts counts its own combinations, the cut one adding
+    its rows up to the cut only if it is not scanned."""
+    forests = list(iter_units(bounds))
+    classes = [unit_key(f) for f in forests]
     floor = min_signers_for_quorum(bounds.n_validators) if mutation == Mutation.NONE else 0
     with monkeypatch.context() as patch:
         patch.setattr(enumerator, "unit_key", lambda forest: object())
         plan = enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, floor)
     units = []   # (later unit of a class, checked and symmetric rows per combination)
-    tasks = {index: (graph_tables, levels) for index, graph_tables, levels in plan.tasks}
+    tasks = {forests.index(graph_tables.forest): (graph_tables, levels)
+             for graph_tables, levels in plan.tasks}
     for index, cls in enumerate(classes):
         checked, symmetric = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         graph_tables, levels = tasks.get(index, (None, ()))
@@ -186,7 +188,9 @@ def _symmetric_oracle(monkeypatch, bounds, mutation):
             return full.states_symmetric
         left, symmetric = budget, 0
         for later, checked, part in units:
-            if later and checked.sum() <= left:
+            if later:
+                if checked.sum() > left:
+                    return symmetric + left
                 left, symmetric = left - checked.sum(), symmetric + checked.sum()
                 continue
             ends = np.cumsum(checked)
