@@ -287,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutation", default="none")
     p.add_argument("--budget", type=int, default=None, help="max states to check")
     p.add_argument("--jobs", type=int, default=1,
-                   help="helper processes scanning whole classes, each handed one task "
-                        "at a time (capped at the usable CPUs and the tasks; below 2, "
-                        "the calling process scans alone)")
+                   help="helper processes scanning whole classes, each a fixed share of "
+                        "the tasks, striped in plan order (capped at the usable CPUs and "
+                        "the tasks; below 2, the calling process scans alone)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 

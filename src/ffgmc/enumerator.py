@@ -34,17 +34,16 @@ scan task.  The plan holds no unit's forest beyond a task's tables.  A task
 scans its class's levels (distinct-vote counts u = 0, 1, ...) in canonical
 order, with one kernel call per level that holds an orbit-minimal kept
 combination, and returns a hit as its state.  With jobs > 1 and more than
-one task, forked helpers scan the tasks, which the calling process hands
-out one at a time (`_scans`); the fold (`_fold`) only counts, over the
-settled classes' and the tasks' counts in plan order, so every report
-equals the single-process one.  The run's budget is read from the plan
-where it is used: a task scans at most one level past it, and only the
-fold cuts the run.
+one task, forked helpers scan the tasks in fixed shares, and the calling
+process reads their results in plan order (`_scans`); the fold (`_fold`)
+only counts, over the settled classes' and the tasks' counts in plan
+order, so every report equals the single-process one.  The run's budget
+is read from the plan where it is used: a task scans at most one level
+past it, and only the fold cuts the run.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 import time
@@ -468,23 +467,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _start_helper(ctx, plan: _Plan, pipe):
-    helper = ctx.Process(target=_help, args=(plan, pipe), daemon=True)
+def _start_helper(ctx, plan: _Plan, pipe, share: range, inherited: list):
+    helper = ctx.Process(target=_help, args=(plan, pipe, share, inherited), daemon=True)
     helper.start()
     return helper
 
 
-def _help(plan: _Plan, pipe) -> None:
-    """A helper process: scan each task whose index arrives, and send back
-    its counts, a hit as its state, or the traceback of its failure."""
+def _help(plan: _Plan, pipe, share: range, inherited: list) -> None:
+    """A helper process: scan the tasks of its `share` in order, and send
+    each one's counts, a hit as its state, or the traceback of its failure
+    over its write-only `pipe`.  It first closes the calling process's pipe
+    ends that it `inherited` through fork (its own read end and those of
+    earlier helpers), so a send fails once the calling process is gone, and
+    it then returns quietly.  It stops after a task of its own that hits or
+    fails, since the fold reads no task past that one."""
     import traceback
 
-    for i in iter(pipe.recv, None):
+    for end in inherited:
+        end.close()
+    for i in share:
         try:
             counts = _scan_task(plan, *plan.tasks[i])
         except Exception:
             counts = traceback.format_exc()
-        pipe.send(counts)
+        try:
+            pipe.send(counts)
+        except BrokenPipeError:
+            return
+        if isinstance(counts, str) or counts.hit is not None:
+            return
 
 
 def _scans(plan: _Plan, jobs: int) -> Iterator[_Counts]:
@@ -492,13 +503,15 @@ def _scans(plan: _Plan, jobs: int) -> Iterator[_Counts]:
     budget, which only `_fold` applies, up to a hit or past the run's
     budget (`_scan_task`).
 
-    With min(jobs, usable CPUs, tasks) >= 2 that many forked helpers scan
-    the tasks, and the calling process only hands them out: a helper is sent
-    the next task index whenever it reports, but none past the lowest task
-    known to hit.  A task whose helper exits without a result is lost, and
-    raises when it is reached; closing the generator kills and reaps every
-    helper.  Otherwise the tasks are scanned here, and no process module is
-    loaded.
+    With H = min(jobs, usable CPUs, tasks) >= 2, H forked helpers scan the
+    tasks in fixed shares: helper k scans tasks k, k + H, k + 2H, ... in
+    order and only writes, one result per task over its own one-way pipe,
+    so the calling process reads task i from pipe i mod H, in plan order,
+    and sends nothing.  A helper stops at its own first hit or failure; it
+    may scan past another helper's hit until the fold reaches that one.  A
+    task whose pipe ends without a result was lost, and raises when it is
+    reached; closing the generator kills and reaps every helper.  Otherwise
+    the tasks are scanned here, and no process module is loaded.
     """
     n_helpers = min(jobs, _usable_cpus(), len(plan.tasks))
     if n_helpers < 2:
@@ -506,37 +519,20 @@ def _scans(plan: _Plan, jobs: int) -> Iterator[_Counts]:
             yield _scan_task(plan, tables, levels)
         return
     import multiprocessing
-    from multiprocessing import connection
 
     ctx = multiprocessing.get_context("fork")
-    helpers, idle, running = [], [], {}   # running: pipe -> its helper's task
-    done: dict[int, object] = {}          # task -> counts, a traceback, or None if lost
-    sent, end = 0, len(plan.tasks)        # tasks handed out; tasks up to the first hit
+    helpers, pipes = [], []
     try:
-        for _ in range(n_helpers):
-            pipe, theirs = ctx.Pipe()
-            helpers.append(_start_helper(ctx, plan, theirs))
+        for k in range(n_helpers):
+            pipe, theirs = ctx.Pipe(duplex=False)
+            pipes.append(pipe)
+            share = range(k, len(plan.tasks), n_helpers)
+            helpers.append(_start_helper(ctx, plan, theirs, share, list(pipes)))
             theirs.close()
-            idle.append(pipe)
         for i in range(len(plan.tasks)):
-            while i not in done:
-                while idle and sent < end:
-                    pipe = idle.pop()
-                    with contextlib.suppress(OSError):   # a helper gone is seen at recv
-                        pipe.send(sent)
-                    running[pipe], sent = sent, sent + 1
-                for pipe in connection.wait(running):
-                    task = running.pop(pipe)
-                    try:
-                        done[task] = pipe.recv()
-                        idle.append(pipe)
-                    except (EOFError, OSError):
-                        done[task] = None
-                        pipe.close()
-                    if isinstance(done[task], _Counts) and done[task].hit is not None:
-                        end = min(end, task + 1)
-            counts = done.pop(i)
-            if counts is None:
+            try:
+                counts = pipes[i % n_helpers].recv()
+            except (EOFError, OSError):
                 raise RuntimeError(f"scan task {i} was lost: its helper exited without a result")
             if isinstance(counts, str):
                 raise RuntimeError(f"scan task {i} failed in a helper process:\n{counts}")
@@ -545,7 +541,7 @@ def _scans(plan: _Plan, jobs: int) -> Iterator[_Counts]:
         for helper in helpers:
             helper.kill()
             helper.join()
-        for pipe in idle + list(running):
+        for pipe in pipes:
             pipe.close()
 
 

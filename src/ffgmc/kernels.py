@@ -196,7 +196,10 @@ def kept_levels(tables: GraphTables, mode: int, top: int) -> Iterator[np.ndarray
     is in its J, and J, F and the clash flag carry over on int64 checkpoint
     masks (`_grow`).  Every core of fewer than `top` votes is held until the
     next size is grown from it; those of `top` votes are grown in batches,
-    and only the kept ones held.
+    and only the kept ones held.  In the modes that keep a conflicting
+    finalized pair, they are grown only from the cores of `top` - 1 votes
+    that may still gain one (`_may_clash`), through `keeps`, so whatever
+    keeps every core keeps them all.
 
     Padding.  A size-u combination U splits uniquely into its core G and
     u - |G| padding votes, whose sources lie outside J(G); G plus any such
@@ -216,6 +219,12 @@ def kept_levels(tables: GraphTables, mode: int, top: int) -> Iterator[np.ndarray
     cores = (np.zeros((1, 0), np.int64), np.ones((1, 2), np.int64), np.zeros(1, bool))
     kept = []   # (votes, J masks) of the kept cores of each size read so far
     for u in range(top + 1):
+        if 0 < u == top and mode in (MODE_COUNTEREXAMPLE, MODE_CONFLICTING_FINALIZED):
+            # only the cores that may grow into kept ones (`_may_clash`)
+            votes, marks, clash = cores
+            may = _may_clash(marks, clash, tables.cp_conflict)
+            held = keeps(marks[:, 0], marks[:, 1], may, mode)
+            cores = votes[held], marks[held], clash[held]
         if u:
             cores = _grow(cores, adds, clashes, source, mode if u == top else None)
         votes, marks, clash = cores
@@ -249,6 +258,17 @@ def _grow(cores, adds, clashes, source, mode) -> tuple[np.ndarray, ...]:
             core, vote, grown, grown_clash = core[held], vote[held], grown[held], grown_clash[held]
         batches.append((np.column_stack([votes[core], vote]), grown, grown_clash))
     return tuple(np.concatenate(part) for part in zip(*batches))
+
+
+def _may_clash(marks: np.ndarray, clash: np.ndarray, cp_conflict: np.ndarray) -> np.ndarray:
+    """Whether each core, its (J, F) masks and clash flag, holds a
+    conflicting finalized pair or may gain one with one vote more: one more
+    vote adds at most its source, which is in J, to F, so only a core whose
+    J holds a checkpoint that conflicts with a member of F may gain one."""
+    against = np.zeros(clash.shape, np.int64)   # checkpoints conflicting with a member of F
+    for k in np.flatnonzero(cp_conflict):
+        against |= np.where((marks[:, 1] >> k) & 1, cp_conflict[k], 0)
+    return clash | ((marks[:, 0] & against) != 0)
 
 
 def _padded(kept, source: np.ndarray) -> np.ndarray:

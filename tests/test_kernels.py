@@ -1286,3 +1286,38 @@ def test_bound_matches_finality_on_two_step_chains():
                     hit, _ = scan_states(level, projected, mode)
                     assert (hit == 0) == want[mode], (mode, combo)
     assert two_step > 0
+
+
+@pytest.mark.parametrize("mutation", ALL_MUTATIONS, ids=lambda m: m.label())
+def test_pruned_core_growth_keeps_every_level(monkeypatch, mutation):
+    # the last level of `kept_levels` is grown only from the cores that may
+    # still gain a conflicting finalized pair (`_may_clash`): on every unit
+    # of three blocks, of two blocks in free slot mode, and of each catalog
+    # graph under both slot rules, all with checkpoint slots up to 3, for
+    # every mode and every top level up to five votes (four in the modes
+    # with no prune), it equals the level grown from every core, and the
+    # prune drops some cores.  Pruning cores that hold a pair already, or
+    # keeping only those, changes some level
+    may_clash, dropped = kernels._may_clash, []
+
+    def counted(marks, clash, cp_conflict):
+        may = may_clash(marks, clash, cp_conflict)
+        dropped.append(int((~may).sum()))
+        return may
+
+    def every_core(marks, clash, cp_conflict):
+        return np.ones(clash.shape, dtype=bool)
+
+    for bounds, forest in _bound_test_units():
+        tables = build_graph_tables(forest, bounds.slot_rule, 3, mutation)
+        for mode in ALL_MODES:
+            # the prune runs in the two modes that keep a conflicting pair,
+            # whose cores first hold one at four votes when unmutated
+            pruning = mode in (MODE_COUNTEREXAMPLE, MODE_CONFLICTING_FINALIZED)
+            for top in range(1, 6 if pruning else 5):
+                monkeypatch.setattr(kernels, "_may_clash", counted)
+                *_, pruned = kept_levels(tables, mode, top)
+                monkeypatch.setattr(kernels, "_may_clash", every_core)
+                *_, grown = kept_levels(tables, mode, top)
+                assert np.array_equal(pruned, grown), (forest, mode, top)
+    assert sum(dropped) > 0

@@ -5,6 +5,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -677,9 +678,10 @@ def test_helpers_are_capped_by_usable_cpus(monkeypatch):
 
 
 def test_claims_hold_with_more_processes_than_cores(monkeypatch):
-    # four helpers on a two-CPU host take the seven tasks of four blocks as
-    # the calling process hands them out; a lost or repeated task would
-    # change a count or leave the fold waiting for a task nobody scans
+    # four helpers on a two-CPU host take the seven tasks of four blocks in
+    # striped shares, {0, 4}, {1, 5}, {2, 6} and {3}; a lost or repeated
+    # task would change a count or leave the fold waiting for a task nobody
+    # scans
     bounds = _small(n_blocks=4, n_validators=2, max_votes=8)
     mutation = parse_mutation("drop-ancestry")
     assert len(enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, 0).tasks) == 7
@@ -710,7 +712,8 @@ def test_a_refusal_past_scanned_levels_ends_the_run(monkeypatch, capsys, started
     # at three blocks the plan scans the classes of units 0 and 1 and ends
     # at the third scanned class, whose tables are over a planted size
     # limit; the fold scans the tasks before it, refuses the run there
-    # (exit 2), and the helpers, handed no task past the end, are reaped
+    # (exit 2), and the helpers, whose shares hold no task past the end,
+    # are reaped
     argv = ["search", "--blocks", "3", "--validators", "2", "--max-votes", "8",
             "--max-ffg", "4", "--max-chkp-slot", "3", "--jobs", "2"]
     bounds = _small(n_validators=2, max_votes=8)
@@ -740,8 +743,8 @@ def test_a_task_that_raises_exits_internal(monkeypatch, capsys, where):
     # internal failure (exit 4), and no helper is left running.  With the
     # bound keeping everything, every task reaches the scan.  "everywhere"
     # runs at --jobs 1, so the calling process scans and fails; "helpers"
-    # fails only outside the calling process, at --jobs 2, where it hands
-    # every task to a helper.
+    # fails only outside the calling process, at --jobs 2, where helpers
+    # scan every task.
     caller = os.getpid()
     scan_states = enumerator.scan_states
 
@@ -764,30 +767,119 @@ def test_a_task_that_raises_exits_internal(monkeypatch, capsys, where):
     assert not multiprocessing.active_children()
 
 
-@pytest.mark.usefixtures("two_cpus")
-def test_no_task_past_a_known_hit_is_handed_out(monkeypatch, tmp_path):
-    # two helpers take tasks 0 and 1 of three; a planted task 1 hits at
-    # once while task 0 still scans, so the helper that reported the hit
-    # is handed no task 2, and the fold gets both counts in plan order
+def _planted_tasks(monkeypatch, log, outcome):
+    """A three-task plan whose `_scan_task` logs each task it scans and
+    ends task 0 in `outcome` (a hit, or a failure) after a pause, so task 1
+    reports first; task 1 checks one row, task 2 two."""
     bounds = _small(n_validators=2, max_votes=8)
     plan = enumerator._plan(bounds, Mutation.NONE, enumerator.MODE_COUNTEREXAMPLE, 2)
     assert len(plan.tasks) == 3
-    log = tmp_path / "scanned"
 
     def planted(plan, graph_tables, levels, limit=None):
         i = next(i for i, (tables, _) in enumerate(plan.tasks) if tables is graph_tables)
         with open(log, "a") as out:
             out.write(f"{i}\n")
-        if i == 0:
-            time.sleep(1)
-        return enumerator._Counts(hit=((), ()) if i == 1 else None)
+        if i:
+            return enumerator._Counts(checked=i)
+        time.sleep(0.5)
+        if outcome == "failure":
+            raise ZeroDivisionError("planted failure")
+        return enumerator._Counts(hit=((), ()))
 
     monkeypatch.setattr(enumerator, "_scan_task", planted)
-    scans = enumerator._scans(plan, 2)
-    assert [counts.hit for counts in itertools.islice(scans, 2)] == [None, ((), ())]
-    scans.close()
+    return plan
+
+
+@pytest.mark.parametrize("outcome", ["hit", "failure"])
+def test_a_helper_stops_after_its_own_hit_or_failure(monkeypatch, tmp_path, outcome):
+    # the share {0, 2} of two helpers: a helper that hits or fails in task
+    # 0 sends that one result and scans no task 2, past which the fold
+    # reads nothing; the helper's loop runs here, over a one-way pipe
+    log = tmp_path / "scanned"
+    plan = _planted_tasks(monkeypatch, log, outcome)
+    theirs, pipe = multiprocessing.Pipe(duplex=False)
+    enumerator._help(plan, pipe, range(0, 3, 2), [])
+    pipe.close()
+    result = theirs.recv()
+    if outcome == "hit":
+        assert result.hit == ((), ())
+    else:
+        assert "planted failure" in result
+    with pytest.raises(EOFError):
+        theirs.recv()
+    assert log.read_text().split() == ["0"]
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_striped_shares_reach_the_fold_in_plan_order(monkeypatch, tmp_path):
+    # two helpers take the shares {0, 2} and {1} of three tasks; task 1
+    # reports first, yet the counts come in plan order, and the helper
+    # whose task 0 hit scans no task 2, so reading on past the hit finds
+    # task 2 lost
+    log = tmp_path / "scanned"
+    scans = enumerator._scans(_planted_tasks(monkeypatch, log, "hit"), 2)
+    assert [(c.hit, c.checked) for c in itertools.islice(scans, 2)] == [(((), ()), 0), (None, 1)]
+    with pytest.raises(RuntimeError, match="scan task 2 was lost"):
+        next(scans)
     assert sorted(log.read_text().split()) == ["0", "1"]
     assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+def test_no_helper_outlives_a_killed_caller(tmp_path):
+    # a calling process scans the 16 tasks of five blocks at --jobs 2 with
+    # two helpers, whose planted tasks each report the helper's PID and
+    # take 4 s, so a share takes 32 s; once both helpers have reported, the
+    # caller is killed (SIGKILL, so no `finally` runs), and each helper must
+    # exit within 20 s, at its next send.  A zombie counts as exited
+    pids = tmp_path / "helpers"
+    code = "\n".join([
+        "import os, sys, time",
+        "from ffgmc import enumerator",
+        "from ffgmc.cli import main",
+        "caller, scan_task = os.getpid(), enumerator._scan_task",
+        "def slow(*args, **kw):",
+        "    if os.getpid() != caller:",
+        f"        with open({str(pids)!r}, 'a') as out:",
+        "            out.write(f'{os.getpid()}\\n')",
+        "        time.sleep(4)",
+        "    return scan_task(*args, **kw)",
+        "enumerator._usable_cpus, enumerator._scan_task = (lambda: 2), slow",
+        "sys.exit(main(['search', '--blocks', '5', '--validators', '2', '--max-votes', '8',",
+        "               '--max-ffg', '4', '--max-chkp-slot', '3', '--jobs', '2',",
+        f"               '--out', {str(tmp_path / 'report.json')!r}]))",
+    ])
+
+    def running(pid):
+        """Whether `pid` is a helper of this test's caller that has not exited."""
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+        except OSError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] != "Z" and str(pids).encode() in cmdline
+
+    env = dict(os.environ, PYTHONPATH=str(Path(enumerator.__file__).parents[1]))
+    caller = subprocess.Popen([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    helpers = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(helpers) < 2 and caller.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            helpers = set(pids.read_text().split()) if pids.exists() else set()
+        assert len(helpers) == 2, "the caller did not start two helpers"
+        caller.kill()
+        caller.wait()
+        deadline = time.monotonic() + 20
+        while any(map(running, helpers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in helpers if running(pid)], "a helper outlived its caller"
+    finally:
+        caller.kill()
+        caller.wait()
+        for pid in filter(running, helpers):
+            os.kill(int(pid), signal.SIGKILL)
 
 
 @pytest.mark.usefixtures("two_cpus")
