@@ -15,9 +15,12 @@ searches, where the property holds vacuously, and so is one none of whose
 levels has a row under the signer floor.  Within a unit, the monotone
 combination bound keeps only the distinct-vote combinations whose unanimity
 state can hit (`kernels.kept_levels`, which a scan task reads level by
-level as it grows reachable cores); only those are projected and scanned,
-in the same canonical order.  Rows of the others count as pruned, so
-checked + pruned always covers the whole space.
+level as it grows reachable cores).  Rows of the others count as pruned, so
+checked + pruned always covers the whole space.  A kept combination is a
+reachable core padded with votes that are never eligible, and only the
+unpadded cores are projected and scanned, in the same canonical order: a
+padded combination's hit implies one at a lower level of its unit, where
+the scan stops first.  Rows of the padded ones count as checked.
 
 Block relabelling is exploited at two levels (`ffgmc.symmetry`, which also
 gives the soundness argument): only the first unit of each isomorphism
@@ -293,28 +296,32 @@ class _Counts:
 
 
 def _scan_level(
-    plan: _Plan, tables: GraphTables, combos: np.ndarray, limit: Optional[int] = None
+    plan: _Plan, tables: GraphTables, combos: np.ndarray, core: np.ndarray,
+    limit: Optional[int] = None,
 ) -> _Counts:
     """Scan one level of a unit in order: its size-u vote combinations, of
     which the monotone bound keeps `combos` (`kernels.kept_levels`), in
-    canonical order.  Only the kept ones that are lexicographically minimal
-    in their orbit under the unit's automorphisms are scanned, all in one
-    kernel call; the orbit filter runs after the bound, which is
-    relabelling-invariant.
+    canonical order, and which of those are unpadded cores (`core`).  Only
+    the kept cores that are lexicographically minimal in their orbit under
+    the unit's automorphisms are scanned, all in one kernel call: a padded
+    combination's hit implies one at a lower level, where the task stops
+    first (`kernels.kept_levels`), and the orbit filter runs after the
+    bound, which is relabelling-invariant.
 
     Rows are counted by `state_count`; the level's `state_table` is built
     only for that kernel call.  With a `limit` (the budget left), the level
     is counted, not scanned: the caller knows that no hit lies among its
     first `limit` checked rows.  Every kept combination checks `n_rows`
-    rows, scanned or settled by symmetry, so one stop rule counts every
-    level: after `stop` checked rows it stops in kept combination `cut_at`
-    after `part` rows, and the scanned rows are those of the minimal
-    combinations before it, plus `part` if it is minimal itself.  A hit at
-    kept row h stops at h, and the hit row is checked and scanned too, and
-    returned as its state (`materialize_state`); a budget cut stops at
-    `limit`, and a whole level after its last row.  The combinations the
-    bound dropped before a stop are counted from the rank of the one it
-    stops in (`kernels.rank`).
+    rows, scanned, settled by symmetry or padded, so one stop rule counts
+    every level: after `stop` checked rows it stops in kept combination
+    `cut_at` after `part` rows, and the symmetric rows are those of the
+    combinations before it that are not minimal, plus `part` if it is not
+    minimal itself; the rows of minimal padded combinations are neither
+    scanned nor symmetric.  A hit at kept row h stops at h, and the hit row
+    is checked and scanned too, and returned as its state
+    (`materialize_state`); a budget cut stops at `limit`, and a whole level
+    after its last row.  The combinations the bound dropped before a stop
+    are counted from the rank of the one it stops in (`kernels.rank`).
     """
     n_validators, max_votes = plan.bounds.n_validators, plan.bounds.max_votes
     u = combos.shape[1]
@@ -322,12 +329,12 @@ def _scan_level(
     total_rows = state_count(u, n_validators, max_votes, 0)
     n_combos = comb(len(tables.votes), u)
     minimal = orbit_minimal(combos, tables.perms)
-    # stop and scanned count the rows of every kept combination in scan order;
-    # only the minimal combinations (`scan`) reach the kernel
+    # stop counts the rows of every kept combination in scan order; only the
+    # minimal cores (`scan`) reach the kernel
     rows = len(combos) * n_rows
     stop, found = rows if limit is None else min(rows, limit), None
-    if limit is None and n_rows and minimal.any():
-        scan = np.flatnonzero(minimal)
+    scan = np.flatnonzero(minimal & core)
+    if limit is None and n_rows and scan.size:
         level = state_table(u, n_validators, max_votes, plan.min_signers, plan.mutation)
         projected = project_tables(tables, combos[scan])
         scan_hit, _ = scan_states(level, projected, plan.mode)
@@ -339,7 +346,8 @@ def _scan_level(
     hit = found is not None
     checked = stop + hit
     cut_at, part = divmod(stop, n_rows) if n_rows else (0, 0)
-    scanned = n_rows * int(minimal[:cut_at].sum()) + (part if part and minimal[cut_at] else 0) + hit
+    symmetric = n_rows * int((~minimal[:cut_at]).sum())
+    symmetric += part if part and not minimal[cut_at] else 0
     # count the combinations up to the stop row, else the whole level
     ended = hit or stop < rows
     kept = cut_at + 1 if ended else len(combos)
@@ -348,7 +356,7 @@ def _scan_level(
         checked,
         skipped * total_rows + kept * (total_rows - n_rows),
         skipped * n_rows,
-        checked - scanned,
+        symmetric,
         hit=found,
         cut=ended and not hit,
     )
@@ -369,7 +377,7 @@ def _scan_task(
     total, kept = _Counts(), kept_levels(tables, plan.mode, len(levels) - 1)
     for _ in levels:
         left = None if limit is None else limit - total.checked
-        total += _scan_level(plan, tables, next(kept), left)
+        total += _scan_level(plan, tables, *next(kept), left)
         past = plan.budget is not None and total.checked > plan.budget
         if total.hit is not None or total.cut or past:
             break

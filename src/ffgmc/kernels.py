@@ -30,19 +30,20 @@ pairs that hit are kept, and only the combinations of a hitting pattern are
 expanded back to rows; a pattern's rows are those of its set of hitting
 families, found once per call for each such set.
 
-`tables.ProjectedTables` computes a column on its first read, so a scan
-builds only what its mode reads: `src_sandwich` and `from_genesis` for
-justification, `sandwich` too for the justified test, and `src_fin` and
-`clashes` too for the finalizing modes.  The slashable pairs of a
-combination (`ProjectedTables.partners`) are evaluated only when a
-counterexample scan expands that combination's rows.
+A scan reads `src_sandwich` and `from_genesis` for justification,
+`sandwich` too for the justified test, and `src_fin` and `clashes` too for
+the finalizing modes, all computed when the combinations are projected
+(`tables.ProjectedTables`).  The slashable pairs of a combination
+(`ProjectedTables.partners`) are evaluated only when a counterexample scan
+expands that combination's rows.
 
 Only combinations that may hold a hit reach a scan (the monotone
 combination bound): `kept_levels` yields a unit's kept combinations one
 level at a time, in lexicographic order, growing the reachable cores of
 its votes only as far as the level read, so no other combination is listed
-or tested; `rank` places one of them among all the combinations of its
-size, exactly at any size.
+or tested, and marks which are cores, the only ones that can hold a first
+hit; `rank` places one of them among all the combinations of its size,
+exactly at any size.
 
 Nothing here takes a mutation: the graph tables were built for one
 (`tables.build_graph_tables`), and the quorum families carry its quorum rule.
@@ -152,11 +153,12 @@ def keeps(
     return clash
 
 
-def kept_levels(tables: GraphTables, mode: int, top: int) -> Iterator[np.ndarray]:
+def kept_levels(tables: GraphTables, mode: int, top: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The vote combinations of one unit that the monotone combination bound
     keeps under one scan mode, level by level: for u = 0 .. `top`, the kept
     size-u combinations, a (C, u) array of ascending vote indices in
-    lexicographic order.  The cores of u votes are grown when level u is
+    lexicographic order, and a (C,) bool array of which of them are cores
+    (see Padding).  The cores of u votes are grown when level u is
     read, so a reader that stops at level u grows no larger core, and they
     are dropped with the generator.
 
@@ -206,8 +208,17 @@ def kept_levels(tables: GraphTables, mode: int, top: int) -> Iterator[np.ndarray
     votes has core G.  So a level's kept combinations are the kept cores of
     at most u votes, each padded in every way (`_padded`), and the kept
     cores of every size read so far are held for that.  They are yielded in
-    lexicographic order, the canonical one; a combination's rank in it is
-    `rank`, which the enumerator needs only where a scan stops.
+    lexicographic order, the canonical one, each marked as a core (G = U)
+    or padded; a combination's rank in it is `rank`, which the enumerator
+    needs only where a scan stops.
+
+    A padded U holds no first hit.  A padding vote's source is outside J, so
+    it is never eligible: deleting the padding votes from a row of U keeps
+    its J and F and can only shrink its slashable set.  Every mode's hit
+    justifies a checkpoint other than genesis, and each validator of that
+    quorum keeps an eligible vote, so the signer floor still holds.  So a
+    hit in U implies one in a row of R(U), at a lower level of the same
+    unit, which a scan reaches first: a scan needs only the cores.
     """
     source = tables.vote_src
     bits = np.int64(1) << np.arange(tables.sandwich.shape[0], dtype=np.int64)
@@ -271,10 +282,11 @@ def _may_clash(marks: np.ndarray, clash: np.ndarray, cp_conflict: np.ndarray) ->
     return clash | ((marks[:, 0] & against) != 0)
 
 
-def _padded(kept, source: np.ndarray) -> np.ndarray:
-    """The level of `kept`'s last size u: each kept core of s <= u votes,
-    (votes, J mask), with every u - s of the votes whose source is outside
-    its J, drawn in ascending order, sorted into lexicographic order."""
+def _padded(kept, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The level of `kept`'s last size u, (combos, core): each kept core of
+    s <= u votes, (votes, J mask), with every u - s of the votes whose
+    source is outside its J, drawn in ascending order, sorted into
+    lexicographic order, and whether each is a core of u votes, unpadded."""
     u = len(kept) - 1
     later = np.arange(source.size)
     parts = [np.zeros((0, u), dtype=np.int64)]
@@ -291,8 +303,11 @@ def _padded(kept, source: np.ndarray) -> np.ndarray:
             votes = np.sort(np.hstack([votes[core], padding]), axis=1)
         parts.append(votes)
     combos = np.concatenate(parts)
+    # the cores of u votes come last, with no padding
+    unpadded = np.arange(len(combos)) >= len(combos) - len(kept[-1][0])
     # lexsort's last key is its first: column 0 leads; u = 0 has no key to sort by
-    return combos[np.lexsort(combos.T[::-1])] if u else combos
+    order = np.lexsort(combos.T[::-1]) if u else slice(None)
+    return combos[order], unpadded[order]
 
 
 def rank(combo, m: int) -> int:

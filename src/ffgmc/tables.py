@@ -33,10 +33,8 @@ validator's vote subset is an int over those u positions.  `ProjectedTables`
 packs, per combination, u-bit vote masks per checkpoint (`sandwich`) and per
 vote, read at the vote's source checkpoint (`src_sandwich`: the votes that
 sandwich it; `src_fin`: its finalizing links; `clashes`: the votes whose
-source conflicts with it), plus `from_genesis` (the genesis-sourced votes).
-Each column is computed on its first read, so a scan pays only for the
-columns its mode reads: the kernel decides every scan mode on the per-vote
-masks, and only the justified test reads `sandwich`.  The votes each vote
+source conflicts with it), plus `from_genesis` (the genesis-sourced votes),
+all computed when the combinations are projected.  The votes each vote
 forms a slashable pair with (`partners(c)`) are evaluated only for a
 combination whose rows a counterexample scan expands.
 """
@@ -96,14 +94,14 @@ class GraphTables:
     def checkpoints(self) -> tuple[Checkpoint, ...]:
         """The K checkpoints under `max_chkp_slot`, genesis first.
 
-        The universe only grows with its cap, so it is listed first at a cap
-        of at most `MAX_CHECKPOINT_BITS`: one over the limit there is refused
-        before a larger cap is listed, with its size as a lower bound.
+        The universe only grows with its cap, so it is listed at a cap of at
+        most `MAX_CHECKPOINT_BITS`.  Genesis alone has a checkpoint at every
+        slot from 0 to that cap, so a larger cap lists over the limit there
+        and is refused, with that size as a lower bound, before a larger
+        universe is listed.
         """
         cap = self._max_chkp_slot
         cps = tuple(checkpoints_of(self._probe, min(cap, MAX_CHECKPOINT_BITS)))
-        if len(cps) <= MAX_CHECKPOINT_BITS < cap:
-            cps = tuple(checkpoints_of(self._probe, cap))
         if len(cps) > MAX_CHECKPOINT_BITS:
             at_least = "at least " if cap > MAX_CHECKPOINT_BITS else ""
             raise InputError(
@@ -192,58 +190,31 @@ def build_graph_tables(
 class ProjectedTables:
     """GraphTables restricted to C combinations of u distinct votes, bit-packed.
 
-    Each column is computed from `tables` and `combos` (a (C, u) array of
-    vote indices) on its first read and kept, so a scan builds only the
-    columns its mode reads (see `kernels`).  Row c of `sandwich` holds, per
-    checkpoint, the u-bit mask of the votes of combination c that sandwich
-    it.  Every other column is vote-indexed: entry [c, j] is a u-bit mask
-    read at vote j's source checkpoint.  `src_sandwich` holds the votes
-    that sandwich that source and `src_fin` its finalizing links;
-    `from_genesis[c]` is the mask of the genesis-sourced votes.  Bit i of
-    `clashes[c, j]` says whether the sources of votes i and j conflict
-    (`GraphTables.cp_conflict`).  The slashable pairs are no column: only a
-    hit's row expansion reads them, for one combination at a time, so
-    `partners(c)` evaluates them for combination c alone.
+    Every column is computed at once from `tables` and `combos` (a (C, u)
+    array of vote indices), on one gather of the votes' sources, although a
+    scan mode may not read them all (see `kernels._patterns`).  Row c of
+    `sandwich` holds, per checkpoint, the u-bit mask of the votes of
+    combination c that sandwich it.  Every other column is vote-indexed:
+    entry [c, j] is a u-bit mask read at vote j's source checkpoint.
+    `src_sandwich` holds the votes that sandwich that source and `src_fin`
+    its finalizing links; `from_genesis[c]` is the mask of the
+    genesis-sourced votes.  Bit i of `clashes[c, j]` says whether the
+    sources of votes i and j conflict (`GraphTables.cp_conflict`).  The
+    slashable pairs are no column: only a hit's row expansion reads them,
+    for one combination at a time, so `partners(c)` evaluates them for
+    combination c alone.
     """
 
     def __init__(self, tables: GraphTables, combos: np.ndarray):
-        self._tables = tables
-        self._combos = combos
-
-    @cached_property
-    def _sources(self) -> np.ndarray:
-        """(C, u) checkpoint index of each vote's source."""
-        return self._tables.vote_src[self._combos]
-
-    @cached_property
-    def sandwich(self) -> np.ndarray:
-        """(C, K) int64 vote masks."""
-        return _pack_votes(self._tables.sandwich[:, self._combos]).T
-
-    @cached_property
-    def src_sandwich(self) -> np.ndarray:
-        """(C, u) int64 vote masks: the votes that sandwich each source."""
-        combos = self._combos
-        return _pack_votes(self._tables.sandwich[self._sources[:, :, None], combos[:, None, :]])
-
-    @cached_property
-    def from_genesis(self) -> np.ndarray:
-        """(C,) int64 vote mask."""
-        return _pack_votes(self._sources == 0)
-
-    @cached_property
-    def src_fin(self) -> np.ndarray:
-        """(C, u) int64 vote masks: the finalizing links of each source."""
-        src = self._sources
+        self._tables, self._combos = tables, combos
+        src = tables.vote_src[combos]   # (C, u) checkpoint index of each vote's source
+        self.sandwich = _pack_votes(tables.sandwich[:, combos]).T   # (C, K)
+        self.src_sandwich = _pack_votes(tables.sandwich[src[:, :, None], combos[:, None, :]])
+        self.from_genesis = _pack_votes(src == 0)   # (C,)
         same_source = src[:, :, None] == src[:, None, :]
-        return _pack_votes(self._tables.finalizing[self._combos][:, None, :] & same_source)
-
-    @cached_property
-    def clashes(self) -> np.ndarray:
-        """(C, u) int64 vote masks: the votes with a conflicting source."""
-        src = self._sources
-        clash = (self._tables.cp_conflict[src][:, :, None] >> src[:, None, :]) & 1
-        return _pack_votes(clash != 0)
+        self.src_fin = _pack_votes(tables.finalizing[combos][:, None, :] & same_source)
+        clash = (tables.cp_conflict[src][:, :, None] >> src[:, None, :]) & 1
+        self.clashes = _pack_votes(clash != 0)
 
     def partners(self, c: int) -> np.ndarray:
         """(u,) int64 vote masks of combination c: bit i of entry j says

@@ -7,7 +7,7 @@ one ProtocolState per (combination, row), in the order the search scans
 them; the search itself never builds states this way, and the canonical
 rows are built here, not read from the kernel's row table.
 `kept_combinations` reads one level of a unit's kept combinations, with
-their orbit filter, as a scan task reaches it.
+their orbit filter and core flags, as a scan task reaches it.
 """
 
 import itertools
@@ -71,12 +71,13 @@ def enumerate_states(bounds: Bounds, forest: BlockForest) -> Iterator[ProtocolSt
                     yield materialize_state(bounds, tables, combo, row)
 
 
-def kept_combinations(plan, graph_tables, u: int) -> tuple[np.ndarray, np.ndarray]:
-    """(combinations, minimal): the size-u vote combinations of a unit that
-    the monotone bound keeps under the plan's scan mode, in canonical order
-    (the last level of `kernels.kept_levels` up to u), and which of them are
-    lexicographically minimal in their orbit under the unit's automorphisms,
-    the only ones `enumerator._scan_level` scans."""
-    *_, combos = kept_levels(graph_tables, plan.mode, u)
+def kept_combinations(plan, graph_tables, u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(combinations, minimal, core): the size-u vote combinations of a unit
+    that the monotone bound keeps under the plan's scan mode, in canonical
+    order (the last level of `kernels.kept_levels` up to u), which of them
+    are lexicographically minimal in their orbit under the unit's
+    automorphisms, and which are unpadded cores; `enumerator._scan_level`
+    scans only those both minimal and cores."""
+    *_, (combos, core) = kept_levels(graph_tables, plan.mode, u)
     minimal = orbit_minimal(combos, graph_tables.perms) if len(combos) else np.zeros(0, dtype=bool)
-    return combos, minimal
+    return combos, minimal, core

@@ -269,6 +269,28 @@ def test_an_over_limit_checkpoint_universe_is_refused_before_it_is_listed(monkey
     assert "checkpoint universe of size at least 126" in err and "Traceback" not in err
 
 
+def test_a_cap_over_the_checkpoint_limit_lists_over_it_at_the_limit():
+    # why no cap over the limit needs a second listing: genesis alone has a
+    # checkpoint at every slot c = 0 .. 63, so at a cap of 63 every universe
+    # holds at least 64 checkpoints, over the limit of 63, and a larger cap
+    # is refused from that listing.  Every forest of up to 4 blocks under
+    # both slot rules, and every catalog graph that builds
+    from ffgmc.catalog import catalog_forest, catalog_ids
+
+    forests = [forest for n in range(5) for forest in enumerator.enumerate_forests(n)]
+    for name in catalog_ids():
+        try:
+            forests.append(catalog_forest(name))
+        except InputError:   # a graph broken on purpose
+            pass
+    assert len(forests) > 146
+    for forest in forests:
+        for slot_rule in ("strict", "nonstrict"):
+            state = ProtocolState(forest, 1, frozenset(), slot_rule)
+            listed = tables.checkpoints_of(state, tables.MAX_CHECKPOINT_BITS)
+            assert sum(cp.block == GENESIS for cp in listed) == tables.MAX_CHECKPOINT_BITS + 1
+
+
 @pytest.mark.parametrize("argv,code", [
     (["search", "--mutation", "quorum-half"], 1),        # hit at u=4
     (["search", "--budget", "1000", "--jobs", "2"], 3),  # budget cut at u=4

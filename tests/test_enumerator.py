@@ -565,3 +565,68 @@ def test_combination_batches_leave_reports_unchanged(monkeypatch, bounds, mutati
     with monkeypatch.context() as patch:
         patch.setattr(enumerator, "scan_states", one_at_a_time)
         assert batched == replace(search(bounds, mutation, budget=budget), wall_time=0.0)
+
+
+# --- scanning the kept cores against scanning every kept combination --------
+
+MUTATION_LABELS = (
+    "none", "quorum-half", "disable-e1", "disable-e2", "disable-e1,disable-e2",
+    "drop-ancestry", "quorum-half,drop-ancestry",
+)
+CORE_BOUNDS = [
+    Bounds(n_blocks=2, n_validators=2, max_votes=8, max_ffg_votes=5, max_chkp_slot=3),
+    Bounds(n_blocks=3, n_validators=2, max_votes=6, max_ffg_votes=5, max_chkp_slot=3,
+           slot_rule="nonstrict"),
+    Bounds(n_blocks=3, n_validators=1, max_votes=5, max_ffg_votes=5, max_chkp_slot=3,
+           slot_rule="nonstrict"),
+]
+
+
+def _every_kept_a_core(kept, source, padded=kernels._padded):
+    combos, core = padded(kept, source)
+    return combos, np.ones_like(core)
+
+
+def _core_reports(bounds):
+    """Every report over `bounds`: a search under each mutation, whole and
+    cut by a budget of half its checked rows, and an example search for each
+    property at budgets that cut at several depths, or none."""
+    reports = []
+    for name in MUTATION_LABELS:
+        mutation = parse_mutation(name)
+        whole = search(bounds, mutation)
+        cut = search(bounds, mutation, budget=whole.states_checked // 2)
+        reports += [replace(report, wall_time=0.0) for report in (whole, cut)]
+    for property_name in sorted(PROPERTY_MODES):
+        for budget in (None, 0, 5, 50, 500):
+            try:
+                reports.append(find_example(bounds, property_name, budget))
+            except SearchBudgetExceeded as cut:
+                reports.append(("cut", cut.states_checked))
+    return reports
+
+
+@pytest.mark.parametrize("bounds", CORE_BOUNDS, ids=["2-blocks", "3-blocks", "3-blocks-N1"])
+def test_scanning_only_cores_leaves_reports_unchanged(monkeypatch, bounds):
+    # a padded kept combination holds no first hit (`kernels.kept_levels`):
+    # with every kept combination marked a core, so that the minimal padded
+    # ones are scanned too, every search and example search reports the
+    # same, while fewer combinations reach the kernel.  Scanning only the
+    # padded ones, or none, changes some report
+    scan_states, scanned = enumerator.scan_states, []
+
+    def counted(level, projected, mode):
+        scanned[-1] += len(projected._combos)
+        return scan_states(level, projected, mode)
+
+    monkeypatch.setattr(enumerator, "scan_states", counted)
+    scanned.append(0)
+    cores = _core_reports(bounds)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_padded", _every_kept_a_core)
+        scanned.append(0)
+        assert cores == _core_reports(bounds)
+    assert scanned[0] < scanned[1]
+    verdicts = {report.verdict for report in cores[: 2 * len(MUTATION_LABELS)]}
+    assert {VERDICT_COUNTEREXAMPLE, VERDICT_INCONCLUSIVE} <= verdicts
+    assert any(isinstance(report, tuple) for report in cores)

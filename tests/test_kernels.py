@@ -86,19 +86,21 @@ def all_combinations(m, u):
 
 
 def kept_level(tables, every, mode):
-    """The kept combinations at the level of `every` (its `all_combinations`),
-    the last level `kept_levels` yields up to there, as a mask over it, once
-    they are checked to be rows of `every` in its order: read as base-M
-    numbers, both are ascending."""
+    """(kept, core): the kept combinations at the level of `every` (its
+    `all_combinations`), the last level `kept_levels` yields up to there,
+    and those of them it marks as cores, as masks over it, once they are
+    checked to be rows of `every` in its order: read as base-M numbers,
+    both are ascending."""
     u = every.shape[1]
-    *_, combos = kept_levels(tables, mode, u)
+    *_, (combos, core) = kept_levels(tables, mode, u)
     digits = len(tables.votes) ** np.arange(u - 1, -1, -1, dtype=np.int64)
     positions = np.searchsorted(every @ digits, combos @ digits)
     assert (np.diff(positions) > 0).all(), (mode, u)
     assert np.array_equal(combos, every[positions]), (mode, u)
-    keep = np.zeros(len(every), dtype=bool)
-    keep[positions] = True
-    return keep
+    masks = np.zeros((2, len(every)), dtype=bool)
+    masks[0, positions] = True
+    masks[1, positions] = core
+    return masks
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.label())
@@ -158,7 +160,7 @@ def test_counterexample_hits_match_reference(mutation):
     every = all_combinations(len(tables.votes), 4)
     # the combinations are picked by the unmutated bound, whatever the mutation
     plain = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot)
-    keep = kept_level(plain, every, MODE_COUNTEREXAMPLE)
+    keep = kept_level(plain, every, MODE_COUNTEREXAMPLE)[0]
     combos = every[np.flatnonzero(keep | (np.arange(len(every)) < 2))]
     level = state_table(4, 3, bounds.max_votes, 0, mutation)
     rows = level[0]
@@ -211,7 +213,8 @@ def test_a_third_slashable_is_no_counterexample(n_validators, mutation, max_vote
                     max_chkp_slot=2, slot_rule="nonstrict")
     forest = BlockForest([Block("b1", 1, GENESIS), Block("b2", 1, GENESIS)])
     tables = build_graph_tables(forest, bounds.slot_rule, bounds.max_chkp_slot, mutation)
-    *_, (combo,) = kept_levels(tables, MODE_COUNTEREXAMPLE, 4)
+    *_, ((combo,), core) = kept_levels(tables, MODE_COUNTEREXAMPLE, 4)
+    assert core.tolist() == [True]
     level = state_table(4, n_validators, max_votes, floor, mutation)
     want, boundary = [], []
     for r, row in enumerate(level[0].tolist()):
@@ -299,9 +302,9 @@ def derived_columns(tables, combo):
                          ids=lambda m: m.label())
 @pytest.mark.parametrize("graph", CATALOG_GRAPHS)
 def test_lazy_columns_match_the_graph_tables(graph, mutation):
-    # each column, computed on its first read in a shuffled order, equals its
-    # per-combination derivation; up to 100 combinations of each size u <= 4,
-    # in shuffled order, so no column can lean on the combinations' order
+    # each column, read in a shuffled order, equals its per-combination
+    # derivation; up to 100 combinations of each size u <= 4, in shuffled
+    # order, so no column can lean on the combinations' order
     tables = build_graph_tables(catalog_forest(graph), "nonstrict", 3, mutation)
     rng = np.random.default_rng(len(tables.votes))
     for u in range(5):
@@ -339,28 +342,25 @@ def test_partners_match_slash_kind(graph, mutation):
     assert paired or Mutation.DISABLE_E1 | Mutation.DISABLE_E2 in mutation
 
 
-# (mode, u, N, mutation, whether the scan hits, the columns it reads) on
-# the fork: a conflicting finalized pair takes four votes, and under
-# quorum-half two disjoint pairs of four validators finalize it
-SCAN_READS = [
-    (MODE_JUSTIFIED_NONGENESIS, 3, 3, Mutation.NONE, True,
-     {"src_sandwich", "from_genesis", "sandwich"}),
-    (MODE_FINALIZED_NONGENESIS, 3, 3, Mutation.NONE, True,
-     {"src_sandwich", "from_genesis", "src_fin", "clashes"}),
-    (MODE_COUNTEREXAMPLE, 3, 3, Mutation.NONE, False,
-     {"src_sandwich", "from_genesis", "src_fin", "clashes"}),
-    (MODE_COUNTEREXAMPLE, 4, 4, Mutation.QUORUM_HALF, True,
-     {"src_sandwich", "from_genesis", "src_fin", "clashes"}),
+# (mode, u, N, mutation, whether the scan hits) on the fork: a conflicting
+# finalized pair takes four votes, and under quorum-half two disjoint pairs
+# of four validators finalize it
+SCANS = [
+    (MODE_JUSTIFIED_NONGENESIS, 3, 3, Mutation.NONE, True),
+    (MODE_FINALIZED_NONGENESIS, 3, 3, Mutation.NONE, True),
+    (MODE_COUNTEREXAMPLE, 3, 3, Mutation.NONE, False),
+    (MODE_COUNTEREXAMPLE, 4, 4, Mutation.QUORUM_HALF, True),
 ]
 
 
-@pytest.mark.parametrize("mode,u,n_validators,mutation,hits,read", SCAN_READS,
+@pytest.mark.parametrize("mode,u,n_validators,mutation,hits", SCANS,
                          ids=["justified", "finalized", "counterexample-no-hit",
                               "counterexample-hit"])
-def test_a_scan_computes_only_the_columns_it_reads(
-    monkeypatch, mode, u, n_validators, mutation, hits, read
+def test_a_scan_evaluates_slashable_pairs_only_to_expand_a_hit(
+    monkeypatch, mode, u, n_validators, mutation, hits
 ):
-    # and evaluates slashable pairs only to expand a counterexample's rows
+    # the projection evaluates none, and a scan only those of the
+    # combinations whose rows a counterexample scan expands
     pairs = []
     slash_kind = ffgmc.tables.slash_kind
     monkeypatch.setattr(ffgmc.tables, "slash_kind", lambda *a: pairs.append(a) or slash_kind(*a))
@@ -368,10 +368,9 @@ def test_a_scan_computes_only_the_columns_it_reads(
     tables = build_graph_tables(forest, "nonstrict", 2, mutation)
     level = state_table(u, n_validators, 2 * n_validators, 0, mutation)
     projected = project_tables(tables, all_combinations(len(tables.votes), u))
-    assert not projected.__dict__.keys() & set(COLUMNS)
+    assert not pairs
     hit, _ = scan_states(level, projected, mode)
     assert (hit >= 0) == hits
-    assert projected.__dict__.keys() & set(COLUMNS) == read
     assert bool(pairs) == (hits and mode == MODE_COUNTEREXAMPLE)
 
 
@@ -1131,7 +1130,7 @@ def test_bound_matches_unanimity_state(
     for u in range(max_u + 1):
         m = len(tables.votes)
         combos = all_combinations(m, u)
-        keep = {mode: kept_level(tables, combos, mode) for mode in ALL_MODES}
+        keep = {mode: kept_level(tables, combos, mode)[0] for mode in ALL_MODES}
         rows, table, index = state_table(u, n_validators, bounds.max_votes, 0, mutation)
         unanimity = int(np.flatnonzero((rows == (1 << u) - 1).all(axis=1))[0])
         row = rows[unanimity : unanimity + 1]
@@ -1165,9 +1164,10 @@ def test_mask_bound_matches_finality_on_every_unit(mutation):
     # four votes: on combinations the generator keeps and drops for a
     # conflicting finalized pair, and random ones, its levels equal the
     # reference finality of the unanimity state (one validator casting
-    # every vote)
+    # every vote), and it marks a kept combination as a core iff every
+    # vote's source is justified there
     rng = np.random.default_rng(7)
-    kept = 0
+    kept, marks = 0, [0, 0]   # kept combinations marked padded, and cores
     for bounds in (
         Bounds(n_blocks=3, n_validators=1, max_votes=4, max_chkp_slot=3, slot_rule="nonstrict"),
         Bounds(n_blocks=2, n_validators=1, max_votes=4, max_chkp_slot=3, slot_mode="free",
@@ -1181,17 +1181,22 @@ def test_mask_bound_matches_finality_on_every_unit(mutation):
             for u in range(1, 5):
                 every = all_combinations(m, u)
                 level = {mode: kept_level(tables, every, mode) for mode in ALL_MODES}
-                conflict = level[MODE_CONFLICTING_FINALIZED]
+                conflict = level[MODE_CONFLICTING_FINALIZED][0]
                 picks = [rng.permutation(np.flatnonzero(side))[:10]
                          for side in (conflict, ~conflict)]
                 picked = np.sort(np.concatenate(picks + [rng.choice(len(every), 10)]))
                 combos = every[picked]
-                keep = {mode: level[mode][picked] for mode in ALL_MODES}
+                keep = {mode: level[mode][0, picked] for mode in ALL_MODES}
                 for i, combo in enumerate(combos):
                     combo = tuple(int(x) for x in combo)
                     state = materialize_state(bounds, tables, combo, ((1 << u) - 1,))
                     view = finality_view(state, mutation=mutation)
                     conflicting = disagreement(state, view)
+                    core = all(tables.votes[v].source in view.justified for v in combo)
+                    for mode in ALL_MODES:
+                        marked = level[mode][1, picked[i]]
+                        assert marked == (keep[mode][i] and core), (mode, combo)
+                        marks[int(marked)] += keep[mode][i]
                     assert keep[MODE_COUNTEREXAMPLE][i] == conflicting, combo
                     assert keep[MODE_CONFLICTING_FINALIZED][i] == conflicting, combo
                     assert keep[MODE_FINALIZED_NONGENESIS][i] == bool(
@@ -1199,7 +1204,7 @@ def test_mask_bound_matches_finality_on_every_unit(mutation):
                     assert keep[MODE_JUSTIFIED_NONGENESIS][i] == bool(
                         view.justified - {GENESIS_CHECKPOINT}), combo
                     kept += conflicting
-    assert kept > 0
+    assert kept > 0 and min(marks) > 0
 
 
 def _bound_test_units():
@@ -1256,7 +1261,7 @@ def test_bound_matches_finality_on_two_step_chains():
     two_step = 0
     for u in range(1, 5):
         every = all_combinations(len(tables.votes), u)
-        keep = {mode: kept_level(tables, every, mode) for mode in ALL_MODES}
+        keep = {mode: kept_level(tables, every, mode)[0] for mode in ALL_MODES}
         sample = (keep[MODE_FINALIZED_NONGENESIS] | keep[MODE_CONFLICTING_FINALIZED]
                   | (rng.random(len(every)) < 1 / 40))
         level = state_table(u, 1, u, 0, Mutation.NONE)
@@ -1319,5 +1324,6 @@ def test_pruned_core_growth_keeps_every_level(monkeypatch, mutation):
                 *_, pruned = kept_levels(tables, mode, top)
                 monkeypatch.setattr(kernels, "_may_clash", every_core)
                 *_, grown = kept_levels(tables, mode, top)
-                assert np.array_equal(pruned, grown), (forest, mode, top)
+                for got, want in zip(pruned, grown):   # combinations, core flags
+                    assert np.array_equal(got, want), (forest, mode, top)
     assert sum(dropped) > 0

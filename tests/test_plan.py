@@ -150,7 +150,7 @@ def _counted_rows(plan, graph_tables, levels, limit):
     for u in levels:
         n_rows = enumerator.state_count(u, n_validators, max_votes, plan.min_signers)
         total_rows = enumerator.state_count(u, n_validators, max_votes, 0)
-        combos, _ = kept_combinations(plan, graph_tables, u)
+        combos, _, _ = kept_combinations(plan, graph_tables, u)
         kept = {tuple(int(x) for x in c) for c in combos}
         left = limit - checked
         if len(kept) * n_rows <= left:
@@ -252,12 +252,13 @@ def test_a_budget_cut_in_a_later_segment_of_a_task(monkeypatch, started):
     plan = enumerator._plan(bounds, mutation, enumerator.MODE_COUNTEREXAMPLE, 0)
     assert len(plan.tasks) > 1
     graph_tables, levels = plan.tasks[0]
-    combos = [kept_combinations(plan, graph_tables, u)[0] for u in levels]
-    counts = [enumerator._scan_level(plan, graph_tables, combos[u]) for u in levels]
+    # (combinations, core) of each level
+    combos = [kept_combinations(plan, graph_tables, u)[::2] for u in levels]
+    counts = [enumerator._scan_level(plan, graph_tables, *combos[u]) for u in levels]
     level = next(u for u in levels[1:] if counts[u - 1].checked > 0 and counts[u].checked > 1)
     budget = sum(c.checked for c in counts[:level]) + 1
     want = sum(counts[:level], enumerator._Counts()) + enumerator._scan_level(
-        plan, graph_tables, combos[level], limit=1
+        plan, graph_tables, *combos[level], limit=1
     )
     expected = _report(bounds, mutation, budget)
     assert expected.verdict == VERDICT_INCONCLUSIVE and expected.states_checked == budget
@@ -289,8 +290,8 @@ def test_falsify_c3_plans_one_task_and_forks_nothing(monkeypatch):
 
 def test_each_scanned_level_is_one_kernel_call(monkeypatch):
     # at three blocks with 5 FFG votes and checkpoint slots up to 4, every
-    # (class, level) pair that holds an orbit-minimal kept combination is
-    # scanned in exactly one kernel call, and no other pair is scanned
+    # (class, level) pair that holds an orbit-minimal kept core is scanned
+    # in exactly one kernel call, and no other pair is scanned
     bounds = Bounds(n_blocks=3, n_validators=4, max_votes=12, max_ffg_votes=5, max_chkp_slot=4)
     plans, calls = [], []
     plan_of, scan_states = enumerator._plan, enumerator.scan_states
@@ -311,7 +312,7 @@ def test_each_scanned_level_is_one_kernel_call(monkeypatch):
         (id(graph_tables), u)
         for graph_tables, levels in plan.tasks
         for u in levels
-        if kept_combinations(plan, graph_tables, u)[1].any()
+        if np.logical_and(*kept_combinations(plan, graph_tables, u)[1:]).any()
     ]
     assert len(plan.tasks) == 3 and len(pairs) > len(plan.tasks)
     assert sorted(calls) == sorted(pairs)

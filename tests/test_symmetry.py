@@ -176,7 +176,7 @@ def _symmetric_oracle(monkeypatch, bounds, mutation):
         for u in levels:
             rows = state_table(u, bounds.n_validators, bounds.max_votes, floor, mutation)[0]
             n_rows = rows.shape[0]
-            _, minimal = kept_combinations(plan, graph_tables, u)
+            _, minimal, _ = kept_combinations(plan, graph_tables, u)
             checked.append(np.full(minimal.size, n_rows, dtype=np.int64))
             symmetric.append(np.where(minimal, 0, n_rows))
         units.append((classes.index(cls) < index, np.concatenate(checked),
